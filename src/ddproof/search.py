@@ -570,7 +570,9 @@ def prove(goal: Sequent, budget: Optional[SearchBudget] = None, jobs: int = 1) -
     verdict carries a model and assignment that falsify the goal. With
     jobs > 1 several searchers with rotated choice orders race over the
     same goal and the first proof wins, so the proof found (though never
-    its validity) may vary between runs.
+    its validity) may vary between runs. The call still returns only after
+    every searcher has exited: leaving the process pool waits for all of
+    its workers, and cancelling a future cannot stop one already running.
     """
     budget = budget or DEFAULT_BUDGET
     capped = False

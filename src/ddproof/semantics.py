@@ -3,7 +3,8 @@
 A model has domain {0, ..., n-1}, a relation per predicate symbol and a
 denotation per constant. Parameters are interpreted by a separate assignment
 dict (keyed by the Param/Var AST nodes), since countermodel search varies
-them independently of the model.
+them independently of the model. `eval_formula` and `eval_sequent` evaluate
+over that representation directly; they are the reference evaluator.
 
 An abstract applied to a description, (lam x. psi)(iota y. phi), holds iff
 some domain element o satisfies phi (as y), is the only element doing so,
@@ -17,7 +18,13 @@ binary-counter order over the lexicographically sorted tuple space (all
 relations empty first); constant, then parameter denotations as numerals
 with the rightmost position cycling fastest. The first interpretation
 falsifying the sequent is returned, so reported countermodels are stable
-across runs.
+across runs. `find_countermodel` compiles the sequent once per call: every
+formula becomes a tree of closures over one flat list of slots (domain,
+relations, constants, parameters, then one slot per binder depth), and
+each interpretation only refills the slots. Bound variables are resolved
+to slots at compile time, so no assignment dict is built or hashed while
+the closures run. It returns the same countermodel as checking each
+interpretation with `eval_sequent`.
 """
 
 from __future__ import annotations
@@ -27,6 +34,8 @@ from itertools import product
 from typing import Iterator, Optional, Union
 
 from .syntax import (
+    BINARY_OPS,
+    QUANTIFIERS,
     And,
     Const,
     Exists,
@@ -201,17 +210,155 @@ def iter_interpretations(
     tuple_spaces = [
         sorted(product(domain, repeat=arity)) for _, arity in sig.preds
     ]
+    # the keys are built once per call; every dict is filled in signature
+    # order and only when reached, since size^params of them would not fit
+    # in memory for a sequent with many parameters
+    keys = [Param(name) for name in sig.params]
     for rels in _iter_relations(tuple_spaces):
-        preds = {key: rel for key, rel in zip(sig.preds, rels)}
+        preds = dict(zip(sig.preds, rels))
         for const_vals in product(domain, repeat=len(sig.consts)):
-            consts = dict(zip(sig.consts, const_vals))
-            model = Model(domain, preds, consts)
-            for param_vals in product(domain, repeat=len(sig.params)):
-                asg = {
-                    Param(name): val
-                    for name, val in zip(sig.params, param_vals)
-                }
-                yield model, asg
+            model = Model(domain, preds, dict(zip(sig.consts, const_vals)))
+            for vals in product(domain, repeat=len(keys)):
+                yield model, dict(zip(keys, vals))
+
+
+# ---------------------------------------------------------------------------
+# compiled evaluation
+
+
+def _unbound(v: Var):
+    """The closure for a formula that reads a variable no binder binds: like
+    `eval_formula`, it raises KeyError when evaluated."""
+
+    def unbound(env):
+        raise KeyError(v)
+
+    return unbound
+
+
+class _Compiler:
+    """Turns formulas over one signature into closures `f(env) -> bool`.
+
+    `env` is a flat list: the domain at slot 0, then one slot per predicate
+    relation, constant and parameter in signature order, then one slot per
+    binder depth. A binder writes its slot before running its body and
+    sibling binders reuse it, so every variable is read from the slot its
+    binder was given at compile time. Each closure computes what
+    `eval_formula` computes on the same interpretation."""
+
+    def __init__(self, sig: Signature):
+        slots = [(key, 1 + i) for i, key in enumerate(sig.preds)]
+        self.consts = len(slots) + 1
+        slots += [(Const(n), self.consts + i) for i, n in enumerate(sig.consts)]
+        self.params = len(slots) + 1
+        slots += [(Param(n), self.params + i) for i, n in enumerate(sig.params)]
+        self.bound = len(slots) + 1
+        self.slot = dict(slots)
+        self.width = self.bound
+
+    def term(self, t: Term, scope: dict) -> Optional[int]:
+        """The slot of a term; None for a variable no binder in scope binds."""
+        return scope.get(t.name) if isinstance(t, Var) else self.slot[t]
+
+    def binder(self, name: str, scope: dict, depth: int) -> tuple[int, dict]:
+        s = self.bound + depth
+        self.width = max(self.width, s + 1)
+        return s, {**scope, name: s}
+
+    def __call__(self, f: Formula, scope: dict, depth: int):
+        if isinstance(f, (PredAtom, Identity)):
+            terms = f.args if isinstance(f, PredAtom) else (f.lhs, f.rhs)
+            idx = [self.term(t, scope) for t in terms]
+            if None in idx:
+                return _unbound(terms[idx.index(None)])
+            if isinstance(f, Identity):
+                i, j = idx
+                return lambda env: env[i] == env[j]
+            r = self.slot[(f.pred, len(idx))]
+            return lambda env: tuple([env[i] for i in idx]) in env[r]
+        if isinstance(f, Not):
+            sub = self(f.sub, scope, depth)
+            return lambda env: not sub(env)
+        if isinstance(f, BINARY_OPS):
+            left = self(f.left, scope, depth)
+            right = self(f.right, scope, depth)
+            if isinstance(f, And):
+                return lambda env: left(env) and right(env)
+            if isinstance(f, Or):
+                return lambda env: left(env) or right(env)
+            if isinstance(f, Imp):
+                return lambda env: not left(env) or right(env)
+            return lambda env: left(env) == right(env)
+        if isinstance(f, QUANTIFIERS):
+            s, inner = self.binder(f.bound, scope, depth)
+            body = self(f.body, inner, depth + 1)
+            if isinstance(f, Forall):
+
+                def forall(env):
+                    for o in env[0]:
+                        env[s] = o
+                        if not body(env):
+                            return False
+                    return True
+
+                return forall
+
+            def exists(env):
+                for o in env[0]:
+                    env[s] = o
+                    if body(env):
+                        return True
+                return False
+
+            return exists
+        if isinstance(f, LambdaAtom):
+            s, inner = self.binder(f.bound, scope, depth)
+            body = self(f.body, inner, depth + 1)
+            if not isinstance(f.arg, IotaTerm):
+                arg = self.term(f.arg, scope)
+                if arg is None:
+                    return _unbound(f.arg)
+
+                def apply(env):
+                    env[s] = env[arg]
+                    return body(env)
+
+                return apply
+            w, inner = self.binder(f.arg.bound, scope, depth)
+            phi = self(f.arg.body, inner, depth + 1)
+
+            def description(env):
+                witness = None
+                for o in env[0]:
+                    env[w] = o
+                    if phi(env):
+                        if witness is not None:
+                            return False  # not unique
+                        witness = o
+                if witness is None:
+                    return False  # no witness
+                env[s] = witness
+                return body(env)
+
+            return description
+        raise TypeError(f"not a formula: {f!r}")
+
+    def falsifier(self, s: Sequent):
+        """A closure that is true on exactly the interpretations falsifying
+        `s`: every antecedent formula true, every succedent formula false."""
+        ant = [self(f, {}, 0) for f in s.ant]
+        suc = [self(f, {}, 0) for f in s.suc]
+
+        def falsified(env) -> bool:
+            for f in ant:
+                if not f(env):
+                    return False
+            for f in suc:
+                if f(env):
+                    return False
+            return True
+
+        return falsified
 
 
 @dataclass
@@ -241,12 +388,25 @@ def find_countermodel(
     if not isinstance(s, Sequent):
         s = Sequent((), (s,))
     sig = signature_of(s)
+    compiled = _Compiler(sig)
+    falsified = compiled.falsifier(s)
+    c, p, b = compiled.consts, compiled.params, compiled.bound
+    env: list = [None] * compiled.width
     count = 0
     for size in range(1, max_size + 1):
+        last = None
+        # iter_interpretations fills its dicts in signature order, so their
+        # values go straight into the slots
         for model, asg in iter_interpretations(sig, size):
             count += 1
             if count > cap:
                 raise EnumerationCapError(count)
-            if not eval_sequent(s, model, asg):
+            if model is not last:
+                last = model
+                env[0] = model.domain
+                env[1:c] = model.preds.values()
+                env[c:p] = model.consts.values()
+            env[p:b] = asg.values()
+            if falsified(env):
                 return Countermodel(model, asg, size)
     return None

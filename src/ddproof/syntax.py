@@ -190,20 +190,24 @@ def scan_fresh(base: str, avoid: set[str]) -> str:
 
 
 class ParamSupply:
-    """Mints distinct parameters deterministically, skipping a growing avoid
-    set. Shared across a recursive construction so siblings never collide."""
+    """Mints distinct parameters deterministically, skipping an avoid set.
+    Shared across a recursive construction so siblings never collide.
+
+    Every index below the cursor `_next` is taken, by an avoided name or one
+    already minted, so `fresh` scans forward from the cursor and each name
+    it mints is `scan_fresh(base, avoid | minted so far)`."""
 
     def __init__(self, avoid: Iterable[str] = (), base: str = "a"):
         self._avoid = set(avoid)
         self._base = base
+        self._next = 1
 
     def fresh(self) -> Param:
-        name = scan_fresh(self._base, self._avoid)
-        self._avoid.add(name)
-        return Param(name)
-
-    def note(self, names: Iterable[str]) -> None:
-        self._avoid.update(names)
+        i = self._next
+        while f"{self._base}{i}" in self._avoid:
+            i += 1
+        self._next = i + 1
+        return Param(f"{self._base}{i}")
 
 
 # ---------------------------------------------------------------------------

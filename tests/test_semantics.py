@@ -2,6 +2,11 @@
 interdefinability, the substitution lemma, and countermodel enumeration
 order (first model frozen)."""
 
+import os
+import random
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -20,13 +25,19 @@ from ddproof.semantics import (
 from ddproof.surface import parse_formula, parse_sequent
 from ddproof.syntax import (
     And,
+    Const,
     Exists,
     Forall,
+    Identity,
     Iff,
     Imp,
+    IotaTerm,
+    LambdaAtom,
     Not,
     Or,
     Param,
+    PredAtom,
+    Sequent,
     Var,
     alpha_equal,
     free_vars,
@@ -229,9 +240,127 @@ def test_enumeration_cap():
     assert e.value.count == 6
 
 
+def test_enumeration_cap_bounds_memory():
+    """30 parameters give 2^30 assignments at size 2; the cap must stop the
+    search after enumerating `cap` of them, without building the rest. The
+    search runs in a child limited to 1 GiB of address space, so an
+    enumeration that materialized the assignments fails with MemoryError
+    instead of exhausting the host."""
+    resource = pytest.importorskip("resource")
+    limit = 1 << 30
+    code = (
+        "from ddproof.semantics import EnumerationCapError, find_countermodel\n"
+        "from ddproof.surface import parse_sequent\n"
+        "ant = ', '.join(f'P(#a{i})' for i in range(1, 31))\n"
+        "try:\n"
+        "    find_countermodel(parse_sequent(ant + ' => P(#a1)'), 2, cap=1000)\n"
+        "except EnumerationCapError as e:\n"
+        "    print(e.count)\n"
+    )
+    child = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.split() == ["1001"]
+
+
 def test_signature_of():
     s = parse_sequent("P(#a), R(#a, $c) => forall x. Q(x)")
     sig = signature_of(s)
     assert sig.preds == (("P", 1), ("Q", 1), ("R", 2))
     assert sig.consts == ("c",)
     assert sig.params == ("a",)
+
+
+# ---------------------------------------------------------------------------
+# the compiled countermodel search against the reference evaluator
+
+
+def _reference_countermodel(s, max_size):
+    """(first (model, assignment, size) that eval_sequent rejects, or None;
+    the number of interpretations enumerated to decide)."""
+    sig = signature_of(s)
+    count = 0
+    for size in range(1, max_size + 1):
+        for model, asg in iter_interpretations(sig, size):
+            count += 1
+            if not eval_sequent(s, model, asg):
+                return (model, asg, size), count
+    return None, count
+
+
+def _random_formula(rng, depth, scope=()):
+    """Closed over `scope`. Bound names come from {x, y}, so inner binders
+    often shadow outer ones."""
+
+    def term():
+        pool = [Param("a"), Param("b"), Const("c")] + [Var(v) for v in scope]
+        return rng.choice(pool)
+
+    kinds = ["atom", "atom"]
+    if depth:
+        kinds += ["not", "bin", "quant", "lam", "dd"]
+    kind = rng.choice(kinds)
+    if kind == "atom":
+        pick = rng.randrange(3)
+        if pick == 0:
+            return PredAtom("P", (term(),))
+        if pick == 1:
+            return PredAtom("R", (term(), term()))
+        return Identity(term(), term())
+    if kind == "not":
+        return Not(_random_formula(rng, depth - 1, scope))
+    if kind == "bin":
+        ctor = rng.choice([And, Or, Imp, Iff])
+        return ctor(
+            _random_formula(rng, depth - 1, scope),
+            _random_formula(rng, depth - 1, scope),
+        )
+    v = rng.choice("xy")
+    body = _random_formula(rng, depth - 1, scope + (v,))
+    if kind == "quant":
+        return rng.choice([Forall, Exists])(v, body)
+    if kind == "lam":
+        return LambdaAtom(v, body, term())
+    w = rng.choice("xy")
+    phi = _random_formula(rng, depth - 1, scope + (w,))
+    return LambdaAtom(v, body, IotaTerm(w, phi))
+
+
+def test_compiled_countermodel_matches_reference():
+    rng = random.Random(3)
+    shadowing = parse_sequent(
+        "forall x. (lam x. P(x)) (iota x. R(x, $c)) => exists y. forall y. R(y, #a)"
+    )
+    sample = [shadowing] + [
+        Sequent(
+            tuple(_random_formula(rng, 3) for _ in range(rng.randint(0, 2))),
+            tuple(_random_formula(rng, 3) for _ in range(rng.randint(1, 2))),
+        )
+        for _ in range(150)
+    ]
+    found = 0
+    for s in sample:
+        expected, count = _reference_countermodel(s, max_size=2)
+        cm = find_countermodel(s, max_size=2)
+        got = None if cm is None else (cm.model, cm.assignment, cm.size)
+        assert got == expected, s
+        found += cm is not None
+        with pytest.raises(EnumerationCapError) as e:
+            find_countermodel(s, max_size=2, cap=count - 1)
+        assert e.value.count == count
+    # both outcomes are exercised
+    assert 0 < found < len(sample)
+
+
+def test_compiled_countermodel_unbound_variable():
+    s = Sequent((), (PredAtom("P", (Var("x"),)),))
+    with pytest.raises(KeyError):
+        eval_sequent(s, M([0], {("P", 1): frozenset()}), {})
+    with pytest.raises(KeyError):
+        find_countermodel(s)

@@ -2,6 +2,7 @@
 validation, traversal helpers."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,6 +21,7 @@ from ddproof.syntax import (
     Not,
     Or,
     Param,
+    ParamSupply,
     PredAtom,
     Sequent,
     Var,
@@ -30,6 +32,7 @@ from ddproof.syntax import (
     logical_constants,
     params_in,
     reset_names,
+    scan_fresh,
     sequents_alpha_equal,
     substitute,
     validate_formula,
@@ -306,3 +309,29 @@ def test_validate_sequent_var_closed():
     assert "free variable" in e.value.reason
     ok = Sequent((PredAtom("P", (Param("a"),)),), (Forall("x", PredAtom("P", (Var("x"),))),))
     validate_sequent(ok)
+
+
+# ---------------------------------------------------------------------------
+# fresh parameters
+
+
+def test_param_supply_cursor_matches_scan_fresh():
+    """Every name a supply mints is the smallest free one, as `scan_fresh`
+    finds it over the avoid set grown by the names minted so far: the
+    cursor never skips a name that is still free."""
+    supply = ParamSupply({"a1", "a3", "a4", "b2", "aa2"})
+    assert [supply.fresh().name for _ in range(4)] == ["a2", "a5", "a6", "a7"]
+    rng = random.Random(20261018)
+    for _ in range(200):
+        avoid = {f"a{i}" for i in range(1, 16) if rng.random() < 0.5}
+        avoid |= {f"w{i}" for i in range(1, 8) if rng.random() < 0.5}
+        avoid |= set(rng.sample(["a", "a0", "aa1", "b1", "b2", "wa3", "a012"], 3))
+        supplies = [
+            (ParamSupply(avoid, base), base, set(avoid)) for base in ("a", "w")
+        ]
+        supplies.append((ParamSupply(avoid), "a", set(avoid)))
+        for _ in range(25):
+            supply, base, seen = rng.choice(supplies)
+            expected = scan_fresh(base, seen)
+            seen.add(expected)
+            assert supply.fresh() == Param(expected)
