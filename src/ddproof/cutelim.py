@@ -25,7 +25,6 @@ from .syntax import (
     alpha_equal,
     alpha_key,
     logical_constants,
-    params_in,
     substitute,
 )
 from .kernel import (
@@ -86,21 +85,11 @@ def _subtree_outside_walk(root: ProofNode, avoid: set, on_clash):
     replacement (premises, eigen). Nodes that leave the eigenparameter
     implicit get it spelled out, so later renames can see it.
 
-    Each subtree's parameter set (what proof_params would return) is
-    computed once per walk, bottom-up, and memoized by node identity;
-    nodes built by on_clash are new objects and so get their own entries."""
+    What lies outside a premise is read from the parameter sets stored on
+    the nodes (`own_params` of the node, `params` of its other premises),
+    so each set is computed once per node, not once per walk; nodes built
+    by on_clash are new objects and get their own sets."""
     claimed: set = set()
-    memo: dict = {}
-
-    def subtree_params(node: ProofNode) -> frozenset:
-        names = memo.get(node)
-        if names is None:
-            own = params_in(node.conclusion) | params_in(node.terms)
-            if node.eigen is not None:
-                own |= {node.eigen.name}
-            names = own.union(*map(subtree_params, node.premises))
-            memo[node] = names
-        return names
 
     def walk(node: ProofNode, outside: set) -> ProofNode:
         premises = node.premises
@@ -115,10 +104,10 @@ def _subtree_outside_walk(root: ProofNode, avoid: set, on_clash):
                 changed = True
             claimed.add(eigen.name)
         if premises:
-            local = set(params_in(node.conclusion)) | set(params_in(node.terms))
+            local = set(node.own_params)
             if eigen is not None:
                 local.add(eigen.name)
-            sub = [subtree_params(q) for q in premises]
+            sub = [q.params for q in premises]
             new_premises = []
             for i, q in enumerate(premises):
                 out_i = outside | local
@@ -547,9 +536,10 @@ def _splice(node: ProofNode, parts: tuple, replacement: ProofNode) -> ProofNode:
     )
 
 
-def _measure(proof: ProofNode) -> tuple[int, int]:
-    """(maximal cut degree, number of cuts at that degree); (-1, 0) if cut-free."""
-    degs = [deg for _, _, deg in cut_nodes(proof)]
+def _measure(cuts: list) -> tuple[int, int]:
+    """(maximal cut degree, number of cuts at that degree) of a cut_nodes
+    list; (-1, 0) if cut-free."""
+    degs = [deg for _, _, deg in cuts]
     if not degs:
         return (-1, 0)
     top = max(degs)
@@ -562,11 +552,9 @@ def eliminate_cuts_traced(proof: ProofNode) -> tuple[ProofNode, list[TraceEntry]
     check_proof(proof)
     trace: list[TraceEntry] = []
     p = regularize(proof)
-    while True:
-        cuts = cut_nodes(p)
-        if not cuts:
-            return p, trace
-        before = _measure(p)
+    cuts = cut_nodes(p)
+    before = _measure(cuts)
+    while cuts:
         maxdeg = before[0]
         maximal = [(path, node) for path, node, deg in cuts if deg == maxdeg]
         max_paths = {path for path, _ in maximal}
@@ -589,7 +577,8 @@ def eliminate_cuts_traced(proof: ProofNode) -> tuple[ProofNode, list[TraceEntry]
         reduced = fit_to(reduced, node.conclusion)
         p = regularize(_splice(p, _parts(path), reduced))
         assert is_regular(p)
-        after = _measure(p)
+        cuts = cut_nodes(p)
+        after = _measure(cuts)
         assert after < before, "the (degree, maximal-cut-count) measure must drop"
         trace.append(
             TraceEntry(
@@ -603,6 +592,8 @@ def eliminate_cuts_traced(proof: ProofNode) -> tuple[ProofNode, list[TraceEntry]
                 maximal_after=after[1],
             )
         )
+        before = after
+    return p, trace
 
 
 def eliminate_cuts(proof: ProofNode) -> ProofNode:

@@ -25,6 +25,7 @@ from __future__ import annotations
 import sys
 from collections import Counter
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable, Iterator, Optional, Union
 
 from .syntax import (
@@ -98,12 +99,59 @@ EIGEN_RULES = {"forallr", "existsl", "iota1l", "iotar"}
 
 @dataclass(frozen=True, eq=False)
 class ProofNode:
+    """One inference: its conclusion, premise subtrees and annotations.
+
+    Three facts about a node are computed on first use and then stored on
+    it: `own_params`, `params` and `cut_degree`. A node is never mutated
+    (`dataclasses.replace` and every rewrite build new nodes), and each
+    fact depends only on the node's fields and its premises' facts, so a
+    stored value cannot go stale. Validity never rests on them:
+    `check_proof` re-analyzes every step."""
+
     rule: str
     conclusion: Sequent
     premises: tuple["ProofNode", ...] = ()
     terms: tuple[Term, ...] = ()
     eigen: Optional[Param] = None
     at: Optional[int] = None
+
+    @cached_property
+    def own_params(self) -> frozenset[str]:
+        """Parameters of the conclusion and the annotated terms; the
+        eigenparameter is not included."""
+        # one params_in call either way; wrapping the conclusion in a tuple
+        # slows its walk, so only nodes with terms pay for that
+        if self.terms:
+            return params_in((self.conclusion, self.terms))
+        return params_in(self.conclusion)
+
+    @cached_property
+    def params(self) -> frozenset[str]:
+        """Every parameter of the subtree: each node's `own_params` and
+        annotated eigenparameter. Filled by an iterative post-order pass
+        that descends only into nodes without a stored set, so proof height
+        is bounded by memory, not by the C stack."""
+        stack = [self]
+        while stack:
+            node = stack[-1]
+            todo = [q for q in node.premises if "params" not in q.__dict__]
+            if todo:
+                stack.extend(todo)
+                continue
+            stack.pop()
+            names = node.own_params.union(*(q.params for q in node.premises))
+            if node.eigen is not None:
+                names |= {node.eigen.name}
+            node.__dict__["params"] = names
+        return self.__dict__["params"]
+
+    @cached_property
+    def cut_degree(self) -> Optional[int]:
+        """Logical constants in the cut formula; None unless a cut. Raises
+        RuleError for a cut whose contexts do not add up."""
+        if self.rule != "cut":
+            return None
+        return logical_constants(analyze_step(self).cut_formula)
 
 
 @dataclass(frozen=True, eq=False)
@@ -190,13 +238,8 @@ def proof_size(root: ProofNode) -> int:
 
 
 def proof_params(root: ProofNode) -> set[str]:
-    out: set[str] = set()
-    for _, node in iter_nodes(root):
-        out |= params_in(node.conclusion)
-        out |= params_in(node.terms)
-        if node.eigen is not None:
-            out.add(node.eigen.name)
-    return out
+    """Every parameter of the proof, as a set the caller may change."""
+    return set(root.params)
 
 
 def proofs_equal(p: ProofNode, q: ProofNode) -> bool:
@@ -214,12 +257,11 @@ def proofs_equal(p: ProofNode, q: ProofNode) -> bool:
 
 def cut_nodes(root: ProofNode) -> list[tuple[str, ProofNode, int]]:
     """(path, node, degree) for every cut, in pre-order."""
-    out = []
-    for path, node in iter_nodes(root):
-        if node.rule == "cut":
-            info = analyze_step(node)
-            out.append((path, node, logical_constants(info.cut_formula)))
-    return out
+    return [
+        (path, node, node.cut_degree)
+        for path, node in iter_nodes(root)
+        if node.rule == "cut"
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -1051,7 +1093,7 @@ def check_proof(root: ProofNode, *, lax_iota_eigen: bool = False) -> Proof:
     return Proof(
         root=root,
         height=heights[id(root)],
-        params=frozenset(proof_params(root)),
+        params=root.params,
         cut_degrees=tuple(sorted(cut_degrees)),
     )
 
@@ -1095,7 +1137,7 @@ def subst_param_proof(root: ProofNode, old: Union[str, Param], new: Term) -> Pro
     new_name = new.name if isinstance(new, Param) else None
     if old_name == new_name:
         return root
-    if old_name not in proof_params(root):
+    if old_name not in root.params:
         return root
 
     def go(node: ProofNode) -> ProofNode:

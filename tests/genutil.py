@@ -352,3 +352,37 @@ class ProofGen:
         phi = self.fgen.formula()
         padded = weaken_to(p, Sequent(ant, suc + (phi,)))
         return mk_cut(padded, ax(phi), phi)
+
+
+def cut_compose(pa: ProofNode, pb: ProofNode, chi) -> ProofNode:
+    """Join two proofs with a cut on a formula weakened into both sides."""
+    p1 = weaken_to(pa, Sequent(pa.conclusion.ant, pa.conclusion.suc + (chi,)))
+    p2 = weaken_to(pb, Sequent(pb.conclusion.ant + (chi,), pb.conclusion.suc))
+    return mk_cut(p1, p2, chi)
+
+
+CUT_POOL = (
+    "rlambda_left",
+    "rlambda_right",
+    "sym_trans",
+    "derived_iota1l",
+    "derived_iotar",
+    "leibniz_bool",
+    "leibniz_quant",
+)
+
+
+def cut_corpus(golden: dict, rng: random.Random) -> list:
+    """55 cut-bearing proofs: the three derived description rules, cut
+    compositions of golden proofs, and random proofs grown around a cut."""
+    chi_gen = FormulaGen(rng, params=("a",), consts=(), max_conn=3, max_dd_depth=1)
+    pool = [golden[n] for n in CUT_POOL]
+    corpus = [golden[n] for n in ("derived_iota1l", "derived_iota2l", "derived_iotar")]
+    corpus.append(cut_compose(golden["leibniz_dd"], golden["sym_trans"], chi_gen.formula()))
+    corpus.append(cut_compose(golden["sym_trans"], golden["leibniz_dd"], chi_gen.formula()))
+    while len(corpus) < 35:
+        corpus.append(cut_compose(rng.choice(pool), rng.choice(pool), chi_gen.formula()))
+    pgen = ProofGen(rng, max_steps=4)
+    while len(corpus) < 55:
+        corpus.append(pgen.proof_with_cut())
+    return corpus

@@ -19,9 +19,9 @@ import random
 import time
 
 import bitsem
-from genutil import FormulaGen, ProofGen, has_description
+from genutil import FormulaGen, ProofGen, cut_corpus, has_description
 
-from ddproof.builders import build_leibniz, mk_cut, weaken_to
+from ddproof.builders import build_leibniz
 from ddproof.cli import fixture_proofs
 from ddproof.cutelim import eliminate_cuts_traced
 from ddproof.kernel import check_proof, cut_nodes, proofs_equal, subst_param_proof
@@ -58,7 +58,6 @@ from ddproof.syntax import (
     Or,
     Param,
     PredAtom,
-    Sequent,
     Var,
     alpha_equal,
     free_vars,
@@ -142,33 +141,11 @@ def _criterion3():
     return _cache["c3"]
 
 
-def _cut_compose(pa, pb, chi):
-    """Join two proofs with a cut on a formula weakened into both sides."""
-    p1 = weaken_to(pa, Sequent(pa.conclusion.ant, pa.conclusion.suc + (chi,)))
-    p2 = weaken_to(pb, Sequent(pb.conclusion.ant + (chi,), pb.conclusion.suc))
-    return mk_cut(p1, p2, chi)
-
-
 def _criterion4():
     """At least 50 cut-bearing proofs: the derived description rules, cut
     compositions of golden pairs, and random proofs grown around cuts."""
     if "c4" not in _cache:
-        golden = _golden()
-        rng = random.Random(SEED + 4)
-        chi_gen = FormulaGen(rng, params=("a",), consts=(), max_conn=3, max_dd_depth=1)
-        pool = [
-            golden[n]
-            for n in GOLDEN_SIX + ("leibniz_bool", "leibniz_quant")
-            if n != "derived_iota2l"
-        ]
-        corpus = [golden[n] for n in GOLDEN_SIX[3:]]
-        corpus.append(_cut_compose(golden["leibniz_dd"], golden["sym_trans"], chi_gen.formula()))
-        corpus.append(_cut_compose(golden["sym_trans"], golden["leibniz_dd"], chi_gen.formula()))
-        while len(corpus) < 35:
-            corpus.append(_cut_compose(rng.choice(pool), rng.choice(pool), chi_gen.formula()))
-        pgen = ProofGen(rng, max_steps=4)
-        while len(corpus) < 55:
-            corpus.append(pgen.proof_with_cut())
+        corpus = cut_corpus(_golden(), random.Random(SEED + 4))
         ends = []
         worst = 0.0
         steps = 0

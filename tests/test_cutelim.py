@@ -5,10 +5,17 @@ kernel checker over the output and compare end sequents as multisets.
 Trace case names are pinned so a silent change of strategy shows up.
 """
 
-import pytest
+import random
+import sys
+from dataclasses import replace
 
+import pytest
+from genutil import cut_corpus
+
+from ddproof import syntax
 from ddproof.syntax import (
     And,
+    Const,
     Forall,
     Identity,
     Not,
@@ -17,17 +24,23 @@ from ddproof.syntax import (
     Sequent,
     Var,
     logical_constants,
+    params_in,
+    rename_param_seq,
     seq,
     sequent_key,
     sequents_alpha_equal,
 )
 from ddproof.kernel import (
     ProofNode,
+    analyze_step,
     check_proof,
     iter_nodes,
     proof_height,
+    proof_params,
+    proof_size,
     subst_param_proof,
 )
+from ddproof.cli import fixture_proofs
 from ddproof.builders import (
     ax,
     build_rlambda_left,
@@ -600,3 +613,87 @@ class TestEliminateCuts:
         p2 = subst_param_proof(p, "b", Param("d"))
         check_proof(p2)
         assert_eliminated(p2)
+
+
+# ---------------------------------------------------------------------------
+# parameter sets and cut degrees stored on proof nodes
+
+
+@pytest.fixture(scope="module")
+def criterion4_corpus():
+    from test_acceptance import SEED
+
+    return cut_corpus(dict(fixture_proofs()), random.Random(SEED + 4))
+
+
+def walk_params(root):
+    """Reference oracle: the whole-proof walk that proof_params made before
+    the sets were stored on the nodes."""
+    out = set()
+    for _, n in iter_nodes(root):
+        out |= params_in(n.conclusion)
+        out |= params_in(n.terms)
+        if n.eigen is not None:
+            out.add(n.eigen.name)
+    return out
+
+
+def assert_facts_fresh(root):
+    """Every node's stored facts equal a fresh computation."""
+    for _, n in iter_nodes(root):
+        assert n.own_params == params_in(n.conclusion) | params_in(n.terms)
+        assert proof_params(n) == walk_params(n)
+        if n.rule == "cut":
+            assert n.cut_degree == logical_constants(analyze_step(n).cut_formula)
+
+
+def test_stored_facts_match_a_fresh_walk(criterion4_corpus):
+    b9 = Param("b9")
+    for root in criterion4_corpus:
+        assert_facts_fresh(root)
+        names = sorted(root.params)
+        # avoiding every name of the proof renames each eigenparameter
+        assert_facts_fresh(regularize(root, avoid=names))
+        for new in (b9, Param(names[-1]), Const("d")):
+            assert_facts_fresh(subst_param_proof(root, names[0], new))
+        old = min(params_in(root.conclusion), default=None)
+        if old is not None:
+            # not a valid step any more, but its parameters must be the new ones
+            renamed = rename_param_seq(root.conclusion, old, b9)
+            moved = replace(root, conclusion=renamed)
+            assert moved.own_params == params_in(moved.conclusion) | params_in(moved.terms)
+            assert proof_params(moved) == walk_params(moved)
+            assert "b9" in moved.own_params and "b9" in moved.params
+        out, _ = eliminate_cuts_traced(root)
+        assert_facts_fresh(out)
+
+
+def test_elimination_computes_each_parameter_set_once(monkeypatch):
+    """Eliminating the worst criterion-4 proof calls params_in at most once
+    per node that exists during the run: the input's nodes plus every node
+    built while eliminating. A whole-proof re-walk per step or per
+    regularization pass would exceed this by far."""
+    root = dict(fixture_proofs())["derived_iota2l"]
+    calls = built = 0
+    real_params_in = syntax.params_in
+    real_init = ProofNode.__init__
+
+    def counting_params_in(x):
+        nonlocal calls
+        calls += 1
+        return real_params_in(x)
+
+    def counting_init(self, *args, **kwargs):
+        nonlocal built
+        built += 1
+        real_init(self, *args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        bound = getattr(mod, "params_in", None)
+        if name.startswith("ddproof") and bound is real_params_in:
+            monkeypatch.setattr(mod, "params_in", counting_params_in)
+    monkeypatch.setattr(ProofNode, "__init__", counting_init)
+    out, trace = eliminate_cuts_traced(root)
+    monkeypatch.undo()
+    assert (proof_size(root), proof_size(out), len(trace)) == (52, 259, 16)
+    assert calls <= proof_size(root) + built

@@ -3,6 +3,12 @@ annotation inference, eigenvariable conditions (including the two instances
 that would be unsound under a laxer reading), whole-proof checking with
 failure paths, and parameter substitution through proofs."""
 
+import dataclasses
+import json
+import os
+import subprocess
+import sys
+
 import pytest
 
 from ddproof.kernel import (
@@ -388,12 +394,62 @@ def test_proof_facts():
     assert checked.degree == 0
 
 
+def test_parameter_sets_of_a_deep_proof():
+    """A 40,000-high wl/cl chain over constant-size sequents gets its
+    parameter set from proof_params and from check_proof without recursing.
+    It runs in a child process, so a C-stack overflow (segfault) fails this
+    test instead of killing the test run."""
+    code = (
+        "import json\n"
+        "from ddproof.kernel import ProofNode, check_proof, proof_params\n"
+        "from ddproof.syntax import Param, PredAtom, Sequent\n"
+        "f = PredAtom('P', (Param('a1'),))\n"
+        "one, two = Sequent((f,), (f,)), Sequent((f, f), (f,))\n"
+        "def chain(height):\n"
+        "    node = ProofNode('ax', one)\n"
+        "    for i in range(1, height):\n"
+        "        rule, concl = ('wl', two) if i % 2 else ('cl', one)\n"
+        "        node = ProofNode(rule, concl, (node,))\n"
+        "    return node\n"
+        "print(json.dumps([sorted(proof_params(chain(40_000))),\n"
+        "                  sorted(check_proof(chain(40_000)).params)]))\n"
+    )
+    child = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert child.returncode == 0, child.stderr
+    assert json.loads(child.stdout) == [["a1"], ["a1"]]
+
+
 def test_cut_degree_recorded():
     p1 = leaf([P(a)], [And(P(a), P(a))])
     p2 = leaf([And(P(a), P(a))], [G])
     root = node("cut", [P(a)], [G], [p1, p2])
     info = analyze_step(root)
     assert info.cut_formula == And(P(a), P(a))
+    assert root.cut_degree == 1
+    assert p1.cut_degree is None
+
+
+def test_stored_facts_follow_replace():
+    # each fact is read first, so a copy made by replace would be stale
+    one = ax(P(a))
+    assert (one.own_params, one.params) == ({"a"}, {"a"})
+    moved = dataclasses.replace(one, conclusion=seq([P(b)], [P(b)]))
+    assert (moved.own_params, moved.params) == ({"b"}, {"b"})
+    up = node("existsl", [Exists("x", P(x))], [G], [leaf([P(a)], [G])], eigen=a)
+    assert (up.own_params, up.params) == (set(), {"a"})
+    assert dataclasses.replace(up, eigen=c).params == {"a", "c"}
+    chi = And(P(a), P(a))
+    cut = node("cut", [P(a)], [G], [leaf([P(a)], [chi]), leaf([chi], [G])])
+    assert cut.cut_degree == 1
+    atomic_premises = (leaf([P(a)], [P(a)]), leaf([P(a)], [G]))
+    atomic = dataclasses.replace(cut, premises=atomic_premises)
+    assert atomic.cut_degree == 0
 
 
 # ---------------------------------------------------------------------------
