@@ -3,8 +3,9 @@
 One subcommand per invocation: parse, check, prove, eliminate-cut,
 countermodel, translate, fixtures. Exit codes: 0 for success (a proof
 found, a check passed, no countermodel within the requested bound), 1
-for a definite negative (rejected input, refuted goal, countermodel
-found), 2 for unknown (budget or enumeration cap), 3 for usage errors.
+for a definite negative (rejected, unparsable or ill-formed input, refuted
+goal, countermodel found), 2 for unknown (budget or enumeration cap), 3
+for usage errors.
 
 Formula files (.rlf) hold one formula or sequent per line; proof files
 (.rlp) hold a single s-expression. Every proof printed by any subcommand
@@ -39,7 +40,15 @@ from .surface import (
     parse_proof,
     parse_sequent,
 )
-from .syntax import Identity, Not, Param, PredAtom, Sequent
+from .syntax import (
+    Identity,
+    IllFormed,
+    Not,
+    Param,
+    PredAtom,
+    Sequent,
+    validate_sequent,
+)
 from .translate import is_pure_fol, translate, translate_sequent
 
 
@@ -134,8 +143,14 @@ def _cmd_check(args) -> int:
     return 0
 
 
+def _goal(text: str) -> Sequent:
+    goal = parse_sequent(text)
+    validate_sequent(goal)
+    return goal
+
+
 def _cmd_prove(args) -> int:
-    goal = parse_sequent(args.sequent)
+    goal = _goal(args.sequent)
     jobs = 1 if args.deterministic else args.jobs
     verdict = prove(goal, _budget(args), jobs=jobs)
     if isinstance(verdict, Proved):
@@ -167,7 +182,7 @@ def _cmd_eliminate_cut(args) -> int:
 
 
 def _cmd_countermodel(args) -> int:
-    goal = parse_sequent(args.sequent)
+    goal = _goal(args.sequent)
     max_size = args.max_size
     if max_size is None:
         max_size = _env_int("RL_MAX_MODEL", DEFAULT_MAX_SIZE)
@@ -365,6 +380,9 @@ def main(argv=None) -> int:
         return 3
     except ParseError as e:
         print(f"ddproof: parse error: {e}", file=sys.stderr)
+        return 1
+    except IllFormed as e:
+        print(f"ddproof: ill-formed: {e}", file=sys.stderr)
         return 1
     except CheckError as e:
         print(f"ddproof: rejected: {e}", file=sys.stderr)

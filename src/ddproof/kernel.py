@@ -119,8 +119,7 @@ class ProofNode:
     def own_params(self) -> frozenset[str]:
         """Parameters of the conclusion and the annotated terms; the
         eigenparameter is not included."""
-        # one params_in call either way; wrapping the conclusion in a tuple
-        # slows its walk, so only nodes with terms pay for that
+        # a node without terms shares the set its conclusion stores
         if self.terms:
             return params_in((self.conclusion, self.terms))
         return params_in(self.conclusion)

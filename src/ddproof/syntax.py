@@ -7,15 +7,25 @@ Descriptions (IotaTerm) are quasi-terms: they occur only as the argument of
 a predicate abstract (LambdaAtom), never inside an ordinary atom.
 
 The module also provides capture-avoiding substitution, alpha-equality via a
-canonical de Bruijn key, well-formedness validation, and the fresh-name
-counter shared by everything that has to invent a variable or parameter.
+canonical de Bruijn key, well-formedness validation, and three fresh-name
+schemes: `fresh_name`'s global counter (bound-variable renames in
+`substitute`), `scan_fresh` (the smallest unused index, for output that must
+not depend on counter state) and `ParamSupply` (parameters minted in order
+over one construction).
+
+Formula nodes, descriptions and sequents store the structural facts that
+the calculus keeps asking for, each computed on first use: hashes, canonical
+keys (`alpha_key`, `sequent_key`), free variables, and parameter, constant
+and predicate names. Nodes are frozen
+and `dataclasses.replace` builds a new node with nothing stored, so a stored
+fact cannot go stale. Pickling carries the fields only: string hashes are
+salted per process, so a stored hash must not reach another one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Optional, Union
 
 # ---------------------------------------------------------------------------
 # terms
@@ -42,8 +52,39 @@ Term = Union[Var, Param, Const]
 # formulas
 
 
-@dataclass(frozen=True)
-class IotaTerm:
+# fills a slot of a frozen node
+_store = object.__setattr__
+
+
+class _Node:
+    """Slots for the facts a node stores on first use: `_hash`, `_akey` (the
+    canonical key), `_fv` (free variables) and `_names` (parameters,
+    constants, predicates). An unset slot raises AttributeError."""
+
+    __slots__ = ("_hash", "_akey", "_fv", "_names")
+
+    def __hash__(self) -> int:
+        # the value the generated dataclass hash returns, so sets and dicts
+        # keyed by nodes iterate in the same order
+        try:
+            return self._hash
+        except AttributeError:
+            pass
+        h = hash(tuple([getattr(self, name) for name in self.__match_args__]))
+        _store(self, "_hash", h)
+        return h
+
+
+def _node(cls):
+    """Frozen slotted dataclass with the stored hash. Frozen slotted
+    dataclasses pickle their fields only, so nothing stored is pickled."""
+    cls = dataclass(frozen=True, slots=True)(cls)
+    cls.__hash__ = _Node.__hash__
+    return cls
+
+
+@_node
+class IotaTerm(_Node):
     """A definite description binding `bound` in `body`. Only legal as the
     argument slot of a LambdaAtom."""
 
@@ -51,61 +92,61 @@ class IotaTerm:
     body: "Formula"
 
 
-@dataclass(frozen=True)
-class PredAtom:
+@_node
+class PredAtom(_Node):
     pred: str
     args: tuple[Term, ...] = ()
 
 
-@dataclass(frozen=True)
-class Identity:
+@_node
+class Identity(_Node):
     lhs: Term
     rhs: Term
 
 
-@dataclass(frozen=True)
-class Not:
+@_node
+class Not(_Node):
     sub: "Formula"
 
 
-@dataclass(frozen=True)
-class And:
+@_node
+class And(_Node):
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
-class Or:
+@_node
+class Or(_Node):
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
-class Imp:
+@_node
+class Imp(_Node):
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
-class Iff:
+@_node
+class Iff(_Node):
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
-class Forall:
+@_node
+class Forall(_Node):
     bound: str
     body: "Formula"
 
 
-@dataclass(frozen=True)
-class Exists:
+@_node
+class Exists(_Node):
     bound: str
     body: "Formula"
 
 
-@dataclass(frozen=True)
-class LambdaAtom:
+@_node
+class LambdaAtom(_Node):
     """Predicate abstract applied to an argument: (lam bound. body) arg.
 
     The argument is an ordinary term or a description; this is the only
@@ -145,8 +186,8 @@ def is_atomic(f: Formula) -> bool:
 # sequents
 
 
-@dataclass(frozen=True)
-class Sequent:
+@_node
+class Sequent(_Node):
     ant: tuple[Formula, ...]
     suc: tuple[Formula, ...]
 
@@ -211,113 +252,122 @@ class ParamSupply:
 
 
 # ---------------------------------------------------------------------------
-# traversal helpers
+# stored structural facts
+#
+# The walks recurse through plain calls, one frame per level as the unstored
+# walks did. Free variables are stored on every node of the walk, so that
+# `substitute`, which asks at every level, stays linear in depth. Names and
+# canonical keys are stored on the node they are asked of, as a fresh walk
+# over its subtree: parsed proofs share no nodes, and filling every level
+# would cost them more than the walk. Stored facts are read with getattr, as
+# a raised AttributeError costs far more than a miss; only the hash, filled
+# once and read most often, is read with try.
 
-
-def _binder_views(f: Formula) -> Iterator[tuple[str, Formula]]:
-    """(bound name, body) pairs for every binder directly at this node."""
-    if isinstance(f, (Forall, Exists)):
-        yield f.bound, f.body
-    elif isinstance(f, LambdaAtom):
-        yield f.bound, f.body
-        if isinstance(f.arg, IotaTerm):
-            yield f.arg.bound, f.arg.body
-
-
-def _term_views(f: Formula) -> Iterator[Term]:
-    if isinstance(f, PredAtom):
-        yield from f.args
-    elif isinstance(f, Identity):
-        yield f.lhs
-        yield f.rhs
-    elif isinstance(f, LambdaAtom) and is_term(f.arg):
-        yield f.arg
-
-
-def _child_formulas(f: Formula) -> Iterator[Formula]:
-    if isinstance(f, Not):
-        yield f.sub
-    elif isinstance(f, BINARY_OPS):
-        yield f.left
-        yield f.right
+_EMPTY: frozenset[str] = frozenset()
 
 
 def free_vars(f: Formula) -> frozenset[str]:
-    if isinstance(f, (PredAtom, Identity)):
-        return frozenset(t.name for t in _term_views(f) if isinstance(t, Var))
-    if isinstance(f, Not):
-        return free_vars(f.sub)
-    if isinstance(f, BINARY_OPS):
-        return free_vars(f.left) | free_vars(f.right)
-    if isinstance(f, QUANTIFIERS):
-        return free_vars(f.body) - {f.bound}
-    if isinstance(f, LambdaAtom):
+    fv = getattr(f, "_fv", None)
+    if fv is not None:
+        return fv
+    if isinstance(f, PredAtom):
+        fv = frozenset(t.name for t in f.args if isinstance(t, Var))
+    elif isinstance(f, Identity):
+        fv = frozenset(t.name for t in (f.lhs, f.rhs) if isinstance(t, Var))
+    elif isinstance(f, Not):
+        fv = free_vars(f.sub)
+    elif isinstance(f, BINARY_OPS):
+        fv = free_vars(f.left) | free_vars(f.right)
+    elif isinstance(f, QUANTIFIERS):
+        fv = free_vars(f.body) - {f.bound}
+    elif isinstance(f, LambdaAtom):
         fv = free_vars(f.body) - {f.bound}
         if isinstance(f.arg, IotaTerm):
             fv |= free_vars(f.arg.body) - {f.arg.bound}
         elif isinstance(f.arg, Var):
             fv |= {f.arg.name}
-        return fv
-    raise TypeError(f"not a formula: {f!r}")
-
-
-def _collect_terms(x) -> Iterator[Term]:
-    """All term occurrences (bound or free) in formulas/sequents/terms, or
-    any nesting of those inside plain iterables."""
-
-    def walk(f: Formula) -> Iterator[Term]:
-        yield from _term_views(f)
-        for c in _child_formulas(f):
-            yield from walk(c)
-        for _, body in _binder_views(f):
-            yield from walk(body)
-
-    if isinstance(x, TERM_TYPES):
-        yield x
-    elif isinstance(x, IotaTerm):
-        yield from walk(Forall(x.bound, x.body))
-    elif isinstance(x, Sequent):
-        for f in x.ant + x.suc:
-            yield from walk(f)
-    elif is_formula(x):
-        yield from walk(x)
-    elif x is None:
-        return
     else:
-        for item in x:
-            yield from _collect_terms(item)
+        raise TypeError(f"not a formula: {f!r}")
+    fv = fv or _EMPTY
+    _store(f, "_fv", fv)
+    return fv
+
+
+def _names(x: _Node) -> tuple[frozenset[str], frozenset[str], tuple]:
+    """(parameters, constants, predicates) of a formula, description or
+    sequent; the predicates are the distinct (name, arity) pairs in order of
+    first occurrence."""
+    names = getattr(x, "_names", None)
+    if names is not None:
+        return names
+    terms: list = []
+    preds: list = []
+    _occurrences(x, terms, preds)
+    names = (
+        frozenset([t.name for t in terms if isinstance(t, Param)]) or _EMPTY,
+        frozenset([t.name for t in terms if isinstance(t, Const)]) or _EMPTY,
+        tuple(dict.fromkeys(preds)),
+    )
+    _store(x, "_names", names)
+    return names
+
+
+def _occurrences(f, terms: list, preds: list) -> None:
+    """Append the term and (name, arity) occurrences of f, in walk order."""
+    if isinstance(f, PredAtom):
+        terms += f.args
+        preds.append((f.pred, len(f.args)))
+    elif isinstance(f, Identity):
+        terms += (f.lhs, f.rhs)
+    elif isinstance(f, Not):
+        _occurrences(f.sub, terms, preds)
+    elif isinstance(f, BINARY_OPS):
+        _occurrences(f.left, terms, preds)
+        _occurrences(f.right, terms, preds)
+    elif isinstance(f, (Forall, Exists, IotaTerm)):
+        _occurrences(f.body, terms, preds)
+    elif isinstance(f, LambdaAtom):
+        _occurrences(f.body, terms, preds)
+        if isinstance(f.arg, IotaTerm):
+            _occurrences(f.arg.body, terms, preds)
+        else:
+            terms.append(f.arg)
+    elif isinstance(f, Sequent):
+        for g in f.ant + f.suc:
+            _occurrences(g, terms, preds)
+    else:
+        raise TypeError(f"not a formula: {f!r}")
+
+
+def _gather(x, i: int, kind: type) -> frozenset[str]:
+    """Names of one sort (`_names` index i, terms of class `kind`) in a node,
+    term, None, or any nesting of those inside plain iterables."""
+    if isinstance(x, _Node):
+        return _names(x)[i]
+    if isinstance(x, TERM_TYPES):
+        return frozenset((x.name,)) if isinstance(x, kind) else _EMPTY
+    out = _EMPTY
+    for item in x or ():
+        out = out | _gather(item, i, kind)
+    return out
 
 
 def params_in(x) -> frozenset[str]:
     """Parameter names occurring anywhere in a formula/sequent/term/iterable."""
-    return frozenset(t.name for t in _collect_terms(x) if isinstance(t, Param))
+    return _gather(x, 0, Param)
 
 
 def consts_in(x) -> frozenset[str]:
-    return frozenset(t.name for t in _collect_terms(x) if isinstance(t, Const))
+    return _gather(x, 1, Const)
 
 
-def preds_in(x) -> Iterator[tuple[str, int]]:
-    """(name, arity) occurrences, duplicates included."""
-
-    def walk(f: Formula) -> Iterator[tuple[str, int]]:
-        if isinstance(f, PredAtom):
-            yield f.pred, len(f.args)
-        for c in _child_formulas(f):
-            yield from walk(c)
-        for _, body in _binder_views(f):
-            yield from walk(body)
-
-    if isinstance(x, Sequent):
-        for f in x.ant + x.suc:
-            yield from walk(f)
-    elif is_formula(x):
-        yield from walk(x)
-    elif isinstance(x, TERM_TYPES) or x is None:
-        return
-    else:
-        for item in x:
-            yield from preds_in(item)
+def preds_in(x) -> tuple[tuple[str, int], ...]:
+    """Distinct (name, arity) pairs, in order of first occurrence."""
+    if isinstance(x, _Node):
+        return _names(x)[2]
+    if isinstance(x, TERM_TYPES) or x is None:
+        return ()
+    return tuple(dict.fromkeys(p for item in x for p in preds_in(item)))
 
 
 def logical_constants(f: Formula) -> int:
@@ -482,10 +532,14 @@ def _key(f: Formula, env: tuple[str, ...]) -> str:
     raise TypeError(f"not a formula: {f!r}")
 
 
-@lru_cache(maxsize=65536)
 def alpha_key(f: Formula) -> str:
     """Canonical string invariant under renaming of bound variables."""
-    return _key(f, ())
+    key = getattr(f, "_akey", None)
+    if key is not None:
+        return key
+    key = _key(f, ())
+    _store(f, "_akey", key)
+    return key
 
 
 def alpha_equal(f: Formula, g: Formula) -> bool:
@@ -494,10 +548,16 @@ def alpha_equal(f: Formula, g: Formula) -> bool:
 
 def sequent_key(s: Sequent) -> tuple[tuple[str, ...], tuple[str, ...]]:
     """Canonical multiset key for a sequent (order-insensitive per side)."""
-    return (
-        tuple(sorted(alpha_key(f) for f in s.ant)),
-        tuple(sorted(alpha_key(f) for f in s.suc)),
+    try:
+        return s._akey
+    except AttributeError:
+        pass
+    key = (
+        tuple(sorted([alpha_key(f) for f in s.ant])),
+        tuple(sorted([alpha_key(f) for f in s.suc])),
     )
+    _store(s, "_akey", key)
+    return key
 
 
 def sequents_alpha_equal(s1: Sequent, s2: Sequent) -> bool:
@@ -529,43 +589,54 @@ def validate_formula(
     if arities is None:
         arities = {}
 
-    def check_term(t, where: str) -> None:
-        if isinstance(t, IotaTerm):
-            raise IllFormed(where, "description outside an abstract argument")
-        if not is_term(t):
-            raise IllFormed(where, f"not a term: {t!r}")
+    # a path is (parent path, step) pairs down from `path`; the dotted
+    # string is built only for an error, so deep formulas cost no
+    # quadratic string building
+    def dotted(p) -> str:
+        steps = []
+        while isinstance(p, tuple):
+            p, step = p
+            steps.append(step)
+        steps.append(p)
+        return ".".join(reversed(steps))
 
-    def walk(f: Formula, path: str) -> None:
+    def check_term(t, where) -> None:
+        if isinstance(t, IotaTerm):
+            raise IllFormed(dotted(where), "description outside an abstract argument")
+        if not is_term(t):
+            raise IllFormed(dotted(where), f"not a term: {t!r}")
+
+    def walk(f: Formula, path) -> None:
         if isinstance(f, PredAtom):
             for i, a in enumerate(f.args):
-                check_term(a, f"{path}.arg{i}")
+                check_term(a, (path, f"arg{i}"))
             seen = arities.get(f.pred)
             if seen is None:
                 arities[f.pred] = len(f.args)
             elif seen != len(f.args):
                 raise IllFormed(
-                    path,
+                    dotted(path),
                     f"predicate {f.pred} used with arity {len(f.args)}, "
                     f"previously {seen}",
                 )
         elif isinstance(f, Identity):
-            check_term(f.lhs, f"{path}.lhs")
-            check_term(f.rhs, f"{path}.rhs")
+            check_term(f.lhs, (path, "lhs"))
+            check_term(f.rhs, (path, "rhs"))
         elif isinstance(f, Not):
-            walk(f.sub, f"{path}.sub")
+            walk(f.sub, (path, "sub"))
         elif isinstance(f, BINARY_OPS):
-            walk(f.left, f"{path}.left")
-            walk(f.right, f"{path}.right")
+            walk(f.left, (path, "left"))
+            walk(f.right, (path, "right"))
         elif isinstance(f, QUANTIFIERS):
-            walk(f.body, f"{path}.body")
+            walk(f.body, (path, "body"))
         elif isinstance(f, LambdaAtom):
-            walk(f.body, f"{path}.body")
+            walk(f.body, (path, "body"))
             if isinstance(f.arg, IotaTerm):
-                walk(f.arg.body, f"{path}.arg.body")
+                walk(f.arg.body, ((path, "arg"), "body"))
             else:
-                check_term(f.arg, f"{path}.arg")
+                check_term(f.arg, (path, "arg"))
         else:
-            raise IllFormed(path, f"not a formula: {f!r}")
+            raise IllFormed(dotted(path), f"not a formula: {f!r}")
 
     walk(f, path)
     return arities

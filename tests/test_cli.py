@@ -1,6 +1,9 @@
 """Command line behavior: subcommands, exit codes, output formats."""
 
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -64,6 +67,49 @@ class TestProve:
         code, out, _ = run(capsys, "prove", "P(#a) & Q(#a) => Q(#a)", "--jobs", "2")
         assert code == 0
         assert out.startswith("proved\n")
+
+
+class TestIllFormedGoal:
+    @pytest.mark.parametrize("cmd", ["prove", "countermodel"])
+    @pytest.mark.parametrize(
+        "goal, message",
+        [
+            ("P(#a) => P(#a, #b)", "root.suc0: predicate P used with arity 2, previously 1"),
+            ("P(x) => P(x)", "root.ant0: free variable(s) ['x'] in sequent"),
+        ],
+    )
+    def test_one_line_and_exit_1(self, capsys, cmd, goal, message):
+        code, out, err = run(capsys, cmd, goal)
+        assert code == 1
+        assert out == ""
+        assert err == f"ddproof: ill-formed: {message}\n"
+        assert "Traceback" not in err
+
+
+# the deepest `~` chain before `P(#a) => P(#a)` that `ddproof prove` ended
+# cleanly (exit 2) before formulas stored their facts; 12,000 segfaulted
+DEEPEST_CLEAN_PROVE = 11_000
+
+
+def test_deep_negation_chain_ends_cleanly():
+    """Storing facts on formula nodes adds no recursion depth: the deepest
+    rung `prove` ended cleanly on must still end in exit 2, not a signal.
+    The child is limited to 1 GiB of address space, so a store that grew
+    quadratically with depth fails here instead of exhausting the host."""
+    resource = pytest.importorskip("resource")
+    limit = 1 << 30
+    goal = "~" * DEEPEST_CLEAN_PROVE + "P(#a) => P(#a)"
+    child = subprocess.run(
+        [sys.executable, "-m", "ddproof", "prove", goal],
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert child.returncode == 2, child.stderr[-2000:]
+    assert child.stdout == "unknown: budget-exhausted\n"
+    assert "Traceback" not in child.stderr
 
 
 class TestCountermodel:

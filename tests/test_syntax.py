@@ -1,12 +1,20 @@
 """Core syntax: substitution (against a naive oracle), alpha-equality,
-validation, traversal helpers."""
+validation, traversal helpers, and the facts nodes store."""
 
+import concurrent.futures as cf
+import dataclasses
 import itertools
+import multiprocessing
+import os
+import pickle
 import random
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ddproof import syntax
+from ddproof.surface import parse_sequent
 from ddproof.syntax import (
     And,
     Const,
@@ -25,14 +33,19 @@ from ddproof.syntax import (
     PredAtom,
     Sequent,
     Var,
+    _key,
     alpha_equal,
     alpha_key,
     consts_in,
     free_vars,
+    is_formula,
     logical_constants,
     params_in,
+    preds_in,
+    rename_param,
     reset_names,
     scan_fresh,
+    sequent_key,
     sequents_alpha_equal,
     substitute,
     validate_formula,
@@ -335,3 +348,194 @@ def test_param_supply_cursor_matches_scan_fresh():
             expected = scan_fresh(base, seen)
             seen.add(expected)
             assert supply.fresh() == Param(expected)
+
+
+# ---------------------------------------------------------------------------
+# stored facts against fresh walks
+#
+# Every formula node, description and sequent stores its hash, canonical
+# key, free variables and names on first use. The reference walks below
+# store nothing and read nothing stored, except the children's hashes
+# inside the field tuple, which are checked at every node themselves.
+
+
+def _ref_free_vars(f, bound=frozenset()) -> set:
+    if isinstance(f, (PredAtom, Identity)):
+        terms = f.args if isinstance(f, PredAtom) else (f.lhs, f.rhs)
+        return {t.name for t in terms if isinstance(t, Var) and t.name not in bound}
+    if isinstance(f, Not):
+        return _ref_free_vars(f.sub, bound)
+    if isinstance(f, (And, Or, Imp, Iff)):
+        return _ref_free_vars(f.left, bound) | _ref_free_vars(f.right, bound)
+    if isinstance(f, (Forall, Exists)):
+        return _ref_free_vars(f.body, bound | {f.bound})
+    out = _ref_free_vars(f.body, bound | {f.bound})
+    if isinstance(f.arg, IotaTerm):
+        out |= _ref_free_vars(f.arg.body, bound | {f.arg.bound})
+    elif isinstance(f.arg, Var) and f.arg.name not in bound:
+        out.add(f.arg.name)
+    return out
+
+
+def _ref_occurrences(x, terms: list, preds: list) -> None:
+    """Term and (name, arity) occurrences, in walk order."""
+    if isinstance(x, Sequent):
+        for f in x.ant + x.suc:
+            _ref_occurrences(f, terms, preds)
+    elif isinstance(x, PredAtom):
+        terms.extend(x.args)
+        preds.append((x.pred, len(x.args)))
+    elif isinstance(x, Identity):
+        terms.extend((x.lhs, x.rhs))
+    elif isinstance(x, Not):
+        _ref_occurrences(x.sub, terms, preds)
+    elif isinstance(x, (And, Or, Imp, Iff)):
+        _ref_occurrences(x.left, terms, preds)
+        _ref_occurrences(x.right, terms, preds)
+    elif isinstance(x, (Forall, Exists, IotaTerm)):
+        _ref_occurrences(x.body, terms, preds)
+    else:
+        _ref_occurrences(x.body, terms, preds)
+        if isinstance(x.arg, IotaTerm):
+            _ref_occurrences(x.arg.body, terms, preds)
+        else:
+            terms.append(x.arg)
+
+
+def _nodes(x):
+    """Every formula node and description in x, x included."""
+    yield x
+    if isinstance(x, Sequent):
+        for f in x.ant + x.suc:
+            yield from _nodes(f)
+    elif isinstance(x, Not):
+        yield from _nodes(x.sub)
+    elif isinstance(x, (And, Or, Imp, Iff)):
+        yield from _nodes(x.left)
+        yield from _nodes(x.right)
+    elif isinstance(x, (Forall, Exists, IotaTerm)):
+        yield from _nodes(x.body)
+    elif isinstance(x, LambdaAtom):
+        yield from _nodes(x.body)
+        if isinstance(x.arg, IotaTerm):
+            yield from _nodes(x.arg)
+
+
+def _assert_facts_fresh(x) -> None:
+    for g in _nodes(x):
+        assert hash(g) == hash(tuple(getattr(g, fd.name) for fd in fields(g)))
+        terms, preds = [], []
+        _ref_occurrences(g, terms, preds)
+        assert params_in(g) == {t.name for t in terms if isinstance(t, Param)}
+        assert consts_in(g) == {t.name for t in terms if isinstance(t, Const)}
+        assert preds_in(g) == tuple(dict.fromkeys(preds))
+        if isinstance(g, Sequent):
+            assert sequent_key(g) == (
+                tuple(sorted(_key(f, ()) for f in g.ant)),
+                tuple(sorted(_key(f, ()) for f in g.suc)),
+            )
+        elif not isinstance(g, IotaTerm):
+            assert free_vars(g) == _ref_free_vars(g)
+            assert alpha_key(g) == _key(g, ())
+
+
+def _formula_fields(f) -> list:
+    return [fd.name for fd in fields(f) if is_formula(getattr(f, fd.name))]
+
+
+@given(
+    formula_strategy(),
+    formula_strategy(2),
+    st.sampled_from(["x", "y"]),
+    term_strategy(),
+    st.booleans(),
+)
+@settings(max_examples=300, deadline=None)
+def test_stored_facts_match_fresh_walks(f, g, x, t, root_first):
+    # the facts of a node are asked before or after those of its children
+    for h in _nodes(f) if not root_first else [f]:
+        if not isinstance(h, IotaTerm):
+            alpha_key(h), free_vars(h), params_in(h)
+    _assert_facts_fresh(f)
+    _assert_facts_fresh(substitute(f, x, t))
+    _assert_facts_fresh(rename_param(f, "a", Param("b")))
+    _assert_facts_fresh(rename_param(f, "b", Const("c")))
+    _assert_facts_fresh(Sequent((f, g), (g,)))
+    # a replaced field is seen: nothing stored on f is carried over
+    for name in _formula_fields(f):
+        _assert_facts_fresh(dataclasses.replace(f, **{name: g}))
+    if isinstance(f, PredAtom):
+        _assert_facts_fresh(dataclasses.replace(f, args=f.args + (t,)))
+
+
+def test_stored_hash_is_the_field_tuple_hash():
+    f = Forall("x", And(PredAtom("P", (Var("x"), Param("a"))), Identity(Const("c"), Var("x"))))
+    assert hash(f) == hash(("x", f.body))
+    assert hash(f.body) == hash((f.body.left, f.body.right))
+    assert hash(f.body.left) == hash(("P", (Var("x"), Param("a"))))
+    s = Sequent((f,), ())
+    assert hash(s) == hash(((f,), ()))
+    # equal formulas built apart agree on every fact
+    g = Forall("x", And(PredAtom("P", (Var("x"), Param("a"))), Identity(Const("c"), Var("x"))))
+    assert g == f and g is not f and hash(g) == hash(f) and {f: 1}[g] == 1
+
+
+def _lookup_in_child(data: bytes, text: str):
+    """Run in a spawned interpreter: unpickle a sequent hashed and keyed in
+    the parent and look its formulas up among equal ones built here."""
+    from ddproof.surface import parse_sequent
+
+    s = pickle.loads(data)
+    fresh = parse_sequent(text)
+    here = set(fresh.ant + fresh.suc)
+    return (
+        hash("ddproof"),
+        [f in here for f in s.ant + s.suc],
+        s in {fresh},
+        sequent_key(s) == sequent_key(fresh),
+    )
+
+
+def test_stored_hash_does_not_cross_processes(monkeypatch):
+    """String hashes are salted per process, so a hash stored in one must
+    not be pickled into another, as `prove(jobs>1)` pickles its goal."""
+    text = "forall x. P(x, #a), (lam y. Q(y)) iota z. R(z, $c) => exists y. P(y, #a), #a = $c"
+    s = parse_sequent(text)
+    for f in s.ant + s.suc:
+        hash(f), alpha_key(f), free_vars(f), params_in(f)
+    hash(s), sequent_key(s), params_in(s)
+    seed = "54321" if os.environ.get("PYTHONHASHSEED") == "12345" else "12345"
+    monkeypatch.setenv("PYTHONHASHSEED", seed)
+    ctx = multiprocessing.get_context("spawn")
+    with cf.ProcessPoolExecutor(max_workers=1, mp_context=ctx) as ex:
+        salt, found, seq_found, same_key = ex.submit(
+            _lookup_in_child, pickle.dumps(s), text
+        ).result(timeout=120)
+    assert salt != hash("ddproof"), "the child was not salted differently"
+    assert found == [True] * 4
+    assert seq_found and same_key
+
+
+def test_substitute_is_linear_in_depth(monkeypatch):
+    """`substitute` reads the free variables stored on each node, so it
+    asks for them a bounded number of times per level (the unstored walk
+    asked for every suffix of the chain: 20,301 calls at depth 200)."""
+    n = 200
+    f = PredAtom("P", (Var("x"),))
+    for _ in range(n):
+        f = Not(f)
+    calls = 0
+    fresh_walk = syntax.free_vars
+
+    def counting(g):
+        nonlocal calls
+        calls += 1
+        return fresh_walk(g)
+
+    monkeypatch.setattr(syntax, "free_vars", counting)
+    out = substitute(f, "x", Param("a"))
+    assert calls <= 3 * (n + 1)
+    expect = PredAtom("P", (Param("a"),))
+    for _ in range(n):
+        expect = Not(expect)
+    assert out == expect
