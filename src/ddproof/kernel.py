@@ -208,14 +208,6 @@ def iter_nodes(root: ProofNode) -> Iterator[tuple[str, ProofNode]]:
             stack.append((f"{prefix}{i}", node.premises[i]))
 
 
-def node_at(root: ProofNode, path: str) -> ProofNode:
-    node = root
-    if path not in ("", "root"):
-        for part in path.split("."):
-            node = node.premises[int(part)]
-    return node
-
-
 def proof_height(root: ProofNode) -> int:
     heights: dict[int, int] = {}
     stack: list[tuple[ProofNode, bool]] = [(root, False)]
@@ -490,10 +482,6 @@ def analyze_step(
         )
     handler = _HANDLERS[rule]
     return handler(node, lax_iota_eigen)
-
-
-def check_step(node: ProofNode, *, lax_iota_eigen: bool = False) -> StepInfo:
-    return analyze_step(node, lax_iota_eigen=lax_iota_eigen)
 
 
 # --- handlers, one per rule ---

@@ -1,4 +1,4 @@
-"""Concrete syntax: tokenizer, parsers and printers.
+"""Concrete syntax: scanner, parsers and printers.
 
 Formulas are written in a plain ASCII notation,
 
@@ -24,12 +24,26 @@ with optional `:term`, `:eigen` and `:at` annotations (`:term` may repeat).
 `#` starts a comment unless immediately followed by a letter. The unicode
 glyphs for the connectives are accepted on input and produced by the
 printers when asked, so pretty output re-parses.
+
+The scanner is one regular expression, `_TOKEN`, whose `findall` gives the
+token strings in one pass. Names keep their `#`, `$` or `:` prefix, so a
+token's kind follows from its first character; glyphs are mapped to ASCII.
+No positions are kept: a `ParseError` finds its line and column by
+re-running the same expression with `finditer` up to the failing token. A
+scanner error is found before parsing, so it wins over any parse error.
+
+A printed proof spells out each context formula again at every node above
+it, so one parse memoizes formulas by their exact token sequence: each
+distinct formula text is parsed once and its occurrences share one
+`Formula`, with the facts `syntax` stores on it. The key is the text, not
+the alpha-equivalence class, because each occurrence must print back with
+its own bound-variable names. The memo lives and dies with one parse call.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from itertools import compress, islice
 from typing import Optional, Union
 
 from .kernel import ProofNode
@@ -62,353 +76,339 @@ class ParseError(Exception):
         super().__init__(f"{line}:{col}: {msg}")
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # ident, param, const, number, kw, word, punct, eof
-    value: str
-    line: int
-    col: int
-
-
 _RESERVED = {"forall", "exists", "lam", "iota"}
 
-_GLYPHS = {
-    "¬": "~",
-    "∧": "&",
-    "∨": "|",
-    "→": "->",
-    "↔": "<->",
-    "⇒": "=>",
-    "∀": "forall",
-    "∃": "exists",
-    "λ": "lam",
-    "ι": "iota",
-}
+_GLYPHS = dict(
+    zip("¬∧∨→↔⇒∀∃λι", ("~", "&", "|", "->", "<->", "=>", "forall", "exists", "lam", "iota"))
+)
 
-_IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
-_NUMBER_RE = re.compile(r"[0-9]+")
+# Whitespace (only [ \t\r\n]) and comments, then one token: a name with its
+# `#`, `$` or `:` prefix, a number, an operator or glyph, the empty string
+# at the end of the text, or else the rest of the text from a character
+# that starts no token.
+_TOKEN = re.compile(
+    r"(?:[ \t\r\n]+|#(?![A-Za-z])[^\n]*)*+"
+    r"([#$:]?[A-Za-z][A-Za-z0-9_]*|[0-9]+|<?->|=>|[=~&|(),.¬∧∨→↔⇒∀∃λι]|\Z|(?s:.+))"
+)
 
 
-def tokenize(text: str) -> list[Token]:
-    toks: list[Token] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
+def _scan_error(tok: str) -> Optional[str]:
+    """The error for the scanner's last token before the end, None when it
+    is a token and not the rest of the text from a stray character."""
+    c = tok[:1]
+    if c == "$" or c == ":":
+        if tok[1:2].isascii() and tok[1:2].isalpha():
+            return None
+        if c == "$":
+            return "'$' must be followed by a constant name"
+        return "':' must be followed by an annotation name"
+    if c.isascii() and (c.isalnum() or c in "#=~&|(),.") or tok in ("<->", "->"):
+        return None
+    return f"unexpected character {c!r}"
 
-    def push(kind: str, value: str):
-        toks.append(Token(kind, value, line, col))
 
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i, line, col = i + 1, line + 1, 1
-            continue
-        if ch in " \t\r":
-            i, col = i + 1, col + 1
-            continue
-        if ch == "#":
-            m = _IDENT_RE.match(text, i + 1)
-            if m:
-                push("param", m.group())
-                adv = 1 + len(m.group())
-                i, col = i + adv, col + adv
-                continue
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch == "$":
-            m = _IDENT_RE.match(text, i + 1)
-            if not m:
-                raise ParseError("'$' must be followed by a constant name", line, col)
-            push("const", m.group())
-            adv = 1 + len(m.group())
-            i, col = i + adv, col + adv
-            continue
-        if ch == ":":
-            m = _IDENT_RE.match(text, i + 1)
-            if not m:
-                raise ParseError("':' must be followed by an annotation name", line, col)
-            push("kw", m.group())
-            adv = 1 + len(m.group())
-            i, col = i + adv, col + adv
-            continue
-        if ch in _GLYPHS:
-            val = _GLYPHS[ch]
-            if val in _RESERVED:
-                push("word", val)
-            else:
-                push("punct", val)
-            i, col = i + 1, col + 1
-            continue
-        m = _IDENT_RE.match(text, i)
-        if m:
-            word = m.group()
-            push("word" if word in _RESERVED else "ident", word)
-            i, col = i + len(word), col + len(word)
-            continue
-        m = _NUMBER_RE.match(text, i)
-        if m:
-            push("number", m.group())
-            i, col = i + len(m.group()), col + len(m.group())
-            continue
-        for op in ("<->", "->", "=>", "=", "~", "&", "|", "(", ")", ",", "."):
-            if text.startswith(op, i):
-                push("punct", op)
-                i, col = i + len(op), col + len(op)
-                break
+def _span_ends(toks: list[str]) -> dict[int, int]:
+    """For each index where a list item can start (the first token, or one
+    after "(", "," or "=>"), the index of the next ",", ")", "=>" or end of
+    input at the same parenthesis depth."""
+    ends: dict[int, int] = {}
+    starts = [0]
+    marks = {"(", ")", ",", "=>"}.__contains__
+    for i in compress(range(len(toks)), map(marks, toks)):
+        t = toks[i]
+        if t == "(":
+            starts.append(i + 1)
+        elif t == ")":
+            ends[starts.pop()] = i
+            if not starts:
+                starts.append(i + 1)
         else:
-            raise ParseError(f"unexpected character {ch!r}", line, col)
-    toks.append(Token("eof", "", line, col))
-    return toks
+            ends[starts[-1]] = i
+            starts[-1] = i + 1
+    for s in starts:
+        ends[s] = len(toks) - 1
+    return ends
 
 
 class _Parser:
     def __init__(self, text: str):
-        self.toks = tokenize(text)
+        self.text = text
+        toks = _TOKEN.findall(text)
+        if len(toks) > 1 and not toks[-2]:
+            toks.pop()  # after trailing whitespace the end matched twice
+        if not text.isascii():
+            toks = [_GLYPHS.get(t, t) for t in toks]
+        self.toks = toks
         self.pos = 0
+        self.ends = _span_ends(toks)
+        self.memo: dict[tuple[str, ...], Formula] = {}
+        if len(toks) > 1:
+            msg = _scan_error(toks[-2])
+            if msg:
+                self.fail(msg, len(toks) - 2)
 
-    @property
-    def tok(self) -> Token:
-        return self.toks[self.pos]
+    def fail(self, msg: str, index: Optional[int] = None):
+        """Raise at token `index`, by default the current one."""
+        text = self.text
+        m = next(islice(_TOKEN.finditer(text), self.pos if index is None else index, None))
+        at = m.start(1)
+        bol = text.rfind("\n", 0, at) + 1
+        # a comment does not advance the column, so the end of a text that
+        # ends in one is placed at its `#`
+        hash_at = text.find("#", max(bol, m.start()), at)
+        if hash_at >= 0:
+            at = hash_at
+        raise ParseError(msg, text.count("\n", 0, at) + 1, at - bol + 1)
 
-    def peek(self, ahead: int = 0) -> Token:
-        return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
+    def shown(self) -> str:
+        t = self.toks[self.pos]
+        return t[1:] if t[:1] in ("#", "$", ":") else t
 
-    def eat(self) -> Token:
-        t = self.tok
+    def expected(self, what: str):
+        self.fail(f"expected {what!r}, got {self.shown() or 'eof'!r}")
+
+    def expect(self, tok: str) -> None:
+        if self.toks[self.pos] != tok:
+            self.expected(tok)
+        self.pos += 1
+
+    def name(self) -> str:
+        t = self.toks[self.pos]
+        if not t[:1].isalpha() or t in _RESERVED:
+            self.expected("ident")
         self.pos += 1
         return t
 
-    def at(self, kind: str, value: Optional[str] = None) -> bool:
-        t = self.tok
-        return t.kind == kind and (value is None or t.value == value)
-
-    def expect(self, kind: str, value: Optional[str] = None) -> Token:
-        if not self.at(kind, value):
-            want = value if value is not None else kind
-            raise ParseError(
-                f"expected {want!r}, got {self.tok.value or self.tok.kind!r}",
-                self.tok.line,
-                self.tok.col,
-            )
-        return self.eat()
-
-    def fail(self, msg: str):
-        raise ParseError(msg, self.tok.line, self.tok.col)
-
     def done(self):
-        if self.tok.kind != "eof":
-            self.fail(f"unexpected {self.tok.value!r} after a complete input")
+        if self.toks[self.pos]:
+            self.fail(f"unexpected {self.shown()!r} after a complete input")
 
     # --- terms ---
 
     def term(self) -> Term:
-        t = self.tok
-        if t.kind == "ident":
-            self.eat()
-            return Var(t.value)
-        if t.kind == "param":
-            self.eat()
-            return Param(t.value)
-        if t.kind == "const":
-            self.eat()
-            return Const(t.value)
+        t = self.toks[self.pos]
+        c = t[:1]
+        if c == "#":
+            self.pos += 1
+            return Param(t[1:])
+        if c == "$":
+            self.pos += 1
+            return Const(t[1:])
+        if c.isalpha() and t not in _RESERVED:
+            self.pos += 1
+            return Var(t)
         self.fail("expected a term")
 
     # --- formulas ---
 
     def formula(self) -> Formula:
-        return self.iff()
-
-    def iff(self) -> Formula:
         left = self.imp()
-        if self.at("punct", "<->"):
-            self.eat()
-            return Iff(left, self.iff())
+        if self.toks[self.pos] == "<->":
+            self.pos += 1
+            return Iff(left, self.formula())
         return left
 
     def imp(self) -> Formula:
         left = self.disj()
-        if self.at("punct", "->"):
-            self.eat()
+        if self.toks[self.pos] == "->":
+            self.pos += 1
             return Imp(left, self.imp())
         return left
 
     def disj(self) -> Formula:
         f = self.conj()
-        while self.at("punct", "|"):
-            self.eat()
+        while self.toks[self.pos] == "|":
+            self.pos += 1
             f = Or(f, self.conj())
         return f
 
     def conj(self) -> Formula:
         f = self.neg()
-        while self.at("punct", "&"):
-            self.eat()
+        while self.toks[self.pos] == "&":
+            self.pos += 1
             f = And(f, self.neg())
         return f
 
     def neg(self) -> Formula:
-        if self.at("punct", "~"):
-            self.eat()
+        if self.toks[self.pos] == "~":
+            self.pos += 1
             return Not(self.neg())
         return self.atom()
 
     def atom(self) -> Formula:
-        t = self.tok
-        if t.kind == "word" and t.value in ("forall", "exists"):
-            self.eat()
-            v = self.expect("ident").value
-            self.expect("punct", ".")
-            body = self.formula()
-            return (Forall if t.value == "forall" else Exists)(v, body)
-        if t.kind == "word" and t.value == "iota":
+        toks, pos = self.toks, self.pos
+        t = toks[pos]
+        if t == "forall" or t == "exists":
+            self.pos += 1
+            v = self.name()
+            self.expect(".")
+            return (Forall if t == "forall" else Exists)(v, self.formula())
+        if t == "iota":
             self.fail("a description is only legal as the argument of an abstract")
-        if t.kind == "word" and t.value == "lam":
+        if t == "lam":
             self.fail("an abstract must be parenthesized: (lam x. ...) arg")
-        if t.kind == "punct" and t.value == "(":
-            if self.peek(1).kind == "word" and self.peek(1).value == "lam":
+        if t == "(":
+            if toks[pos + 1] == "lam":
                 return self.lambda_atom()
-            self.eat()
+            self.pos += 1
             f = self.formula()
-            self.expect("punct", ")")
+            self.expect(")")
             return f
-        if t.kind == "ident":
-            if self.peek(1).kind == "punct" and self.peek(1).value == "(":
+        c = t[:1]
+        if c.isalpha():  # a name: the reserved words are taken above
+            nxt = toks[pos + 1]
+            if nxt == "(":
                 return self.predicate()
-            if self.peek(1).kind == "punct" and self.peek(1).value == "=":
+            if nxt == "=":
                 return self.identity()
-            self.eat()
-            return PredAtom(t.value, ())
-        if t.kind in ("param", "const"):
+            self.pos += 1
+            return PredAtom(t, ())
+        if c == "#" or c == "$":
             return self.identity()
         self.fail("expected a formula")
 
     def predicate(self) -> PredAtom:
-        name = self.expect("ident").value
-        self.expect("punct", "(")
+        name = self.toks[self.pos]
+        self.pos += 2  # the name and "("
         args = [self.term()]
-        while self.at("punct", ","):
-            self.eat()
+        while self.toks[self.pos] == ",":
+            self.pos += 1
             args.append(self.term())
-        self.expect("punct", ")")
+        self.expect(")")
         return PredAtom(name, tuple(args))
 
     def identity(self) -> Identity:
         lhs = self.term()
-        self.expect("punct", "=")
+        self.expect("=")
         return Identity(lhs, self.term())
 
     def lambda_atom(self) -> LambdaAtom:
-        self.expect("punct", "(")
-        self.expect("word", "lam")
-        v = self.expect("ident").value
-        self.expect("punct", ".")
+        self.pos += 2  # "(" and "lam"
+        v = self.name()
+        self.expect(".")
         body = self.formula()
-        self.expect("punct", ")")
+        self.expect(")")
         return LambdaAtom(v, body, self.lambda_arg())
 
     def lambda_arg(self) -> Union[Term, IotaTerm]:
-        if self.at("word", "iota"):
+        t = self.toks[self.pos]
+        if t == "iota":
             return self.iota()
-        if self.at("punct", "(") and self.peek(1).kind == "word" and self.peek(1).value == "iota":
-            self.eat()
+        if t == "(" and self.toks[self.pos + 1] == "iota":
+            self.pos += 1
             it = self.iota()
-            self.expect("punct", ")")
+            self.expect(")")
             return it
-        if self.tok.kind in ("ident", "param", "const"):
+        c = t[:1]
+        if c == "#" or c == "$" or c.isalpha() and t not in _RESERVED:
             return self.term()
         self.fail("an abstract needs a term or description argument")
 
     def iota(self) -> IotaTerm:
-        self.expect("word", "iota")
-        v = self.expect("ident").value
-        self.expect("punct", ".")
+        self.pos += 1  # "iota"
+        v = self.name()
+        self.expect(".")
         return IotaTerm(v, self.formula())
 
     # --- sequents ---
 
     def formula_list(self) -> tuple[Formula, ...]:
-        stops = (("punct", "=>"), ("punct", ")"), ("eof", None))
-        if any(self.at(k, v) if v else self.tok.kind == k for k, v in stops):
+        toks = self.toks
+        if toks[self.pos] in ("=>", ")", ""):
             return ()
-        forms = [self.formula()]
-        while self.at("punct", ","):
-            self.eat()
-            forms.append(self.formula())
-        return tuple(forms)
+        forms = []
+        while True:
+            start = self.pos
+            end = self.ends[start]
+            key = tuple(toks[start:end])
+            f = self.memo.get(key)
+            if f is None:
+                f = self.formula()
+                # a parse that stopped early is not the whole span's meaning
+                if self.pos == end:
+                    self.memo[key] = f
+            else:
+                self.pos = end
+            forms.append(f)
+            if toks[self.pos] != ",":
+                return tuple(forms)
+            self.pos += 1
 
     def sequent(self) -> Sequent:
         ant = self.formula_list()
-        self.expect("punct", "=>")
+        self.expect("=>")
         return Sequent(ant, self.formula_list())
 
     # --- proofs ---
 
     def proof(self) -> ProofNode:
-        self.expect("punct", "(")
-        rule = self.expect("ident").value
-        self.expect("punct", "(")
-        self.expect("ident", "seq")
-        self.expect("punct", "(")
+        expect, toks = self.expect, self.toks
+        expect("(")
+        rule = self.name()
+        expect("(")
+        expect("seq")
+        expect("(")
         ant = self.formula_list()
-        self.expect("punct", ")")
-        self.expect("punct", "(")
+        expect(")")
+        expect("(")
         suc = self.formula_list()
-        self.expect("punct", ")")
-        self.expect("punct", ")")
+        expect(")")
+        expect(")")
         terms: list[Term] = []
         eigen: Optional[Param] = None
         at: Optional[int] = None
-        while self.tok.kind == "kw":
-            kw = self.eat()
-            if kw.value == "term":
+        while toks[self.pos][:1] == ":":
+            kw_at = self.pos
+            kw = toks[kw_at][1:]
+            self.pos += 1
+            if kw == "term":
                 terms.append(self.term())
-            elif kw.value == "eigen":
+            elif kw == "eigen":
                 if eigen is not None:
-                    raise ParseError("duplicate :eigen", kw.line, kw.col)
-                tok = self.expect("param")
-                eigen = Param(tok.value)
-            elif kw.value == "at":
+                    self.fail("duplicate :eigen", kw_at)
+                if toks[self.pos][:1] != "#":
+                    self.expected("param")
+                eigen = Param(toks[self.pos][1:])
+                self.pos += 1
+            elif kw == "at":
                 if at is not None:
-                    raise ParseError("duplicate :at", kw.line, kw.col)
-                at = int(self.expect("number").value)
+                    self.fail("duplicate :at", kw_at)
+                if not toks[self.pos][:1].isdigit():
+                    self.expected("number")
+                at = int(toks[self.pos])
+                self.pos += 1
             else:
-                raise ParseError(f"unknown annotation :{kw.value}", kw.line, kw.col)
+                self.fail(f"unknown annotation :{kw}", kw_at)
         prems: list[ProofNode] = []
-        while self.at("punct", "("):
+        while toks[self.pos] == "(":
             prems.append(self.proof())
-        self.expect("punct", ")")
+        expect(")")
         return ProofNode(
             rule, Sequent(ant, suc), tuple(prems), tuple(terms), eigen, at
         )
 
 
-def parse_term(text: str) -> Term:
+def _parse(text: str, rule):
     p = _Parser(text)
-    t = p.term()
+    out = rule(p)
     p.done()
-    return t
+    return out
+
+
+def parse_term(text: str) -> Term:
+    return _parse(text, _Parser.term)
 
 
 def parse_formula(text: str) -> Formula:
-    p = _Parser(text)
-    f = p.formula()
-    p.done()
-    return f
+    return _parse(text, _Parser.formula)
 
 
 def parse_sequent(text: str) -> Sequent:
-    p = _Parser(text)
-    s = p.sequent()
-    p.done()
-    return s
+    return _parse(text, _Parser.sequent)
 
 
 def parse_proof(text: str) -> ProofNode:
-    p = _Parser(text)
-    n = p.proof()
-    p.done()
-    return n
+    return _parse(text, _Parser.proof)
 
 
 # ---------------------------------------------------------------------------

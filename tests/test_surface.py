@@ -1,11 +1,18 @@
 """Concrete syntax: frozen parse trees, precedence round-trips, error
-positions, comments, unicode output, and proof s-expressions."""
+positions, comments, unicode output, proof s-expressions, and the sharing
+of repeated formulas within one parse."""
+
+import concurrent.futures as cf
+import multiprocessing
+import os
+import pickle
 
 import pytest
 from hypothesis import given, settings
 
 from genutil import formula_strategy, sequent_strategy
-from ddproof.kernel import ProofNode, check_proof, proofs_equal
+from ddproof.builders import build_leibniz
+from ddproof.kernel import ProofNode, check_proof, iter_nodes, proofs_equal
 from ddproof.surface import (
     ParseError,
     format_formula,
@@ -161,6 +168,100 @@ def test_parse_error_position():
         raise AssertionError("expected a parse error")
 
 
+# Every ParseError site, as (parser, input, message, line, column). Frozen:
+# the CLI prints these, so a change to any message or position shows here.
+# Scanner errors ('$', ':', stray characters) win over a parse error earlier
+# in the text; a comment does not advance the column, so the end of a text
+# that ends in one is placed at its `#`; a glyph and a \r are one column.
+PARSE_ERRORS = [
+    ('formula', '$', "'$' must be followed by a constant name", 1, 1),
+    ('formula', '$3 = $4', "'$' must be followed by a constant name", 1, 1),
+    ('formula', 'P($ c)', "'$' must be followed by a constant name", 1, 3),
+    ('proof', '(ax (seq (G) (G)) :)', "':' must be followed by an annotation name", 1, 19),
+    ('proof', '(ax (seq (G) (G)) : term $c)', "':' must be followed by an annotation name", 1, 19),
+    ('formula', 'P(@)', "unexpected character '@'", 1, 3),
+    ('formula', 'G \x0b H', "unexpected character '\\x0b'", 1, 3),
+    ('formula', 'G\xa0& H', "unexpected character '\\xa0'", 1, 2),
+    ('formula', 'G - H', "unexpected character '-'", 1, 3),
+    ('formula', 'G <= H', "unexpected character '<'", 1, 3),
+    ('formula', 'G <-H', "unexpected character '<'", 1, 3),
+    ('formula', 'P(_x)', "unexpected character '_'", 1, 3),
+    ('formula', 'P(xé)', "unexpected character 'é'", 1, 4),
+    ('formula', '∀x. ¬P(x) ∧ @', "unexpected character '@'", 1, 13),
+    ('formula', '∀x. ¬P(x) ∧ ∧ G', 'expected a formula', 1, 13),
+    ('formula', '(λx. P(x)) ιy. Q(y) →', 'expected a formula', 1, 22),
+    ('sequent', '¬G ⇒ G,', 'expected a formula', 1, 8),
+    ('formula', 'G &\n  & H', 'expected a formula', 2, 3),
+    ('formula', 'G\r& &', 'expected a formula', 1, 5),
+    ('proof', '(ax (seq (G) (G))\n  :frob 3)', 'unknown annotation :frob', 2, 3),
+    ('proof', '(ax\n  (seq (G) (G))\n  :eigen #a :eigen #b)', 'duplicate :eigen', 3, 13),
+    ('formula', 'G & # a comment\n  )', 'expected a formula', 2, 3),
+    ('sequent', 'P(#a) # note\n => & H', 'expected a formula', 2, 5),
+    ('formula', '~ # c', 'expected a formula', 1, 3),
+    ('formula', 'G & # trailing', 'expected a formula', 1, 5),
+    ('formula', 'G &\n  # c\n', 'expected a formula', 3, 1),
+    ('formula', 'G & #1 H', 'expected a formula', 1, 5),
+    ('formula', 'G &   ', 'expected a formula', 1, 7),
+    ('proof', '(ax (seq (G) (G)) :eigen #a :eigen #b)', 'duplicate :eigen', 1, 29),
+    ('proof', '(ax (seq (G) (G)) :at 0 :at 1)', 'duplicate :at', 1, 25),
+    ('proof', '(ax (seq (G) (G)) :frob 3)', 'unknown annotation :frob', 1, 19),
+    ('proof', '(ax (seq (G) (G)) :eigen $c)', "expected 'param', got 'c'", 1, 26),
+    ('proof', '(ax (seq (G) (G)) :at x)', "expected 'number', got 'x'", 1, 23),
+    ('proof', '(ax (seq (G) (G)) :term G(x))', "expected '(', got ')'", 1, 28),
+    ('proof', '(forall (seq (G) (G)))', "expected 'ident', got 'forall'", 1, 2),
+    ('proof', '(ax (sequent (G) (G)))', "expected 'seq', got 'sequent'", 1, 6),
+    ('proof', '(ax (seq (G) (G))', "expected ')', got 'eof'", 1, 18),
+    ('proof', '(ax (seq (G, ) (G)))', 'expected a formula', 1, 14),
+    ('proof', '(ax (seq (G G) (G)))', "expected ')', got 'G'", 1, 13),
+    ('formula', 'P(#a', "expected ')', got 'eof'", 1, 5),
+    ('formula', '#a =', 'expected a term', 1, 5),
+    ('formula', '', 'expected a formula', 1, 1),
+    ('formula', 'forall forall. G', "expected 'ident', got 'forall'", 1, 8),
+    ('formula', 'forall x P(x)', "expected '.', got 'P'", 1, 10),
+    ('formula', 'P(#a #b)', "expected ')', got 'b'", 1, 6),
+    ('formula', 'G G', "unexpected 'G' after a complete input", 1, 3),
+    ('formula', 'P(#a) )', "unexpected ')' after a complete input", 1, 7),
+    ('formula', 'G :foo', "unexpected 'foo' after a complete input", 1, 3),
+    ('formula', 'G $c', "unexpected 'c' after a complete input", 1, 3),
+    ('term', 'P(x)', "unexpected '(' after a complete input", 1, 2),
+    ('term', 'forall', 'expected a term', 1, 1),
+    ('sequent', 'G', "expected '=>', got 'eof'", 1, 2),
+    ('sequent', 'G => H => G', "unexpected '=>' after a complete input", 1, 8),
+    ('formula', 'iota x. P(x)', 'a description is only legal as the argument of an abstract', 1, 1),
+    ('formula', 'lam x. P(x)', 'an abstract must be parenthesized: (lam x. ...) arg', 1, 1),
+    ('formula', '(lam x. P(x))', 'an abstract needs a term or description argument', 1, 14),
+    ('formula', '(lam x. P(x)) forall', 'an abstract needs a term or description argument', 1, 15),
+    ('formula', '(lam x. P(x)) (iota y. Q(y)', "expected ')', got 'eof'", 1, 28),
+    ('formula', '(lam x P(x)) #a', "expected '.', got 'P'", 1, 8),
+    ('formula', '~~~', 'expected a formula', 1, 4),
+    ('formula', 'G G $', "'$' must be followed by a constant name", 1, 5),
+    ('formula', 'P(( @', "unexpected character '@'", 1, 5),
+    ('proof', '(ax (seq (G) (G)) :frob 3) :', "':' must be followed by an annotation name", 1, 28),
+    ('sequent', 'G => ) \x0b', "unexpected character '\\x0b'", 1, 8),
+]
+
+_PARSERS = {
+    "term": parse_term,
+    "formula": parse_formula,
+    "sequent": parse_sequent,
+    "proof": parse_proof,
+}
+
+
+def test_parse_error_table():
+    wrong = []
+    for kind, text, msg, line, col in PARSE_ERRORS:
+        try:
+            _PARSERS[kind](text)
+        except ParseError as e:
+            got = (e.msg, e.line, e.col)
+        else:
+            got = "accepted"
+        if got != (msg, line, col):
+            wrong.append((kind, text, got))
+    assert not wrong
+
+
 # ---------------------------------------------------------------------------
 # printing
 
@@ -288,3 +389,76 @@ def test_proof_roundtrip_unicode():
     proof = exists_roundtrip_proof()
     text = format_proof(proof, unicode=True)
     assert proofs_equal(parse_proof(text), proof)
+
+
+# ---------------------------------------------------------------------------
+# one parse shares repeated formulas
+
+
+def _formulas(root):
+    return [f for _, n in iter_nodes(root) for f in n.conclusion.ant + n.conclusion.suc]
+
+
+def _leibniz():
+    phi = parse_formula("forall z. (lam w. R(w, x) & P(z)) (iota v. R(v, z))")
+    return build_leibniz(phi, "x", Param("b1"), Param("b2"))
+
+
+def test_parsed_proof_shares_equal_formula_texts():
+    proof = _leibniz()
+    back = parse_proof(format_proof(proof))
+    assert proofs_equal(back, proof)
+    first = {}
+    for f in _formulas(back):
+        assert first.setdefault(format_formula(f), f) is f
+    assert len(_formulas(back)) > 2 * len(first)
+    check_proof(back)
+
+
+def test_sharing_keys_on_text_not_alpha_class():
+    text = "forall x. P(x), forall y. P(y), forall x. P(x) => forall y. P(y)"
+    s = parse_sequent(text)
+    a, b, c = s.ant
+    assert alpha_equal(a, b) and a is not b
+    assert a is c and s.suc[0] is b
+    assert format_sequent(s) == text
+    proof_text = (
+        "(wl (seq (forall y. P(y), forall x. P(x)) (forall x. P(x)))\n"
+        "  (ax (seq (forall x. P(x)) (forall x. P(x)))))\n"
+    )
+    proof = parse_proof(proof_text)
+    check_proof(proof)
+    assert format_proof(proof) == proof_text
+    y_form, x_form = proof.conclusion.ant
+    assert x_form is proof.conclusion.suc[0] is proof.premises[0].conclusion.ant[0]
+    assert y_form is not x_form
+
+
+def test_separate_parses_share_nothing():
+    text = format_proof(_leibniz())
+    one, two = parse_proof(text), parse_proof(text)
+    assert proofs_equal(one, two)
+    assert not {id(f) for f in _formulas(one)} & {id(f) for f in _formulas(two)}
+
+
+def _check_in_child(data: bytes):
+    """Run in a spawned interpreter: check an unpickled parsed proof."""
+    proof = pickle.loads(data)
+    check_proof(proof)
+    return format_proof(proof), len({id(f) for f in _formulas(proof)})
+
+
+def test_shared_formulas_pickle_and_check_in_a_child(monkeypatch):
+    text = format_proof(_leibniz())
+    proof = parse_proof(text)
+    check_proof(proof)  # stores hashes and keys on the shared formulas
+    distinct = len({id(f) for f in _formulas(proof)})
+    seed = "54321" if os.environ.get("PYTHONHASHSEED") == "12345" else "12345"
+    monkeypatch.setenv("PYTHONHASHSEED", seed)
+    ctx = multiprocessing.get_context("spawn")
+    with cf.ProcessPoolExecutor(max_workers=1, mp_context=ctx) as ex:
+        shown, distinct_there = ex.submit(
+            _check_in_child, pickle.dumps(proof)
+        ).result(timeout=120)
+    assert shown == text
+    assert distinct_there == distinct

@@ -1,0 +1,157 @@
+"""Output gates: sha256 digests of what ddproof prints, to show that a change
+leaves its outputs as they were.
+
+    python3 tools/output_gates.py [prove-sample] [cut-corpus] [parse]
+
+Run from the root of a source checkout (the package is imported from
+./src and the corpora from perfbench/gen.py). With no argument all three
+gates run. Each gate runs in a fresh interpreter, since fresh names come
+from a process-wide counter, and prints one line: its name, its digest and
+a tally. Run it on both sides of a change and compare the lines.
+
+  prove-sample  the 500 criterion-8 sequents, each printed, re-parsed and
+                searched with gen.PROVE_BUDGET: the verdict's class name,
+                then format_proof of the proof, describe() of the
+                countermodel or the reason it is unknown, each utf-8
+                encoded into one hash with no separator
+  cut-corpus    the 55 criterion-4 proofs: format_proof of each
+                eliminate_cuts_traced result, then repr of each of its
+                TraceEntry rows, proof by proof
+  parse         the fixtures, 60 desk-check proofs (about 30% printed with
+                unicode glyphs), 300 prove-sample sequents, and 12 seeded
+                insertions, deletions and replacements of each: for every
+                input, the parse printed back or the ParseError's message,
+                line and column
+"""
+
+import hashlib
+import os
+import random
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+GATES = ("prove-sample", "cut-corpus", "parse")
+PARSE_SEED = 20261018
+# what a mutation inserts or puts in place of a character
+SNIPPETS = ("(", ")", "~", "&", "|", ",", ".", "=", "=>", "->", "<->", "-", "<",
+            "#", "#a", "$", "$c", ":", ":at 1", ":eigen #b", "x", "P", "forall",
+            "iota", "lam", "0", " ", "\n", "\t", "\r", "\v", " ", "@", "_",
+            "# c\n", "¬", "∧", "∀", "λ", "ι", "⇒")
+
+
+def prove_sample_gate() -> str:
+    import gen
+    from ddproof.search import prove
+    from ddproof.surface import format_proof, format_sequent, parse_sequent
+
+    h = hashlib.sha256()
+    tally = {"Refuted": 0, "Proved": 0, "Unknown": 0}
+    for s in gen.prove_sample():
+        verdict = prove(parse_sequent(format_sequent(s)), gen.PROVE_BUDGET)
+        kind = type(verdict).__name__
+        tally[kind] += 1
+        if kind == "Proved":
+            shown = format_proof(verdict.proof.root)
+        elif kind == "Refuted":
+            shown = verdict.model.describe(verdict.assignment)
+        else:
+            shown = verdict.reason
+        h.update(kind.encode())
+        h.update(shown.encode())
+    return f"{h.hexdigest()} {tally['Refuted']}/{tally['Proved']}/{tally['Unknown']}"
+
+
+def cut_corpus_gate() -> str:
+    import gen
+    from ddproof.cutelim import eliminate_cuts_traced
+    from ddproof.surface import format_proof
+
+    h = hashlib.sha256()
+    steps = 0
+    for _, proof in gen.cut_corpus():
+        out, trace = eliminate_cuts_traced(proof)
+        h.update(format_proof(out).encode())
+        for entry in trace:
+            h.update(repr(entry).encode())
+        steps += len(trace)
+    return f"{h.hexdigest()} {steps} steps"
+
+
+def _parse_corpus() -> list:
+    """(kind, text) pairs: the printed inputs, then their mutations."""
+    import gen
+    from ddproof.builders import build_leibniz
+    from ddproof.cli import fixture_proofs
+    from ddproof.surface import format_proof, format_sequent
+    from ddproof.syntax import Param
+
+    rng = random.Random(PARSE_SEED)
+    base = [("proof", format_proof(p)) for _, p in fixture_proofs()]
+    b1, b2 = Param("b1"), Param("b2")
+    for phi in gen.desk_formulas(rng, 60):
+        proof = build_leibniz(phi, "x", b1, b2)
+        base.append(("proof", format_proof(proof, unicode=rng.random() < 0.3)))
+    base += [("sequent", format_sequent(s)) for s in gen.prove_sample()[:300]]
+    corpus = list(base)
+    for kind, text in base:
+        for _ in range(12):
+            i = rng.randrange(len(text) + 1)
+            op = rng.randrange(3)
+            if op == 0:
+                mutated = text[:i] + rng.choice(SNIPPETS) + text[i:]
+            elif op == 1:
+                mutated = text[:i] + text[i + 1:]
+            else:
+                mutated = text[:i] + rng.choice(SNIPPETS) + text[i + 1:]
+            corpus.append((kind, mutated))
+    return corpus
+
+
+def parse_gate() -> str:
+    from ddproof.surface import (
+        ParseError,
+        format_proof,
+        format_sequent,
+        parse_proof,
+        parse_sequent,
+    )
+
+    h = hashlib.sha256()
+    accepted = rejected = 0
+    for kind, text in _parse_corpus():
+        try:
+            if kind == "proof":
+                shown = "ok " + format_proof(parse_proof(text))
+            else:
+                shown = "ok " + format_sequent(parse_sequent(text))
+            accepted += 1
+        except ParseError as e:
+            shown = f"error {e.msg!r} {e.line}:{e.col}"
+            rejected += 1
+        h.update(f"{kind}\0{text}\0{shown}\0".encode())
+    return f"{h.hexdigest()} {accepted} accepted, {rejected} rejected"
+
+
+def main(argv: list) -> int:
+    if argv[:1] == ["--in-child"]:
+        sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
+        gate = {"prove-sample": prove_sample_gate, "cut-corpus": cut_corpus_gate,
+                "parse": parse_gate}[argv[1]]
+        print(f"{argv[1]} {gate()}")
+        return 0
+    names = argv or list(GATES)
+    unknown = [n for n in names if n not in GATES]
+    if unknown:
+        print(f"unknown gate {unknown[0]!r}; choose from {', '.join(GATES)}", file=sys.stderr)
+        return 2
+    for name in names:
+        done = subprocess.run([sys.executable, os.path.abspath(__file__), "--in-child", name],
+                              cwd=ROOT)
+        if done.returncode:
+            return done.returncode
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
