@@ -82,28 +82,28 @@ _GLYPHS = dict(
     zip("¬∧∨→↔⇒∀∃λι", ("~", "&", "|", "->", "<->", "=>", "forall", "exists", "lam", "iota"))
 )
 
-# Whitespace (only [ \t\r\n]) and comments, then one token: a name with its
-# `#`, `$` or `:` prefix, a number, an operator or glyph, the empty string
-# at the end of the text, or else the rest of the text from a character
-# that starts no token.
-_TOKEN = re.compile(
-    r"(?:[ \t\r\n]+|#(?![A-Za-z])[^\n]*)*+"
-    r"([#$:]?[A-Za-z][A-Za-z0-9_]*|[0-9]+|<?->|=>|[=~&|(),.¬∧∨→↔⇒∀∃λι]|\Z|(?s:.+))"
-)
+# One token: a name with its `#`, `$` or `:` prefix, a number, an operator
+# or a glyph.
+_TOKENS = r"[#$:]?[A-Za-z][A-Za-z0-9_]*|[0-9]+|<?->|=>|[=~&|(),.¬∧∨→↔⇒∀∃λι]"
+
+# Whitespace (only [ \t\r\n]) and comments, then one token, the empty
+# string at the end of the text, or else the rest of the text from a
+# character that starts no token. The skip is a plain greedy `*`: the last
+# two choices always match, so the engine never backtracks into it.
+_TOKEN = re.compile(r"(?:[ \t\r\n]+|#(?![A-Za-z])[^\n]*)*(" + _TOKENS + r"|\Z|(?s:.+))")
 
 
 def _scan_error(tok: str) -> Optional[str]:
     """The error for the scanner's last token before the end, None when it
-    is a token and not the rest of the text from a stray character."""
-    c = tok[:1]
-    if c == "$" or c == ":":
-        if tok[1:2].isascii() and tok[1:2].isalpha():
-            return None
-        if c == "$":
-            return "'$' must be followed by a constant name"
-        return "':' must be followed by an annotation name"
-    if c.isascii() and (c.isalnum() or c in "#=~&|(),.") or tok in ("<->", "->"):
+    is a token and not the rest of the text from a stray character, which
+    begins with a character no token accepts and so never is one."""
+    if re.fullmatch(_TOKENS, tok):
         return None
+    c = tok[0]
+    if c == "$":
+        return "'$' must be followed by a constant name"
+    if c == ":":
+        return "':' must be followed by an annotation name"
     return f"unexpected character {c!r}"
 
 

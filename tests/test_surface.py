@@ -6,6 +6,7 @@ import concurrent.futures as cf
 import multiprocessing
 import os
 import pickle
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from genutil import formula_strategy, sequent_strategy
 from ddproof.builders import build_leibniz
 from ddproof.kernel import ProofNode, check_proof, iter_nodes, proofs_equal
 from ddproof.surface import (
+    _TOKEN,
     ParseError,
     format_formula,
     format_proof,
@@ -156,6 +158,12 @@ def test_parse_errors():
         parse_formula("P(@)")
     with pytest.raises(ParseError, match="after a complete"):
         parse_formula("G G")
+
+
+def test_scanner_pattern_compiles_before_python_311():
+    # possessive quantifiers and atomic groups are new in Python 3.11, and
+    # the package supports 3.10
+    assert not re.search(r"(?<!\\)[*+?}]\+|\(\?>", _TOKEN.pattern), _TOKEN.pattern
 
 
 def test_parse_error_position():
