@@ -138,7 +138,7 @@ def _cmd_parse(args) -> int:
 
 def _cmd_check(args) -> int:
     root = parse_proof(_read(args.file))
-    proof = check_proof(root, lax_iota_eigen=args.lax_iota_eigen)
+    proof = check_proof(root)
     print(f"OK height={proof.height}")
     return 0
 
@@ -324,11 +324,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="run the kernel over a proof file")
     p.add_argument("file")
-    p.add_argument(
-        "--lax-iota-eigen",
-        action="store_true",
-        help="allow the description-right eigenparameter to occur in the abstract body",
-    )
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("prove", help="search for a proof or countermodel of a sequent")

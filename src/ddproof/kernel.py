@@ -9,22 +9,23 @@ Annotations (instantiation terms, eigenvariables) are optional: when absent
 the checker re-derives them by trying candidate principal occurrences in
 order and matching instantiations against the premises (first match wins).
 
-Eigenvariable conditions are strict by default: the eigenvariable may not
-occur anywhere in the conclusion. `lax_iota_eigen=True` relaxes the two
-description rules with eigenvariables (iota1l, iotar) to exclude only the
-context and the description body, not the abstract body. The lax reading is
-unsound for iota1l (an abstract body mentioning the eigenvariable can smuggle
-it into the conclusion) and exists for experimentation only. Independently of
-the flag, iotar rejects an eigenvariable equal to its witness term: with the
-two identified, the uniqueness premise becomes vacuous and the rule could
-derive "the domain is a singleton" from nothing.
+Eigenvariable conditions are strict: the eigenvariable may not occur
+anywhere in the conclusion. iotar also rejects an eigenvariable equal to its
+witness term: with the two identified, the uniqueness premise becomes
+vacuous and the rule could derive "the domain is a singleton" from nothing.
+
+`check_proof` reads facts stored on syntax objects, each computed once from
+the object's own fields: a formula's alpha key and free variables, and each
+sequent side's multiset of alpha keys (`syntax.side_counts`). Within one
+call it validates each distinct formula object once. Step results are never
+stored: every call runs `analyze_step` on every node, and nothing a check
+returns is read back by a later one.
 """
 
 from __future__ import annotations
 
 import sys
-from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable, Iterator, Optional, Union
 
@@ -55,6 +56,7 @@ from .syntax import (
     rename_param_seq,
     scan_fresh,
     sequents_alpha_equal,
+    side_counts,
     substitute,
     validate_sequent,
 )
@@ -155,12 +157,16 @@ class ProofNode:
 
 @dataclass(frozen=True, eq=False)
 class Proof:
-    """A checked proof: the validated tree plus cached facts about it."""
+    """A checked proof: the validated tree plus facts found while checking."""
 
     root: ProofNode
     height: int
-    params: frozenset[str]
     cut_degrees: tuple[int, ...]  # degree of every cut, ascending
+
+    @property
+    def params(self) -> frozenset[str]:
+        """Every parameter of the proof, stored on the root when first asked."""
+        return self.root.params
 
     @property
     def degree(self) -> int:
@@ -257,35 +263,60 @@ def cut_nodes(root: ProofNode) -> list[tuple[str, ProofNode, int]]:
 
 # ---------------------------------------------------------------------------
 # multiset utilities
+#
+# A side's multiset is the dict `side_counts` stores on each sequent: an
+# alpha key and its number of occurrences, with no zero counts, so two
+# multisets are equal exactly when the dicts are. Rules compare a premise's
+# stored dicts with the conclusion's, adjusted by copies.
+
+_SIDE = {"ant": 0, "suc": 1}
 
 
-def _cnt(forms) -> Counter:
-    return Counter(alpha_key(f) for f in forms)
-
-
-def _cnt_eq(a: Counter, b: Counter) -> bool:
-    return +a == +b
-
-
-def _plus(c: Counter, *forms: Formula) -> Counter:
-    out = Counter(c)
-    for f in forms:
-        out[alpha_key(f)] += 1
+def _moved(count: dict[str, int], drop: tuple = (), add: tuple = ()) -> dict[str, int]:
+    """A copy of `count` less one occurrence of each key in `drop` (each is
+    there) and plus one of each formula in `add`."""
+    out = dict(count)
+    for k in drop:
+        n = out[k] - 1
+        if n:
+            out[k] = n
+        else:
+            del out[k]
+    for f in add:
+        k = alpha_key(f)
+        out[k] = out.get(k, 0) + 1
     return out
 
 
-def _minus_key(c: Counter, key: str) -> Counter:
-    out = Counter(c)
-    out[key] -= 1
+def _sum(a: dict[str, int], b: dict[str, int]) -> dict[str, int]:
+    out = dict(a)
+    for k, n in b.items():
+        out[k] = out.get(k, 0) + n
     return out
 
 
-def _single_extra(big: Counter, small: Counter) -> Optional[str]:
+def _premise_is(
+    p: Sequent, c: Sequent, drop: tuple[str, int], ant: tuple = (), suc: tuple = ()
+) -> bool:
+    """p's sides are c's, less c's formula at `drop` (side, index) and plus
+    the formulas `ant` and `suc`."""
+    have, base = side_counts(p), side_counts(c)
+    for side, adds in (("ant", ant), ("suc", suc)):
+        forms, i = getattr(c, side), _SIDE[side]
+        gone = (alpha_key(forms[drop[1]]),) if drop[0] == side else ()
+        if len(getattr(p, side)) != len(forms) - len(gone) + len(adds):
+            return False
+        if have[i] != (_moved(base[i], gone, adds) if gone or adds else base[i]):
+            return False
+    return True
+
+
+def _single_extra(big: dict[str, int], small: dict[str, int]) -> Optional[str]:
     """If big == small + one occurrence of some key, return it, else None."""
-    d = big - small
-    if sum(d.values()) != 1 or sum((small - big).values()) != 0:
-        return None
-    return next(iter(d))
+    for k, n in big.items():
+        if n != small.get(k, 0):
+            return k if {**small, k: small.get(k, 0) + 1} == big else None
+    return None
 
 
 def _first_index(forms: tuple, key: str) -> int:
@@ -415,25 +446,23 @@ def _candidates(side: tuple, want, at: Optional[int]):
             yield i, f
 
 
-def _diff_candidates(prem_side: tuple, base: Counter) -> list[Formula]:
-    """Formulas of the premise side that exceed `base`, else (absorption
-    case) one representative per distinct key."""
-    extra = _cnt(prem_side) - base
-    if extra:
-        out, seen = [], set()
-        for f in prem_side:
-            k = alpha_key(f)
-            if k in extra and k not in seen:
-                seen.add(k)
-                out.append(f)
-        return out
+def _diff_candidates(p: Sequent, side: str, base: dict[str, int]) -> list[Formula]:
+    """Formulas of p's `side` that exceed `base`, else (absorption case) one
+    representative per distinct key; first occurrences, in order."""
+    count = side_counts(p)[_SIDE[side]]
+    extra = {k for k, n in count.items() if n > base.get(k, 0)}
     out, seen = [], set()
-    for f in prem_side:
+    for f in getattr(p, side):
         k = alpha_key(f)
-        if k not in seen:
+        if k not in seen and (not extra or k in extra):
             seen.add(k)
             out.append(f)
     return out
+
+
+def _without(c: Sequent, side: str, f: Formula) -> dict[str, int]:
+    """The multiset of c's `side` less one occurrence of f."""
+    return _moved(side_counts(c)[_SIDE[side]], (alpha_key(f),))
 
 
 def _fresh_param_for(*xs) -> Param:
@@ -443,32 +472,17 @@ def _fresh_param_for(*xs) -> Param:
     return Param(scan_fresh("a", avoid))
 
 
-def _eigen_check(
-    a: Param,
-    rule: str,
-    conclusion: Sequent,
-    lax: bool,
-    lax_scope=None,
-    witness: Optional[Term] = None,
-) -> None:
-    if rule == "iotar" and isinstance(witness, Param) and witness.name == a.name:
+def _eigen_check(a: Param, conclusion: Sequent, witness: Optional[Term] = None) -> None:
+    if isinstance(witness, Param) and witness.name == a.name:
         raise RuleError(
             f"eigenvariable {a.name} equals the witness term; the uniqueness "
             "premise would be vacuous"
         )
-    if lax and lax_scope is not None:
-        if a.name in params_in(lax_scope):
-            raise RuleError(
-                f"eigenvariable {a.name} occurs in the context or description body"
-            )
-        return
     if a.name in params_in(conclusion):
         raise RuleError(f"eigenvariable {a.name} occurs in the conclusion")
 
 
-def analyze_step(
-    node: ProofNode, *, lax_iota_eigen: bool = False
-) -> StepInfo:
+def analyze_step(node: ProofNode) -> StepInfo:
     """Validate one inference step and return its resolved instantiation.
 
     Premise subtrees are not inspected beyond their conclusions.
@@ -480,14 +494,13 @@ def analyze_step(
         raise RuleError(
             f"{rule} takes {RULE_ARITY[rule]} premises, got {len(node.premises)}"
         )
-    handler = _HANDLERS[rule]
-    return handler(node, lax_iota_eigen)
+    return _HANDLERS[rule](node)
 
 
 # --- handlers, one per rule ---
 
 
-def _h_ax(node: ProofNode, lax: bool) -> StepInfo:
+def _h_ax(node: ProofNode) -> StepInfo:
     A, S = node.conclusion.ant, node.conclusion.suc
     if len(A) != 1 or len(S) != 1:
         raise RuleError("axiom must be a single formula on each side")
@@ -496,32 +509,32 @@ def _h_ax(node: ProofNode, lax: bool) -> StepInfo:
     return StepInfo("ax")
 
 
-def _h_cut(node: ProofNode, lax: bool) -> StepInfo:
-    (p1, p2) = (p.conclusion for p in node.premises)
-    A, S = _cnt(node.conclusion.ant), _cnt(node.conclusion.suc)
-    p1a, p1s, p2a, p2s = _cnt(p1.ant), _cnt(p1.suc), _cnt(p2.ant), _cnt(p2.suc)
+def _h_cut(node: ProofNode) -> StepInfo:
+    p1, p2 = (p.conclusion for p in node.premises)
+    ant, suc = side_counts(node.conclusion)
+    (p1a, p1s), (p2a, p2s) = side_counts(p1), side_counts(p2)
+    # the conclusion plus the cut formula on each side is the premises' sum
+    both_ant, both_suc = _sum(p1a, p2a), _sum(p1s, p2s)
     tried = set()
     for chi in p1.suc:
         k = alpha_key(chi)
-        if k in tried:
+        if k in tried or k not in p2a:
             continue
         tried.add(k)
-        if p2a[k] < 1:
-            continue
-        if _cnt_eq(A, p1a + _minus_key(p2a, k)) and _cnt_eq(
-            S, _minus_key(p1s, k) + p2s
-        ):
+        if _moved(ant, add=(chi,)) == both_ant and _moved(suc, add=(chi,)) == both_suc:
             return StepInfo("cut", cut_formula=chi)
     raise RuleError("no cut formula makes the contexts add up")
 
 
 def _h_weaken(side: str):
-    def h(node: ProofNode, lax: bool) -> StepInfo:
-        c, p = node.conclusion, node.premises[0].conclusion
-        mine, other = ("ant", "suc") if side == "ant" else ("suc", "ant")
-        if not _cnt_eq(_cnt(getattr(c, other)), _cnt(getattr(p, other))):
+    mine, other = ("ant", "suc") if side == "ant" else ("suc", "ant")
+
+    def h(node: ProofNode) -> StepInfo:
+        c = node.conclusion
+        cc, pc = side_counts(c), side_counts(node.premises[0].conclusion)
+        if cc[_SIDE[other]] != pc[_SIDE[other]]:
             raise RuleError(f"weakening must leave the {other}ecedent side alone")
-        k = _single_extra(_cnt(getattr(c, mine)), _cnt(getattr(p, mine)))
+        k = _single_extra(cc[_SIDE[mine]], pc[_SIDE[mine]])
         if k is None:
             raise RuleError("conclusion must add exactly one formula")
         return StepInfo(node.rule, principal=(mine, _first_index(getattr(c, mine), k)))
@@ -530,254 +543,74 @@ def _h_weaken(side: str):
 
 
 def _h_contract(side: str):
-    def h(node: ProofNode, lax: bool) -> StepInfo:
-        c, p = node.conclusion, node.premises[0].conclusion
-        mine, other = ("ant", "suc") if side == "ant" else ("suc", "ant")
-        if not _cnt_eq(_cnt(getattr(c, other)), _cnt(getattr(p, other))):
+    mine, other = ("ant", "suc") if side == "ant" else ("suc", "ant")
+
+    def h(node: ProofNode) -> StepInfo:
+        c = node.conclusion
+        cc, pc = side_counts(c), side_counts(node.premises[0].conclusion)
+        if cc[_SIDE[other]] != pc[_SIDE[other]]:
             raise RuleError(f"contraction must leave the {other} side alone")
-        k = _single_extra(_cnt(getattr(p, mine)), _cnt(getattr(c, mine)))
+        k = _single_extra(pc[_SIDE[mine]], cc[_SIDE[mine]])
         if k is None:
             raise RuleError("premise must have exactly one extra copy")
-        if _cnt(getattr(c, mine))[k] < 1:
+        if k not in cc[_SIDE[mine]]:
             raise RuleError("contracted formula must remain in the conclusion")
         return StepInfo(node.rule, principal=(mine, _first_index(getattr(c, mine), k)))
 
     return h
 
 
-def _one_premise_logical(
-    rule: str,
-    side: str,
-    want,
-    premise_shape: Callable[[Sequent, int, Formula], tuple[Counter, Counter]],
-):
-    """Shared skeleton: find a principal occurrence on `side` such that the
-    single premise equals `premise_shape(conclusion, index, principal)`."""
+def _h_propositional(rule: str, side: str, kind: type, actives):
+    """A rule whose principal `kind` formula f on `side` is replaced, in
+    premise j, by the formulas actives(f)[j] = (antecedent, succedent)."""
+    noun = "premises" if RULE_ARITY[rule] > 1 else "premise"
 
-    def h(node: ProofNode, lax: bool) -> StepInfo:
+    def h(node: ProofNode) -> StepInfo:
         c = node.conclusion
-        p = node.premises[0].conclusion
-        pa, ps = _cnt(p.ant), _cnt(p.suc)
-        for i, f in _candidates(getattr(c, side), want, node.at):
-            try:
-                ea, es = premise_shape(c, i, f)
-            except RuleError:
-                continue
-            if _cnt_eq(pa, ea) and _cnt_eq(ps, es):
-                return StepInfo(rule, principal=(side, i))
-        raise RuleError(f"no {rule} principal formula matches the premise")
-
-    return h
-
-
-def _side_minus(c: Sequent, side: str, i: int) -> Counter:
-    forms = getattr(c, side)
-    return _cnt(forms[:i] + forms[i + 1 :])
-
-
-def _h_negl(node, lax):
-    def shape(c, i, f):
-        return _plus(_side_minus(c, "ant", i)), _plus(_cnt(c.suc), f.sub)
-
-    return _one_premise_logical("negl", "ant", lambda f: isinstance(f, Not), shape)(
-        node, lax
-    )
-
-
-def _h_negr(node, lax):
-    def shape(c, i, f):
-        return _plus(_cnt(c.ant), f.sub), _plus(_side_minus(c, "suc", i))
-
-    return _one_premise_logical("negr", "suc", lambda f: isinstance(f, Not), shape)(
-        node, lax
-    )
-
-
-def _h_andl(node, lax):
-    def shape(c, i, f):
-        return _plus(_side_minus(c, "ant", i), f.left, f.right), _cnt(c.suc)
-
-    return _one_premise_logical("andl", "ant", lambda f: isinstance(f, And), shape)(
-        node, lax
-    )
-
-
-def _h_orr(node, lax):
-    def shape(c, i, f):
-        return _cnt(c.ant), _plus(_side_minus(c, "suc", i), f.left, f.right)
-
-    return _one_premise_logical("orr", "suc", lambda f: isinstance(f, Or), shape)(
-        node, lax
-    )
-
-
-def _h_impr(node, lax):
-    def shape(c, i, f):
-        return _plus(_cnt(c.ant), f.left), _plus(_side_minus(c, "suc", i), f.right)
-
-    return _one_premise_logical("impr", "suc", lambda f: isinstance(f, Imp), shape)(
-        node, lax
-    )
-
-
-def _two_premise_logical(rule: str, side: str, want, shapes):
-    """shapes(c, i, f) -> list of (ant Counter, suc Counter), one per premise."""
-
-    def h(node: ProofNode, lax: bool) -> StepInfo:
-        c = node.conclusion
-        prems = [(p.conclusion) for p in node.premises]
-        actual = [(_cnt(p.ant), _cnt(p.suc)) for p in prems]
-        for i, f in _candidates(getattr(c, side), want, node.at):
-            expected = shapes(c, i, f)
+        prems = [p.conclusion for p in node.premises]
+        for i, f in _candidates(getattr(c, side), lambda g: isinstance(g, kind), node.at):
             if all(
-                _cnt_eq(ea, aa) and _cnt_eq(es, asu)
-                for (ea, es), (aa, asu) in zip(expected, actual)
+                _premise_is(p, c, (side, i), ant, suc)
+                for p, (ant, suc) in zip(prems, actives(f))
             ):
                 return StepInfo(rule, principal=(side, i))
-        raise RuleError(f"no {rule} principal formula matches the premises")
+        raise RuleError(f"no {rule} principal formula matches the {noun}")
 
     return h
 
 
-def _h_andr(node, lax):
-    def shapes(c, i, f):
-        base = _side_minus(c, "suc", i)
-        return [
-            (_cnt(c.ant), _plus(base, f.left)),
-            (_cnt(c.ant), _plus(base, f.right)),
-        ]
+def _h_quantifier(rule: str, side: str, kind: type, eigen: bool):
+    """foralll/existsr (`eigen` false): the premise adds body[x/b] for an
+    annotated or inferred Param/Const b; forallr/existsl: the same for an
+    eigenparameter, which must not occur in the conclusion."""
 
-    return _two_premise_logical("andr", "suc", lambda f: isinstance(f, And), shapes)(
-        node, lax
-    )
-
-
-def _h_orl(node, lax):
-    def shapes(c, i, f):
-        base = _side_minus(c, "ant", i)
-        return [
-            (_plus(base, f.left), _cnt(c.suc)),
-            (_plus(base, f.right), _cnt(c.suc)),
-        ]
-
-    return _two_premise_logical("orl", "ant", lambda f: isinstance(f, Or), shapes)(
-        node, lax
-    )
-
-
-def _h_impl(node, lax):
-    def shapes(c, i, f):
-        base = _side_minus(c, "ant", i)
-        return [
-            (base, _plus(_cnt(c.suc), f.left)),
-            (_plus(base, f.right), _cnt(c.suc)),
-        ]
-
-    return _two_premise_logical("impl", "ant", lambda f: isinstance(f, Imp), shapes)(
-        node, lax
-    )
-
-
-def _h_iffl(node, lax):
-    def shapes(c, i, f):
-        base = _side_minus(c, "ant", i)
-        return [
-            (base, _plus(_cnt(c.suc), f.left, f.right)),
-            (_plus(base, f.left, f.right), _cnt(c.suc)),
-        ]
-
-    return _two_premise_logical("iffl", "ant", lambda f: isinstance(f, Iff), shapes)(
-        node, lax
-    )
-
-
-def _h_iffr(node, lax):
-    def shapes(c, i, f):
-        base = _side_minus(c, "suc", i)
-        return [
-            (_plus(_cnt(c.ant), f.left), _plus(base, f.right)),
-            (_plus(_cnt(c.ant), f.right), _plus(base, f.left)),
-        ]
-
-    return _two_premise_logical("iffr", "suc", lambda f: isinstance(f, Iff), shapes)(
-        node, lax
-    )
-
-
-def _quant_instance(node, rule, side, qtype):
-    """Shared logic of foralll/existsr: principal quantifier on `side`,
-    premise adds body[x/b] for an inferred or annotated Param/Const b."""
-    c = node.conclusion
-    p = node.premises[0].conclusion
-    pa, ps = _cnt(p.ant), _cnt(p.suc)
-    for i, f in _candidates(getattr(c, side), lambda g: isinstance(g, qtype), node.at):
-        base = _side_minus(c, side, i)
-        if node.terms:
-            _require_slot_term(node.terms[0], f"{rule} instantiation term")
-            bs: list = [node.terms[0]]
-        else:
-            prem_side = p.ant if side == "ant" else p.suc
-            bs = []
-            for chi in _diff_candidates(prem_side, base):
-                m = match_subst(f.body, f.bound, chi)
-                if m == "any":
-                    bs.append(_fresh_param_for(c, p))
-                elif m is not None:
-                    bs.append(m)
-        for b in bs:
-            inst = substitute(f.body, f.bound, b)
-            if side == "ant":
-                ea, es = _plus(base, inst), _cnt(c.suc)
+    def h(node: ProofNode) -> StepInfo:
+        c = node.conclusion
+        p = node.premises[0].conclusion
+        for i, f in _candidates(getattr(c, side), lambda g: isinstance(g, kind), node.at):
+            if eigen and node.eigen is not None:
+                bs: list = [_require_eigen(node.eigen)]
+            elif not eigen and node.terms:
+                _require_slot_term(node.terms[0], f"{rule} instantiation term")
+                bs = [node.terms[0]]
             else:
-                ea, es = _cnt(c.ant), _plus(base, inst)
-            if _cnt_eq(pa, ea) and _cnt_eq(ps, es):
-                return StepInfo(rule, principal=(side, i), terms=(b,))
-    raise RuleError(f"no {rule} instance matches the premise")
+                bs = []
+                for chi in _diff_candidates(p, side, _without(c, side, f)):
+                    m = match_subst(f.body, f.bound, chi)
+                    if m == "any":
+                        bs.append(_fresh_param_for(c, p))
+                    elif isinstance(m, Param if eigen else _INSTANCE_TERM):
+                        bs.append(m)
+            for b in bs:
+                inst = substitute(f.body, f.bound, b)
+                if _premise_is(p, c, (side, i), **{side: (inst,)}):
+                    if not eigen:
+                        return StepInfo(rule, principal=(side, i), terms=(b,))
+                    _eigen_check(b, c)
+                    return StepInfo(rule, principal=(side, i), eigen=b)
+        raise RuleError(f"no {rule} instance matches the premise")
 
-
-def _h_foralll(node, lax):
-    return _quant_instance(node, "foralll", "ant", Forall)
-
-
-def _h_existsr(node, lax):
-    return _quant_instance(node, "existsr", "suc", Exists)
-
-
-def _quant_eigen(node, rule, side, qtype, lax):
-    c = node.conclusion
-    p = node.premises[0].conclusion
-    pa, ps = _cnt(p.ant), _cnt(p.suc)
-    for i, f in _candidates(getattr(c, side), lambda g: isinstance(g, qtype), node.at):
-        base = _side_minus(c, side, i)
-        if node.eigen is not None:
-            cands: list[Param] = [_require_eigen(node.eigen)]
-        else:
-            prem_side = p.ant if side == "ant" else p.suc
-            cands = []
-            for chi in _diff_candidates(prem_side, base):
-                m = match_subst(f.body, f.bound, chi)
-                if m == "any":
-                    cands.append(_fresh_param_for(c, p))
-                elif isinstance(m, Param):
-                    cands.append(m)
-        for a in cands:
-            inst = substitute(f.body, f.bound, a)
-            if side == "ant":
-                ea, es = _plus(base, inst), _cnt(c.suc)
-            else:
-                ea, es = _cnt(c.ant), _plus(base, inst)
-            if _cnt_eq(pa, ea) and _cnt_eq(ps, es):
-                _eigen_check(a, rule, c, lax=False)
-                return StepInfo(rule, principal=(side, i), eigen=a)
-    raise RuleError(f"no {rule} instance matches the premise")
-
-
-def _h_forallr(node, lax):
-    return _quant_eigen(node, "forallr", "suc", Forall, lax)
-
-
-def _h_existsl(node, lax):
-    return _quant_eigen(node, "existsl", "ant", Exists, lax)
+    return h
 
 
 def _rewrite_compatible(a0: Formula, chi: Formula, s1: Term, s2: Term) -> bool:
@@ -793,12 +626,12 @@ def _rewrite_compatible(a0: Formula, chi: Formula, s1: Term, s2: Term) -> bool:
     return all(u == v or (u == s1 and v == s2) for u, v in pairs)
 
 
-def _h_eqminus(node, lax):
+def _h_eqminus(node: ProofNode) -> StepInfo:
     c = node.conclusion
     p = node.premises[0].conclusion
-    if not _cnt_eq(_cnt(c.suc), _cnt(p.suc)):
+    (ca, cs), (pa, ps) = side_counts(c), side_counts(p)
+    if cs != ps:
         raise RuleError("eqminus must leave the succedent alone")
-    pa = _cnt(p.ant)
     for i, eq in enumerate(c.ant):
         if not isinstance(eq, Identity):
             continue
@@ -810,15 +643,11 @@ def _h_eqminus(node, lax):
         for j, a0 in enumerate(c.ant):
             if j == i or not is_atomic(a0):
                 continue
-            forms = list(c.ant)
-            hi, lo = max(i, j), min(i, j)
-            del forms[hi]
-            del forms[lo]
-            base = _cnt(forms)
-            for chi in _diff_candidates(p.ant, base):
+            base = _moved(ca, (alpha_key(eq), alpha_key(a0)))
+            for chi in _diff_candidates(p, "ant", base):
                 if not _rewrite_compatible(a0, chi, s1, s2):
                     continue
-                if _cnt_eq(pa, _plus(base, chi)):
+                if pa == _moved(base, add=(chi,)):
                     return StepInfo(
                         "eqminus",
                         principal=("ant", i),
@@ -829,12 +658,13 @@ def _h_eqminus(node, lax):
     raise RuleError("no identity/atom pair in the antecedent matches the premise")
 
 
-def _h_eqplus(node, lax):
+def _h_eqplus(node: ProofNode) -> StepInfo:
     c = node.conclusion
     p = node.premises[0].conclusion
-    if not _cnt_eq(_cnt(c.suc), _cnt(p.suc)):
+    (ca, cs), (pa, ps) = side_counts(c), side_counts(p)
+    if cs != ps:
         raise RuleError("eqplus must leave the succedent alone")
-    k = _single_extra(_cnt(p.ant), _cnt(c.ant))
+    k = _single_extra(pa, ca)
     if k is None:
         raise RuleError("premise must have exactly one extra antecedent formula")
     extra = find_first(p.ant, k)
@@ -849,55 +679,40 @@ def _h_eqplus(node, lax):
     return StepInfo("eqplus", terms=(extra.lhs,))
 
 
-def _lam_term(node, rule, side):
-    def want(f):
-        return isinstance(f, LambdaAtom) and is_term(f.arg)
+def _is_term_abstract(f: Formula) -> bool:
+    return isinstance(f, LambdaAtom) and is_term(f.arg)
 
-    def h(n, lax):
-        c = n.conclusion
-        p = n.premises[0].conclusion
-        pa, ps = _cnt(p.ant), _cnt(p.suc)
-        for i, f in _candidates(getattr(c, side), want, n.at):
+
+def _h_lambda(rule: str, side: str):
+    def h(node: ProofNode) -> StepInfo:
+        c = node.conclusion
+        p = node.premises[0].conclusion
+        for i, f in _candidates(getattr(c, side), _is_term_abstract, node.at):
             _require_slot_term(f.arg, "abstract argument")
             inst = substitute(f.body, f.bound, f.arg)
-            base = _side_minus(c, side, i)
-            if side == "ant":
-                ea, es = _plus(base, inst), _cnt(c.suc)
-            else:
-                ea, es = _cnt(c.ant), _plus(base, inst)
-            if _cnt_eq(pa, ea) and _cnt_eq(ps, es):
+            if _premise_is(p, c, (side, i), **{side: (inst,)}):
                 return StepInfo(rule, principal=(side, i), terms=(f.arg,))
         raise RuleError(f"no {rule} abstract matches the premise")
 
-    return h(node, None)
-
-
-def _h_laml(node, lax):
-    return _lam_term(node, "laml", "ant")
-
-
-def _h_lamr(node, lax):
-    return _lam_term(node, "lamr", "suc")
+    return h
 
 
 def _is_description_atom(f: Formula) -> bool:
     return isinstance(f, LambdaAtom) and isinstance(f.arg, IotaTerm)
 
 
-def _h_iota1l(node, lax):
+def _h_iota1l(node: ProofNode) -> StepInfo:
     c = node.conclusion
     p = node.premises[0].conclusion
-    pa, ps = _cnt(p.ant), _cnt(p.suc)
+    if side_counts(p)[1] != side_counts(c)[1]:
+        raise RuleError("no iota1l instance matches the premise")
     for i, f in _candidates(c.ant, _is_description_atom, node.at):
-        if not _cnt_eq(ps, _cnt(c.suc)):
-            break
         it = f.arg
-        base = _side_minus(c, "ant", i)
         if node.eigen is not None:
             cands: list[Param] = [_require_eigen(node.eigen)]
         else:
             cands = []
-            for chi in _diff_candidates(p.ant, base):
+            for chi in _diff_candidates(p, "ant", _without(c, "ant", f)):
                 for body, bound in ((it.body, it.bound), (f.body, f.bound)):
                     m = match_subst(body, bound, chi)
                     if isinstance(m, Param) and m not in cands:
@@ -906,77 +721,63 @@ def _h_iota1l(node, lax):
         for a in cands:
             phi_a = substitute(it.body, it.bound, a)
             psi_a = substitute(f.body, f.bound, a)
-            if _cnt_eq(pa, _plus(base, phi_a, psi_a)):
-                ctx = Sequent(
-                    c.ant[:i] + c.ant[i + 1 :], c.suc
-                )
-                _eigen_check(a, "iota1l", c, lax, lax_scope=(ctx, it.body))
+            if _premise_is(p, c, ("ant", i), ant=(phi_a, psi_a)):
+                _eigen_check(a, c)
                 return StepInfo("iota1l", principal=("ant", i), eigen=a)
     raise RuleError("no iota1l instance matches the premise")
 
 
-def _h_iota2l(node, lax):
+def _h_iota2l(node: ProofNode) -> StepInfo:
     c = node.conclusion
     p1, p2, p3 = (p.conclusion for p in node.premises)
     for i, f in _candidates(c.ant, _is_description_atom, node.at):
         it = f.arg
-        base = _side_minus(c, "ant", i)
-        suc = _cnt(c.suc)
         if node.terms:
             if len(node.terms) != 2:
                 raise RuleError("iota2l needs two instantiation terms")
             pairs = [(node.terms[0], node.terms[1])]
         else:
-            pairs = []
-            for chi in _diff_candidates(p3.ant, base):
-                if isinstance(chi, Identity):
-                    pairs.append((chi.lhs, chi.rhs))
+            pairs = [
+                (chi.lhs, chi.rhs)
+                for chi in _diff_candidates(p3, "ant", _without(c, "ant", f))
+                if isinstance(chi, Identity)
+            ]
         for b1, b2 in pairs:
             if not (
                 isinstance(b1, _INSTANCE_TERM) and isinstance(b2, _INSTANCE_TERM)
             ):
                 continue
-            i1 = substitute(it.body, it.bound, b1)
-            i2 = substitute(it.body, it.bound, b2)
             if (
-                _cnt_eq(_cnt(p1.ant), base)
-                and _cnt_eq(_cnt(p1.suc), _plus(suc, i1))
-                and _cnt_eq(_cnt(p2.ant), base)
-                and _cnt_eq(_cnt(p2.suc), _plus(suc, i2))
-                and _cnt_eq(_cnt(p3.ant), _plus(base, Identity(b1, b2)))
-                and _cnt_eq(_cnt(p3.suc), suc)
+                _premise_is(p1, c, ("ant", i), suc=(substitute(it.body, it.bound, b1),))
+                and _premise_is(p2, c, ("ant", i), suc=(substitute(it.body, it.bound, b2),))
+                and _premise_is(p3, c, ("ant", i), ant=(Identity(b1, b2),))
             ):
                 return StepInfo("iota2l", principal=("ant", i), terms=(b1, b2))
     raise RuleError("no iota2l instance matches the premises")
 
 
-def _h_iotar(node, lax):
+def _h_iotar(node: ProofNode) -> StepInfo:
     c = node.conclusion
     p1, p2, p3 = (p.conclusion for p in node.premises)
     for i, f in _candidates(c.suc, _is_description_atom, node.at):
         it = f.arg
-        base = _side_minus(c, "suc", i)
-        ant = _cnt(c.ant)
+        base = _without(c, "suc", f)
         # witness candidates
         if node.terms:
             _require_slot_term(node.terms[0], "iotar witness term")
             bs: list = [node.terms[0]]
         else:
             bs = []
-            for chi in _diff_candidates(p1.suc, base):
+            for chi in _diff_candidates(p1, "suc", base):
                 m = match_subst(it.body, it.bound, chi)
                 if m == "any":
                     bs.append(_fresh_param_for(c, p1, p2, p3))
                 elif m is not None:
                     bs.append(m)
         for b in bs:
-            phi_b = substitute(it.body, it.bound, b)
-            psi_b = substitute(f.body, f.bound, b)
             if not (
-                _cnt_eq(_cnt(p1.ant), ant)
-                and _cnt_eq(_cnt(p1.suc), _plus(base, phi_b))
-                and _cnt_eq(_cnt(p2.ant), ant)
-                and _cnt_eq(_cnt(p2.suc), _plus(base, psi_b))
+                _premise_is(p1, c, ("suc", i), suc=(substitute(it.body, it.bound, b),))
+                and _premise_is(p2, c, ("suc", i), suc=(substitute(f.body, f.bound, b),))
             ):
                 continue
             # eigen candidates: annotation, the extra antecedent formula of
@@ -985,11 +786,11 @@ def _h_iotar(node, lax):
                 eigens: list[Param] = [_require_eigen(node.eigen)]
             else:
                 eigens = []
-                for chi in _diff_candidates(p3.ant, ant):
+                for chi in _diff_candidates(p3, "ant", side_counts(c)[0]):
                     m = match_subst(it.body, it.bound, chi)
                     if isinstance(m, Param) and m not in eigens:
                         eigens.append(m)
-                for chi in _diff_candidates(p3.suc, base):
+                for chi in _diff_candidates(p3, "suc", base):
                     if (
                         isinstance(chi, Identity)
                         and chi.rhs == b
@@ -1000,44 +801,49 @@ def _h_iotar(node, lax):
                 eigens.append(_fresh_param_for(c, p1, p2, p3))
             for a in eigens:
                 phi_a = substitute(it.body, it.bound, a)
-                if _cnt_eq(_cnt(p3.ant), _plus(ant, phi_a)) and _cnt_eq(
-                    _cnt(p3.suc), _plus(base, Identity(a, b))
-                ):
-                    ctx = Sequent(c.ant, c.suc[:i] + c.suc[i + 1 :])
-                    _eigen_check(
-                        a, "iotar", c, lax, lax_scope=(ctx, it.body), witness=b
-                    )
+                if _premise_is(p3, c, ("suc", i), ant=(phi_a,), suc=(Identity(a, b),)):
+                    _eigen_check(a, c, witness=b)
                     return StepInfo(
                         "iotar", principal=("suc", i), terms=(b,), eigen=a
                     )
     raise RuleError("no iotar instance matches the premises")
 
 
-_HANDLERS: dict[str, Callable[[ProofNode, bool], StepInfo]] = {
+_HANDLERS: dict[str, Callable[[ProofNode], StepInfo]] = {
     "ax": _h_ax,
     "cut": _h_cut,
     "wl": _h_weaken("ant"),
     "wr": _h_weaken("suc"),
     "cl": _h_contract("ant"),
     "cr": _h_contract("suc"),
-    "negl": _h_negl,
-    "negr": _h_negr,
-    "andl": _h_andl,
-    "andr": _h_andr,
-    "orl": _h_orl,
-    "orr": _h_orr,
-    "impl": _h_impl,
-    "impr": _h_impr,
-    "iffl": _h_iffl,
-    "iffr": _h_iffr,
-    "foralll": _h_foralll,
-    "forallr": _h_forallr,
-    "existsl": _h_existsl,
-    "existsr": _h_existsr,
+    "negl": _h_propositional("negl", "ant", Not, lambda f: [((), (f.sub,))]),
+    "negr": _h_propositional("negr", "suc", Not, lambda f: [((f.sub,), ())]),
+    "andl": _h_propositional("andl", "ant", And, lambda f: [((f.left, f.right), ())]),
+    "andr": _h_propositional(
+        "andr", "suc", And, lambda f: [((), (f.left,)), ((), (f.right,))]
+    ),
+    "orl": _h_propositional(
+        "orl", "ant", Or, lambda f: [((f.left,), ()), ((f.right,), ())]
+    ),
+    "orr": _h_propositional("orr", "suc", Or, lambda f: [((), (f.left, f.right))]),
+    "impl": _h_propositional(
+        "impl", "ant", Imp, lambda f: [((), (f.left,)), ((f.right,), ())]
+    ),
+    "impr": _h_propositional("impr", "suc", Imp, lambda f: [((f.left,), (f.right,))]),
+    "iffl": _h_propositional(
+        "iffl", "ant", Iff, lambda f: [((), (f.left, f.right)), ((f.left, f.right), ())]
+    ),
+    "iffr": _h_propositional(
+        "iffr", "suc", Iff, lambda f: [((f.left,), (f.right,)), ((f.right,), (f.left,))]
+    ),
+    "foralll": _h_quantifier("foralll", "ant", Forall, eigen=False),
+    "forallr": _h_quantifier("forallr", "suc", Forall, eigen=True),
+    "existsl": _h_quantifier("existsl", "ant", Exists, eigen=True),
+    "existsr": _h_quantifier("existsr", "suc", Exists, eigen=False),
     "eqminus": _h_eqminus,
     "eqplus": _h_eqplus,
-    "laml": _h_laml,
-    "lamr": _h_lamr,
+    "laml": _h_lambda("laml", "ant"),
+    "lamr": _h_lambda("lamr", "suc"),
     "iota1l": _h_iota1l,
     "iota2l": _h_iota2l,
     "iotar": _h_iotar,
@@ -1048,11 +854,13 @@ _HANDLERS: dict[str, Callable[[ProofNode, bool], StepInfo]] = {
 # whole-proof checking
 
 
-def check_proof(root: ProofNode, *, lax_iota_eigen: bool = False) -> Proof:
+def check_proof(root: ProofNode) -> Proof:
     """Check every node (premises before conclusions, left to right, so the
-    leftmost-innermost failure is the one reported). Returns the checked
-    Proof with cached height, parameter set and cut degrees."""
+    leftmost-innermost failure is the one reported). Each distinct formula
+    object is validated once per call; every node's step is analyzed afresh.
+    Returns the checked Proof with its height and cut degrees."""
     arities: dict[str, int] = {}
+    validated: set[int] = set()
     heights: dict[int, int] = {}
     cut_degrees: list[int] = []
     stack: list[tuple[ProofNode, str, bool]] = [(root, "root", False)]
@@ -1065,11 +873,11 @@ def check_proof(root: ProofNode, *, lax_iota_eigen: bool = False) -> Proof:
                 stack.append((node.premises[i], f"{prefix}{i}", False))
             continue
         try:
-            validate_sequent(node.conclusion, arities, path)
+            validate_sequent(node.conclusion, arities, path, validated)
         except IllFormed as e:
             raise CheckError(path, e.reason) from None
         try:
-            info = analyze_step(node, lax_iota_eigen=lax_iota_eigen)
+            info = analyze_step(node)
         except RuleError as e:
             raise CheckError(path, str(e)) from None
         if info.cut_formula is not None:
@@ -1080,7 +888,6 @@ def check_proof(root: ProofNode, *, lax_iota_eigen: bool = False) -> Proof:
     return Proof(
         root=root,
         height=heights[id(root)],
-        params=root.params,
         cut_degrees=tuple(sorted(cut_degrees)),
     )
 

@@ -375,7 +375,10 @@ class _Parser:
                     self.fail("duplicate :at", kw_at)
                 if not toks[self.pos][:1].isdigit():
                     self.expected("number")
-                at = int(toks[self.pos])
+                try:
+                    at = int(toks[self.pos])
+                except ValueError:  # past the interpreter's digit limit
+                    self.fail("number too long")
                 self.pos += 1
             else:
                 self.fail(f"unknown annotation :{kw}", kw_at)

@@ -15,11 +15,12 @@ over one construction).
 
 Formula nodes, descriptions and sequents store the structural facts that
 the calculus keeps asking for, each computed on first use: hashes, canonical
-keys (`alpha_key`, `sequent_key`), free variables, and parameter, constant
-and predicate names. Nodes are frozen
-and `dataclasses.replace` builds a new node with nothing stored, so a stored
-fact cannot go stale. Pickling carries the fields only: string hashes are
-salted per process, so a stored hash must not reach another one.
+keys (`alpha_key`, `sequent_key`), the multiset of each sequent side
+(`side_counts`), free variables, and parameter, constant and predicate
+names. Nodes are frozen and `dataclasses.replace` builds a new node with
+nothing stored, so a stored fact cannot go stale. Pickling carries the
+fields only: string hashes are salted per process, so a stored hash must
+not reach another one.
 """
 
 from __future__ import annotations
@@ -186,8 +187,14 @@ def is_atomic(f: Formula) -> bool:
 # sequents
 
 
+class _SequentNode(_Node):
+    """Adds the slot `_counts` for the per-side multisets of `side_counts`."""
+
+    __slots__ = ("_counts",)
+
+
 @_node
-class Sequent(_Node):
+class Sequent(_SequentNode):
     ant: tuple[Formula, ...]
     suc: tuple[Formula, ...]
 
@@ -560,6 +567,25 @@ def sequent_key(s: Sequent) -> tuple[tuple[str, ...], tuple[str, ...]]:
     return key
 
 
+def _key_counts(side: tuple) -> dict[str, int]:
+    count: dict[str, int] = {}
+    for f in side:
+        k = alpha_key(f)
+        count[k] = count.get(k, 0) + 1
+    return count
+
+
+def side_counts(s: Sequent) -> tuple[dict[str, int], dict[str, int]]:
+    """The multiset of each side, as a dict from `alpha_key` to its number
+    of occurrences; no count is zero. Stored on first use and shared by
+    every caller, so a caller must copy a dict before changing it."""
+    counts = getattr(s, "_counts", None)
+    if counts is None:
+        counts = (_key_counts(s.ant), _key_counts(s.suc))
+        _store(s, "_counts", counts)
+    return counts
+
+
 def sequents_alpha_equal(s1: Sequent, s2: Sequent) -> bool:
     return sequent_key(s1) == sequent_key(s2)
 
@@ -643,17 +669,31 @@ def validate_formula(
 
 
 def validate_sequent(
-    s: Sequent, arities: Optional[dict[str, int]] = None, path: str = "root"
+    s: Sequent,
+    arities: Optional[dict[str, int]] = None,
+    path: str = "root",
+    seen: Optional[set[int]] = None,
 ) -> dict[str, int]:
     """Well-formedness plus VAR-closedness: sequent formulas may not contain
-    free variables (parameters play that role)."""
+    free variables (parameters play that role).
+
+    `seen` holds the ids of formula objects, kept alive by the caller, that
+    are already validated against `arities`; they are skipped, and each
+    formula validated here is added. Validating an object again could not
+    fail: its arities are in the map already, and the map never changes an
+    entry. So the first violation reported stays the first in order over
+    all occurrences."""
     if arities is None:
         arities = {}
     for side, name in ((s.ant, "ant"), (s.suc, "suc")):
         for i, f in enumerate(side):
+            if seen is not None and id(f) in seen:
+                continue
             where = f"{path}.{name}{i}"
             validate_formula(f, arities, where)
             fv = free_vars(f)
             if fv:
                 raise IllFormed(where, f"free variable(s) {sorted(fv)} in sequent")
+            if seen is not None:
+                seen.add(id(f))
     return arities

@@ -142,6 +142,14 @@ class TestCheck:
         assert code == 1
         assert "rejected" in err
 
+    def test_overlong_at_number_is_one_line(self, capsys, tmp_path):
+        # 5,000 digits is past Python's default limit for int() of a string
+        bad = tmp_path / "at.rlp"
+        bad.write_text("(ax (seq (G) (G)) :at " + "9" * 5000 + ")\n")
+        code, out, err = run(capsys, "check", str(bad))
+        assert (code, out) == (1, "")
+        assert err == "ddproof: parse error: 1:23: number too long\n"
+
     def test_missing_file_is_usage_error(self, capsys, tmp_path):
         code, _, err = run(capsys, "check", str(tmp_path / "nope.rlp"))
         assert code == 3

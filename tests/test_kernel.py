@@ -1,7 +1,8 @@
 """Kernel tests: one positive and at least one negative case per rule,
 annotation inference, eigenvariable conditions (including the two instances
 that would be unsound under a laxer reading), whole-proof checking with
-failure paths, and parameter substitution through proofs."""
+failure paths, validation once per formula object, a frozen table of
+rejections, and parameter substitution through proofs."""
 
 import dataclasses
 import json
@@ -11,6 +12,8 @@ import sys
 
 import pytest
 
+from ddproof import syntax
+from ddproof.builders import build_leibniz
 from ddproof.kernel import (
     CheckError,
     ProofNode,
@@ -18,9 +21,11 @@ from ddproof.kernel import (
     analyze_step,
     check_proof,
     proof_height,
+    proof_params,
     proofs_equal,
     subst_param_proof,
 )
+from ddproof.surface import format_proof, parse_formula, parse_proof
 from ddproof.syntax import (
     And,
     Const,
@@ -28,6 +33,7 @@ from ddproof.syntax import (
     Forall,
     Identity,
     Iff,
+    IllFormed,
     Imp,
     IotaTerm,
     LambdaAtom,
@@ -37,6 +43,7 @@ from ddproof.syntax import (
     PredAtom,
     Var,
     seq,
+    validate_sequent,
 )
 
 
@@ -292,20 +299,15 @@ def test_iota1l():
     assert info.eigen == a
     inferred = analyze_step(node("iota1l", [DD], [G], [prem]))
     assert inferred.eigen == a
-    # eigenvariable leaking into the context is always rejected
+    # the eigenvariable may occur neither in the context
     badprem = leaf([Q(a), P(a)], [P(a)])
-    for lax in (False, True):
-        with pytest.raises(RuleError, match="eigenvariable"):
-            analyze_step(node("iota1l", [DD], [P(a)], [badprem], eigen=a), lax_iota_eigen=lax)
-
-
-def test_iota1l_lax_allows_eigen_in_abstract_body():
+    with pytest.raises(RuleError, match="eigenvariable"):
+        analyze_step(node("iota1l", [DD], [P(a)], [badprem], eigen=a))
+    # nor in the abstract body, where it would reach the conclusion
     dd = LambdaAtom("x", And(P(x), P(a)), IotaTerm("y", Q(y)))
     prem = leaf([Q(a), And(P(a), P(a))], [G])
-    stepnode = node("iota1l", [dd], [G], [prem], eigen=a)
     with pytest.raises(RuleError, match="eigenvariable"):
-        analyze_step(stepnode)
-    analyze_step(stepnode, lax_iota_eigen=True)
+        analyze_step(node("iota1l", [dd], [G], [prem], eigen=a))
 
 
 def test_iota2l():
@@ -336,9 +338,8 @@ def test_iotar_eigen_equals_witness_rejected():
     p2 = leaf([], [Identity(a, a)])
     p3 = leaf([Identity(a, a)], [Identity(a, a)])
     stepnode = node("iotar", [], [dd], [p1, p2, p3], terms=(a,), eigen=a)
-    for lax in (False, True):
-        with pytest.raises(RuleError, match="witness"):
-            analyze_step(stepnode, lax_iota_eigen=lax)
+    with pytest.raises(RuleError, match="witness"):
+        analyze_step(stepnode)
 
 
 def test_iotar_eigen_in_context_rejected():
@@ -450,6 +451,226 @@ def test_stored_facts_follow_replace():
     atomic_premises = (leaf([P(a)], [P(a)]), leaf([P(a)], [G]))
     atomic = dataclasses.replace(cut, premises=atomic_premises)
     assert atomic.cut_degree == 0
+
+
+def test_check_leaves_the_parameter_walk_to_the_caller():
+    """`Proof.params` is read from the root when asked, so a check walks no
+    names over the proof."""
+    root = exists_roundtrip_proof(a)
+    checked = check_proof(root)
+    assert "params" not in vars(root)
+    assert checked.params == proof_params(root) == {"a"}
+    assert "params" in vars(root)
+
+
+# ---------------------------------------------------------------------------
+# validation once per formula object
+
+
+def _post_order(node, path="root"):
+    prefix = "" if path == "root" else path + "."
+    for i, p in enumerate(node.premises):
+        yield from _post_order(p, f"{prefix}{i}")
+    yield path, node
+
+
+def _check_every_occurrence(root):
+    """The first (path, reason) `check_proof` reports, found by validating
+    every formula occurrence, as the checker did before it validated each
+    formula object once; None for a valid proof."""
+    arities = {}
+    for path, n in _post_order(root):
+        try:
+            validate_sequent(n.conclusion, arities, path)
+            analyze_step(n)
+        except IllFormed as e:
+            return path, e.reason
+        except RuleError as e:
+            return path, str(e)
+    return None
+
+
+def _shared_context_proof(shared, other=P(a)):
+    """`other` proved, with one formula object `shared` weakened in and then
+    carried as context by every node below it."""
+    n0 = node("ax", [other], [other])
+    n1 = node("wl", [shared, other], [other], [n0])
+    n2 = node("wr", [shared, other], [other, G], [n1])
+    n3 = node("wl", [H, shared, other], [other, G], [n2])
+    return node("cl", [H, shared, other], [other, G], [node("wl", [shared, H, shared, other], [other, G], [n3])])
+
+
+@pytest.mark.parametrize(
+    "shared, other, reason",
+    [
+        (Forall("x", PredAtom("P", (x, x))), P(a), "arity"),
+        (PredAtom("P", (a, b)), P(a), "arity"),
+        (P(a), PredAtom("P", (a, b)), "arity"),
+        (And(G, P(y)), P(a), "free variable"),
+        (PredAtom("Q", (IotaTerm("y", Q(y)),)), P(a), "description outside"),
+        (Not(Identity(a, IotaTerm("y", Q(y)))), P(a), "description outside"),
+    ],
+)
+def test_validate_once_reports_the_first_occurrence(shared, other, reason):
+    root = _shared_context_proof(shared, other)
+    expected = _check_every_occurrence(root)
+    assert expected is not None and reason in expected[1]
+    with pytest.raises(CheckError) as e:
+        check_proof(root)
+    assert (e.value.path, e.value.reason) == expected
+
+
+def test_validate_once_on_a_valid_shared_proof():
+    root = _shared_context_proof(Forall("x", Q(x)))
+    assert _check_every_occurrence(root) is None
+    assert check_proof(root).height == 6
+
+
+def test_each_formula_object_is_validated_once(monkeypatch):
+    """A parsed proof shares the copies of a formula that the rules carry,
+    and `check_proof` validates each shared object once per call."""
+    phi = parse_formula("(lam z. Q(z) | P(x)) (iota w. R(w, x))")
+    root = parse_proof(format_proof(build_leibniz(phi, "x", b, c)))
+    calls = []
+    validate = syntax.validate_formula
+
+    def counting(f, *args):
+        calls.append(id(f))
+        return validate(f, *args)
+
+    monkeypatch.setattr(syntax, "validate_formula", counting)
+    occurrences = [f for _, n in _post_order(root) for f in n.conclusion.ant + n.conclusion.suc]
+    distinct = {id(f) for f in occurrences}
+    assert len(occurrences) > 2 * len(distinct)
+    check_proof(root)
+    assert sorted(calls) == sorted(distinct)
+    calls.clear()
+    check_proof(root)  # nothing is remembered from one call to the next
+    assert sorted(calls) == sorted(distinct)
+
+
+# ---------------------------------------------------------------------------
+# frozen verdicts
+#
+# Rows of the `kernel` gate in tools/output_gates.py: fixtures and seeded
+# desk-check proofs with one node perturbed, printed on one line, with the
+# verdict the checker gave when it still validated every formula occurrence
+# and rebuilt a Counter per rule. One row per rejection reason (among the
+# printed forms up to 2,000 characters that parse back to the same tree) and
+# three accepted ones; rows on which that checker crashed are left out.
+
+KERNEL_VERDICTS = [
+    # desk 33: term at 0.0
+    ('(negr (seq (#b1 = #b2, ~Q(#b1)) (~Q(#b2))) (negl (seq (~Q(#b1), #b1 = #b2, Q(#b2)) ()) (eqplus (seq (#b1 = #b2, Q(#b2)) (Q(#b1))) :term $k (eqminus (seq (#b1 = #b2, #b1 = #b1, Q(#b2)) (Q(#b1))) (eqminus (seq (#b2 = #b1, Q(#b2)) (Q(#b1))) (ax (seq (Q(#b1)) (Q(#b1)))))))))',
+     'rejected path=0.0: annotated term does not match the discharged identity'),
+    # desk 47: drop at 0
+    ('(wl (seq (#b1 = #b2, P(#b) | Q($c)) (P(#b) | Q($c))) (ax (seq () (P(#b) | Q($c)))))',
+     'rejected path=0: axiom must be a single formula on each side'),
+    # desk 47: rename at 0
+    ('(wl (seq (#b1 = #b2, P(#b) | Q($c)) (P(#b) | Q($c))) (ax (seq (P(#b) | Q($c)) (P($k) | Q($c)))))',
+     'rejected path=0: axiom sides differ'),
+    # desk 15: drop at root
+    ('(wl (seq (Q($c) -> Q(#b)) (Q($c) -> Q(#b))) (ax (seq (Q($c) -> Q(#b)) (Q($c) -> Q(#b)))))',
+     'rejected path=root: conclusion must add exactly one formula'),
+    # desk 23: eigen at 0
+    ('(cl (seq (#b1 = #b2, (lam v56. P(#a)) (iota v57. P(#b1))) ((lam v56. P(#a)) (iota v57. P(#b2)))) (iota1l (seq (#b1 = #b2, (lam v56. P(#a)) (iota v57. P(#b1)), (lam v56. P(#a)) (iota v57. P(#b1))) ((lam v56. P(#a)) (iota v57. P(#b2)))) :eigen #a (iotar (seq (P(#b1), P(#a), #b1 = #b2, (lam v56. P(#a)) (iota v57. P(#b1))) ((lam v56. P(#a)) (iota v57. P(#b2)))) :term #a1 :eigen #a2 (wl (seq (P(#b1), P(#a), #b1 = #b2, (lam v56. P(#a)) (iota v57. P(#b1))) (P(#b2))) (wl (seq (P(#a), #b1 = #b2, P(#b1)) (P(#b2))) (eqminus (seq (#b1 = #b2, P(#b1)) (P(#b2))) (ax (seq (P(#b2)) (P(#b2))))))) (wl (seq (P(#b1), P(#a), #b1 = #b2, (lam v56. P(#a)) (iota v57. P(#b1))) (P(#a))) (wl (seq (P(#b1), #b1 = #b2, P(#a)) (P(#a))) (wl (seq (#b1 = #b2, P(#a)) (P(#a))) (ax (seq (P(#a)) (P(#a))))))) (iota2l (seq ((lam v56. P(#a)) (iota v57. P(#b1)), P(#b2), P(#b1), P(#a), #b1 = #b2) (#a2 = #a1)) :term #a2 :term #a1 (wr (seq (P(#b2), P(#b1), P(#a), #b1 = #b2) (#a2 = #a1, P(#b1))) (wl (seq (P(#a), P(#b1), #b1 = #b2, P(#b2)) (P(#b1))) (wl (seq (P(#b1), #b1 = #b2, P(#b2)) (P(#b1))) (eqplus (seq (#b1 = #b2, P(#b2)) (P(#b1))) (eqminus (seq (#b1 = #b2, #b1 = #b1, P(#b2)) (P(#b1))) (eqminus (seq (#b2 = #b1, P(#b2)) (P(#b1))) (ax (seq (P(#b1)) (P(#b1)))))))))) (wr (seq (P(#b2), P(#b1), P(#a), #b1 = #b2) (#a2 = #a1, P(#b1))) (wl (seq (#b1 = #b2, P(#a), P(#b2), P(#b1)) (P(#b1))) (wl (seq (P(#a), P(#b2), P(#b1)) (P(#b1))) (wl (seq (P(#b2), P(#b1)) (P(#b1))) (ax (seq (P(#b1)) (P(#b1)))))))) (wl (seq (#a2 = #a1, P(#b2), P(#b1), P(#a), #b1 = #b2) (#a2 = #a1)) (wl (seq (P(#a), P(#b1), P(#b2), #a2 = #a1) (#a2 = #a1)) (wl (seq (P(#b1), P(#b2), #a2 = #a1) (#a2 = #a1)) (wl (seq (P(#b2), #a2 = #a1) (#a2 = #a1)) (ax (seq (#a2 = #a1) (#a2 = #a1)))))))))))',
+     'rejected path=0: eigenvariable a occurs in the conclusion'),
+    # fixture sym_trans: move at 0.0
+    ('(eqplus (seq (#b1 = #b, #b2 = #b) (#b1 = #b2)) (eqminus (seq (#b2 = #b, #b2 = #b2, #b1 = #b) (#b1 = #b2)) (eqminus (seq (#b1 = #b) (#b = #b2, #b1 = #b2)) (ax (seq (#b1 = #b2) (#b1 = #b2))))))',
+     'rejected path=0.0: eqminus must leave the succedent alone'),
+    # fixture sym_trans: move at root
+    ('(eqplus (seq (#b1 = #b) (#b1 = #b2, #b2 = #b)) (eqminus (seq (#b2 = #b, #b2 = #b2, #b1 = #b) (#b1 = #b2)) (eqminus (seq (#b = #b2, #b1 = #b) (#b1 = #b2)) (ax (seq (#b1 = #b2) (#b1 = #b2))))))',
+     'rejected path=root: eqplus must leave the succedent alone'),
+    # desk 47: rename at 0
+    ('(wl (seq (#b1 = #b2, P(#b) | Q($c)) (P(#b) | Q($c))) (ax (seq (P(x) | Q($c)) (P(#b) | Q($c)))))',
+     "rejected path=0: free variable(s) ['x'] in sequent"),
+    # fixture rlambda_left: term at 0.0.0.0.0.0.0
+    ('(cl (seq ((lam x. P(x)) (iota y. Q(y))) (exists x. (forall y. Q(y) <-> y = x) & P(x))) (iota1l (seq ((lam x. P(x)) (iota y. Q(y)), (lam x. P(x)) (iota y. Q(y))) (exists x. (forall y. Q(y) <-> y = x) & P(x))) :eigen #a1 (existsr (seq (P(#a1), (lam x. P(x)) (iota y. Q(y)), Q(#a1)) (exists x. (forall y. Q(y) <-> y = x) & P(x))) :term #a1 (andr (seq (P(#a1), (lam x. P(x)) (iota y. Q(y)), Q(#a1)) ((forall y. Q(y) <-> y = #a1) & P(#a1))) (wl (seq (P(#a1), (lam x. P(x)) (iota y. Q(y)), Q(#a1)) (forall y. Q(y) <-> y = #a1)) (forallr (seq ((lam x. P(x)) (iota y. Q(y)), Q(#a1)) (forall y. Q(y) <-> y = #a1)) :eigen #a2 (iffr (seq ((lam x. P(x)) (iota y. Q(y)), Q(#a1)) (Q(#a2) <-> #a2 = #a1)) (iota2l (seq ((lam x. P(x)) (iota y. Q(y)), Q(#a1), Q(#a2)) (#a2 = #a1)) :term #a2 :term #a1 :term x (wr (seq (Q(#a1), Q(#a2)) (#a2 = #a1, Q(#a2))) (wl (seq (Q(#a1), Q(#a2)) (Q(#a2))) (ax (seq (Q(#a2)) (Q(#a2)))))) (wr (seq (Q(#a1), Q(#a2)) (#a2 = #a1, Q(#a1))) (wl (seq (Q(#a2), Q(#a1)) (Q(#a1))) (ax (seq (Q(#a1)) (Q(#a1)))))) (wl (seq (#a2 = #a1, Q(#a1), Q(#a2)) (#a2 = #a1)) (wl (seq (Q(#a1), #a2 = #a1) (#a2 = #a1)) (ax (seq (#a2 = #a1) (#a2 = #a1)))))) (wl (seq (#a2 = #a1, (lam x. P(x)) (iota y. Q(y)), Q(#a1)) (Q(#a2))) (eqplus (seq (#a2 = #a1, Q(#a1)) (Q(#a2))) (eqminus (seq (#a2 = #a1, #a2 = #a2, Q(#a1)) (Q(#a2))) (eqminus (seq (#a1 = #a2, Q(#a1)) (Q(#a2))) (ax (seq (Q(#a2)) (Q(#a2))))))))))) (wl (seq (P(#a1), (lam x. P(x)) (iota y. Q(y)), Q(#a1)) (P(#a1))) (wl (seq ((lam x. P(x)) (iota y. Q(y)), P(#a1)) (P(#a1))) (ax (seq (P(#a1)) (P(#a1))))))))))',
+     'rejected path=0.0.0.0.0.0.0: iota2l needs two instantiation terms'),
+    # fixture leibniz_bool: move at 1
+    ('(andr (seq (#b1 = #b2, P(#b1) & ~Q(#b1)) (P(#b2) & ~Q(#b2))) (andl (seq (#b1 = #b2, P(#b1) & ~Q(#b1)) (P(#b2))) (wl (seq (#b1 = #b2, P(#b1), ~Q(#b1)) (P(#b2))) (eqminus (seq (#b1 = #b2, P(#b1)) (P(#b2))) (ax (seq (P(#b2)) (P(#b2))))))) (andl (seq (#b1 = #b2) (P(#b1) & ~Q(#b1), ~Q(#b2))) (wl (seq (#b1 = #b2, P(#b1), ~Q(#b1)) (~Q(#b2))) (negr (seq (#b1 = #b2, ~Q(#b1)) (~Q(#b2))) (negl (seq (~Q(#b1), #b1 = #b2, Q(#b2)) ()) (eqplus (seq (#b1 = #b2, Q(#b2)) (Q(#b1))) (eqminus (seq (#b1 = #b2, #b1 = #b1, Q(#b2)) (Q(#b1))) (eqminus (seq (#b2 = #b1, Q(#b2)) (Q(#b1))) (ax (seq (Q(#b1)) (Q(#b1))))))))))))',
+     'rejected path=1: no andl principal formula matches the premise'),
+    # fixture leibniz_bool: duplicate at root
+    ('(andr (seq (#b1 = #b2, P(#b1) & ~Q(#b1), #b1 = #b2) (P(#b2) & ~Q(#b2))) (andl (seq (#b1 = #b2, P(#b1) & ~Q(#b1)) (P(#b2))) (wl (seq (#b1 = #b2, P(#b1), ~Q(#b1)) (P(#b2))) (eqminus (seq (#b1 = #b2, P(#b1)) (P(#b2))) (ax (seq (P(#b2)) (P(#b2))))))) (andl (seq (#b1 = #b2, P(#b1) & ~Q(#b1)) (~Q(#b2))) (wl (seq (#b1 = #b2, P(#b1), ~Q(#b1)) (~Q(#b2))) (negr (seq (#b1 = #b2, ~Q(#b1)) (~Q(#b2))) (negl (seq (~Q(#b1), #b1 = #b2, Q(#b2)) ()) (eqplus (seq (#b1 = #b2, Q(#b2)) (Q(#b1))) (eqminus (seq (#b1 = #b2, #b1 = #b1, Q(#b2)) (Q(#b1))) (eqminus (seq (#b2 = #b1, Q(#b2)) (Q(#b1))) (ax (seq (Q(#b1)) (Q(#b1))))))))))))',
+     'rejected path=root: no andr principal formula matches the premises'),
+    # fixture leibniz_quant: drop at root
+    ('(existsl (seq (#b1 = #b2, exists y. y = #b1) ()) :eigen #a1 (existsr (seq (#b1 = #b2, #a1 = #b1) (exists y. y = #b2)) :term #a1 (eqminus (seq (#b1 = #b2, #a1 = #b1) (#a1 = #b2)) (ax (seq (#a1 = #b2) (#a1 = #b2))))))',
+     'rejected path=root: no existsl instance matches the premise'),
+    # fixture leibniz_quant: move at 0
+    ('(existsl (seq (#b1 = #b2, exists y. y = #b1) (exists y. y = #b2)) :eigen #a1 (existsr (seq (#b1 = #b2, exists y. y = #b2, #a1 = #b1) ()) :term #a1 (eqminus (seq (#b1 = #b2, #a1 = #b1) (#a1 = #b2)) (ax (seq (#a1 = #b2) (#a1 = #b2))))))',
+     'rejected path=0: no existsr instance matches the premise'),
+    # fixture rlambda_left: move at 0.0.0.0.0
+    ('(cl (seq ((lam x. P(x)) (iota y. Q(y))) (exists x. (forall y. Q(y) <-> y = x) & P(x))) (iota1l (seq ((lam x. P(x)) (iota y. Q(y)), (lam x. P(x)) (iota y. Q(y))) (exists x. (forall y. Q(y) <-> y = x) & P(x))) :eigen #a1 (existsr (seq (P(#a1), (lam x. P(x)) (iota y. Q(y)), Q(#a1)) (exists x. (forall y. Q(y) <-> y = x) & P(x))) :term #a1 (andr (seq (P(#a1), (lam x. P(x)) (iota y. Q(y)), Q(#a1)) ((forall y. Q(y) <-> y = #a1) & P(#a1))) (wl (seq (P(#a1), (lam x. P(x)) (iota y. Q(y)), Q(#a1)) (forall y. Q(y) <-> y = #a1)) (forallr (seq ((lam x. P(x)) (iota y. Q(y))) (Q(#a1), forall y. Q(y) <-> y = #a1)) :eigen #a2 (iffr (seq ((lam x. P(x)) (iota y. Q(y)), Q(#a1)) (Q(#a2) <-> #a2 = #a1)) (iota2l (seq ((lam x. P(x)) (iota y. Q(y)), Q(#a1), Q(#a2)) (#a2 = #a1)) :term #a2 :term #a1 (wr (seq (Q(#a1), Q(#a2)) (#a2 = #a1, Q(#a2))) (wl (seq (Q(#a1), Q(#a2)) (Q(#a2))) (ax (seq (Q(#a2)) (Q(#a2)))))) (wr (seq (Q(#a1), Q(#a2)) (#a2 = #a1, Q(#a1))) (wl (seq (Q(#a2), Q(#a1)) (Q(#a1))) (ax (seq (Q(#a1)) (Q(#a1)))))) (wl (seq (#a2 = #a1, Q(#a1), Q(#a2)) (#a2 = #a1)) (wl (seq (Q(#a1), #a2 = #a1) (#a2 = #a1)) (ax (seq (#a2 = #a1) (#a2 = #a1)))))) (wl (seq (#a2 = #a1, (lam x. P(x)) (iota y. Q(y)), Q(#a1)) (Q(#a2))) (eqplus (seq (#a2 = #a1, Q(#a1)) (Q(#a2))) (eqminus (seq (#a2 = #a1, #a2 = #a2, Q(#a1)) (Q(#a2))) (eqminus (seq (#a1 = #a2, Q(#a1)) (Q(#a2))) (ax (seq (Q(#a2)) (Q(#a2))))))))))) (wl (seq (P(#a1), (lam x. P(x)) (iota y. Q(y)), Q(#a1)) (P(#a1))) (wl (seq ((lam x. P(x)) (iota y. Q(y)), P(#a1)) (P(#a1))) (ax (seq (P(#a1)) (P(#a1))))))))))',
+     'rejected path=0.0.0.0.0: no forallr instance matches the premise'),
+    # fixture sym_trans: drop at 0
+    ('(eqplus (seq (#b1 = #b, #b2 = #b) (#b1 = #b2)) (eqminus (seq (#b2 = #b, #b1 = #b) (#b1 = #b2)) (eqminus (seq (#b = #b2, #b1 = #b) (#b1 = #b2)) (ax (seq (#b1 = #b2) (#b1 = #b2))))))',
+     'rejected path=0: no identity/atom pair in the antecedent matches the premise'),
+    # fixture rlambda_right: move at 0.0.0.0
+    ('(existsl (seq (exists x. (forall y. Q(y) <-> y = x) & P(x)) ((lam x. P(x)) (iota y. Q(y)))) :eigen #a1 (andl (seq ((forall y. Q(y) <-> y = #a1) & P(#a1)) ((lam x. P(x)) (iota y. Q(y)))) (iotar (seq (forall y. Q(y) <-> y = #a1, P(#a1)) ((lam x. P(x)) (iota y. Q(y)))) :term #a1 :eigen #a2 (foralll (seq (forall y. Q(y) <-> y = #a1, P(#a1)) (Q(#a1))) :term #a1 (iffl (seq (Q(#a1) <-> #a1 = #a1) (P(#a1), Q(#a1))) (wr (seq (P(#a1)) (Q(#a1), Q(#a1), #a1 = #a1)) (wr (seq (P(#a1)) (#a1 = #a1, Q(#a1))) (wl (seq (P(#a1)) (#a1 = #a1)) (eqplus (seq () (#a1 = #a1)) (ax (seq (#a1 = #a1) (#a1 = #a1))))))) (wl (seq (Q(#a1), #a1 = #a1, P(#a1)) (Q(#a1))) (wl (seq (#a1 = #a1, Q(#a1)) (Q(#a1))) (ax (seq (Q(#a1)) (Q(#a1)))))))) (wl (seq (forall y. Q(y) <-> y = #a1, P(#a1)) (P(#a1))) (ax (seq (P(#a1)) (P(#a1))))) (foralll (seq (Q(#a2), forall y. Q(y) <-> y = #a1, P(#a1)) (#a2 = #a1)) :term #a2 (iffl (seq (Q(#a2) <-> #a2 = #a1, Q(#a2), P(#a1)) (#a2 = #a1)) (wr (seq (Q(#a2), P(#a1)) (#a2 = #a1, Q(#a2), #a2 = #a1)) (wr (seq (P(#a1), Q(#a2)) (Q(#a2), #a2 = #a1)) (wl (seq (P(#a1), Q(#a2)) (Q(#a2))) (ax (seq (Q(#a2)) (Q(#a2))))))) (wl (seq (Q(#a2), #a2 = #a1, Q(#a2), P(#a1)) (#a2 = #a1)) (wl (seq (Q(#a2), Q(#a2), #a2 = #a1) (#a2 = #a1)) (wl (seq (Q(#a2), #a2 = #a1) (#a2 = #a1)) (ax (seq (#a2 = #a1) (#a2 = #a1)))))))))))',
+     'rejected path=0.0.0.0: no iffl principal formula matches the premises'),
+    # desk 41: drop at 0
+    ('(impr (seq (#b1 = #b2, (lam v114. (exists v115. $c = #a) & #b = #a) #b1 -> Q(#b1)) ((lam v114. (exists v115. $c = #a) & #b = #a) #b2 -> Q(#b2))) (impl (seq ((lam v114. (exists v115. $c = #a) & #b = #a) #b2, #b1 = #b2) (Q(#b2))) (wr (seq ((lam v114. (exists v115. $c = #a) & #b = #a) #b2, #b1 = #b2) (Q(#b2), (lam v114. (exists v115. $c = #a) & #b = #a) #b1)) (eqplus (seq (#b1 = #b2, (lam v114. (exists v115. $c = #a) & #b = #a) #b2) ((lam v114. (exists v115. $c = #a) & #b = #a) #b1)) (eqminus (seq (#b1 = #b2, #b1 = #b1, (lam v114. (exists v115. $c = #a) & #b = #a) #b2) ((lam v114. (exists v115. $c = #a) & #b = #a) #b1)) (lamr (seq (#b2 = #b1, (lam v114. (exists v115. $c = #a) & #b = #a) #b2) ((lam v114. (exists v115. $c = #a) & #b = #a) #b1)) (laml (seq (#b2 = #b1, (lam v114. (exists v115. $c = #a) & #b = #a) #b2) ((exists v115. $c = #a) & #b = #a)) (wl (seq (#b2 = #b1, (exists v115. $c = #a) & #b = #a) ((exists v115. $c = #a) & #b = #a)) (ax (seq ((exists v115. $c = #a) & #b = #a) ((exists v115. $c = #a) & #b = #a))))))))) (wl (seq (Q(#b1), (lam v114. (exists v115. $c = #a) & #b = #a) #b2, #b1 = #b2) (Q(#b2))) (eqminus (seq (#b1 = #b2, Q(#b1)) (Q(#b2))) (ax (seq (Q(#b2)) (Q(#b2))))))))',
+     'rejected path=0: no impl principal formula matches the premises'),
+    # desk 7: at at root
+    ('(impr (seq (#b1 = #b2, Q(#b1) -> Q(#b1) | Q($c)) (Q(#b2) -> Q(#b2) | Q($c))) :at 2 (impl (seq (Q(#b1) -> Q(#b1) | Q($c), Q(#b2), #b1 = #b2) (Q(#b2) | Q($c))) (wr (seq (Q(#b2), #b1 = #b2) (Q(#b2) | Q($c), Q(#b1))) (eqplus (seq (#b1 = #b2, Q(#b2)) (Q(#b1))) (eqminus (seq (#b1 = #b2, #b1 = #b1, Q(#b2)) (Q(#b1))) (eqminus (seq (#b2 = #b1, Q(#b2)) (Q(#b1))) (ax (seq (Q(#b1)) (Q(#b1)))))))) (wl (seq (Q(#b1) | Q($c), Q(#b2), #b1 = #b2) (Q(#b2) | Q($c))) (orl (seq (#b1 = #b2, Q(#b1) | Q($c)) (Q(#b2) | Q($c))) (orr (seq (#b1 = #b2, Q(#b1)) (Q(#b2) | Q($c))) (wr (seq (#b1 = #b2, Q(#b1)) (Q(#b2), Q($c))) (eqminus (seq (#b1 = #b2, Q(#b1)) (Q(#b2))) (ax (seq (Q(#b2)) (Q(#b2))))))) (orr (seq (#b1 = #b2, Q($c)) (Q(#b2) | Q($c))) (wr (seq (#b1 = #b2, Q($c)) (Q(#b2), Q($c))) (wl (seq (#b1 = #b2, Q($c)) (Q($c))) (ax (seq (Q($c)) (Q($c)))))))))))',
+     'rejected path=root: no impr principal formula matches the premise'),
+    # fixture rlambda_left: drop at 0
+    ('(cl (seq ((lam x. P(x)) (iota y. Q(y))) (exists x. (forall y. Q(y) <-> y = x) & P(x))) (iota1l (seq ((lam x. P(x)) (iota y. Q(y)), (lam x. P(x)) (iota y. Q(y))) ()) :eigen #a1 (existsr (seq (P(#a1), (lam x. P(x)) (iota y. Q(y)), Q(#a1)) (exists x. (forall y. Q(y) <-> y = x) & P(x))) :term #a1 (andr (seq (P(#a1), (lam x. P(x)) (iota y. Q(y)), Q(#a1)) ((forall y. Q(y) <-> y = #a1) & P(#a1))) (wl (seq (P(#a1), (lam x. P(x)) (iota y. Q(y)), Q(#a1)) (forall y. Q(y) <-> y = #a1)) (forallr (seq ((lam x. P(x)) (iota y. Q(y)), Q(#a1)) (forall y. Q(y) <-> y = #a1)) :eigen #a2 (iffr (seq ((lam x. P(x)) (iota y. Q(y)), Q(#a1)) (Q(#a2) <-> #a2 = #a1)) (iota2l (seq ((lam x. P(x)) (iota y. Q(y)), Q(#a1), Q(#a2)) (#a2 = #a1)) :term #a2 :term #a1 (wr (seq (Q(#a1), Q(#a2)) (#a2 = #a1, Q(#a2))) (wl (seq (Q(#a1), Q(#a2)) (Q(#a2))) (ax (seq (Q(#a2)) (Q(#a2)))))) (wr (seq (Q(#a1), Q(#a2)) (#a2 = #a1, Q(#a1))) (wl (seq (Q(#a2), Q(#a1)) (Q(#a1))) (ax (seq (Q(#a1)) (Q(#a1)))))) (wl (seq (#a2 = #a1, Q(#a1), Q(#a2)) (#a2 = #a1)) (wl (seq (Q(#a1), #a2 = #a1) (#a2 = #a1)) (ax (seq (#a2 = #a1) (#a2 = #a1)))))) (wl (seq (#a2 = #a1, (lam x. P(x)) (iota y. Q(y)), Q(#a1)) (Q(#a2))) (eqplus (seq (#a2 = #a1, Q(#a1)) (Q(#a2))) (eqminus (seq (#a2 = #a1, #a2 = #a2, Q(#a1)) (Q(#a2))) (eqminus (seq (#a1 = #a2, Q(#a1)) (Q(#a2))) (ax (seq (Q(#a2)) (Q(#a2))))))))))) (wl (seq (P(#a1), (lam x. P(x)) (iota y. Q(y)), Q(#a1)) (P(#a1))) (wl (seq ((lam x. P(x)) (iota y. Q(y)), P(#a1)) (P(#a1))) (ax (seq (P(#a1)) (P(#a1))))))))))',
+     'rejected path=0: no iota1l instance matches the premise'),
+    # desk 41: rename at 0.0.0.0.0.0
+    ('(impr (seq (#b1 = #b2, (lam v114. (exists v115. $c = #a) & #b = #a) #b1 -> Q(#b1)) ((lam v114. (exists v115. $c = #a) & #b = #a) #b2 -> Q(#b2))) (impl (seq ((lam v114. (exists v115. $c = #a) & #b = #a) #b1 -> Q(#b1), (lam v114. (exists v115. $c = #a) & #b = #a) #b2, #b1 = #b2) (Q(#b2))) (wr (seq ((lam v114. (exists v115. $c = #a) & #b = #a) #b2, #b1 = #b2) (Q(#b2), (lam v114. (exists v115. $c = #a) & #b = #a) #b1)) (eqplus (seq (#b1 = #b2, (lam v114. (exists v115. $c = #a) & #b = #a) #b2) ((lam v114. (exists v115. $c = #a) & #b = #a) #b1)) (eqminus (seq (#b1 = #b2, #b1 = #b1, (lam v114. (exists v115. $c = #a) & #b = #a) #b2) ((lam v114. (exists v115. $c = #a) & #b = #a) #b1)) (lamr (seq (#b2 = #b1, (lam v114. (exists v115. $c = #a) & #b = #a) #b2) ((lam v114. (exists v115. $c = #a) & #b = #a) #b1)) (laml (seq (#b2 = #b1, (lam v114. (exists v115. $c = #a) & #b = #a) #b2) ((exists v115. $c = #a9) & #b = #a9)) (wl (seq (#b2 = #b1, (exists v115. $c = #a) & #b = #a) ((exists v115. $c = #a) & #b = #a)) (ax (seq ((exists v115. $c = #a) & #b = #a) ((exists v115. $c = #a) & #b = #a))))))))) (wl (seq (Q(#b1), (lam v114. (exists v115. $c = #a) & #b = #a) #b2, #b1 = #b2) (Q(#b2))) (eqminus (seq (#b1 = #b2, Q(#b1)) (Q(#b2))) (ax (seq (Q(#b2)) (Q(#b2))))))))',
+     'rejected path=0.0.0.0.0.0: no laml abstract matches the premise'),
+    # desk 41: drop at 0.0.0.0.0
+    ('(impr (seq (#b1 = #b2, (lam v114. (exists v115. $c = #a) & #b = #a) #b1 -> Q(#b1)) ((lam v114. (exists v115. $c = #a) & #b = #a) #b2 -> Q(#b2))) (impl (seq ((lam v114. (exists v115. $c = #a) & #b = #a) #b1 -> Q(#b1), (lam v114. (exists v115. $c = #a) & #b = #a) #b2, #b1 = #b2) (Q(#b2))) (wr (seq ((lam v114. (exists v115. $c = #a) & #b = #a) #b2, #b1 = #b2) (Q(#b2), (lam v114. (exists v115. $c = #a) & #b = #a) #b1)) (eqplus (seq (#b1 = #b2, (lam v114. (exists v115. $c = #a) & #b = #a) #b2) ((lam v114. (exists v115. $c = #a) & #b = #a) #b1)) (eqminus (seq (#b1 = #b2, #b1 = #b1, (lam v114. (exists v115. $c = #a) & #b = #a) #b2) ((lam v114. (exists v115. $c = #a) & #b = #a) #b1)) (lamr (seq (#b2 = #b1, (lam v114. (exists v115. $c = #a) & #b = #a) #b2) ()) (laml (seq (#b2 = #b1, (lam v114. (exists v115. $c = #a) & #b = #a) #b2) ((exists v115. $c = #a) & #b = #a)) (wl (seq (#b2 = #b1, (exists v115. $c = #a) & #b = #a) ((exists v115. $c = #a) & #b = #a)) (ax (seq ((exists v115. $c = #a) & #b = #a) ((exists v115. $c = #a) & #b = #a))))))))) (wl (seq (Q(#b1), (lam v114. (exists v115. $c = #a) & #b = #a) #b2, #b1 = #b2) (Q(#b2))) (eqminus (seq (#b1 = #b2, Q(#b1)) (Q(#b2))) (ax (seq (Q(#b2)) (Q(#b2))))))))',
+     'rejected path=0.0.0.0.0: no lamr abstract matches the premise'),
+    # desk 33: at at 0
+    ('(negr (seq (#b1 = #b2, ~Q(#b1)) (~Q(#b2))) (negl (seq (~Q(#b1), #b1 = #b2, Q(#b2)) ()) :at 3 (eqplus (seq (#b1 = #b2, Q(#b2)) (Q(#b1))) (eqminus (seq (#b1 = #b2, #b1 = #b1, Q(#b2)) (Q(#b1))) (eqminus (seq (#b2 = #b1, Q(#b2)) (Q(#b1))) (ax (seq (Q(#b1)) (Q(#b1)))))))))',
+     'rejected path=0: no negl principal formula matches the premise'),
+    # desk 33: drop at root
+    ('(negr (seq (#b1 = #b2) (~Q(#b2))) (negl (seq (~Q(#b1), #b1 = #b2, Q(#b2)) ()) (eqplus (seq (#b1 = #b2, Q(#b2)) (Q(#b1))) (eqminus (seq (#b1 = #b2, #b1 = #b1, Q(#b2)) (Q(#b1))) (eqminus (seq (#b2 = #b1, Q(#b2)) (Q(#b1))) (ax (seq (Q(#b1)) (Q(#b1)))))))))',
+     'rejected path=root: no negr principal formula matches the premise'),
+    # desk 7: duplicate at 0.1.0
+    ('(impr (seq (#b1 = #b2, Q(#b1) -> Q(#b1) | Q($c)) (Q(#b2) -> Q(#b2) | Q($c))) (impl (seq (Q(#b1) -> Q(#b1) | Q($c), Q(#b2), #b1 = #b2) (Q(#b2) | Q($c))) (wr (seq (Q(#b2), #b1 = #b2) (Q(#b2) | Q($c), Q(#b1))) (eqplus (seq (#b1 = #b2, Q(#b2)) (Q(#b1))) (eqminus (seq (#b1 = #b2, #b1 = #b1, Q(#b2)) (Q(#b1))) (eqminus (seq (#b2 = #b1, Q(#b2)) (Q(#b1))) (ax (seq (Q(#b1)) (Q(#b1)))))))) (wl (seq (Q(#b1) | Q($c), Q(#b2), #b1 = #b2) (Q(#b2) | Q($c))) (orl (seq (#b1 = #b2, Q(#b1) | Q($c)) (Q(#b2) | Q($c), Q(#b2) | Q($c))) (orr (seq (#b1 = #b2, Q(#b1)) (Q(#b2) | Q($c))) (wr (seq (#b1 = #b2, Q(#b1)) (Q(#b2), Q($c))) (eqminus (seq (#b1 = #b2, Q(#b1)) (Q(#b2))) (ax (seq (Q(#b2)) (Q(#b2))))))) (orr (seq (#b1 = #b2, Q($c)) (Q(#b2) | Q($c))) (wr (seq (#b1 = #b2, Q($c)) (Q(#b2), Q($c))) (wl (seq (#b1 = #b2, Q($c)) (Q($c))) (ax (seq (Q($c)) (Q($c)))))))))))',
+     'rejected path=0.1.0: no orl principal formula matches the premises'),
+    # desk 57: move at 1
+    ('(orl (seq (#b1 = #b2, (exists v165. ~#b = $c) | Q(#b1)) ((exists v165. ~#b = $c) | Q(#b2))) (orr (seq (#b1 = #b2, exists v165. ~#b = $c) ((exists v165. ~#b = $c) | Q(#b2))) (wr (seq (#b1 = #b2, exists v165. ~#b = $c) (exists v165. ~#b = $c, Q(#b2))) (wl (seq (#b1 = #b2, exists v165. ~#b = $c) (exists v165. ~#b = $c)) (ax (seq (exists v165. ~#b = $c) (exists v165. ~#b = $c)))))) (orr (seq ((exists v165. ~#b = $c) | Q(#b2), #b1 = #b2, Q(#b1)) ()) (wr (seq (#b1 = #b2, Q(#b1)) (exists v165. ~#b = $c, Q(#b2))) (eqminus (seq (#b1 = #b2, Q(#b1)) (Q(#b2))) (ax (seq (Q(#b2)) (Q(#b2))))))))',
+     'rejected path=1: no orr principal formula matches the premise'),
+    # desk 47
+    ('(wl (seq (#b1 = #b2, P(#b) | Q($c)) (P(#b) | Q($c))) (ax (seq (P(#b) | Q($c)) (P(#b) | Q($c)))))',
+     'ok height=2 cut_degrees=()'),
+    # desk 54: rename at 0
+    ('(wl (seq (#b1 = #b2, forall v156. ~forall v157. ~exists v158. Q(v156)) (forall v156. ~forall v157. ~exists v158. Q(v156))) (ax (seq (forall v156. ~forall v157. ~exists v158. Q(v156)) (forall v156. ~forall v157. ~exists v158. Q(v156)))))',
+     'ok height=2 cut_degrees=()'),
+    # desk 57: term at 1.0.0.0
+    ('(orl (seq (#b1 = #b2, (exists v165. ~#b = $c) | Q(#b1)) ((exists v165. ~#b = $c) | Q(#b2))) (orr (seq (#b1 = #b2, exists v165. ~#b = $c) ((exists v165. ~#b = $c) | Q(#b2))) (wr (seq (#b1 = #b2, exists v165. ~#b = $c) (exists v165. ~#b = $c, Q(#b2))) (wl (seq (#b1 = #b2, exists v165. ~#b = $c) (exists v165. ~#b = $c)) (ax (seq (exists v165. ~#b = $c) (exists v165. ~#b = $c)))))) (orr (seq (#b1 = #b2, Q(#b1)) ((exists v165. ~#b = $c) | Q(#b2))) (wr (seq (#b1 = #b2, Q(#b1)) (exists v165. ~#b = $c, Q(#b2))) (eqminus (seq (#b1 = #b2, Q(#b1)) (Q(#b2))) (ax (seq (Q(#b2)) (Q(#b2))) :term #b2)))))',
+     'ok height=5 cut_degrees=()'),
+    # fixture sym_trans: drop at root
+    ('(eqplus (seq (#b1 = #b) (#b1 = #b2)) (eqminus (seq (#b2 = #b, #b2 = #b2, #b1 = #b) (#b1 = #b2)) (eqminus (seq (#b = #b2, #b1 = #b) (#b1 = #b2)) (ax (seq (#b1 = #b2) (#b1 = #b2))))))',
+     'rejected path=root: premise must have exactly one extra antecedent formula'),
+    # desk 57: drop at 1.0
+    ('(orl (seq (#b1 = #b2, (exists v165. ~#b = $c) | Q(#b1)) ((exists v165. ~#b = $c) | Q(#b2))) (orr (seq (#b1 = #b2, exists v165. ~#b = $c) ((exists v165. ~#b = $c) | Q(#b2))) (wr (seq (#b1 = #b2, exists v165. ~#b = $c) (exists v165. ~#b = $c, Q(#b2))) (wl (seq (#b1 = #b2, exists v165. ~#b = $c) (exists v165. ~#b = $c)) (ax (seq (exists v165. ~#b = $c) (exists v165. ~#b = $c)))))) (orr (seq (#b1 = #b2, Q(#b1)) ((exists v165. ~#b = $c) | Q(#b2))) (wr (seq (Q(#b1)) (exists v165. ~#b = $c, Q(#b2))) (eqminus (seq (#b1 = #b2, Q(#b1)) (Q(#b2))) (ax (seq (Q(#b2)) (Q(#b2))))))))',
+     'rejected path=1.0: weakening must leave the antecedent side alone'),
+    # desk 15: drop at root
+    ('(wl (seq (#b1 = #b2, Q($c) -> Q(#b)) ()) (ax (seq (Q($c) -> Q(#b)) (Q($c) -> Q(#b)))))',
+     'rejected path=root: weakening must leave the sucecedent side alone'),
+]
+
+
+def _verdict(root) -> str:
+    try:
+        proof = check_proof(root)
+    except CheckError as e:
+        return f"rejected {e}"
+    return f"ok height={proof.height} cut_degrees={proof.cut_degrees}"
+
+
+def test_kernel_verdict_table():
+    wrong = []
+    for text, verdict in KERNEL_VERDICTS:
+        got = _verdict(parse_proof(text))
+        if got != verdict:
+            wrong.append((text, got))
+    assert not wrong
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import multiprocessing
 import os
 import pickle
 import re
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -268,6 +269,21 @@ def test_parse_error_table():
         if got != (msg, line, col):
             wrong.append((kind, text, got))
     assert not wrong
+
+
+@pytest.mark.skipif(
+    getattr(sys, "get_int_max_str_digits", lambda: 0)() == 0,
+    reason="int() takes any number of digits on this interpreter",
+)
+def test_overlong_at_number_is_a_parse_error():
+    """An `:at` number past the interpreter's digit limit for int() is a
+    ParseError at the number, not a ValueError; one at the limit parses."""
+    limit = sys.get_int_max_str_digits()
+    text = "(ax (seq (G) (G))\n  :at " + "9" * (limit + 1) + ")"
+    with pytest.raises(ParseError) as e:
+        parse_proof(text)
+    assert (e.value.msg, e.value.line, e.value.col) == ("number too long", 2, 7)
+    assert parse_proof("(ax (seq (G) (G)) :at " + "9" * limit + ")").at == 10**limit - 1
 
 
 # ---------------------------------------------------------------------------

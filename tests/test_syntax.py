@@ -8,6 +8,7 @@ import multiprocessing
 import os
 import pickle
 import random
+from collections import Counter
 from dataclasses import fields
 
 import pytest
@@ -47,6 +48,7 @@ from ddproof.syntax import (
     scan_fresh,
     sequent_key,
     sequents_alpha_equal,
+    side_counts,
     substitute,
     validate_formula,
     validate_sequent,
@@ -129,7 +131,7 @@ def oracle_substitute(f, x, t):
 # ---------------------------------------------------------------------------
 # formula generator shared with the other test modules
 
-from genutil import formula_strategy, term_strategy  # noqa: E402
+from genutil import closed_formula_strategy, formula_strategy, term_strategy  # noqa: E402
 
 
 # ---------------------------------------------------------------------------
@@ -514,6 +516,74 @@ def test_stored_hash_does_not_cross_processes(monkeypatch):
     assert salt != hash("ddproof"), "the child was not salted differently"
     assert found == [True] * 4
     assert seq_found and same_key
+
+
+# ---------------------------------------------------------------------------
+# stored side multisets
+
+
+def _ref_counts(s: Sequent) -> list:
+    return [Counter(alpha_key(f) for f in side) for side in (s.ant, s.suc)]
+
+
+@given(
+    st.lists(closed_formula_strategy(2), min_size=1, max_size=3),
+    st.lists(st.integers(0, 7), max_size=6),
+    st.lists(st.integers(0, 7), max_size=6),
+)
+@settings(max_examples=200, deadline=None)
+def test_side_counts_are_the_alpha_key_multisets(drawn, ant_at, suc_at):
+    # two alpha-variants, so that formulas built apart share a key
+    pool = drawn + [Forall("x", PredAtom("P", (Var("x"),))), Forall("y", PredAtom("P", (Var("y"),)))]
+    s = Sequent(
+        tuple(pool[i % len(pool)] for i in ant_at),
+        tuple(pool[i % len(pool)] for i in suc_at),
+    )
+    counts = side_counts(s)
+    assert list(counts) == _ref_counts(s)
+    assert all(n > 0 for side in counts for n in side.values())
+    assert side_counts(s) is counts
+    # a replaced side is seen: nothing stored on s is carried over
+    for changed in (
+        dataclasses.replace(s, ant=s.suc),
+        dataclasses.replace(s, suc=s.suc + (pool[0],)),
+        dataclasses.replace(s, ant=()),
+    ):
+        assert list(side_counts(changed)) == _ref_counts(changed)
+
+
+def test_side_counts_follow_replace():
+    f, g = PredAtom("P", (Param("a"),)), PredAtom("Q", ())
+    s = Sequent((f, f, g), (g,))
+    assert side_counts(s) == ({alpha_key(f): 2, alpha_key(g): 1}, {alpha_key(g): 1})
+    moved = dataclasses.replace(s, suc=(f,))
+    assert side_counts(moved) == ({alpha_key(f): 2, alpha_key(g): 1}, {alpha_key(f): 1})
+    assert side_counts(s)[1] == {alpha_key(g): 1}
+
+
+def _counts_in_child(data: bytes, text: str):
+    """Run in a spawned interpreter: is anything stored on the unpickled
+    sequent, and are its side multisets those of the same text parsed here?"""
+    s = pickle.loads(data)
+    stored = getattr(s, "_counts", None) is not None
+    fresh = parse_sequent(text)
+    return hash("ddproof"), stored, side_counts(s) == side_counts(fresh), list(side_counts(s)) == _ref_counts(s)
+
+
+def test_side_counts_do_not_cross_processes(monkeypatch):
+    text = "forall x. P(x, #a), forall y. P(y, #a), Q(#a) => Q(#a), (lam y. Q(y)) iota z. R(z, $c)"
+    s = parse_sequent(text)
+    assert side_counts(s)[0] == {alpha_key(s.ant[0]): 2, alpha_key(s.ant[2]): 1}
+    seed = "54321" if os.environ.get("PYTHONHASHSEED") == "12345" else "12345"
+    monkeypatch.setenv("PYTHONHASHSEED", seed)
+    ctx = multiprocessing.get_context("spawn")
+    with cf.ProcessPoolExecutor(max_workers=1, mp_context=ctx) as ex:
+        salt, stored, same, reference = ex.submit(
+            _counts_in_child, pickle.dumps(s), text
+        ).result(timeout=120)
+    assert salt != hash("ddproof"), "the child was not salted differently"
+    assert not stored
+    assert same and reference
 
 
 def test_substitute_is_linear_in_depth(monkeypatch):

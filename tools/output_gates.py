@@ -1,10 +1,10 @@
 """Output gates: sha256 digests of what ddproof prints, to show that a change
 leaves its outputs as they were.
 
-    python3 tools/output_gates.py [prove-sample] [cut-corpus] [parse]
+    python3 tools/output_gates.py [prove-sample] [cut-corpus] [parse] [kernel]
 
 Run from the root of a source checkout (the package is imported from
-./src and the corpora from perfbench/gen.py). With no argument all three
+./src and the corpora from perfbench/gen.py). With no argument all four
 gates run. Each gate runs in a fresh interpreter, since fresh names come
 from a process-wide counter, and prints one line: its name, its digest and
 a tally. Run it on both sides of a change and compare the lines.
@@ -22,6 +22,15 @@ a tally. Run it on both sides of a change and compare the lines.
                 insertions, deletions and replacements of each: for every
                 input, the parse printed back or the ParseError's message,
                 line and column
+  kernel        the fixtures and 60 seeded desk-check proofs (printed and
+                parsed, so nodes share formula objects), each as it is and
+                with one node perturbed, 20 times per proof: a formula
+                dropped, duplicated or moved to the other side, `:at`,
+                `:eigen` or an annotation term changed, or a parameter in
+                one formula renamed to another term (a variable included).
+                For every input, its label, then `check_proof`'s height and
+                cut degrees, the rejection's path and reason, or the
+                exception a crash raised
 """
 
 import hashlib
@@ -31,8 +40,12 @@ import subprocess
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-GATES = ("prove-sample", "cut-corpus", "parse")
+GATES = ("prove-sample", "cut-corpus", "parse", "kernel")
 PARSE_SEED = 20261018
+KERNEL_SEED = 20261019
+KERNEL_DESK = 60
+KERNEL_PERTURBATIONS = 20
+KERNEL_OPS = ("drop", "duplicate", "move", "at", "eigen", "term", "rename")
 # what a mutation inserts or puts in place of a character
 SNIPPETS = ("(", ")", "~", "&", "|", ",", ".", "=", "=>", "->", "<->", "-", "<",
             "#", "#a", "$", "$c", ":", ":at 1", ":eigen #b", "x", "P", "forall",
@@ -133,11 +146,112 @@ def parse_gate() -> str:
     return f"{h.hexdigest()} {accepted} accepted, {rejected} rejected"
 
 
+def _perturb(rng, root):
+    """One node of `root` changed by one seeded operation: (label, proof)."""
+    from dataclasses import replace
+
+    from ddproof.kernel import iter_nodes
+    from ddproof.syntax import Const, Param, Sequent, Var, params_in, rename_param
+
+    path, node = rng.choice(list(iter_nodes(root)))
+    op = rng.choice(KERNEL_OPS)
+    names = sorted(params_in(node.conclusion)) or ["a"]
+    terms = [Param(rng.choice(names)), Param("a9"), Const("k"), Var("x")]
+    sides = [node.conclusion.ant, node.conclusion.suc]
+    side = rng.randrange(2)
+    forms = list(sides[side])
+    j = rng.randrange(len(forms)) if forms else None
+    if op in ("drop", "duplicate", "move", "rename") and j is None:
+        op = "at"
+    if op == "drop":
+        del forms[j]
+    elif op == "duplicate":
+        forms.insert(rng.randrange(len(forms) + 1), forms[j])
+    elif op == "move":
+        other = list(sides[1 - side])
+        other.insert(rng.randrange(len(other) + 1), forms.pop(j))
+        sides[1 - side] = tuple(other)
+    elif op == "rename":
+        old = rng.choice(sorted(params_in(forms[j])) or ["a"])
+        forms[j] = rename_param(forms[j], old, rng.choice(terms))
+    sides[side] = tuple(forms)
+    if op == "at":
+        node = replace(node, at=rng.choice([None, 0, 1, 2, 3]))
+    elif op == "eigen":
+        node = replace(node, eigen=rng.choice([None] + terms[:3]))
+    elif op == "term":
+        new = list(node.terms)
+        if new and rng.random() < 0.7:
+            new[rng.randrange(len(new))] = rng.choice(terms)
+        else:
+            new.insert(rng.randrange(len(new) + 1), rng.choice(terms))
+        node = replace(node, terms=tuple(new))
+    else:
+        node = replace(node, conclusion=Sequent(sides[0], sides[1]))
+    return f"{op} at {path}", _replace_at(root, path, node)
+
+
+def _replace_at(root, path: str, new):
+    from dataclasses import replace
+
+    if path == "root":
+        return new
+    i, _, rest = path.partition(".")
+    premises = list(root.premises)
+    premises[int(i)] = _replace_at(premises[int(i)], rest or "root", new)
+    return replace(root, premises=tuple(premises))
+
+
+def kernel_corpus() -> list:
+    """(label, proof) pairs: every base proof, then its perturbations."""
+    import gen
+    from ddproof.builders import build_leibniz
+    from ddproof.cli import fixture_proofs
+    from ddproof.surface import format_proof, parse_proof
+    from ddproof.syntax import Param
+
+    rng = random.Random(KERNEL_SEED)
+    base = [(f"fixture {name}", root) for name, root in fixture_proofs()]
+    b1, b2 = Param("b1"), Param("b2")
+    for i, phi in enumerate(gen.desk_formulas(rng, KERNEL_DESK)):
+        base.append((f"desk {i}", parse_proof(format_proof(build_leibniz(phi, "x", b1, b2)))))
+    corpus = list(base)
+    for name, root in base:
+        for _ in range(KERNEL_PERTURBATIONS):
+            label, proof = _perturb(rng, root)
+            corpus.append((f"{name}: {label}", proof))
+    return corpus
+
+
+def kernel_verdict(root) -> str:
+    """What `check_proof` says about a proof, as one line."""
+    from ddproof.kernel import CheckError, check_proof
+
+    try:
+        proof = check_proof(root)
+    except CheckError as e:
+        return f"rejected {e}"
+    except Exception as e:  # a crash is an outcome to keep as it was, too
+        return f"crashed {type(e).__name__}: {e}"
+    return f"ok height={proof.height} cut_degrees={proof.cut_degrees}"
+
+
+def kernel_gate() -> str:
+    h = hashlib.sha256()
+    tally = {"ok": 0, "rejected": 0, "crashed": 0}
+    for label, root in kernel_corpus():
+        verdict = kernel_verdict(root)
+        tally[verdict.split(" ", 1)[0]] += 1
+        h.update(f"{label}\0{verdict}\0".encode())
+    return (f"{h.hexdigest()} {tally['ok']} accepted, {tally['rejected']} rejected, "
+            f"{tally['crashed']} crashed")
+
+
 def main(argv: list) -> int:
     if argv[:1] == ["--in-child"]:
         sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
         gate = {"prove-sample": prove_sample_gate, "cut-corpus": cut_corpus_gate,
-                "parse": parse_gate}[argv[1]]
+                "parse": parse_gate, "kernel": kernel_gate}[argv[1]]
         print(f"{argv[1]} {gate()}")
         return 0
     names = argv or list(GATES)
