@@ -497,7 +497,8 @@ def _shared_context_proof(shared, other=P(a)):
     n1 = node("wl", [shared, other], [other], [n0])
     n2 = node("wr", [shared, other], [other, G], [n1])
     n3 = node("wl", [H, shared, other], [other, G], [n2])
-    return node("cl", [H, shared, other], [other, G], [node("wl", [shared, H, shared, other], [other, G], [n3])])
+    n4 = node("wl", [shared, H, shared, other], [other, G], [n3])
+    return node("cl", [H, shared, other], [other, G], [n4])
 
 
 @pytest.mark.parametrize(

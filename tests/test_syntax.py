@@ -534,7 +534,7 @@ def _ref_counts(s: Sequent) -> list:
 @settings(max_examples=200, deadline=None)
 def test_side_counts_are_the_alpha_key_multisets(drawn, ant_at, suc_at):
     # two alpha-variants, so that formulas built apart share a key
-    pool = drawn + [Forall("x", PredAtom("P", (Var("x"),))), Forall("y", PredAtom("P", (Var("y"),)))]
+    pool = drawn + [Forall(v, PredAtom("P", (Var(v),))) for v in ("x", "y")]
     s = Sequent(
         tuple(pool[i % len(pool)] for i in ant_at),
         tuple(pool[i % len(pool)] for i in suc_at),
@@ -567,7 +567,8 @@ def _counts_in_child(data: bytes, text: str):
     s = pickle.loads(data)
     stored = getattr(s, "_counts", None) is not None
     fresh = parse_sequent(text)
-    return hash("ddproof"), stored, side_counts(s) == side_counts(fresh), list(side_counts(s)) == _ref_counts(s)
+    counts = side_counts(s)
+    return hash("ddproof"), stored, counts == side_counts(fresh), list(counts) == _ref_counts(s)
 
 
 def test_side_counts_do_not_cross_processes(monkeypatch):

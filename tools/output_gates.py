@@ -202,7 +202,7 @@ def _replace_at(root, path: str, new):
     return replace(root, premises=tuple(premises))
 
 
-def kernel_corpus() -> list:
+def _kernel_corpus() -> list:
     """(label, proof) pairs: every base proof, then its perturbations."""
     import gen
     from ddproof.builders import build_leibniz
@@ -223,7 +223,7 @@ def kernel_corpus() -> list:
     return corpus
 
 
-def kernel_verdict(root) -> str:
+def _kernel_verdict(root) -> str:
     """What `check_proof` says about a proof, as one line."""
     from ddproof.kernel import CheckError, check_proof
 
@@ -239,8 +239,8 @@ def kernel_verdict(root) -> str:
 def kernel_gate() -> str:
     h = hashlib.sha256()
     tally = {"ok": 0, "rejected": 0, "crashed": 0}
-    for label, root in kernel_corpus():
-        verdict = kernel_verdict(root)
+    for label, root in _kernel_corpus():
+        verdict = _kernel_verdict(root)
         tally[verdict.split(" ", 1)[0]] += 1
         h.update(f"{label}\0{verdict}\0".encode())
     return (f"{h.hexdigest()} {tally['ok']} accepted, {tally['rejected']} rejected, "
