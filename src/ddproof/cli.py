@@ -150,9 +150,7 @@ def _goal(text: str) -> Sequent:
 
 
 def _cmd_prove(args) -> int:
-    goal = _goal(args.sequent)
-    jobs = 1 if args.deterministic else args.jobs
-    verdict = prove(goal, _budget(args), jobs=jobs)
+    verdict = prove(_goal(args.sequent), _budget(args))
     if isinstance(verdict, Proved):
         print("proved")
         print(format_proof(_checked(verdict.proof.root), unicode=args.unicode))
@@ -292,15 +290,8 @@ def _cmd_fixtures(args) -> int:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(format_proof(proof, unicode=args.unicode) + "\n")
         named_paths.append((name, path))
-
-    if args.jobs > 1:
-        import concurrent.futures as cf
-
-        with cf.ProcessPoolExecutor(max_workers=args.jobs) as ex:
-            heights = list(ex.map(_check_fixture_file, [p for _, p in named_paths]))
-    else:
-        heights = [_check_fixture_file(p) for _, p in named_paths]
-
+    # every file is checked before any line is printed
+    heights = [_check_fixture_file(p) for _, p in named_paths]
     for (name, _), height in zip(named_paths, heights):
         print(f"OK {name} height={height}")
     return 0
@@ -332,8 +323,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--models", type=int, default=None, help="countermodel domain bound (RL_MAX_MODEL)")
     p.add_argument("--term-pool", type=int, default=DEFAULT_BUDGET.term_pool_cap)
     p.add_argument("--contractions", type=int, default=DEFAULT_BUDGET.contraction_cap)
-    p.add_argument("--jobs", type=int, default=1, help="parallel searchers")
-    p.add_argument("--deterministic", action="store_true", help="single worker, byte-stable output")
     common(p)
     p.set_defaults(func=_cmd_prove)
 
@@ -355,7 +344,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fixtures", help="regenerate and re-check the golden proof files")
     p.add_argument("--out", default="fixtures", help="output directory")
-    p.add_argument("--jobs", type=int, default=1, help="parallel checkers")
     common(p)
     p.set_defaults(func=_cmd_fixtures)
 

@@ -142,9 +142,9 @@ def is_regular(proof: ProofNode, avoid: Iterable[str] = ()) -> bool:
 
 
 def regularize(proof: ProofNode, avoid: Iterable[str] = ()) -> ProofNode:
-    """Rename eigenparameters until each one is globally unique and confined
-    to the premises of the inference that introduces it. Identity on
-    already-regular proofs, hence idempotent."""
+    """Rename eigenparameters until each one is unique in the whole proof
+    and confined to the premises of the inference that introduces it.
+    Identity on already-regular proofs, hence idempotent."""
     supply = ParamSupply(proof_params(proof) | set(avoid))
 
     def clash(node, eigen):

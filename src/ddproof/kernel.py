@@ -528,12 +528,13 @@ def _h_cut(node: ProofNode) -> StepInfo:
 
 def _h_weaken(side: str):
     mine, other = ("ant", "suc") if side == "ant" else ("suc", "ant")
+    other_side = "succedent" if side == "ant" else "antecedent"
 
     def h(node: ProofNode) -> StepInfo:
         c = node.conclusion
         cc, pc = side_counts(c), side_counts(node.premises[0].conclusion)
         if cc[_SIDE[other]] != pc[_SIDE[other]]:
-            raise RuleError(f"weakening must leave the {other}ecedent side alone")
+            raise RuleError(f"weakening must leave the {other_side} side alone")
         k = _single_extra(cc[_SIDE[mine]], pc[_SIDE[mine]])
         if k is None:
             raise RuleError("conclusion must add exactly one formula")
@@ -632,6 +633,8 @@ def _h_eqminus(node: ProofNode) -> StepInfo:
     (ca, cs), (pa, ps) = side_counts(c), side_counts(p)
     if cs != ps:
         raise RuleError("eqminus must leave the succedent alone")
+    if len(node.terms) not in (0, 2):
+        raise RuleError("eqminus needs two annotated terms or none")
     for i, eq in enumerate(c.ant):
         if not isinstance(eq, Identity):
             continue
@@ -904,7 +907,7 @@ def _subst_terms(terms: tuple[Term, ...], old: str, new: Term) -> tuple[Term, ..
 
 def _plain_rename(node: ProofNode, old: str, new: Term) -> ProofNode:
     """Blind parameter rename through a subtree (no eigen-clash handling;
-    callers guarantee `new` is globally fresh for the subtree)."""
+    callers guarantee `new` occurs nowhere in the subtree)."""
     eigen = node.eigen
     if eigen is not None and eigen.name == old:
         assert isinstance(new, Param)
@@ -922,7 +925,7 @@ def subst_param_proof(root: ProofNode, old: Union[str, Param], new: Term) -> Pro
     """Replace parameter `old` by term `new` throughout a proof.
 
     Eigenvariables that collide with either name are first renamed to
-    something globally fresh inside their own subtree, so the result of
+    a parameter fresh for their own subtree, so the result of
     substituting into a valid proof is again valid, with exactly the same
     height and rule skeleton. A proof not containing `old` is returned
     unchanged (identity).

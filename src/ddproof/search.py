@@ -97,12 +97,11 @@ Verdict = Union[Proved, Refuted, Unknown]
 
 
 class _State:
-    def __init__(self, goal: Sequent, budget: SearchBudget, rotation: int = 0):
+    def __init__(self, goal: Sequent, budget: SearchBudget):
         self.budget = budget
         self.supply = ParamSupply(params_in(goal))
         self.refute_memo: dict[str, bool] = {}
         self.expansions = 0
-        self.rotation = rotation
         self.quick_size = min(2, budget.model_cap)
 
 
@@ -493,9 +492,6 @@ def _choice_moves(g: Sequent, uses: dict, st: _State) -> list[_Move]:
     # fresh families before repeat applications; the sort is stable, so
     # ties keep the rule order above
     moves.sort(key=lambda m: m.prio)
-    if st.rotation and moves:
-        r = st.rotation % len(moves)
-        moves = moves[r:] + moves[:r]
     return moves
 
 
@@ -548,11 +544,11 @@ def _search(
     return None
 
 
-def _run_search(goal: Sequent, budget: SearchBudget, rotation: int = 0):
+def _run_search(goal: Sequent, budget: SearchBudget):
     # iterative deepening: blind alleys stay shallow on early passes, and
     # the refutation memo carries over, so re-searching cheap levels is
     # a small fraction of the final pass
-    st = _State(goal, budget, rotation)
+    st = _State(goal, budget)
     root_key = frozenset({sequent_key(goal)})
     for depth in range(0, budget.max_depth + 1):
         found = _search(goal, depth, root_key, {}, st)
@@ -563,16 +559,13 @@ def _run_search(goal: Sequent, budget: SearchBudget, rotation: int = 0):
     return None
 
 
-def prove(goal: Sequent, budget: Optional[SearchBudget] = None, jobs: int = 1) -> Verdict:
+def prove(goal: Sequent, budget: Optional[SearchBudget] = None) -> Verdict:
     """Search for a proof or a countermodel of the goal sequent.
 
     A Proved verdict always carries a kernel-checked proof; a Refuted
-    verdict carries a model and assignment that falsify the goal. With
-    jobs > 1 several searchers with rotated choice orders race over the
-    same goal and the first proof wins, so the proof found (though never
-    its validity) may vary between runs. The call still returns only after
-    every searcher has exited: leaving the process pool waits for all of
-    its workers, and cancelling a future cannot stop one already running.
+    verdict carries a model and assignment that falsify the goal. The
+    verdict, and the proof or model it carries, depend on the goal and
+    the budget only.
     """
     budget = budget or DEFAULT_BUDGET
     capped = False
@@ -584,24 +577,7 @@ def prove(goal: Sequent, budget: Optional[SearchBudget] = None, jobs: int = 1) -
     if cm is not None:
         return Refuted(cm.model, cm.assignment)
 
-    root: Optional[ProofNode] = None
-    if jobs <= 1:
-        root = _run_search(goal, budget)
-    else:
-        import concurrent.futures as cf
-
-        with cf.ProcessPoolExecutor(max_workers=jobs) as ex:
-            futures = [
-                ex.submit(_run_search, goal, budget, i) for i in range(jobs)
-            ]
-            for fut in cf.as_completed(futures):
-                found = fut.result()
-                if found is not None:
-                    root = found
-                    for other in futures:
-                        other.cancel()
-                    break
-
+    root = _run_search(goal, budget)
     if root is not None:
         return Proved(check_proof(root))
     return Unknown("signature-cap" if capped else "budget-exhausted")

@@ -7,11 +7,11 @@ Descriptions (IotaTerm) are quasi-terms: they occur only as the argument of
 a predicate abstract (LambdaAtom), never inside an ordinary atom.
 
 The module also provides capture-avoiding substitution, alpha-equality via a
-canonical de Bruijn key, well-formedness validation, and three fresh-name
-schemes: `fresh_name`'s global counter (bound-variable renames in
-`substitute`), `scan_fresh` (the smallest unused index, for output that must
-not depend on counter state) and `ParamSupply` (parameters minted in order
-over one construction).
+canonical de Bruijn key, well-formedness validation, and one fresh-name
+rule: the smallest unused index. `scan_fresh` mints one name by it (the
+binder renames of `substitute`, regularization, eigenvariables inside a
+proof) and `ParamSupply` is its cursor form, minting parameters in order
+over one construction. A minted name depends on its input only.
 
 Formula nodes, descriptions and sequents store the structural facts that
 the calculus keeps asking for, each computed on first use: hashes, canonical
@@ -206,31 +206,8 @@ def seq(ant: Iterable[Formula], suc: Iterable[Formula]) -> Sequent:
 # ---------------------------------------------------------------------------
 # fresh names
 
-_counter = 1
-
-
-def reset_names() -> None:
-    """Reset the global fresh-name counter (tests and CLI determinism)."""
-    global _counter
-    _counter = 1
-
-
-def fresh_name(base: str, avoid: frozenset[str] | set[str] = frozenset()) -> str:
-    """Mint `base` + counter, skipping names in `avoid`. The counter is global
-    and monotone so freshly minted names never collide within one run."""
-    global _counter
-    while True:
-        cand = f"{base}{_counter}"
-        _counter += 1
-        if cand not in avoid:
-            return cand
-
-
-def scan_fresh(base: str, avoid: set[str]) -> str:
-    """Deterministic per-input fresh name: smallest base+i not in avoid.
-
-    Used where output must not depend on global counter state (regularize,
-    proof-internal eigenvariables)."""
+def scan_fresh(base: str, avoid: set[str] | frozenset[str]) -> str:
+    """The smallest base+i (i >= 1) not in avoid."""
     i = 1
     while f"{base}{i}" in avoid:
         i += 1
@@ -413,8 +390,8 @@ def substitute(f: Formula, x: str, t: Term) -> Formula:
     """Capture-avoiding substitution of term t for free occurrences of Var x.
 
     Only Var substituents can be captured (parameters and constants are never
-    bound); a binder that would capture them is renamed via the global
-    fresh-name counter."""
+    bound); a binder that would capture one is renamed to the smallest
+    index of its base name that is free in neither its body nor {x, t}."""
     if x not in free_vars(f):
         return f
 
@@ -425,7 +402,7 @@ def substitute(f: Formula, x: str, t: Term) -> Formula:
         if bound == x:
             return None  # shadowed; caller keeps node as-is for this binder
         if isinstance(t, Var) and t.name == bound and x in free_vars(body):
-            nb = fresh_name(_var_base(bound), free_vars(body) | {x, t.name})
+            nb = scan_fresh(_var_base(bound), free_vars(body) | {x, t.name})
             body = substitute(body, bound, Var(nb))
             return rebuild(nb, substitute(body, x, t))
         return rebuild(bound, substitute(body, x, t))
@@ -447,7 +424,7 @@ def substitute(f: Formula, x: str, t: Term) -> Formula:
             if it.bound == x or x not in free_vars(it.body):
                 new_arg: Union[Term, IotaTerm] = it
             elif isinstance(t, Var) and t.name == it.bound:
-                nb = fresh_name(
+                nb = scan_fresh(
                     _var_base(it.bound), free_vars(it.body) | {x, t.name}
                 )
                 new_arg = IotaTerm(
@@ -460,7 +437,7 @@ def substitute(f: Formula, x: str, t: Term) -> Formula:
         if f.bound == x or x not in free_vars(f.body):
             return LambdaAtom(f.bound, f.body, new_arg)
         if isinstance(t, Var) and t.name == f.bound:
-            nb = fresh_name(_var_base(f.bound), free_vars(f.body) | {x, t.name})
+            nb = scan_fresh(_var_base(f.bound), free_vars(f.body) | {x, t.name})
             body = substitute(f.body, f.bound, Var(nb))
             return LambdaAtom(nb, substitute(body, x, t), new_arg)
         return LambdaAtom(f.bound, substitute(f.body, x, t), new_arg)

@@ -20,9 +20,9 @@ mixed-radix digits, fastest first:
 
 The variable pool {x, y, y1, y2, y3} covers the two free variables of
 the enumerated formulas plus every binder name that capture-avoiding
-renaming can mint in one substitution pass (after reset_names(), renames
-are y1, y2, y3 in order, and at most three can occur in a formula of at
-most three connectives).
+renaming can mint. A rename takes the smallest index not free in the
+binder's body, and the enumerated binders are x and y only, so every
+rename the sweep makes is y1; y2 and y3 are spare digits.
 
 The same layout is exposed as explicit Model/assignment pairs (MODELS,
 ASGS) so the packed evaluator can be cross-checked bit by bit against

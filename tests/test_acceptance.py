@@ -62,7 +62,6 @@ from ddproof.syntax import (
     alpha_equal,
     free_vars,
     logical_constants,
-    reset_names,
     sequent_key,
     sequents_alpha_equal,
     substitute,
@@ -261,7 +260,6 @@ def test_criterion_6_substitution_lemma_exhaustive():
             if "x" not in fv:
                 assert rhs == vec
                 continue
-            reset_names()
             lhs = bitsem.vec_of(substitute(f, "x", term), memo)
             assert lhs == rhs, f
         checked += 1
@@ -289,7 +287,6 @@ def test_criterion_6_substitution_lemma_exhaustive():
     assert len(direct_sample) >= 10
     for f in direct_sample[:24]:
         for term in (Var("y"), Param("a")):
-            reset_names()
             g = substitute(f, "x", term)
             for i in range(bitsem.WIDTH):
                 model, asg = bitsem.MODELS[i], bitsem.ASGS[i]

@@ -242,6 +242,10 @@ def test_eqminus():
     )
     info = analyze_step(concl)
     assert info.terms == (a, b)
+    for terms in ((a,), (a, b, a)):
+        annotated = node("eqminus", [Identity(a, b), P(a)], [P(b)], [ax(P(b))], terms=terms)
+        with pytest.raises(RuleError, match="two annotated terms or none"):
+            analyze_step(annotated)
     # rewriting inside an identity atom
     within = node(
         "eqminus",
@@ -558,7 +562,8 @@ def test_each_formula_object_is_validated_once(monkeypatch):
 # verdict the checker gave when it still validated every formula occurrence
 # and rebuilt a Counter per rule. One row per rejection reason (among the
 # printed forms up to 2,000 characters that parse back to the same tree) and
-# three accepted ones; rows on which that checker crashed are left out.
+# three accepted ones. Rows on which that checker crashed are left out, but
+# for the last: an eqminus with one annotated term, which crashed it.
 
 KERNEL_VERDICTS = [
     # desk 33: term at 0.0
@@ -653,7 +658,10 @@ KERNEL_VERDICTS = [
      'rejected path=1.0: weakening must leave the antecedent side alone'),
     # desk 15: drop at root
     ('(wl (seq (#b1 = #b2, Q($c) -> Q(#b)) ()) (ax (seq (Q($c) -> Q(#b)) (Q($c) -> Q(#b)))))',
-     'rejected path=root: weakening must leave the sucecedent side alone'),
+     'rejected path=root: weakening must leave the succedent side alone'),
+    # fixture sym_trans: term at 0.0
+    ('(eqplus (seq (#b1 = #b, #b2 = #b) (#b1 = #b2)) (eqminus (seq (#b2 = #b, #b2 = #b2, #b1 = #b) (#b1 = #b2)) (eqminus (seq (#b = #b2, #b1 = #b) (#b1 = #b2)) :term #a9 (ax (seq (#b1 = #b2) (#b1 = #b2))))))',
+     'rejected path=0.0: eqminus needs two annotated terms or none'),
 ]
 
 

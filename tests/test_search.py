@@ -132,12 +132,6 @@ class TestDeterminism:
         assert isinstance(v1, Proved) and isinstance(v2, Proved)
         assert skeleton(v1.proof.root) == skeleton(v2.proof.root)
 
-    def test_parallel_jobs_still_checked(self):
-        goal = parse_sequent("P(#a) & Q(#a) => Q(#a)")
-        v = prove(goal, QUICK, jobs=2)
-        assert isinstance(v, Proved)
-        assert v.proof.root.conclusion == goal
-
 
 class TestRlambdaSuite:
     def test_goals_shape(self):

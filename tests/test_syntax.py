@@ -44,7 +44,6 @@ from ddproof.syntax import (
     params_in,
     preds_in,
     rename_param,
-    reset_names,
     scan_fresh,
     sequent_key,
     sequents_alpha_equal,
@@ -166,14 +165,15 @@ def test_substitute_examples():
 
 
 def test_substitute_capture_renames_binder():
-    reset_names()
     # (forall y. R(x, y))[x/y] must rename the binder, not capture
     f = Forall("y", PredAtom("R", (Var("x"), Var("y"))))
     g = substitute(f, "x", Var("y"))
     assert isinstance(g, Forall)
-    assert g.bound != "y"
+    assert g.bound == "y1"
     assert g.body == PredAtom("R", (Var("y"), Var(g.bound)))
     assert alpha_equal(g, oracle_substitute(f, "x", Var("y")))
+    # the minted name depends on the input only
+    assert substitute(f, "x", Var("y")) == g
 
 
 def test_substitute_iota_capture():
@@ -500,7 +500,8 @@ def _lookup_in_child(data: bytes, text: str):
 
 def test_stored_hash_does_not_cross_processes(monkeypatch):
     """String hashes are salted per process, so a hash stored in one must
-    not be pickled into another, as `prove(jobs>1)` pickles its goal."""
+    not be pickled into another, as `decide_rlambda_suite(jobs>1)` pickles
+    its goals."""
     text = "forall x. P(x, #a), (lam y. Q(y)) iota z. R(z, $c) => exists y. P(y, #a), #a = $c"
     s = parse_sequent(text)
     for f in s.ant + s.suc:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 
 from ddproof.semantics import find_countermodel
 from ddproof.surface import parse_formula, parse_sequent
-from ddproof.syntax import Not, Sequent, alpha_equal, reset_names
+from ddproof.syntax import Not, Sequent, alpha_equal
 from ddproof.translate import is_pure_fol, translate, translate_sequent
 
 from genutil import FormulaGen, closed_formula_strategy
@@ -54,9 +54,7 @@ class TestFrozenShapes:
 
     def test_capture_avoiding_beta(self):
         # the abstract's argument is the enclosing bound variable, so the
-        # inner binder with the same name must be renamed; pin the fresh
-        # counter so the minted name is stable regardless of test order
-        reset_names()
+        # inner binder with the same name must be renamed
         f = parse_formula("forall y. (lam x. exists y. R(x, y)) y")
         out = translate(f)
         assert out == parse_formula("forall y. exists y1. R(y, y1)")

@@ -3,11 +3,10 @@ leaves its outputs as they were.
 
     python3 tools/output_gates.py [prove-sample] [cut-corpus] [parse] [kernel]
 
-Run from the root of a source checkout (the package is imported from
-./src and the corpora from perfbench/gen.py). With no argument all four
-gates run. Each gate runs in a fresh interpreter, since fresh names come
-from a process-wide counter, and prints one line: its name, its digest and
-a tally. Run it on both sides of a change and compare the lines.
+The package is imported from the checkout's src/ and the corpora from
+its perfbench/gen.py. With no argument all four gates run, one after
+another in this interpreter; each prints one line: its name, its digest
+and a tally. Run it on both sides of a change and compare the lines.
 
   prove-sample  the 500 criterion-8 sequents, each printed, re-parsed and
                 searched with gen.PROVE_BUDGET: the verdict's class name,
@@ -36,11 +35,9 @@ a tally. Run it on both sides of a change and compare the lines.
 import hashlib
 import os
 import random
-import subprocess
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-GATES = ("prove-sample", "cut-corpus", "parse", "kernel")
 PARSE_SEED = 20261018
 KERNEL_SEED = 20261019
 KERNEL_DESK = 60
@@ -247,23 +244,19 @@ def kernel_gate() -> str:
             f"{tally['crashed']} crashed")
 
 
+GATES = {"prove-sample": prove_sample_gate, "cut-corpus": cut_corpus_gate,
+         "parse": parse_gate, "kernel": kernel_gate}
+
+
 def main(argv: list) -> int:
-    if argv[:1] == ["--in-child"]:
-        sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
-        gate = {"prove-sample": prove_sample_gate, "cut-corpus": cut_corpus_gate,
-                "parse": parse_gate, "kernel": kernel_gate}[argv[1]]
-        print(f"{argv[1]} {gate()}")
-        return 0
     names = argv or list(GATES)
     unknown = [n for n in names if n not in GATES]
     if unknown:
         print(f"unknown gate {unknown[0]!r}; choose from {', '.join(GATES)}", file=sys.stderr)
         return 2
+    sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
     for name in names:
-        done = subprocess.run([sys.executable, os.path.abspath(__file__), "--in-child", name],
-                              cwd=ROOT)
-        if done.returncode:
-            return done.returncode
+        print(f"{name} {GATES[name]()}", flush=True)
     return 0
 
 
