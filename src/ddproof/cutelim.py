@@ -158,19 +158,6 @@ def regularize(proof: ProofNode, avoid: Iterable[str] = ()) -> ProofNode:
 # ---------------------------------------------------------------------------
 # shared reduction helpers
 
-_RIGHT_PRINCIPAL = {
-    "negr",
-    "andr",
-    "orr",
-    "impr",
-    "iffr",
-    "forallr",
-    "existsr",
-    "lamr",
-    "iotar",
-}
-
-
 def _count_alpha(forms, key: str) -> int:
     return sum(1 for f in forms if alpha_key(f) == key)
 
@@ -207,14 +194,6 @@ def _corregularize(d1, d2, avoid):
     return d1r, d2r
 
 
-class _Recorder:
-    def __init__(self, sink):
-        self.sink = sink if sink is not None else []
-
-    def note(self, case: str):
-        self.sink.append(case)
-
-
 # ---------------------------------------------------------------------------
 # right reduction
 
@@ -240,10 +219,12 @@ def right_reduce(
     info1 = analyze_step(d1)
     if d1.rule != "ax":
         pf = _principal_formula(d1, info1)
+        # d1 must end in a right rule: its principal formula is on the
+        # succedent, and it is neither wr nor cr
         if (
-            d1.rule not in _RIGHT_PRINCIPAL
-            or info1.principal is None
+            info1.principal is None
             or info1.principal[0] != "suc"
+            or d1.rule in ("wr", "cr")
             or not alpha_equal(pf, phi)
         ):
             raise ReductionError("cut formula is not principal in the left premise")
@@ -252,10 +233,9 @@ def right_reduce(
     if _count_alpha(d2.conclusion.ant, alpha_key(phi)) < k:
         raise ReductionError("right premise lacks the tracked occurrences")
     d1, d2 = _corregularize(d1, d2, avoid)
-    rec = _Recorder(trace)
     gamma = d1.conclusion.ant
     delta = _remove_n(d1.conclusion.suc, alpha_key(phi), 1)
-    out = _rr(d1, gamma, delta, d2, phi, k, rec)
+    out = _rr(d1, gamma, delta, d2, phi, k, [] if trace is None else trace)
     return regularize(out, avoid)
 
 
@@ -265,15 +245,15 @@ def _mixed(gamma, delta, seqt: Sequent, phi_key: str, m: int) -> Sequent:
     return Sequent(gamma * m + _remove_n(seqt.ant, phi_key, m), delta * m + seqt.suc)
 
 
-def _rr(d1, gamma, delta, d2, phi, k, rec) -> ProofNode:
+def _rr(d1, gamma, delta, d2, phi, k, trace) -> ProofNode:
     if k == 0:
         return d2
     phi_key = alpha_key(phi)
     if d1.rule == "ax":
-        rec.note("rr:ax-left")
+        trace.append("rr:ax-left")
         return d2
     if d2.rule == "ax":
-        rec.note("rr:ax-right")
+        trace.append("rr:ax-right")
         return d1
 
     info = analyze_step(d2)
@@ -285,30 +265,30 @@ def _rr(d1, gamma, delta, d2, phi, k, rec) -> ProofNode:
     goal = _mixed(gamma, delta, d2.conclusion, phi_key, k)
 
     def ih(premise: ProofNode, m: int) -> ProofNode:
-        return _rr(d1, gamma, delta, premise, phi, m, rec) if m else premise
+        return _rr(d1, gamma, delta, premise, phi, m, trace) if m else premise
 
     if rule == "wl" and hit:
-        rec.note("rr:weaken-absorb")
+        trace.append("rr:weaken-absorb")
         return weaken_to(ih(d2.premises[0], k - 1), goal)
 
     if rule == "cl" and hit:
-        rec.note("rr:contract-absorb")
+        trace.append("rr:contract-absorb")
         return fit_to(ih(d2.premises[0], k + 1), goal)
 
     if hit and rule == "negl":
-        rec.note("rr:neg")
+        trace.append("rr:neg")
         q = ih(d2.premises[0], k - 1)
         return mk_cut(q, d1.premises[0], phi.body)
 
     if hit and rule == "andl":
-        rec.note("rr:and")
+        trace.append("rr:and")
         q = ih(d2.premises[0], k - 1)
         c1 = mk_cut(d1.premises[0], q, phi.left)
         c2 = mk_cut(d1.premises[1], c1, phi.right)
         return fit_to(c2, goal)
 
     if hit and rule == "orl":
-        rec.note("rr:or")
+        trace.append("rr:or")
         q1 = ih(d2.premises[0], k - 1)
         q2 = ih(d2.premises[1], k - 1)
         c1 = mk_cut(d1.premises[0], q1, phi.left)
@@ -316,7 +296,7 @@ def _rr(d1, gamma, delta, d2, phi, k, rec) -> ProofNode:
         return fit_to(c2, goal)
 
     if hit and rule == "impl":
-        rec.note("rr:imp")
+        trace.append("rr:imp")
         q1 = ih(d2.premises[0], k - 1)
         q2 = ih(d2.premises[1], k - 1)
         c1 = mk_cut(q1, d1.premises[0], phi.left)
@@ -324,7 +304,7 @@ def _rr(d1, gamma, delta, d2, phi, k, rec) -> ProofNode:
         return fit_to(c2, goal)
 
     if hit and rule == "iffl":
-        rec.note("rr:iff")
+        trace.append("rr:iff")
         alpha, beta = phi.left, phi.right
         q1 = ih(d2.premises[0], k - 1)
         q2 = ih(d2.premises[1], k - 1)
@@ -342,7 +322,7 @@ def _rr(d1, gamma, delta, d2, phi, k, rec) -> ProofNode:
         return fit_to(c4, goal)
 
     if hit and rule == "foralll":
-        rec.note("rr:forall")
+        trace.append("rr:forall")
         t = info.terms[0]
         inst = substitute(phi.body, phi.bound, t)
         p_t = subst_param_proof(d1.premises[0], analyze_step(d1).eigen, t)
@@ -350,7 +330,7 @@ def _rr(d1, gamma, delta, d2, phi, k, rec) -> ProofNode:
         return mk_cut(p_t, q, inst)
 
     if hit and rule == "existsl":
-        rec.note("rr:exists")
+        trace.append("rr:exists")
         t = analyze_step(d1).terms[0]
         inst = substitute(phi.body, phi.bound, t)
         q = ih(d2.premises[0], k - 1)
@@ -358,13 +338,13 @@ def _rr(d1, gamma, delta, d2, phi, k, rec) -> ProofNode:
         return mk_cut(d1.premises[0], q, inst)
 
     if hit and rule == "laml":
-        rec.note("rr:lam")
+        trace.append("rr:lam")
         inst = substitute(phi.body, phi.bound, phi.arg)
         q = ih(d2.premises[0], k - 1)
         return mk_cut(d1.premises[0], q, inst)
 
     if hit and rule == "iota1l":
-        rec.note("rr:iota1")
+        trace.append("rr:iota1")
         it: IotaTerm = phi.arg
         b = analyze_step(d1).terms[0]
         phi_b = substitute(it.body, it.bound, b)
@@ -376,7 +356,7 @@ def _rr(d1, gamma, delta, d2, phi, k, rec) -> ProofNode:
         return fit_to(c2, goal)
 
     if hit and rule == "iota2l":
-        rec.note("rr:iota2")
+        trace.append("rr:iota2")
         it: IotaTerm = phi.arg
         info1 = analyze_step(d1)
         b = info1.terms[0]
@@ -399,7 +379,7 @@ def _rr(d1, gamma, delta, d2, phi, k, rec) -> ProofNode:
         return fit_to(c_fin, goal)
 
     # every tracked occurrence is parametric in the last inference of d2
-    rec.note(f"rr:parametric:{rule}")
+    trace.append(f"rr:parametric:{rule}")
     if rule == "cut":
         q1, q2 = d2.premises
         chi = info.cut_formula
@@ -442,10 +422,9 @@ def left_reduce(
     if _count_alpha(d2.conclusion.ant, alpha_key(phi)) < 1:
         raise ReductionError("right premise does not contain the cut formula")
     d1, d2 = _corregularize(d1, d2, avoid)
-    rec = _Recorder(trace)
     pi = _remove_n(d2.conclusion.ant, alpha_key(phi), 1)
     sigma = d2.conclusion.suc
-    out = _lr(d1, d2, pi, sigma, phi, k, rec)
+    out = _lr(d1, d2, pi, sigma, phi, k, [] if trace is None else trace)
     return regularize(out, avoid)
 
 
@@ -453,12 +432,12 @@ def _lr_mixed(pi, sigma, seqt: Sequent, phi_key: str, m: int) -> Sequent:
     return Sequent(seqt.ant + pi * m, _remove_n(seqt.suc, phi_key, m) + sigma * m)
 
 
-def _lr(d1, d2, pi, sigma, phi, k, rec) -> ProofNode:
+def _lr(d1, d2, pi, sigma, phi, k, trace) -> ProofNode:
     if k == 0:
         return d1
     phi_key = alpha_key(phi)
     if d1.rule == "ax":
-        rec.note("lr:ax")
+        trace.append("lr:ax")
         return d2
 
     info = analyze_step(d1)
@@ -473,18 +452,19 @@ def _lr(d1, d2, pi, sigma, phi, k, rec) -> ProofNode:
     goal = _lr_mixed(pi, sigma, d1.conclusion, phi_key, k)
 
     def ih(premise: ProofNode, m: int) -> ProofNode:
-        return _lr(premise, d2, pi, sigma, phi, m, rec) if m else premise
+        return _lr(premise, d2, pi, sigma, phi, m, trace) if m else premise
 
     if rule == "wr" and hit:
-        rec.note("lr:weaken-absorb")
+        trace.append("lr:weaken-absorb")
         return weaken_to(ih(d1.premises[0], k - 1), goal)
 
     if rule == "cr" and hit:
-        rec.note("lr:contract-absorb")
+        trace.append("lr:contract-absorb")
         return fit_to(ih(d1.premises[0], k + 1), goal)
 
-    if hit and rule in _RIGHT_PRINCIPAL:
-        rec.note(f"lr:dispatch:{rule}")
+    # after wr and cr, a succedent principal formula is a right rule's
+    if hit:
+        trace.append(f"lr:dispatch:{rule}")
         if k == 1:
             lifted = d1
         else:
@@ -498,10 +478,10 @@ def _lr(d1, d2, pi, sigma, phi, k, rec) -> ProofNode:
             )
         g2 = lifted.conclusion.ant
         d2_ = _remove_n(lifted.conclusion.suc, phi_key, 1)
-        return _rr(lifted, g2, d2_, d2, phi, 1, rec)
+        return _rr(lifted, g2, d2_, d2, phi, 1, trace)
 
     # parametric: recurse through d1's last inference
-    rec.note(f"lr:parametric:{rule}")
+    trace.append(f"lr:parametric:{rule}")
     if rule == "cut":
         q1, q2 = d1.premises
         chi = info.cut_formula

@@ -195,8 +195,6 @@ class StepInfo:
     terms: tuple[Term, ...] = ()
     eigen: Optional[Param] = None
     cut_formula: Optional[Formula] = None
-    eq_index: Optional[int] = None
-    atom_index: Optional[int] = None
 
 
 # ---------------------------------------------------------------------------
@@ -497,6 +495,45 @@ def analyze_step(node: ProofNode) -> StepInfo:
     return _HANDLERS[rule](node)
 
 
+# --- the one-principal rule schemas ---
+#
+# Each is stated once: the handlers below are built from these tables, and
+# search builds its premises from them. A rule's principal formula is of
+# the class given, on the side given.
+
+# a propositional rule replaces its principal formula f, in premise j, by
+# the formulas actives(f)[j] = (antecedent, succedent)
+PROPOSITIONAL_RULES: dict[str, tuple[str, type, Callable]] = {
+    "negl": ("ant", Not, lambda f: [((), (f.sub,))]),
+    "negr": ("suc", Not, lambda f: [((f.sub,), ())]),
+    "andl": ("ant", And, lambda f: [((f.left, f.right), ())]),
+    "andr": ("suc", And, lambda f: [((), (f.left,)), ((), (f.right,))]),
+    "orl": ("ant", Or, lambda f: [((f.left,), ()), ((f.right,), ())]),
+    "orr": ("suc", Or, lambda f: [((), (f.left, f.right))]),
+    "impl": ("ant", Imp, lambda f: [((), (f.left,)), ((f.right,), ())]),
+    "impr": ("suc", Imp, lambda f: [((f.left,), (f.right,))]),
+    "iffl": ("ant", Iff, lambda f: [((), (f.left, f.right)), ((f.left, f.right), ())]),
+    "iffr": ("suc", Iff, lambda f: [((f.left,), (f.right,)), ((f.right,), (f.left,))]),
+}
+
+# a quantifier rule replaces its principal formula by body[x/b] on the same
+# side, for an eigenparameter b when the flag is set, else for a parameter
+# or constant b
+QUANTIFIER_RULES: dict[str, tuple[str, type, bool]] = {
+    "foralll": ("ant", Forall, False),
+    "forallr": ("suc", Forall, True),
+    "existsl": ("ant", Exists, True),
+    "existsr": ("suc", Exists, False),
+}
+
+# a lambda rule replaces an abstract applied to a term by its beta-reduct
+# on the same side
+LAMBDA_RULES: dict[str, tuple[str, type]] = {
+    "laml": ("ant", LambdaAtom),
+    "lamr": ("suc", LambdaAtom),
+}
+
+
 # --- handlers, one per rule ---
 
 
@@ -526,9 +563,13 @@ def _h_cut(node: ProofNode) -> StepInfo:
     raise RuleError("no cut formula makes the contexts add up")
 
 
-def _h_weaken(side: str):
-    mine, other = ("ant", "suc") if side == "ant" else ("suc", "ant")
-    other_side = "succedent" if side == "ant" else "antecedent"
+# the side that weakening or contraction on a side leaves alone: its key
+# and its name in messages
+_OTHER_SIDE = {"ant": ("suc", "succedent"), "suc": ("ant", "antecedent")}
+
+
+def _h_weaken(mine: str):
+    other, other_side = _OTHER_SIDE[mine]
 
     def h(node: ProofNode) -> StepInfo:
         c = node.conclusion
@@ -543,14 +584,14 @@ def _h_weaken(side: str):
     return h
 
 
-def _h_contract(side: str):
-    mine, other = ("ant", "suc") if side == "ant" else ("suc", "ant")
+def _h_contract(mine: str):
+    other, other_side = _OTHER_SIDE[mine]
 
     def h(node: ProofNode) -> StepInfo:
         c = node.conclusion
         cc, pc = side_counts(c), side_counts(node.premises[0].conclusion)
         if cc[_SIDE[other]] != pc[_SIDE[other]]:
-            raise RuleError(f"contraction must leave the {other} side alone")
+            raise RuleError(f"contraction must leave the {other_side} side alone")
         k = _single_extra(pc[_SIDE[mine]], cc[_SIDE[mine]])
         if k is None:
             raise RuleError("premise must have exactly one extra copy")
@@ -562,8 +603,7 @@ def _h_contract(side: str):
 
 
 def _h_propositional(rule: str, side: str, kind: type, actives):
-    """A rule whose principal `kind` formula f on `side` is replaced, in
-    premise j, by the formulas actives(f)[j] = (antecedent, succedent)."""
+    """The handler of a PROPOSITIONAL_RULES entry."""
     noun = "premises" if RULE_ARITY[rule] > 1 else "premise"
 
     def h(node: ProofNode) -> StepInfo:
@@ -581,9 +621,8 @@ def _h_propositional(rule: str, side: str, kind: type, actives):
 
 
 def _h_quantifier(rule: str, side: str, kind: type, eigen: bool):
-    """foralll/existsr (`eigen` false): the premise adds body[x/b] for an
-    annotated or inferred Param/Const b; forallr/existsl: the same for an
-    eigenparameter, which must not occur in the conclusion."""
+    """The handler of a QUANTIFIER_RULES entry: b is annotated or inferred,
+    and an eigenparameter must not occur in the conclusion."""
 
     def h(node: ProofNode) -> StepInfo:
         c = node.conclusion
@@ -651,13 +690,7 @@ def _h_eqminus(node: ProofNode) -> StepInfo:
                 if not _rewrite_compatible(a0, chi, s1, s2):
                     continue
                 if pa == _moved(base, add=(chi,)):
-                    return StepInfo(
-                        "eqminus",
-                        principal=("ant", i),
-                        terms=(s1, s2),
-                        eq_index=i,
-                        atom_index=j,
-                    )
+                    return StepInfo("eqminus", principal=("ant", i), terms=(s1, s2))
     raise RuleError("no identity/atom pair in the antecedent matches the premise")
 
 
@@ -682,15 +715,14 @@ def _h_eqplus(node: ProofNode) -> StepInfo:
     return StepInfo("eqplus", terms=(extra.lhs,))
 
 
-def _is_term_abstract(f: Formula) -> bool:
-    return isinstance(f, LambdaAtom) and is_term(f.arg)
+def _h_lambda(rule: str, side: str, kind: type):
+    """The handler of a LAMBDA_RULES entry."""
+    want = lambda g: isinstance(g, kind) and is_term(g.arg)
 
-
-def _h_lambda(rule: str, side: str):
     def h(node: ProofNode) -> StepInfo:
         c = node.conclusion
         p = node.premises[0].conclusion
-        for i, f in _candidates(getattr(c, side), _is_term_abstract, node.at):
+        for i, f in _candidates(getattr(c, side), want, node.at):
             _require_slot_term(f.arg, "abstract argument")
             inst = substitute(f.body, f.bound, f.arg)
             if _premise_is(p, c, (side, i), **{side: (inst,)}):
@@ -819,34 +851,11 @@ _HANDLERS: dict[str, Callable[[ProofNode], StepInfo]] = {
     "wr": _h_weaken("suc"),
     "cl": _h_contract("ant"),
     "cr": _h_contract("suc"),
-    "negl": _h_propositional("negl", "ant", Not, lambda f: [((), (f.sub,))]),
-    "negr": _h_propositional("negr", "suc", Not, lambda f: [((f.sub,), ())]),
-    "andl": _h_propositional("andl", "ant", And, lambda f: [((f.left, f.right), ())]),
-    "andr": _h_propositional(
-        "andr", "suc", And, lambda f: [((), (f.left,)), ((), (f.right,))]
-    ),
-    "orl": _h_propositional(
-        "orl", "ant", Or, lambda f: [((f.left,), ()), ((f.right,), ())]
-    ),
-    "orr": _h_propositional("orr", "suc", Or, lambda f: [((), (f.left, f.right))]),
-    "impl": _h_propositional(
-        "impl", "ant", Imp, lambda f: [((), (f.left,)), ((f.right,), ())]
-    ),
-    "impr": _h_propositional("impr", "suc", Imp, lambda f: [((f.left,), (f.right,))]),
-    "iffl": _h_propositional(
-        "iffl", "ant", Iff, lambda f: [((), (f.left, f.right)), ((f.left, f.right), ())]
-    ),
-    "iffr": _h_propositional(
-        "iffr", "suc", Iff, lambda f: [((f.left,), (f.right,)), ((f.right,), (f.left,))]
-    ),
-    "foralll": _h_quantifier("foralll", "ant", Forall, eigen=False),
-    "forallr": _h_quantifier("forallr", "suc", Forall, eigen=True),
-    "existsl": _h_quantifier("existsl", "ant", Exists, eigen=True),
-    "existsr": _h_quantifier("existsr", "suc", Exists, eigen=False),
+    **{r: _h_propositional(r, *schema) for r, schema in PROPOSITIONAL_RULES.items()},
+    **{r: _h_quantifier(r, *schema) for r, schema in QUANTIFIER_RULES.items()},
+    **{r: _h_lambda(r, *schema) for r, schema in LAMBDA_RULES.items()},
     "eqminus": _h_eqminus,
     "eqplus": _h_eqplus,
-    "laml": _h_lambda("laml", "ant"),
-    "lamr": _h_lambda("lamr", "suc"),
     "iota1l": _h_iota1l,
     "iota2l": _h_iota2l,
     "iotar": _h_iotar,

@@ -2,7 +2,8 @@
 
 The searcher applies rules backward from the goal, cut-free. Loss-free
 rules (propositional decompositions, the lambda conversions, and the
-eigenparameter rules) are committed in a fixed order; everything that
+eigenparameter rules) are committed in a fixed order, with premises built
+from the kernel's rule tables, so each schema is stated once; everything that
 requires a choice (which term to instantiate with, which description
 rule to fire) is explored as alternatives in keeping form: the principal
 formula is contracted first so the original copy survives, bounded by a
@@ -18,18 +19,11 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional, Union
 
 from .syntax import (
-    And,
     Const,
-    Exists,
-    Forall,
     Formula,
     Identity,
-    Iff,
-    Imp,
     IotaTerm,
     LambdaAtom,
-    Not,
-    Or,
     Param,
     ParamSupply,
     PredAtom,
@@ -40,7 +34,14 @@ from .syntax import (
     sequent_key,
     substitute,
 )
-from .kernel import Proof, ProofNode, check_proof
+from .kernel import (
+    LAMBDA_RULES,
+    PROPOSITIONAL_RULES,
+    QUANTIFIER_RULES,
+    Proof,
+    ProofNode,
+    check_proof,
+)
 from .builders import ax, flip_identity, paraphrase, weaken_to
 from .semantics import (
     EnumerationCapError,
@@ -152,111 +153,69 @@ def _try_close(g: Sequent) -> Optional[ProofNode]:
 # invertible moves (committed)
 
 
+def _premises(g: Sequent, side: str, i: int, actives) -> tuple[Sequent, ...]:
+    """The premises of a rule whose principal formula is g's `side`
+    formula i: that formula removed, then for each (antecedent, succedent)
+    pair in `actives` one premise with the antecedent formulas in front and
+    the succedent formulas behind."""
+    ant, suc = g.ant, g.suc
+    if side == "ant":
+        ant = _remove_at(ant, i)
+    else:
+        suc = _remove_at(suc, i)
+    return tuple(Sequent(a + ant, suc + s) for a, s in actives)
+
+
+def _alone(side: str, f: Formula) -> tuple[tuple, tuple]:
+    """The (antecedent, succedent) pair holding f alone, on `side`."""
+    return ((f,), ()) if side == "ant" else ((), (f,))
+
+
+# the kernel's one-principal rules: name -> (side, principal class, ...)
+_SCHEMAS = {**PROPOSITIONAL_RULES, **QUANTIFIER_RULES, **LAMBDA_RULES}
+
+
+def _by_class(*rules: str) -> tuple[str, dict]:
+    """A group of rules on one side: that side, and a map from principal
+    class to rule."""
+    (side,) = {_SCHEMAS[rule][0] for rule in rules}
+    return side, {_SCHEMAS[rule][1]: rule for rule in rules}
+
+
+# the loss-free rules in the order they are committed: single-premise
+# rules, then two-premise ones, then the eigenparameter rules
+_INVERTIBLE = (
+    _by_class("negl", "andl", "laml"),
+    _by_class("negr", "orr", "impr", "lamr"),
+    _by_class("orl", "impl", "iffl"),
+    _by_class("andr", "iffr"),
+    _by_class("forallr"),
+    _by_class("existsl"),
+)
+
+
 def _invertible(g: Sequent, st: _State) -> Optional[_Move]:
-    # single-premise propositional and lambda conversions
-    for i, f in enumerate(g.ant):
-        rest = _remove_at(g.ant, i)
-        if isinstance(f, Not):
-            return _Move(
-                (Sequent(rest, g.suc + (f.sub,)),),
-                lambda subs, g=g: ProofNode("negl", g, tuple(subs)),
-            )
-        if isinstance(f, And):
-            return _Move(
-                (Sequent((f.left, f.right) + rest, g.suc),),
-                lambda subs, g=g: ProofNode("andl", g, tuple(subs)),
-            )
-        if isinstance(f, LambdaAtom) and not isinstance(f.arg, IotaTerm):
-            inst = substitute(f.body, f.bound, f.arg)
-            return _Move(
-                (Sequent((inst,) + rest, g.suc),),
-                lambda subs, g=g: ProofNode("laml", g, tuple(subs)),
-            )
-    for i, f in enumerate(g.suc):
-        rest = _remove_at(g.suc, i)
-        if isinstance(f, Not):
-            return _Move(
-                (Sequent((f.sub,) + g.ant, rest),),
-                lambda subs, g=g: ProofNode("negr", g, tuple(subs)),
-            )
-        if isinstance(f, Or):
-            return _Move(
-                (Sequent(g.ant, rest + (f.left, f.right)),),
-                lambda subs, g=g: ProofNode("orr", g, tuple(subs)),
-            )
-        if isinstance(f, Imp):
-            return _Move(
-                (Sequent((f.left,) + g.ant, rest + (f.right,)),),
-                lambda subs, g=g: ProofNode("impr", g, tuple(subs)),
-            )
-        if isinstance(f, LambdaAtom) and not isinstance(f.arg, IotaTerm):
-            inst = substitute(f.body, f.bound, f.arg)
-            return _Move(
-                (Sequent(g.ant, rest + (inst,)),),
-                lambda subs, g=g: ProofNode("lamr", g, tuple(subs)),
-            )
-    # two-premise propositional (still loss-free)
-    for i, f in enumerate(g.ant):
-        rest = _remove_at(g.ant, i)
-        if isinstance(f, Or):
-            return _Move(
-                (
-                    Sequent((f.left,) + rest, g.suc),
-                    Sequent((f.right,) + rest, g.suc),
-                ),
-                lambda subs, g=g: ProofNode("orl", g, tuple(subs)),
-            )
-        if isinstance(f, Imp):
-            return _Move(
-                (
-                    Sequent(rest, g.suc + (f.left,)),
-                    Sequent((f.right,) + rest, g.suc),
-                ),
-                lambda subs, g=g: ProofNode("impl", g, tuple(subs)),
-            )
-        if isinstance(f, Iff):
-            return _Move(
-                (
-                    Sequent(rest, g.suc + (f.left, f.right)),
-                    Sequent((f.left, f.right) + rest, g.suc),
-                ),
-                lambda subs, g=g: ProofNode("iffl", g, tuple(subs)),
-            )
-    for i, f in enumerate(g.suc):
-        rest = _remove_at(g.suc, i)
-        if isinstance(f, And):
-            return _Move(
-                (
-                    Sequent(g.ant, rest + (f.left,)),
-                    Sequent(g.ant, rest + (f.right,)),
-                ),
-                lambda subs, g=g: ProofNode("andr", g, tuple(subs)),
-            )
-        if isinstance(f, Iff):
-            return _Move(
-                (
-                    Sequent((f.left,) + g.ant, rest + (f.right,)),
-                    Sequent((f.right,) + g.ant, rest + (f.left,)),
-                ),
-                lambda subs, g=g: ProofNode("iffr", g, tuple(subs)),
-            )
-    # eigenparameter rules
-    for i, f in enumerate(g.suc):
-        if isinstance(f, Forall):
-            e = st.supply.fresh()
-            inst = substitute(f.body, f.bound, e)
-            return _Move(
-                (Sequent(g.ant, _remove_at(g.suc, i) + (inst,)),),
-                lambda subs, g=g, e=e: ProofNode("forallr", g, tuple(subs), eigen=e),
-            )
-    for i, f in enumerate(g.ant):
-        if isinstance(f, Exists):
-            e = st.supply.fresh()
-            inst = substitute(f.body, f.bound, e)
-            return _Move(
-                (Sequent((inst,) + _remove_at(g.ant, i), g.suc),),
-                lambda subs, g=g, e=e: ProofNode("existsl", g, tuple(subs), eigen=e),
-            )
+    """The first group with a principal formula applies, to its leftmost."""
+    for side, rules in _INVERTIBLE:
+        for i, f in enumerate(g.ant if side == "ant" else g.suc):
+            rule = rules.get(type(f))
+            if rule is None:
+                continue
+            e = None
+            if rule in PROPOSITIONAL_RULES:
+                actives = PROPOSITIONAL_RULES[rule][2](f)
+            elif rule in LAMBDA_RULES:
+                if isinstance(f.arg, IotaTerm):
+                    continue  # an abstract of a description is a choice
+                actives = [_alone(side, substitute(f.body, f.bound, f.arg))]
+            else:  # forallr, existsl
+                e = st.supply.fresh()
+                actives = [_alone(side, substitute(f.body, f.bound, e))]
+
+            def build(subs, g=g, rule=rule, e=e):
+                return ProofNode(rule, g, tuple(subs), eigen=e)
+
+            return _Move(_premises(g, side, i, actives), build)
     return None
 
 
@@ -270,7 +229,7 @@ def _spend(uses: dict, key) -> dict:
     return out
 
 
-def _term_pool(g: Sequent, uses: dict, st: _State) -> list[Term]:
+def _term_pool(g: Sequent) -> list[Term]:
     sig = signature_of(*g.ant, *g.suc)
     pool: list[Term] = [Param(n) for n in sorted(sig.params)]
     pool += [Const(n) for n in sorted(sig.consts)]
@@ -362,7 +321,7 @@ def _choice_moves(g: Sequent, uses: dict, st: _State) -> list[_Move]:
     # the equality rewrites
     moves.extend(_eqminus_moves(g, uses, st))
 
-    pool = _term_pool(g, uses, st)
+    pool = _term_pool(g)
     fresh_key = ("fresh-params",)
     minted: Optional[Param] = None
     if uses.get(fresh_key, 0) < st.budget.term_pool_cap:
@@ -375,41 +334,26 @@ def _choice_moves(g: Sequent, uses: dict, st: _State) -> list[_Move]:
             yield minted, _spend(uses, fresh_key)
 
     # universal instantiation on the left, existential witness on the right
-    for i, f in enumerate(g.ant):
-        if not isinstance(f, Forall):
+    for rule, (side, kind, eigen) in QUANTIFIER_RULES.items():
+        if eigen:
             continue
-        key = ("foralll", alpha_key(f))
-        if uses.get(key, 0) >= cap:
-            continue
-        for t, base_uses in instantiation_pool():
-            inst = substitute(f.body, f.bound, t)
-            child = Sequent((inst,) + g.ant, g.suc)
+        for f in g.ant if side == "ant" else g.suc:
+            if type(f) is not kind:
+                continue
+            key = (rule, alpha_key(f))
+            if uses.get(key, 0) >= cap:
+                continue
+            for t, base_uses in instantiation_pool():
+                a, s = _alone(side, substitute(f.body, f.bound, t))
+                child = Sequent(a + g.ant, g.suc + s)
 
-            def build(subs, g=g, f=f, t=t):
-                n1 = ProofNode(
-                    "foralll", Sequent((f,) + g.ant, g.suc), tuple(subs), terms=(t,)
-                )
-                return ProofNode("cl", g, (n1,))
+                def build(subs, g=g, f=f, t=t, rule=rule, side=side):
+                    a, s = _alone(side, f)
+                    kept = Sequent(a + g.ant, g.suc + s)
+                    n1 = ProofNode(rule, kept, tuple(subs), terms=(t,))
+                    return ProofNode("cl" if side == "ant" else "cr", g, (n1,))
 
-            moves.append(_Move((child,), build, _spend(base_uses, key), uses.get(key, 0)))
-
-    for i, f in enumerate(g.suc):
-        if not isinstance(f, Exists):
-            continue
-        key = ("existsr", alpha_key(f))
-        if uses.get(key, 0) >= cap:
-            continue
-        for t, base_uses in instantiation_pool():
-            inst = substitute(f.body, f.bound, t)
-            child = Sequent(g.ant, g.suc + (inst,))
-
-            def build(subs, g=g, f=f, t=t):
-                n1 = ProofNode(
-                    "existsr", Sequent(g.ant, g.suc + (f,)), tuple(subs), terms=(t,)
-                )
-                return ProofNode("cr", g, (n1,))
-
-            moves.append(_Move((child,), build, _spend(base_uses, key), uses.get(key, 0)))
+                moves.append(_Move((child,), build, _spend(base_uses, key), uses.get(key, 0)))
 
     # description on the right, then the uniqueness rule: most premises last
     for i, f in enumerate(g.suc):
@@ -604,27 +548,12 @@ def rlambda_goals(psi: Formula, phi: Formula) -> tuple[Sequent, Sequent]:
 
 
 def decide_rlambda_suite(
-    pairs, budget: Optional[SearchBudget] = None, jobs: int = 1
+    pairs, budget: Optional[SearchBudget] = None
 ) -> list[SuiteResult]:
     """Run prove over both paraphrase directions for each (psi, phi) pair."""
     budget = budget or DEFAULT_BUDGET
-    tasks = []
-    for psi, phi in pairs:
-        unfold, fold = rlambda_goals(psi, phi)
-        tasks.append((psi, phi, "unfold", unfold))
-        tasks.append((psi, phi, "fold", fold))
-
-    if jobs > 1:
-        import concurrent.futures as cf
-
-        with cf.ProcessPoolExecutor(max_workers=jobs) as ex:
-            verdicts = list(
-                ex.map(prove, [goal for *_ , goal in tasks], [budget] * len(tasks))
-            )
-    else:
-        verdicts = [prove(goal, budget) for *_, goal in tasks]
-
     return [
-        SuiteResult(psi, phi, direction, verdict)
-        for (psi, phi, direction, _), verdict in zip(tasks, verdicts)
+        SuiteResult(psi, phi, direction, prove(goal, budget))
+        for psi, phi in pairs
+        for direction, goal in zip(("unfold", "fold"), rlambda_goals(psi, phi))
     ]

@@ -14,17 +14,13 @@ whole point of keeping descriptions as structured syntax.
 """
 
 from .syntax import (
-    And,
-    Exists,
-    Forall,
+    BINARY_OPS,
+    QUANTIFIERS,
     Formula,
     Identity,
-    Iff,
-    Imp,
     IotaTerm,
     LambdaAtom,
     Not,
-    Or,
     PredAtom,
     Sequent,
     substitute,
@@ -38,9 +34,9 @@ def is_pure_fol(f: Formula) -> bool:
         return True
     if isinstance(f, Not):
         return is_pure_fol(f.sub)
-    if isinstance(f, (And, Or, Imp, Iff)):
+    if isinstance(f, BINARY_OPS):
         return is_pure_fol(f.left) and is_pure_fol(f.right)
-    if isinstance(f, (Forall, Exists)):
+    if isinstance(f, QUANTIFIERS):
         return is_pure_fol(f.body)
     return False  # LambdaAtom
 
@@ -53,18 +49,10 @@ def translate(f: Formula) -> Formula:
         return f
     if isinstance(f, Not):
         return Not(translate(f.sub))
-    if isinstance(f, And):
-        return And(translate(f.left), translate(f.right))
-    if isinstance(f, Or):
-        return Or(translate(f.left), translate(f.right))
-    if isinstance(f, Imp):
-        return Imp(translate(f.left), translate(f.right))
-    if isinstance(f, Iff):
-        return Iff(translate(f.left), translate(f.right))
-    if isinstance(f, Forall):
-        return Forall(f.bound, translate(f.body))
-    if isinstance(f, Exists):
-        return Exists(f.bound, translate(f.body))
+    if isinstance(f, BINARY_OPS):
+        return type(f)(translate(f.left), translate(f.right))
+    if isinstance(f, QUANTIFIERS):
+        return type(f)(f.bound, translate(f.body))
     # abstract: translate the bodies first, then eliminate this layer
     if isinstance(f.arg, IotaTerm):
         unfolded = LambdaAtom(

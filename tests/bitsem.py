@@ -13,16 +13,18 @@ variable's digit.
 
 Index layout. Positions [0, 8) hold the eight domain-size-1
 interpretations (bits: 0 in P, 0 in Q, (0,0) in R; everything else is
-forced). Positions [8, 8 + 16384) hold the size-2 interpretations as
+forced). Positions [8, 8 + 4096) hold the size-2 interpretations as
 mixed-radix digits, fastest first:
 
-    x(2) y(2) y1(2) y2(2) y3(2) a(2) P(4) Q(4) R(16)
+    x(2) y(2) y1(2) a(2) P(4) Q(4) R(16)
 
-The variable pool {x, y, y1, y2, y3} covers the two free variables of
-the enumerated formulas plus every binder name that capture-avoiding
-renaming can mint. A rename takes the smallest index not free in the
-binder's body, and the enumerated binders are x and y only, so every
-rename the sweep makes is y1; y2 and y3 are spare digits.
+The variable pool {x, y, y1} covers the two free variables of the
+enumerated formulas plus the one binder name that capture-avoiding
+renaming mints in the sweep: a rename takes the smallest index not free
+in the binder's body, and the enumerated binders are x and y only, so
+every rename is y1. A name outside the pool has no digit and no value in
+ASGS, so a formula that uses one fails with a KeyError: from STRIDE at a
+binder, from the assignment at an atom.
 
 The same layout is exposed as explicit Model/assignment pairs (MODELS,
 ASGS) so the packed evaluator can be cross-checked bit by bit against
@@ -51,14 +53,15 @@ from ddproof.syntax import (
     logical_constants,
 )
 
-VARS = ("x", "y", "y1", "y2", "y3")
+VARS = ("x", "y", "y1")
 DIGITS = VARS + ("a",)
 SIZE1_COUNT = 8
-BLOCK = 16384  # 2**6 digit combinations times 4*4*16 predicate codes
+# one bit per digit, then the predicate codes: 2 bits for P, 2 for Q, 4 for R
+BLOCK = 1 << (len(DIGITS) + 8)
 WIDTH = SIZE1_COUNT + BLOCK
 
 STRIDE = {name: 1 << i for i, name in enumerate(DIGITS)}
-_PRED_SHIFT = {"P": 6, "Q": 8, "R": 10}
+_PRED_SHIFT = {"P": len(DIGITS), "Q": len(DIGITS) + 2, "R": len(DIGITS) + 4}
 
 SIZE1_MASK = (1 << SIZE1_COUNT) - 1
 SIZE2_MASK = ((1 << BLOCK) - 1) << SIZE1_COUNT

@@ -662,6 +662,9 @@ KERNEL_VERDICTS = [
     # fixture sym_trans: term at 0.0
     ('(eqplus (seq (#b1 = #b, #b2 = #b) (#b1 = #b2)) (eqminus (seq (#b2 = #b, #b2 = #b2, #b1 = #b) (#b1 = #b2)) (eqminus (seq (#b = #b2, #b1 = #b) (#b1 = #b2)) :term #a9 (ax (seq (#b1 = #b2) (#b1 = #b2))))))',
      'rejected path=0.0: eqminus needs two annotated terms or none'),
+    # a contraction whose premise lacks a succedent formula
+    ('(cl (seq (P(#a)) (P(#a), Q(#a))) (ax (seq (P(#a)) (P(#a)))))',
+     'rejected path=root: contraction must leave the succedent side alone'),
 ]
 
 

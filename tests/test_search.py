@@ -4,20 +4,45 @@ import random
 
 import pytest
 
-from ddproof.kernel import Proof, check_proof, proof_height
+from ddproof.kernel import (
+    LAMBDA_RULES,
+    PROPOSITIONAL_RULES,
+    QUANTIFIER_RULES,
+    Proof,
+    ProofNode,
+    analyze_step,
+    check_proof,
+    proof_height,
+)
 from ddproof.search import (
     DEFAULT_BUDGET,
     Proved,
     Refuted,
     SearchBudget,
     Unknown,
+    _choice_moves,
+    _invertible,
+    _State,
     decide_rlambda_suite,
     prove,
     rlambda_goals,
 )
 from ddproof.semantics import eval_sequent, find_countermodel
 from ddproof.surface import parse_formula, parse_sequent
-from ddproof.syntax import And, Identity, Not, PredAtom, Sequent, Var
+from ddproof.syntax import (
+    And,
+    Exists,
+    Forall,
+    Identity,
+    Iff,
+    Imp,
+    LambdaAtom,
+    Not,
+    Or,
+    PredAtom,
+    Sequent,
+    Var,
+)
 
 from genutil import FormulaGen
 
@@ -131,6 +156,54 @@ class TestDeterminism:
         v2 = prove(goal, QUICK)
         assert isinstance(v1, Proved) and isinstance(v2, Proved)
         assert skeleton(v1.proof.root) == skeleton(v2.proof.root)
+
+
+# every rule search builds from the kernel's tables: its side and class
+TABLED_RULES = {
+    rule: schema[:2]
+    for table in (PROPOSITIONAL_RULES, QUANTIFIER_RULES, LAMBDA_RULES)
+    for rule, schema in table.items()
+}
+PRINCIPAL_OF_CLASS = {
+    Not: "~P(#a)",
+    And: "P(#a) & Q(#a)",
+    Or: "P(#a) | Q(#a)",
+    Imp: "P(#a) -> Q(#a)",
+    Iff: "P(#a) <-> Q(#a)",
+    Forall: "forall x. R(x, #a)",
+    Exists: "exists x. R(x, #a)",
+    LambdaAtom: "(lam x. R(x, #b)) #a",
+}
+
+
+@pytest.mark.parametrize("rule", sorted(TABLED_RULES))
+def test_search_premises_satisfy_the_kernel(rule):
+    """The premises search builds for a conclusion with one principal
+    formula pass analyze_step with that formula as the principal."""
+    side, kind = TABLED_RULES[rule]
+    f = parse_formula(PRINCIPAL_OF_CLASS[kind])
+    mine = (parse_formula("R(#b, #a)"), f, parse_formula("R(#b, #b)"))
+    other = (parse_formula("Q(#b)"),)
+    g = Sequent(mine, other) if side == "ant" else Sequent(other, mine)
+    st = _State(g, QUICK)
+    if rule in ("foralll", "existsr"):
+        # a choice of term, tried in keeping form under a contraction
+        roots = [
+            mv.build([ProofNode("ax", c) for c in mv.children])
+            for mv in _choice_moves(g, {}, st)
+        ]
+        nodes = [root.premises[0] for root in roots if root.premises[0].rule == rule]
+        assert nodes
+        for root in roots:
+            analyze_step(root)
+    else:
+        mv = _invertible(g, st)
+        nodes = [mv.build([ProofNode("ax", c) for c in mv.children])]
+    for node in nodes:
+        assert node.rule == rule
+        # the kept conclusion holds f twice; the kernel names the first
+        where = getattr(node.conclusion, side).index(f)
+        assert analyze_step(node).principal == (side, where)
 
 
 class TestRlambdaSuite:

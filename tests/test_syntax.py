@@ -500,8 +500,8 @@ def _lookup_in_child(data: bytes, text: str):
 
 def test_stored_hash_does_not_cross_processes(monkeypatch):
     """String hashes are salted per process, so a hash stored in one must
-    not be pickled into another, as `decide_rlambda_suite(jobs>1)` pickles
-    its goals."""
+    not be pickled into another: a pickled sequent unpickled in a process
+    with another salt must hash and key as one built there."""
     text = "forall x. P(x, #a), (lam y. Q(y)) iota z. R(z, $c) => exists y. P(y, #a), #a = $c"
     s = parse_sequent(text)
     for f in s.ant + s.suc:

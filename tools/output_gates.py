@@ -1,10 +1,10 @@
 """Output gates: sha256 digests of what ddproof prints, to show that a change
 leaves its outputs as they were.
 
-    python3 tools/output_gates.py [prove-sample] [cut-corpus] [parse] [kernel]
+    python3 tools/output_gates.py [prove-sample] [cut-corpus] [parse] [kernel] [translate]
 
 The package is imported from the checkout's src/ and the corpora from
-its perfbench/gen.py. With no argument all four gates run, one after
+its perfbench/gen.py. With no argument all five gates run, one after
 another in this interpreter; each prints one line: its name, its digest
 and a tally. Run it on both sides of a change and compare the lines.
 
@@ -30,6 +30,9 @@ and a tally. Run it on both sides of a change and compare the lines.
                 For every input, its label, then `check_proof`'s height and
                 cut degrees, the rejection's path and reason, or the
                 exception a crash raised
+  translate     format_sequent of translate_sequent over the 500
+                prove-sample sequents, then format_formula of translate
+                over 200 seeded desk-check formulas, one line each
 """
 
 import hashlib
@@ -43,6 +46,8 @@ KERNEL_SEED = 20261019
 KERNEL_DESK = 60
 KERNEL_PERTURBATIONS = 20
 KERNEL_OPS = ("drop", "duplicate", "move", "at", "eigen", "term", "rename")
+TRANSLATE_SEED = 20261020
+TRANSLATE_DESK = 200
 # what a mutation inserts or puts in place of a character
 SNIPPETS = ("(", ")", "~", "&", "|", ",", ".", "=", "=>", "->", "<->", "-", "<",
             "#", "#a", "$", "$c", ":", ":at 1", ":eigen #b", "x", "P", "forall",
@@ -244,8 +249,22 @@ def kernel_gate() -> str:
             f"{tally['crashed']} crashed")
 
 
+def translate_gate() -> str:
+    import gen
+    from ddproof.surface import format_formula, format_sequent
+    from ddproof.translate import translate, translate_sequent
+
+    h = hashlib.sha256()
+    lines = [format_sequent(translate_sequent(s)) for s in gen.prove_sample()]
+    desk = gen.desk_formulas(random.Random(TRANSLATE_SEED), TRANSLATE_DESK)
+    lines += [format_formula(translate(f)) for f in desk]
+    for line in lines:
+        h.update(f"{line}\n".encode())
+    return f"{h.hexdigest()} {len(lines)} lines"
+
+
 GATES = {"prove-sample": prove_sample_gate, "cut-corpus": cut_corpus_gate,
-         "parse": parse_gate, "kernel": kernel_gate}
+         "parse": parse_gate, "kernel": kernel_gate, "translate": translate_gate}
 
 
 def main(argv: list) -> int:
