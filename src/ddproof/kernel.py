@@ -5,6 +5,11 @@ sequent, optional instantiation annotations, and its premise subtrees. The
 kernel validates every node against the rule schemas; sequent sides are
 matched as multisets modulo alpha-equality, so tuple order never matters.
 
+Every rule but ax, cut, weakening and contraction is stated once, in the
+table `RULES`: the side and test of its principal formula, the annotations
+it takes and the formulas each premise adds. The handlers are built from
+that table, and so are the search's moves.
+
 Annotations (instantiation terms, eigenvariables) are optional: when absent
 the checker re-derives them by trying candidate principal occurrences in
 order and matching instantiations against the premises (first match wins).
@@ -27,7 +32,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Callable, Iterator, Optional, Union
+from typing import Callable, Iterator, NamedTuple, Optional, Union
 
 from .syntax import (
     And,
@@ -65,39 +70,6 @@ sys.setrecursionlimit(max(sys.getrecursionlimit(), 50_000))
 
 # ---------------------------------------------------------------------------
 # proof trees
-
-RULE_ARITY: dict[str, int] = {
-    "ax": 0,
-    "cut": 2,
-    "wl": 1,
-    "wr": 1,
-    "cl": 1,
-    "cr": 1,
-    "negl": 1,
-    "negr": 1,
-    "andl": 1,
-    "andr": 2,
-    "orl": 2,
-    "orr": 1,
-    "impl": 2,
-    "impr": 1,
-    "iffl": 2,
-    "iffr": 2,
-    "foralll": 1,
-    "forallr": 1,
-    "existsl": 1,
-    "existsr": 1,
-    "eqminus": 1,
-    "eqplus": 1,
-    "laml": 1,
-    "lamr": 1,
-    "iota1l": 1,
-    "iota2l": 3,
-    "iotar": 3,
-}
-
-EIGEN_RULES = {"forallr", "existsl", "iota1l", "iotar"}
-
 
 @dataclass(frozen=True, eq=False)
 class ProofNode:
@@ -294,14 +266,14 @@ def _sum(a: dict[str, int], b: dict[str, int]) -> dict[str, int]:
 
 
 def _premise_is(
-    p: Sequent, c: Sequent, drop: tuple[str, int], ant: tuple = (), suc: tuple = ()
+    p: Sequent, c: Sequent, drop: tuple, ant: tuple = (), suc: tuple = ()
 ) -> bool:
-    """p's sides are c's, less c's formula at `drop` (side, index) and plus
-    the formulas `ant` and `suc`."""
+    """p's sides are c's, less c's formulas at `drop` (a side, then
+    indices on it) and plus the formulas `ant` and `suc`."""
     have, base = side_counts(p), side_counts(c)
     for side, adds in (("ant", ant), ("suc", suc)):
         forms, i = getattr(c, side), _SIDE[side]
-        gone = (alpha_key(forms[drop[1]]),) if drop[0] == side else ()
+        gone = tuple(alpha_key(forms[j]) for j in drop[1:]) if drop[0] == side else ()
         if len(getattr(p, side)) != len(forms) - len(gone) + len(adds):
             return False
         if have[i] != (_moved(base[i], gone, adds) if gone or adds else base[i]):
@@ -322,13 +294,6 @@ def _first_index(forms: tuple, key: str) -> int:
         if alpha_key(f) == key:
             return i
     raise ValueError(f"no occurrence of {key}")
-
-
-def find_first(forms: tuple, key: str) -> Optional[Formula]:
-    for f in forms:
-        if alpha_key(f) == key:
-            return f
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -495,43 +460,100 @@ def analyze_step(node: ProofNode) -> StepInfo:
     return _HANDLERS[rule](node)
 
 
-# --- the one-principal rule schemas ---
+# --- the rule schemas ---
 #
-# Each is stated once: the handlers below are built from these tables, and
-# search builds its premises from them. A rule's principal formula is of
-# the class given, on the side given.
+# Every rule but ax, cut, weakening and contraction is stated once, in
+# RULES: the handlers below are built from it, and search builds its moves
+# from it. A rule's principal formula stands on `side`, is of class `kind`
+# and passes `where` when given. The rule takes `terms` :term annotations,
+# or none to have them inferred, and an :eigen when `eigen` is set. Its
+# `arity` premises are the conclusion less the principal formula plus, in
+# premise j, the formulas actives(f, *instance)[j] = (antecedent,
+# succedent); the instance is the rule's terms, then its eigenparameter.
 
-# a propositional rule replaces its principal formula f, in premise j, by
-# the formulas actives(f)[j] = (antecedent, succedent)
-PROPOSITIONAL_RULES: dict[str, tuple[str, type, Callable]] = {
-    "negl": ("ant", Not, lambda f: [((), (f.sub,))]),
-    "negr": ("suc", Not, lambda f: [((f.sub,), ())]),
-    "andl": ("ant", And, lambda f: [((f.left, f.right), ())]),
-    "andr": ("suc", And, lambda f: [((), (f.left,)), ((), (f.right,))]),
-    "orl": ("ant", Or, lambda f: [((f.left,), ()), ((f.right,), ())]),
-    "orr": ("suc", Or, lambda f: [((), (f.left, f.right))]),
-    "impl": ("ant", Imp, lambda f: [((), (f.left,)), ((f.right,), ())]),
-    "impr": ("suc", Imp, lambda f: [((f.left,), (f.right,))]),
-    "iffl": ("ant", Iff, lambda f: [((), (f.left, f.right)), ((f.left, f.right), ())]),
-    "iffr": ("suc", Iff, lambda f: [((f.left,), (f.right,)), ((f.right,), (f.left,))]),
+
+class Schema(NamedTuple):
+    side: str
+    kind: Optional[type]
+    arity: int
+    actives: Callable
+    terms: int = 0
+    eigen: bool = False
+    where: Optional[Callable[[Formula], bool]] = None
+
+    def principal(self, f: Formula) -> bool:
+        """f can be this rule's principal formula."""
+        return isinstance(f, self.kind) and (self.where is None or self.where(f))
+
+
+def _inst(f, b: Term) -> Formula:
+    """The body of quantifier or abstract f at b."""
+    return substitute(f.body, f.bound, b)
+
+
+def _desc(f: LambdaAtom, b: Term) -> Formula:
+    """The body of f's description at b."""
+    return substitute(f.arg.body, f.arg.bound, b)
+
+
+def _applied_to_term(f: LambdaAtom) -> bool:
+    return is_term(f.arg)
+
+
+def _applied_to_description(f: LambdaAtom) -> bool:
+    return isinstance(f.arg, IotaTerm)
+
+
+def _between_instances(f: Identity) -> bool:
+    return isinstance(f.lhs, _INSTANCE_TERM) and isinstance(f.rhs, _INSTANCE_TERM)
+
+
+RULES: dict[str, Schema] = {
+    "negl": Schema("ant", Not, 1, lambda f: [((), (f.sub,))]),
+    "negr": Schema("suc", Not, 1, lambda f: [((f.sub,), ())]),
+    "andl": Schema("ant", And, 1, lambda f: [((f.left, f.right), ())]),
+    "andr": Schema("suc", And, 2, lambda f: [((), (f.left,)), ((), (f.right,))]),
+    "orl": Schema("ant", Or, 2, lambda f: [((f.left,), ()), ((f.right,), ())]),
+    "orr": Schema("suc", Or, 1, lambda f: [((), (f.left, f.right))]),
+    "impl": Schema("ant", Imp, 2, lambda f: [((), (f.left,)), ((f.right,), ())]),
+    "impr": Schema("suc", Imp, 1, lambda f: [((f.left,), (f.right,))]),
+    "iffl": Schema("ant", Iff, 2, lambda f: [((), (f.left, f.right)), ((f.left, f.right), ())]),
+    "iffr": Schema("suc", Iff, 2, lambda f: [((f.left,), (f.right,)), ((f.right,), (f.left,))]),
+    # the body at a parameter or constant b, or at an eigenparameter a
+    "foralll": Schema("ant", Forall, 1, lambda f, b: [((_inst(f, b),), ())], terms=1),
+    "forallr": Schema("suc", Forall, 1, lambda f, a: [((), (_inst(f, a),))], eigen=True),
+    "existsl": Schema("ant", Exists, 1, lambda f, a: [((_inst(f, a),), ())], eigen=True),
+    "existsr": Schema("suc", Exists, 1, lambda f, b: [((), (_inst(f, b),))], terms=1),
+    # an abstract applied to a term: its beta-reduct
+    "laml": Schema("ant", LambdaAtom, 1, lambda f: [((_inst(f, f.arg),), ())],
+                   where=_applied_to_term),
+    "lamr": Schema("suc", LambdaAtom, 1, lambda f: [((), (_inst(f, f.arg),))],
+                   where=_applied_to_term),
+    # an abstract applied to a description: some a satisfies both bodies;
+    # any b1, b2 satisfying the description are equal; b is the one
+    "iota1l": Schema("ant", LambdaAtom, 1, lambda f, a: [((_desc(f, a), _inst(f, a)), ())],
+                     eigen=True, where=_applied_to_description),
+    "iota2l": Schema("ant", LambdaAtom, 3, lambda f, b1, b2: [
+        ((), (_desc(f, b1),)), ((), (_desc(f, b2),)), ((Identity(b1, b2),), ())],
+        terms=2, where=_applied_to_description),
+    "iotar": Schema("suc", LambdaAtom, 3, lambda f, b, a: [
+        ((), (_desc(f, b),)), ((), (_inst(f, b),)), ((_desc(f, a),), (Identity(a, b),))],
+        terms=1, eigen=True, where=_applied_to_description),
+    # eqminus consumes its principal b1=b2 and an atom beside it, and adds
+    # chi, that atom with some occurrences of b1 replaced by b2; eqplus has
+    # no principal formula and discharges b=b
+    "eqminus": Schema("ant", Identity, 1, lambda f, chi: [((chi,), ())], terms=2,
+                      where=_between_instances),
+    "eqplus": Schema("ant", None, 1, lambda f, b: [((Identity(b, b),), ())], terms=1),
 }
 
-# a quantifier rule replaces its principal formula by body[x/b] on the same
-# side, for an eigenparameter b when the flag is set, else for a parameter
-# or constant b
-QUANTIFIER_RULES: dict[str, tuple[str, type, bool]] = {
-    "foralll": ("ant", Forall, False),
-    "forallr": ("suc", Forall, True),
-    "existsl": ("ant", Exists, True),
-    "existsr": ("suc", Exists, False),
+# the premise count of every rule, the structural ones first
+RULE_ARITY: dict[str, int] = {
+    "ax": 0, "cut": 2, "wl": 1, "wr": 1, "cl": 1, "cr": 1,
+    **{rule: schema.arity for rule, schema in RULES.items()},
 }
 
-# a lambda rule replaces an abstract applied to a term by its beta-reduct
-# on the same side
-LAMBDA_RULES: dict[str, tuple[str, type]] = {
-    "laml": ("ant", LambdaAtom),
-    "lamr": ("suc", LambdaAtom),
-}
+EIGEN_RULES = {rule for rule, schema in RULES.items() if schema.eigen}
 
 
 # --- handlers, one per rule ---
@@ -602,55 +624,139 @@ def _h_contract(mine: str):
     return h
 
 
-def _h_propositional(rule: str, side: str, kind: type, actives):
-    """The handler of a PROPOSITIONAL_RULES entry."""
-    noun = "premises" if RULE_ARITY[rule] > 1 else "premise"
+def _h_schema(rule: str, what: str, instances):
+    """The handler of a RULES entry: the first principal candidate and the
+    first of its `instances(node, f)` whose premises match, under the
+    eigenparameter condition when the rule has one."""
+    schema = RULES[rule]
+    side = schema.side
+    noun = "premises" if schema.arity > 1 else "premise"
 
     def h(node: ProofNode) -> StepInfo:
         c = node.conclusion
         prems = [p.conclusion for p in node.premises]
-        for i, f in _candidates(getattr(c, side), lambda g: isinstance(g, kind), node.at):
-            if all(
-                _premise_is(p, c, (side, i), ant, suc)
-                for p, (ant, suc) in zip(prems, actives(f))
-            ):
-                return StepInfo(rule, principal=(side, i))
-        raise RuleError(f"no {rule} principal formula matches the {noun}")
+        for i, f in _candidates(getattr(c, side), schema.principal, node.at):
+            for inst in instances(node, f):
+                if all(
+                    _premise_is(p, c, (side, i), ant, suc)
+                    for p, (ant, suc) in zip(prems, schema.actives(f, *inst))
+                ):
+                    if not schema.eigen:
+                        return StepInfo(rule, principal=(side, i), terms=inst)
+                    *terms, a = inst
+                    _eigen_check(a, c, witness=terms[0] if terms else None)
+                    return StepInfo(rule, principal=(side, i), terms=tuple(terms), eigen=a)
+        raise RuleError(f"no {rule} {what} matches the {noun}")
 
     return h
 
 
-def _h_quantifier(rule: str, side: str, kind: type, eigen: bool):
-    """The handler of a QUANTIFIER_RULES entry: b is annotated or inferred,
-    and an eigenparameter must not occur in the conclusion."""
+# --- instance inference: the annotated instance, else candidates read off
+# the premises, in the order they are tried
 
-    def h(node: ProofNode) -> StepInfo:
-        c = node.conclusion
-        p = node.premises[0].conclusion
-        for i, f in _candidates(getattr(c, side), lambda g: isinstance(g, kind), node.at):
-            if eigen and node.eigen is not None:
-                bs: list = [_require_eigen(node.eigen)]
-            elif not eigen and node.terms:
-                _require_slot_term(node.terms[0], f"{rule} instantiation term")
-                bs = [node.terms[0]]
-            else:
-                bs = []
-                for chi in _diff_candidates(p, side, _without(c, side, f)):
-                    m = match_subst(f.body, f.bound, chi)
-                    if m == "any":
-                        bs.append(_fresh_param_for(c, p))
-                    elif isinstance(m, Param if eigen else _INSTANCE_TERM):
-                        bs.append(m)
-            for b in bs:
-                inst = substitute(f.body, f.bound, b)
-                if _premise_is(p, c, (side, i), **{side: (inst,)}):
-                    if not eigen:
-                        return StepInfo(rule, principal=(side, i), terms=(b,))
-                    _eigen_check(b, c)
-                    return StepInfo(rule, principal=(side, i), eigen=b)
-        raise RuleError(f"no {rule} instance matches the premise")
 
-    return h
+def _no_instance(node: ProofNode, f: Formula) -> list:
+    return [()]
+
+
+def _abstract_instance(node: ProofNode, f: LambdaAtom) -> list:
+    _require_slot_term(f.arg, "abstract argument")
+    return [()]
+
+
+def _quantifier_instances(node: ProofNode, f: Formula) -> list:
+    """b is annotated, or matched against the premise's new formulas."""
+    rule, c, p = node.rule, node.conclusion, node.premises[0].conclusion
+    side, eigen = RULES[rule].side, RULES[rule].eigen
+    if eigen and node.eigen is not None:
+        return [(_require_eigen(node.eigen),)]
+    if not eigen and node.terms:
+        _require_slot_term(node.terms[0], f"{rule} instantiation term")
+        return [(node.terms[0],)]
+    bs = []
+    for chi in _diff_candidates(p, side, _without(c, side, f)):
+        m = match_subst(f.body, f.bound, chi)
+        if m == "any":
+            bs.append((_fresh_param_for(c, p),))
+        elif isinstance(m, Param if eigen else _INSTANCE_TERM):
+            bs.append((m,))
+    return bs
+
+
+def _iota1l_instances(node: ProofNode, f: LambdaAtom) -> list:
+    """a is annotated, matched against either body, or fresh."""
+    c, p = node.conclusion, node.premises[0].conclusion
+    if node.eigen is not None:
+        return [(_require_eigen(node.eigen),)]
+    cands: list[Param] = []
+    for chi in _diff_candidates(p, "ant", _without(c, "ant", f)):
+        for body, bound in ((f.arg.body, f.arg.bound), (f.body, f.bound)):
+            m = match_subst(body, bound, chi)
+            if isinstance(m, Param) and m not in cands:
+                cands.append(m)
+    cands.append(_fresh_param_for(c, p))
+    return [(a,) for a in cands]
+
+
+def _iota2l_instances(node: ProofNode, f: LambdaAtom) -> list:
+    """b1, b2 are annotated, or the sides of an identity new in premise 3."""
+    if node.terms:
+        if len(node.terms) != 2:
+            raise RuleError("iota2l needs two instantiation terms")
+        pairs = [tuple(node.terms)]
+    else:
+        c, p3 = node.conclusion, node.premises[2].conclusion
+        pairs = [
+            (chi.lhs, chi.rhs)
+            for chi in _diff_candidates(p3, "ant", _without(c, "ant", f))
+            if isinstance(chi, Identity)
+        ]
+    return [
+        (b1, b2)
+        for b1, b2 in pairs
+        if isinstance(b1, _INSTANCE_TERM) and isinstance(b2, _INSTANCE_TERM)
+    ]
+
+
+def _iotar_instances(node: ProofNode, f: LambdaAtom) -> Iterator[tuple]:
+    """The witness b is annotated or matched in premise 1; for each, the
+    eigenparameter a is annotated, the new antecedent formula of premise 3,
+    the left side of its identity a=b, or fresh."""
+    c = node.conclusion
+    prems = [p.conclusion for p in node.premises]
+    p1, p3 = prems[0], prems[2]
+    base = _without(c, "suc", f)
+    if node.terms:
+        _require_slot_term(node.terms[0], "iotar witness term")
+        bs: list = [node.terms[0]]
+    else:
+        bs = []
+        for chi in _diff_candidates(p1, "suc", base):
+            m = match_subst(f.arg.body, f.arg.bound, chi)
+            if m == "any":
+                bs.append(_fresh_param_for(c, *prems))
+            elif m is not None:
+                bs.append(m)
+    for b in bs:
+        if node.eigen is not None:
+            eigens: list[Param] = [_require_eigen(node.eigen)]
+        else:
+            eigens = []
+            for chi in _diff_candidates(p3, "ant", side_counts(c)[0]):
+                m = match_subst(f.arg.body, f.arg.bound, chi)
+                if isinstance(m, Param) and m not in eigens:
+                    eigens.append(m)
+            for chi in _diff_candidates(p3, "suc", base):
+                if (
+                    isinstance(chi, Identity)
+                    and chi.rhs == b
+                    and isinstance(chi.lhs, Param)
+                    and chi.lhs not in eigens
+                ):
+                    eigens.append(chi.lhs)
+            eigens.append(_fresh_param_for(c, *prems))
+        for a in eigens:
+            yield b, a
 
 
 def _rewrite_compatible(a0: Formula, chi: Formula, s1: Term, s2: Term) -> bool:
@@ -674,23 +780,21 @@ def _h_eqminus(node: ProofNode) -> StepInfo:
         raise RuleError("eqminus must leave the succedent alone")
     if len(node.terms) not in (0, 2):
         raise RuleError("eqminus needs two annotated terms or none")
+    schema = RULES["eqminus"]
     for i, eq in enumerate(c.ant):
-        if not isinstance(eq, Identity):
+        if not schema.principal(eq):
             continue
-        if node.terms and (eq.lhs, eq.rhs) != (node.terms[0], node.terms[1]):
-            continue
-        s1, s2 = eq.lhs, eq.rhs
-        if not (isinstance(s1, _INSTANCE_TERM) and isinstance(s2, _INSTANCE_TERM)):
+        if node.terms and (eq.lhs, eq.rhs) != tuple(node.terms):
             continue
         for j, a0 in enumerate(c.ant):
             if j == i or not is_atomic(a0):
                 continue
             base = _moved(ca, (alpha_key(eq), alpha_key(a0)))
             for chi in _diff_candidates(p, "ant", base):
-                if not _rewrite_compatible(a0, chi, s1, s2):
-                    continue
-                if pa == _moved(base, add=(chi,)):
-                    return StepInfo("eqminus", principal=("ant", i), terms=(s1, s2))
+                if _rewrite_compatible(a0, chi, eq.lhs, eq.rhs) and _premise_is(
+                    p, c, ("ant", i, j), *schema.actives(eq, chi)[0]
+                ):
+                    return StepInfo("eqminus", principal=("ant", i), terms=(eq.lhs, eq.rhs))
     raise RuleError("no identity/atom pair in the antecedent matches the premise")
 
 
@@ -703,145 +807,16 @@ def _h_eqplus(node: ProofNode) -> StepInfo:
     k = _single_extra(pa, ca)
     if k is None:
         raise RuleError("premise must have exactly one extra antecedent formula")
-    extra = find_first(p.ant, k)
+    extra = p.ant[_first_index(p.ant, k)]
+    b = extra.lhs if isinstance(extra, Identity) else None
     if not (
-        isinstance(extra, Identity)
-        and extra.lhs == extra.rhs
-        and isinstance(extra.lhs, _INSTANCE_TERM)
+        isinstance(b, _INSTANCE_TERM)
+        and _premise_is(p, c, ("ant",), *RULES["eqplus"].actives(None, b)[0])
     ):
         raise RuleError("discharged formula must be a reflexive identity b=b")
-    if node.terms and node.terms[0] != extra.lhs:
+    if node.terms and node.terms[0] != b:
         raise RuleError("annotated term does not match the discharged identity")
-    return StepInfo("eqplus", terms=(extra.lhs,))
-
-
-def _h_lambda(rule: str, side: str, kind: type):
-    """The handler of a LAMBDA_RULES entry."""
-    want = lambda g: isinstance(g, kind) and is_term(g.arg)
-
-    def h(node: ProofNode) -> StepInfo:
-        c = node.conclusion
-        p = node.premises[0].conclusion
-        for i, f in _candidates(getattr(c, side), want, node.at):
-            _require_slot_term(f.arg, "abstract argument")
-            inst = substitute(f.body, f.bound, f.arg)
-            if _premise_is(p, c, (side, i), **{side: (inst,)}):
-                return StepInfo(rule, principal=(side, i), terms=(f.arg,))
-        raise RuleError(f"no {rule} abstract matches the premise")
-
-    return h
-
-
-def _is_description_atom(f: Formula) -> bool:
-    return isinstance(f, LambdaAtom) and isinstance(f.arg, IotaTerm)
-
-
-def _h_iota1l(node: ProofNode) -> StepInfo:
-    c = node.conclusion
-    p = node.premises[0].conclusion
-    if side_counts(p)[1] != side_counts(c)[1]:
-        raise RuleError("no iota1l instance matches the premise")
-    for i, f in _candidates(c.ant, _is_description_atom, node.at):
-        it = f.arg
-        if node.eigen is not None:
-            cands: list[Param] = [_require_eigen(node.eigen)]
-        else:
-            cands = []
-            for chi in _diff_candidates(p, "ant", _without(c, "ant", f)):
-                for body, bound in ((it.body, it.bound), (f.body, f.bound)):
-                    m = match_subst(body, bound, chi)
-                    if isinstance(m, Param) and m not in cands:
-                        cands.append(m)
-            cands.append(_fresh_param_for(c, p))
-        for a in cands:
-            phi_a = substitute(it.body, it.bound, a)
-            psi_a = substitute(f.body, f.bound, a)
-            if _premise_is(p, c, ("ant", i), ant=(phi_a, psi_a)):
-                _eigen_check(a, c)
-                return StepInfo("iota1l", principal=("ant", i), eigen=a)
-    raise RuleError("no iota1l instance matches the premise")
-
-
-def _h_iota2l(node: ProofNode) -> StepInfo:
-    c = node.conclusion
-    p1, p2, p3 = (p.conclusion for p in node.premises)
-    for i, f in _candidates(c.ant, _is_description_atom, node.at):
-        it = f.arg
-        if node.terms:
-            if len(node.terms) != 2:
-                raise RuleError("iota2l needs two instantiation terms")
-            pairs = [(node.terms[0], node.terms[1])]
-        else:
-            pairs = [
-                (chi.lhs, chi.rhs)
-                for chi in _diff_candidates(p3, "ant", _without(c, "ant", f))
-                if isinstance(chi, Identity)
-            ]
-        for b1, b2 in pairs:
-            if not (
-                isinstance(b1, _INSTANCE_TERM) and isinstance(b2, _INSTANCE_TERM)
-            ):
-                continue
-            if (
-                _premise_is(p1, c, ("ant", i), suc=(substitute(it.body, it.bound, b1),))
-                and _premise_is(p2, c, ("ant", i), suc=(substitute(it.body, it.bound, b2),))
-                and _premise_is(p3, c, ("ant", i), ant=(Identity(b1, b2),))
-            ):
-                return StepInfo("iota2l", principal=("ant", i), terms=(b1, b2))
-    raise RuleError("no iota2l instance matches the premises")
-
-
-def _h_iotar(node: ProofNode) -> StepInfo:
-    c = node.conclusion
-    p1, p2, p3 = (p.conclusion for p in node.premises)
-    for i, f in _candidates(c.suc, _is_description_atom, node.at):
-        it = f.arg
-        base = _without(c, "suc", f)
-        # witness candidates
-        if node.terms:
-            _require_slot_term(node.terms[0], "iotar witness term")
-            bs: list = [node.terms[0]]
-        else:
-            bs = []
-            for chi in _diff_candidates(p1, "suc", base):
-                m = match_subst(it.body, it.bound, chi)
-                if m == "any":
-                    bs.append(_fresh_param_for(c, p1, p2, p3))
-                elif m is not None:
-                    bs.append(m)
-        for b in bs:
-            if not (
-                _premise_is(p1, c, ("suc", i), suc=(substitute(it.body, it.bound, b),))
-                and _premise_is(p2, c, ("suc", i), suc=(substitute(f.body, f.bound, b),))
-            ):
-                continue
-            # eigen candidates: annotation, the extra antecedent formula of
-            # the third premise, the identity a=b in its succedent, or fresh
-            if node.eigen is not None:
-                eigens: list[Param] = [_require_eigen(node.eigen)]
-            else:
-                eigens = []
-                for chi in _diff_candidates(p3, "ant", side_counts(c)[0]):
-                    m = match_subst(it.body, it.bound, chi)
-                    if isinstance(m, Param) and m not in eigens:
-                        eigens.append(m)
-                for chi in _diff_candidates(p3, "suc", base):
-                    if (
-                        isinstance(chi, Identity)
-                        and chi.rhs == b
-                        and isinstance(chi.lhs, Param)
-                        and chi.lhs not in eigens
-                    ):
-                        eigens.append(chi.lhs)
-                eigens.append(_fresh_param_for(c, p1, p2, p3))
-            for a in eigens:
-                phi_a = substitute(it.body, it.bound, a)
-                if _premise_is(p3, c, ("suc", i), ant=(phi_a,), suc=(Identity(a, b),)):
-                    _eigen_check(a, c, witness=b)
-                    return StepInfo(
-                        "iotar", principal=("suc", i), terms=(b,), eigen=a
-                    )
-    raise RuleError("no iotar instance matches the premises")
+    return StepInfo("eqplus", terms=(b,))
 
 
 _HANDLERS: dict[str, Callable[[ProofNode], StepInfo]] = {
@@ -851,14 +826,21 @@ _HANDLERS: dict[str, Callable[[ProofNode], StepInfo]] = {
     "wr": _h_weaken("suc"),
     "cl": _h_contract("ant"),
     "cr": _h_contract("suc"),
-    **{r: _h_propositional(r, *schema) for r, schema in PROPOSITIONAL_RULES.items()},
-    **{r: _h_quantifier(r, *schema) for r, schema in QUANTIFIER_RULES.items()},
-    **{r: _h_lambda(r, *schema) for r, schema in LAMBDA_RULES.items()},
+    **{
+        rule: _h_schema(rule, "principal formula", _no_instance)
+        for rule in ("negl", "negr", "andl", "andr", "orl", "orr", "impl", "impr", "iffl", "iffr")
+    },
+    **{
+        rule: _h_schema(rule, "instance", _quantifier_instances)
+        for rule in ("foralll", "forallr", "existsl", "existsr")
+    },
+    "laml": _h_schema("laml", "abstract", _abstract_instance),
+    "lamr": _h_schema("lamr", "abstract", _abstract_instance),
+    "iota1l": _h_schema("iota1l", "instance", _iota1l_instances),
+    "iota2l": _h_schema("iota2l", "instance", _iota2l_instances),
+    "iotar": _h_schema("iotar", "instance", _iotar_instances),
     "eqminus": _h_eqminus,
     "eqplus": _h_eqplus,
-    "iota1l": _h_iota1l,
-    "iota2l": _h_iota2l,
-    "iotar": _h_iotar,
 }
 
 

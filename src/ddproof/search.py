@@ -1,22 +1,27 @@
 """Bounded backward proof search with countermodel extraction.
 
-The searcher applies rules backward from the goal, cut-free. Loss-free
-rules (propositional decompositions, the lambda conversions, and the
-eigenparameter rules) are committed in a fixed order, with premises built
-from the kernel's rule tables, so each schema is stated once; everything that
+The searcher applies rules backward from the goal, cut-free. Every move's
+premises, and the test for its principal formula, come from the kernel's
+rule table `RULES`, so each schema is stated once. Loss-free rules
+(propositional decompositions, the lambda conversions, and the
+eigenparameter rules) are committed in a fixed order; everything that
 requires a choice (which term to instantiate with, which description
-rule to fire) is explored as alternatives in keeping form: the principal
-formula is contracted first so the original copy survives, bounded by a
-per-formula contraction budget. Branches refuted by a small countermodel
-are pruned early, and every proof found is re-checked by the kernel
-before being reported.
+rule to fire, which equality rewrite) is explored as alternatives in
+keeping form: the principal formula is contracted first so the original
+copy survives, bounded by a per-formula contraction budget. Branches
+refuted by a small countermodel are pruned early.
+
+A move is data: its rule, conclusion, annotations and the step that fits
+it onto the goal. The search returns the plan that won, its moves and
+their sub-plans, and the proof is built from it once; the kernel
+re-checks that proof before it is reported.
 
 First-order logic with identity is undecidable, so all three outcomes
 are possible: Proved, Refuted, or Unknown when the budget runs out.
 """
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional, Union
+from typing import Iterator, Optional, Union
 
 from .syntax import (
     Const,
@@ -32,17 +37,9 @@ from .syntax import (
     alpha_key,
     params_in,
     sequent_key,
-    substitute,
 )
-from .kernel import (
-    LAMBDA_RULES,
-    PROPOSITIONAL_RULES,
-    QUANTIFIER_RULES,
-    Proof,
-    ProofNode,
-    check_proof,
-)
-from .builders import ax, flip_identity, paraphrase, weaken_to
+from .kernel import RULES, Proof, ProofNode, check_proof
+from .builders import flip_identity, paraphrase, weaken_to
 from .semantics import (
     EnumerationCapError,
     Model,
@@ -108,14 +105,60 @@ class _State:
 
 @dataclass
 class _Move:
-    children: tuple[Sequent, ...]
-    build: Callable[[list[ProofNode]], ProofNode]
+    """One backward rule application, as data: a node `rule` concluding
+    `conclusion` from `children`, annotated with `terms` and `eigen`. When
+    `goal` is set the node is fitted onto it by `wrap`: "weaken" for a
+    closing axiom, or the contraction ("cl" or "cr") of a move tried in
+    keeping form, after eqminus's identity is flipped back when `flip` is
+    set."""
+
+    rule: str
+    conclusion: Sequent
+    children: tuple[Sequent, ...] = ()
+    terms: tuple[Term, ...] = ()
+    eigen: Optional[Param] = None
+    goal: Optional[Sequent] = None
+    wrap: Optional[str] = None
+    flip: Optional[Identity] = None
     uses: dict = field(default_factory=dict)
     prio: int = 0  # prior applications of this move's key on the branch
 
 
+# a plan is the move that won at a sequent and the plans of its children;
+# the proof is built from it once, when the search has succeeded
+Plan = tuple[_Move, tuple]
+
+
+def _node(mv: _Move, subs) -> ProofNode:
+    """The proof of one move from its children's proofs."""
+    node = ProofNode(mv.rule, mv.conclusion, tuple(subs), mv.terms, mv.eigen)
+    if mv.flip is not None:
+        node = flip_identity(node, mv.flip)
+    if mv.wrap == "weaken":
+        return weaken_to(node, mv.goal)
+    if mv.wrap is not None:
+        return ProofNode(mv.wrap, mv.goal, (node,))
+    return node
+
+
+def _build(plan: Plan) -> ProofNode:
+    mv, subs = plan
+    return _node(mv, [_build(sub) for sub in subs])
+
+
 def _remove_at(forms: tuple, i: int) -> tuple:
     return forms[:i] + forms[i + 1 :]
+
+
+def _premises(ant: tuple, suc: tuple, actives) -> tuple[Sequent, ...]:
+    """One premise per (antecedent, succedent) pair in `actives`: the
+    antecedent formulas in front of `ant`, the succedent ones behind `suc`."""
+    return tuple(Sequent(a + ant, suc + s) for a, s in actives)
+
+
+def _with(g: Sequent, side: str, f: Formula) -> Sequent:
+    """g with f added on `side`, where `_premises` puts actives."""
+    return Sequent((f,) + g.ant, g.suc) if side == "ant" else Sequent(g.ant, g.suc + (f,))
 
 
 def _quick_refuted(g: Sequent, st: _State) -> bool:
@@ -137,15 +180,25 @@ def _quick_refuted(g: Sequent, st: _State) -> bool:
 # closures
 
 
-def _try_close(g: Sequent) -> Optional[ProofNode]:
+def _eqplus(g: Sequent, t: Term) -> _Move:
+    """eqplus discharging t=t from g."""
+    return _Move("eqplus", g, _premises(g.ant, g.suc, RULES["eqplus"].actives(None, t)))
+
+
+def _closing(f: Formula, g: Sequent) -> Plan:
+    """The axiom on f, weakened onto g."""
+    return _Move("ax", Sequent((f,), (f,)), goal=g, wrap="weaken"), ()
+
+
+def _try_close(g: Sequent) -> Optional[Plan]:
     suc_keys = {alpha_key(f) for f in g.suc}
     for f in g.ant:
         if alpha_key(f) in suc_keys:
-            return weaken_to(ax(f), g)
+            return _closing(f, g)
     for f in g.suc:
         if isinstance(f, Identity) and f.lhs == f.rhs:
-            base = weaken_to(ax(f), Sequent((f,) + g.ant, g.suc))
-            return ProofNode("eqplus", g, (base,))
+            mv = _eqplus(g, f.lhs)
+            return mv, (_closing(f, mv.children[0]),)
     return None
 
 
@@ -153,33 +206,11 @@ def _try_close(g: Sequent) -> Optional[ProofNode]:
 # invertible moves (committed)
 
 
-def _premises(g: Sequent, side: str, i: int, actives) -> tuple[Sequent, ...]:
-    """The premises of a rule whose principal formula is g's `side`
-    formula i: that formula removed, then for each (antecedent, succedent)
-    pair in `actives` one premise with the antecedent formulas in front and
-    the succedent formulas behind."""
-    ant, suc = g.ant, g.suc
-    if side == "ant":
-        ant = _remove_at(ant, i)
-    else:
-        suc = _remove_at(suc, i)
-    return tuple(Sequent(a + ant, suc + s) for a, s in actives)
-
-
-def _alone(side: str, f: Formula) -> tuple[tuple, tuple]:
-    """The (antecedent, succedent) pair holding f alone, on `side`."""
-    return ((f,), ()) if side == "ant" else ((), (f,))
-
-
-# the kernel's one-principal rules: name -> (side, principal class, ...)
-_SCHEMAS = {**PROPOSITIONAL_RULES, **QUANTIFIER_RULES, **LAMBDA_RULES}
-
-
 def _by_class(*rules: str) -> tuple[str, dict]:
     """A group of rules on one side: that side, and a map from principal
     class to rule."""
-    (side,) = {_SCHEMAS[rule][0] for rule in rules}
-    return side, {_SCHEMAS[rule][1]: rule for rule in rules}
+    (side,) = {RULES[rule].side for rule in rules}
+    return side, {RULES[rule].kind: rule for rule in rules}
 
 
 # the loss-free rules in the order they are committed: single-premise
@@ -195,27 +226,17 @@ _INVERTIBLE = (
 
 
 def _invertible(g: Sequent, st: _State) -> Optional[_Move]:
-    """The first group with a principal formula applies, to its leftmost."""
+    """The first group with a principal formula applies, to its leftmost;
+    an abstract of a description is left to the choice moves."""
     for side, rules in _INVERTIBLE:
         for i, f in enumerate(g.ant if side == "ant" else g.suc):
             rule = rules.get(type(f))
-            if rule is None:
+            if rule is None or not RULES[rule].principal(f):
                 continue
-            e = None
-            if rule in PROPOSITIONAL_RULES:
-                actives = PROPOSITIONAL_RULES[rule][2](f)
-            elif rule in LAMBDA_RULES:
-                if isinstance(f.arg, IotaTerm):
-                    continue  # an abstract of a description is a choice
-                actives = [_alone(side, substitute(f.body, f.bound, f.arg))]
-            else:  # forallr, existsl
-                e = st.supply.fresh()
-                actives = [_alone(side, substitute(f.body, f.bound, e))]
-
-            def build(subs, g=g, rule=rule, e=e):
-                return ProofNode(rule, g, tuple(subs), eigen=e)
-
-            return _Move(_premises(g, side, i, actives), build)
+            inst = (st.supply.fresh(),) if RULES[rule].eigen else ()
+            rest = (_remove_at(g.ant, i), g.suc) if side == "ant" else (g.ant, _remove_at(g.suc, i))
+            children = _premises(*rest, RULES[rule].actives(f, *inst))
+            return _Move(rule, g, children, eigen=inst[0] if inst else None)
     return None
 
 
@@ -227,6 +248,25 @@ def _spend(uses: dict, key) -> dict:
     out = dict(uses)
     out[key] = out.get(key, 0) + 1
     return out
+
+
+def _kept(g: Sequent, rule: str, f: Formula, inst: tuple, uses: dict, prio: int) -> _Move:
+    """`rule` on f in keeping form: its node concludes g with a second copy
+    of f, which a contraction merges, so its premises are g plus the rule's
+    actives for f at `inst`, the terms and then the eigenparameter."""
+    schema = RULES[rule]
+    terms, eigen = (inst[:-1], inst[-1]) if schema.eigen else (inst, None)
+    return _Move(
+        rule,
+        _with(g, schema.side, f),
+        _premises(g.ant, g.suc, schema.actives(f, *inst)),
+        terms,
+        eigen,
+        goal=g,
+        wrap="cl" if schema.side == "ant" else "cr",
+        uses=uses,
+        prio=prio,
+    )
 
 
 def _term_pool(g: Sequent) -> list[Term]:
@@ -264,14 +304,19 @@ def _rewrite_variants(atom: Formula, src: Term, dst: Term) -> Iterator[Formula]:
 
 
 def _eqminus_moves(g: Sequent, uses: dict, st: _State) -> Iterator[_Move]:
+    """eqminus on each identity, either way round, and each atom beside it:
+    the identity the node consumes is oriented src=dst and flipped back to
+    g's orientation before the contraction."""
     cap = st.budget.contraction_cap
+    schema = RULES["eqminus"]
     for i, eq in enumerate(g.ant):
-        if not isinstance(eq, Identity) or eq.lhs == eq.rhs:
+        if not schema.principal(eq) or eq.lhs == eq.rhs:
             continue
         for src, dst, flipped in (
             (eq.lhs, eq.rhs, False),
             (eq.rhs, eq.lhs, True),
         ):
+            used = Identity(src, dst) if flipped else eq
             for j, atom in enumerate(g.ant):
                 if not isinstance(atom, (PredAtom, Identity)):
                     continue
@@ -279,44 +324,35 @@ def _eqminus_moves(g: Sequent, uses: dict, st: _State) -> Iterator[_Move]:
                 if uses.get(key, 0) >= cap:
                     continue
                 for new in _rewrite_variants(atom, src, dst):
-                    child = Sequent((new,) + _remove_at(g.ant, j), g.suc)
-
-                    def build(subs, g=g, eq=eq, flipped=flipped, src=src, dst=dst):
-                        concl_eq = Identity(src, dst) if flipped else eq
-                        n1 = ProofNode(
-                            "eqminus",
-                            Sequent((concl_eq,) + g.ant, g.suc),
-                            tuple(subs),
-                        )
-                        if flipped:
-                            n1 = flip_identity(n1, concl_eq)
-                        return ProofNode("cl", g, (n1,))
-
-                    yield _Move((child,), build, _spend(uses, key), uses.get(key, 0))
+                    yield _Move(
+                        "eqminus",
+                        _with(g, "ant", used),
+                        _premises(_remove_at(g.ant, j), g.suc, schema.actives(used, new)),
+                        goal=g,
+                        wrap="cl",
+                        flip=used if flipped else None,
+                        uses=_spend(uses, key),
+                        prio=uses.get(key, 0),
+                    )
 
 
 def _choice_moves(g: Sequent, uses: dict, st: _State) -> list[_Move]:
     cap = st.budget.contraction_cap
     moves: list[_Move] = []
 
+    def open_families(rule: str) -> Iterator[tuple[Formula, tuple]]:
+        """Each principal formula of `rule` in g that is under its
+        contraction cap, with its key."""
+        for f in g.ant if RULES[rule].side == "ant" else g.suc:
+            if RULES[rule].principal(f):
+                key = (rule, alpha_key(f))
+                if uses.get(key, 0) < cap:
+                    yield f, key
+
     # description in the antecedent: the no-witness rule first
-    for i, f in enumerate(g.ant):
-        if isinstance(f, LambdaAtom) and isinstance(f.arg, IotaTerm):
-            key = ("iota1l", alpha_key(f))
-            if uses.get(key, 0) >= cap:
-                continue
-            e = st.supply.fresh()
-            phi_e = substitute(f.arg.body, f.arg.bound, e)
-            psi_e = substitute(f.body, f.bound, e)
-            child = Sequent((phi_e, psi_e) + g.ant, g.suc)
-
-            def build(subs, g=g, f=f, e=e):
-                n1 = ProofNode(
-                    "iota1l", Sequent((f,) + g.ant, g.suc), tuple(subs), eigen=e
-                )
-                return ProofNode("cl", g, (n1,))
-
-            moves.append(_Move((child,), build, _spend(uses, key), uses.get(key, 0)))
+    for f, key in open_families("iota1l"):
+        e = st.supply.fresh()
+        moves.append(_kept(g, "iota1l", f, (e,), _spend(uses, key), uses.get(key, 0)))
 
     # the equality rewrites
     moves.extend(_eqminus_moves(g, uses, st))
@@ -334,63 +370,18 @@ def _choice_moves(g: Sequent, uses: dict, st: _State) -> list[_Move]:
             yield minted, _spend(uses, fresh_key)
 
     # universal instantiation on the left, existential witness on the right
-    for rule, (side, kind, eigen) in QUANTIFIER_RULES.items():
-        if eigen:
-            continue
-        for f in g.ant if side == "ant" else g.suc:
-            if type(f) is not kind:
-                continue
-            key = (rule, alpha_key(f))
-            if uses.get(key, 0) >= cap:
-                continue
+    for rule in ("foralll", "existsr"):
+        for f, key in open_families(rule):
             for t, base_uses in instantiation_pool():
-                a, s = _alone(side, substitute(f.body, f.bound, t))
-                child = Sequent(a + g.ant, g.suc + s)
-
-                def build(subs, g=g, f=f, t=t, rule=rule, side=side):
-                    a, s = _alone(side, f)
-                    kept = Sequent(a + g.ant, g.suc + s)
-                    n1 = ProofNode(rule, kept, tuple(subs), terms=(t,))
-                    return ProofNode("cl" if side == "ant" else "cr", g, (n1,))
-
-                moves.append(_Move((child,), build, _spend(base_uses, key), uses.get(key, 0)))
+                moves.append(_kept(g, rule, f, (t,), _spend(base_uses, key), uses.get(key, 0)))
 
     # description on the right, then the uniqueness rule: most premises last
-    for i, f in enumerate(g.suc):
-        if not (isinstance(f, LambdaAtom) and isinstance(f.arg, IotaTerm)):
-            continue
-        key = ("iotar", alpha_key(f))
-        if uses.get(key, 0) >= cap:
-            continue
+    for f, key in open_families("iotar"):
         for t, base_uses in instantiation_pool():
             e = st.supply.fresh()
-            phi_t = substitute(f.arg.body, f.arg.bound, t)
-            psi_t = substitute(f.body, f.bound, t)
-            phi_e = substitute(f.arg.body, f.arg.bound, e)
-            children = (
-                Sequent(g.ant, g.suc + (phi_t,)),
-                Sequent(g.ant, g.suc + (psi_t,)),
-                Sequent((phi_e,) + g.ant, g.suc + (Identity(e, t),)),
-            )
+            moves.append(_kept(g, "iotar", f, (t, e), _spend(base_uses, key), uses.get(key, 0)))
 
-            def build(subs, g=g, f=f, t=t, e=e):
-                n1 = ProofNode(
-                    "iotar",
-                    Sequent(g.ant, g.suc + (f,)),
-                    tuple(subs),
-                    terms=(t,),
-                    eigen=e,
-                )
-                return ProofNode("cr", g, (n1,))
-
-            moves.append(_Move(children, build, _spend(base_uses, key), uses.get(key, 0)))
-
-    for i, f in enumerate(g.ant):
-        if not (isinstance(f, LambdaAtom) and isinstance(f.arg, IotaTerm)):
-            continue
-        key = ("iota2l", alpha_key(f))
-        if uses.get(key, 0) >= cap:
-            continue
+    for f, key in open_families("iota2l"):
         candidates = pool if minted is None else pool + [minted]
         for b1 in candidates:
             for b2 in candidates:
@@ -399,39 +390,20 @@ def _choice_moves(g: Sequent, uses: dict, st: _State) -> list[_Move]:
                 base_uses = uses
                 if minted is not None and (b1 == minted or b2 == minted):
                     base_uses = _spend(uses, fresh_key)
-                phi_1 = substitute(f.arg.body, f.arg.bound, b1)
-                phi_2 = substitute(f.arg.body, f.arg.bound, b2)
-                children = (
-                    Sequent(g.ant, g.suc + (phi_1,)),
-                    Sequent(g.ant, g.suc + (phi_2,)),
-                    Sequent((Identity(b1, b2),) + g.ant, g.suc),
+                moves.append(
+                    _kept(g, "iota2l", f, (b1, b2), _spend(base_uses, key), uses.get(key, 0))
                 )
-
-                def build(subs, g=g, f=f, b1=b1, b2=b2):
-                    n1 = ProofNode(
-                        "iota2l",
-                        Sequent((f,) + g.ant, g.suc),
-                        tuple(subs),
-                        terms=(b1, b2),
-                    )
-                    return ProofNode("cl", g, (n1,))
-
-                moves.append(_Move(children, build, _spend(base_uses, key), uses.get(key, 0)))
 
     # introduce a reflexive identity as rewrite fodder, the most
     # speculative move, and only worthwhile next to a real equation
     if any(isinstance(f, Identity) and f.lhs != f.rhs for f in g.ant):
         for t in pool:
-            refl = Identity(t, t)
-            key = ("eqplus", alpha_key(refl))
+            key = ("eqplus", alpha_key(Identity(t, t)))
             if uses.get(key, 0) >= cap:
                 continue
-            child = Sequent((refl,) + g.ant, g.suc)
-
-            def build(subs, g=g):
-                return ProofNode("eqplus", g, tuple(subs))
-
-            moves.append(_Move((child,), build, _spend(uses, key), uses.get(key, 0)))
+            mv = _eqplus(g, t)
+            mv.uses, mv.prio = _spend(uses, key), uses.get(key, 0)
+            moves.append(mv)
 
     # fresh families before repeat applications; the sort is stable, so
     # ties keep the rule order above
@@ -445,7 +417,7 @@ def _choice_moves(g: Sequent, uses: dict, st: _State) -> list[_Move]:
 
 def _search(
     g: Sequent, depth: int, seen: frozenset, uses: dict, st: _State
-) -> Optional[ProofNode]:
+) -> Optional[Plan]:
     st.expansions += 1
     if st.expansions > NODE_CAP:
         return None
@@ -468,7 +440,7 @@ def _search(
             if sub is None:
                 return None
             subs.append(sub)
-        return mv.build(subs)
+        return mv, tuple(subs)
 
     for mv in _choice_moves(g, uses, st):
         subs = []
@@ -484,7 +456,7 @@ def _search(
                 break
             subs.append(sub)
         if ok:
-            return mv.build(subs)
+            return mv, tuple(subs)
     return None
 
 
@@ -521,9 +493,9 @@ def prove(goal: Sequent, budget: Optional[SearchBudget] = None) -> Verdict:
     if cm is not None:
         return Refuted(cm.model, cm.assignment)
 
-    root = _run_search(goal, budget)
-    if root is not None:
-        return Proved(check_proof(root))
+    plan = _run_search(goal, budget)
+    if plan is not None:
+        return Proved(check_proof(_build(plan)))
     return Unknown("signature-cap" if capped else "budget-exhausted")
 
 

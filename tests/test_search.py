@@ -5,14 +5,14 @@ import random
 import pytest
 
 from ddproof.kernel import (
-    LAMBDA_RULES,
-    PROPOSITIONAL_RULES,
-    QUANTIFIER_RULES,
+    RULES,
     Proof,
     ProofNode,
     analyze_step,
     check_proof,
+    iter_nodes,
     proof_height,
+    proof_size,
 )
 from ddproof.search import (
     DEFAULT_BUDGET,
@@ -22,6 +22,7 @@ from ddproof.search import (
     Unknown,
     _choice_moves,
     _invertible,
+    _node,
     _State,
     decide_rlambda_suite,
     prove,
@@ -52,6 +53,9 @@ def skeleton(node):
 
 
 QUICK = SearchBudget(max_depth=8, term_pool_cap=2, contraction_cap=2, model_cap=2)
+
+# the first sequents of the prove-sample, drawn as perfbench/gen.py draws them
+SAMPLE_SLICE = 100
 
 
 class TestVerdicts:
@@ -158,12 +162,7 @@ class TestDeterminism:
         assert skeleton(v1.proof.root) == skeleton(v2.proof.root)
 
 
-# every rule search builds from the kernel's tables: its side and class
-TABLED_RULES = {
-    rule: schema[:2]
-    for table in (PROPOSITIONAL_RULES, QUANTIFIER_RULES, LAMBDA_RULES)
-    for rule, schema in table.items()
-}
+# a principal formula for each rule of the kernel's table
 PRINCIPAL_OF_CLASS = {
     Not: "~P(#a)",
     And: "P(#a) & Q(#a)",
@@ -174,36 +173,65 @@ PRINCIPAL_OF_CLASS = {
     Exists: "exists x. R(x, #a)",
     LambdaAtom: "(lam x. R(x, #b)) #a",
 }
+PRINCIPAL = {rule: PRINCIPAL_OF_CLASS.get(schema.kind) for rule, schema in RULES.items()}
+PRINCIPAL.update(
+    {rule: "(lam x. R(x, #b)) iota y. Q(y)" for rule in ("iota1l", "iota2l", "iotar")},
+    # eqplus has no principal formula; search offers it beside an equation
+    eqminus="#a = #b",
+    eqplus="#a = #b",
+)
 
 
-@pytest.mark.parametrize("rule", sorted(TABLED_RULES))
+@pytest.mark.parametrize("rule", sorted(RULES))
 def test_search_premises_satisfy_the_kernel(rule):
-    """The premises search builds for a conclusion with one principal
-    formula pass analyze_step with that formula as the principal."""
-    side, kind = TABLED_RULES[rule]
-    f = parse_formula(PRINCIPAL_OF_CLASS[kind])
+    """Each move search offers for a conclusion with one principal formula,
+    built with axiom leaves, passes analyze_step at every node, and the
+    rule's own node has that formula as its principal."""
+    side = RULES[rule].side
+    f = parse_formula(PRINCIPAL[rule])
     mine = (parse_formula("R(#b, #a)"), f, parse_formula("R(#b, #b)"))
     other = (parse_formula("Q(#b)"),)
     g = Sequent(mine, other) if side == "ant" else Sequent(other, mine)
     st = _State(g, QUICK)
-    if rule in ("foralll", "existsr"):
-        # a choice of term, tried in keeping form under a contraction
-        roots = [
-            mv.build([ProofNode("ax", c) for c in mv.children])
-            for mv in _choice_moves(g, {}, st)
-        ]
-        nodes = [root.premises[0] for root in roots if root.premises[0].rule == rule]
-        assert nodes
-        for root in roots:
-            analyze_step(root)
-    else:
-        mv = _invertible(g, st)
-        nodes = [mv.build([ProofNode("ax", c) for c in mv.children])]
-    for node in nodes:
+    # a loss-free rule is committed; the others are choices, in keeping form
+    mv = _invertible(g, st)
+    moves = [mv] if mv is not None else _choice_moves(g, {}, st)
+    moves = [mv for mv in moves if mv.rule == rule]
+    assert moves
+    for mv in moves:
+        root = _node(mv, [ProofNode("ax", c) for c in mv.children])
+        for _, n in iter_nodes(root):
+            if n.rule != "ax":
+                info = analyze_step(n)
+            if n.conclusion is mv.conclusion:
+                node, principal = n, info.principal
         assert node.rule == rule
-        # the kept conclusion holds f twice; the kernel names the first
-        where = getattr(node.conclusion, side).index(f)
-        assert analyze_step(node).principal == (side, where)
+        if rule != "eqplus":
+            # a kept conclusion holds f twice, and eqminus may use it
+            # flipped; the kernel names the first
+            where = getattr(node.conclusion, side).index(mv.flip or f)
+            assert principal == (side, where)
+
+
+def test_search_builds_only_the_proofs_it_returns(monkeypatch):
+    """On a slice of the prove-sample sequents, prove constructs at most
+    twice as many proof nodes as its proofs keep."""
+    built = 0
+    init = ProofNode.__init__
+
+    def counting_init(self, *args, **kwargs):
+        nonlocal built
+        built += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ProofNode, "__init__", counting_init)
+    fgen = FormulaGen(random.Random(20250823), max_conn=4, max_dd_depth=1)
+    kept = 0
+    for _ in range(SAMPLE_SLICE):
+        v = prove(fgen.sequent(), QUICK)
+        if isinstance(v, Proved):
+            kept += proof_size(v.proof.root)
+    assert kept > 0 and built <= 2 * kept, (built, kept)
 
 
 class TestRlambdaSuite:

@@ -1,10 +1,11 @@
 """Output gates: sha256 digests of what ddproof prints, to show that a change
 leaves its outputs as they were.
 
-    python3 tools/output_gates.py [prove-sample] [cut-corpus] [parse] [kernel] [translate]
+    python3 tools/output_gates.py [prove-sample] [prove-default] [cut-corpus] [parse]
+                                  [kernel] [translate]
 
 The package is imported from the checkout's src/ and the corpora from
-its perfbench/gen.py. With no argument all five gates run, one after
+its perfbench/gen.py. With no argument all six gates run, one after
 another in this interpreter; each prints one line: its name, its digest
 and a tally. Run it on both sides of a change and compare the lines.
 
@@ -13,6 +14,9 @@ and a tally. Run it on both sides of a change and compare the lines.
                 then format_proof of the proof, describe() of the
                 countermodel or the reason it is unknown, each utf-8
                 encoded into one hash with no separator
+  prove-default the same, searched with search.DEFAULT_BUDGET, the budget
+                `ddproof prove` uses: deeper, with more terms and models,
+                so the choice moves are tried far more often
   cut-corpus    the 55 criterion-4 proofs: format_proof of each
                 eliminate_cuts_traced result, then repr of each of its
                 TraceEntry rows, proof by proof
@@ -55,7 +59,7 @@ SNIPPETS = ("(", ")", "~", "&", "|", ",", ".", "=", "=>", "->", "<->", "-", "<",
             "# c\n", "¬", "∧", "∀", "λ", "ι", "⇒")
 
 
-def prove_sample_gate() -> str:
+def _prove_gate(budget) -> str:
     import gen
     from ddproof.search import prove
     from ddproof.surface import format_proof, format_sequent, parse_sequent
@@ -63,7 +67,7 @@ def prove_sample_gate() -> str:
     h = hashlib.sha256()
     tally = {"Refuted": 0, "Proved": 0, "Unknown": 0}
     for s in gen.prove_sample():
-        verdict = prove(parse_sequent(format_sequent(s)), gen.PROVE_BUDGET)
+        verdict = prove(parse_sequent(format_sequent(s)), budget)
         kind = type(verdict).__name__
         tally[kind] += 1
         if kind == "Proved":
@@ -75,6 +79,18 @@ def prove_sample_gate() -> str:
         h.update(kind.encode())
         h.update(shown.encode())
     return f"{h.hexdigest()} {tally['Refuted']}/{tally['Proved']}/{tally['Unknown']}"
+
+
+def prove_sample_gate() -> str:
+    import gen
+
+    return _prove_gate(gen.PROVE_BUDGET)
+
+
+def prove_default_gate() -> str:
+    from ddproof.search import DEFAULT_BUDGET
+
+    return _prove_gate(DEFAULT_BUDGET)
 
 
 def cut_corpus_gate() -> str:
@@ -263,7 +279,8 @@ def translate_gate() -> str:
     return f"{h.hexdigest()} {len(lines)} lines"
 
 
-GATES = {"prove-sample": prove_sample_gate, "cut-corpus": cut_corpus_gate,
+GATES = {"prove-sample": prove_sample_gate, "prove-default": prove_default_gate,
+         "cut-corpus": cut_corpus_gate,
          "parse": parse_gate, "kernel": kernel_gate, "translate": translate_gate}
 
 
