@@ -13,6 +13,8 @@ that table, and so are the search's moves.
 Annotations (instantiation terms, eigenvariables) are optional: when absent
 the checker re-derives them by trying candidate principal occurrences in
 order and matching instantiations against the premises (first match wins).
+A rule given annotations it does not take, as `RULES` states them, is
+rejected.
 
 Eigenvariable conditions are strict: the eigenvariable may not occur
 anywhere in the conclusion. iotar also rejects an eigenvariable equal to its
@@ -457,7 +459,20 @@ def analyze_step(node: ProofNode) -> StepInfo:
         raise RuleError(
             f"{rule} takes {RULE_ARITY[rule]} premises, got {len(node.premises)}"
         )
+    schema = RULES.get(rule)
+    terms, eigen = (schema.terms, schema.eigen) if schema else (0, False)
+    if len(node.terms) not in (0, terms):
+        raise RuleError(f"{rule} takes {_TERMS_TAKEN[terms]}")
+    if node.eigen is not None and not eigen:
+        raise RuleError(f"{rule} takes no eigenvariable")
     return _HANDLERS[rule](node)
+
+
+_TERMS_TAKEN = {
+    0: "no annotated term",
+    1: "one annotated term or none",
+    2: "two annotated terms or none",
+}
 
 
 # --- the rule schemas ---
@@ -701,8 +716,6 @@ def _iota1l_instances(node: ProofNode, f: LambdaAtom) -> list:
 def _iota2l_instances(node: ProofNode, f: LambdaAtom) -> list:
     """b1, b2 are annotated, or the sides of an identity new in premise 3."""
     if node.terms:
-        if len(node.terms) != 2:
-            raise RuleError("iota2l needs two instantiation terms")
         pairs = [tuple(node.terms)]
     else:
         c, p3 = node.conclusion, node.premises[2].conclusion
@@ -778,8 +791,6 @@ def _h_eqminus(node: ProofNode) -> StepInfo:
     (ca, cs), (pa, ps) = side_counts(c), side_counts(p)
     if cs != ps:
         raise RuleError("eqminus must leave the succedent alone")
-    if len(node.terms) not in (0, 2):
-        raise RuleError("eqminus needs two annotated terms or none")
     schema = RULES["eqminus"]
     for i, eq in enumerate(c.ant):
         if not schema.principal(eq):

@@ -20,7 +20,9 @@ s-expressions, one node per line when pretty-printed:
     (foralll (seq (forall x. P(x)) (P($c))) :term $c
       (ax (seq (P($c)) (P($c)))))
 
-with optional `:term`, `:eigen` and `:at` annotations (`:term` may repeat).
+with optional `:term`, `:eigen` and `:at` annotations. foralll, existsr,
+iotar and eqplus take one `:term`, iota2l and eqminus two, and the other
+rules none; forallr, existsl, iota1l and iotar take `:eigen`.
 `#` starts a comment unless immediately followed by a letter. The unicode
 glyphs for the connectives are accepted on input and produced by the
 printers when asked, so pretty output re-parses.

@@ -157,7 +157,7 @@ class TestCheck:
         code, out, err = run(capsys, "check", str(bad))
         assert (code, out) == (1, "")
         assert err == (
-            "ddproof: rejected: path=root: eqminus needs two annotated terms or none\n"
+            "ddproof: rejected: path=root: eqminus takes two annotated terms or none\n"
         )
 
 

@@ -592,7 +592,7 @@ KERNEL_VERDICTS = [
      "rejected path=0: free variable(s) ['x'] in sequent"),
     # fixture rlambda_left: term at 0.0.0.0.0.0.0
     ('(cl (seq ((lam x. P(x)) (iota y. Q(y))) (exists x. (forall y. Q(y) <-> y = x) & P(x))) (iota1l (seq ((lam x. P(x)) (iota y. Q(y)), (lam x. P(x)) (iota y. Q(y))) (exists x. (forall y. Q(y) <-> y = x) & P(x))) :eigen #a1 (existsr (seq (P(#a1), (lam x. P(x)) (iota y. Q(y)), Q(#a1)) (exists x. (forall y. Q(y) <-> y = x) & P(x))) :term #a1 (andr (seq (P(#a1), (lam x. P(x)) (iota y. Q(y)), Q(#a1)) ((forall y. Q(y) <-> y = #a1) & P(#a1))) (wl (seq (P(#a1), (lam x. P(x)) (iota y. Q(y)), Q(#a1)) (forall y. Q(y) <-> y = #a1)) (forallr (seq ((lam x. P(x)) (iota y. Q(y)), Q(#a1)) (forall y. Q(y) <-> y = #a1)) :eigen #a2 (iffr (seq ((lam x. P(x)) (iota y. Q(y)), Q(#a1)) (Q(#a2) <-> #a2 = #a1)) (iota2l (seq ((lam x. P(x)) (iota y. Q(y)), Q(#a1), Q(#a2)) (#a2 = #a1)) :term #a2 :term #a1 :term x (wr (seq (Q(#a1), Q(#a2)) (#a2 = #a1, Q(#a2))) (wl (seq (Q(#a1), Q(#a2)) (Q(#a2))) (ax (seq (Q(#a2)) (Q(#a2)))))) (wr (seq (Q(#a1), Q(#a2)) (#a2 = #a1, Q(#a1))) (wl (seq (Q(#a2), Q(#a1)) (Q(#a1))) (ax (seq (Q(#a1)) (Q(#a1)))))) (wl (seq (#a2 = #a1, Q(#a1), Q(#a2)) (#a2 = #a1)) (wl (seq (Q(#a1), #a2 = #a1) (#a2 = #a1)) (ax (seq (#a2 = #a1) (#a2 = #a1)))))) (wl (seq (#a2 = #a1, (lam x. P(x)) (iota y. Q(y)), Q(#a1)) (Q(#a2))) (eqplus (seq (#a2 = #a1, Q(#a1)) (Q(#a2))) (eqminus (seq (#a2 = #a1, #a2 = #a2, Q(#a1)) (Q(#a2))) (eqminus (seq (#a1 = #a2, Q(#a1)) (Q(#a2))) (ax (seq (Q(#a2)) (Q(#a2))))))))))) (wl (seq (P(#a1), (lam x. P(x)) (iota y. Q(y)), Q(#a1)) (P(#a1))) (wl (seq ((lam x. P(x)) (iota y. Q(y)), P(#a1)) (P(#a1))) (ax (seq (P(#a1)) (P(#a1))))))))))',
-     'rejected path=0.0.0.0.0.0.0: iota2l needs two instantiation terms'),
+     'rejected path=0.0.0.0.0.0.0: iota2l takes two annotated terms or none'),
     # fixture leibniz_bool: move at 1
     ('(andr (seq (#b1 = #b2, P(#b1) & ~Q(#b1)) (P(#b2) & ~Q(#b2))) (andl (seq (#b1 = #b2, P(#b1) & ~Q(#b1)) (P(#b2))) (wl (seq (#b1 = #b2, P(#b1), ~Q(#b1)) (P(#b2))) (eqminus (seq (#b1 = #b2, P(#b1)) (P(#b2))) (ax (seq (P(#b2)) (P(#b2))))))) (andl (seq (#b1 = #b2) (P(#b1) & ~Q(#b1), ~Q(#b2))) (wl (seq (#b1 = #b2, P(#b1), ~Q(#b1)) (~Q(#b2))) (negr (seq (#b1 = #b2, ~Q(#b1)) (~Q(#b2))) (negl (seq (~Q(#b1), #b1 = #b2, Q(#b2)) ()) (eqplus (seq (#b1 = #b2, Q(#b2)) (Q(#b1))) (eqminus (seq (#b1 = #b2, #b1 = #b1, Q(#b2)) (Q(#b1))) (eqminus (seq (#b2 = #b1, Q(#b2)) (Q(#b1))) (ax (seq (Q(#b1)) (Q(#b1))))))))))))',
      'rejected path=1: no andl principal formula matches the premise'),
@@ -649,7 +649,7 @@ KERNEL_VERDICTS = [
      'ok height=2 cut_degrees=()'),
     # desk 57: term at 1.0.0.0
     ('(orl (seq (#b1 = #b2, (exists v165. ~#b = $c) | Q(#b1)) ((exists v165. ~#b = $c) | Q(#b2))) (orr (seq (#b1 = #b2, exists v165. ~#b = $c) ((exists v165. ~#b = $c) | Q(#b2))) (wr (seq (#b1 = #b2, exists v165. ~#b = $c) (exists v165. ~#b = $c, Q(#b2))) (wl (seq (#b1 = #b2, exists v165. ~#b = $c) (exists v165. ~#b = $c)) (ax (seq (exists v165. ~#b = $c) (exists v165. ~#b = $c)))))) (orr (seq (#b1 = #b2, Q(#b1)) ((exists v165. ~#b = $c) | Q(#b2))) (wr (seq (#b1 = #b2, Q(#b1)) (exists v165. ~#b = $c, Q(#b2))) (eqminus (seq (#b1 = #b2, Q(#b1)) (Q(#b2))) (ax (seq (Q(#b2)) (Q(#b2))) :term #b2)))))',
-     'ok height=5 cut_degrees=()'),
+     'rejected path=1.0.0.0: ax takes no annotated term'),
     # fixture sym_trans: drop at root
     ('(eqplus (seq (#b1 = #b) (#b1 = #b2)) (eqminus (seq (#b2 = #b, #b2 = #b2, #b1 = #b) (#b1 = #b2)) (eqminus (seq (#b = #b2, #b1 = #b) (#b1 = #b2)) (ax (seq (#b1 = #b2) (#b1 = #b2))))))',
      'rejected path=root: premise must have exactly one extra antecedent formula'),
@@ -661,10 +661,21 @@ KERNEL_VERDICTS = [
      'rejected path=root: weakening must leave the succedent side alone'),
     # fixture sym_trans: term at 0.0
     ('(eqplus (seq (#b1 = #b, #b2 = #b) (#b1 = #b2)) (eqminus (seq (#b2 = #b, #b2 = #b2, #b1 = #b) (#b1 = #b2)) (eqminus (seq (#b = #b2, #b1 = #b) (#b1 = #b2)) :term #a9 (ax (seq (#b1 = #b2) (#b1 = #b2))))))',
-     'rejected path=0.0: eqminus needs two annotated terms or none'),
+     'rejected path=0.0: eqminus takes two annotated terms or none'),
     # a contraction whose premise lacks a succedent formula
     ('(cl (seq (P(#a)) (P(#a), Q(#a))) (ax (seq (P(#a)) (P(#a)))))',
      'rejected path=root: contraction must leave the succedent side alone'),
+    # annotations a rule does not take
+    ('(ax (seq (P(#a)) (P(#a))) :term #b :eigen #c)',
+     'rejected path=root: ax takes no annotated term'),
+    ('(negl (seq (~P(#a), P(#a)) ()) :term #b (ax (seq (P(#a)) (P(#a)))))',
+     'rejected path=root: negl takes no annotated term'),
+    ('(foralll (seq (forall x. P(x)) (P(#a))) :term #a :term #a (ax (seq (P(#a)) (P(#a)))))',
+     'rejected path=root: foralll takes one annotated term or none'),
+    ('(eqplus (seq (Q(#b)) (#a = #a)) :term #a :term #a (wl (seq (#a = #a, Q(#b)) (#a = #a)) (ax (seq (#a = #a) (#a = #a)))))',
+     'rejected path=root: eqplus takes one annotated term or none'),
+    ('(foralll (seq (forall x. P(x)) (P(#a))) :term #a :eigen #b (ax (seq (P(#a)) (P(#a)))))',
+     'rejected path=root: foralll takes no eigenvariable'),
 ]
 
 
