@@ -268,14 +268,14 @@ def _sum(a: dict[str, int], b: dict[str, int]) -> dict[str, int]:
 
 
 def _premise_is(
-    p: Sequent, c: Sequent, drop: tuple, ant: tuple = (), suc: tuple = ()
+    p: Sequent, c: Sequent, drop: tuple[str, int], ant: tuple = (), suc: tuple = ()
 ) -> bool:
-    """p's sides are c's, less c's formulas at `drop` (a side, then
-    indices on it) and plus the formulas `ant` and `suc`."""
+    """p's sides are c's, less c's formula at `drop` (side, index) and plus
+    the formulas `ant` and `suc`."""
     have, base = side_counts(p), side_counts(c)
     for side, adds in (("ant", ant), ("suc", suc)):
         forms, i = getattr(c, side), _SIDE[side]
-        gone = tuple(alpha_key(forms[j]) for j in drop[1:]) if drop[0] == side else ()
+        gone = (alpha_key(forms[drop[1]]),) if drop[0] == side else ()
         if len(getattr(p, side)) != len(forms) - len(gone) + len(adds):
             return False
         if have[i] != (_moved(base[i], gone, adds) if gone or adds else base[i]):
@@ -459,12 +459,13 @@ def analyze_step(node: ProofNode) -> StepInfo:
         raise RuleError(
             f"{rule} takes {RULE_ARITY[rule]} premises, got {len(node.premises)}"
         )
-    schema = RULES.get(rule)
-    terms, eigen = (schema.terms, schema.eigen) if schema else (0, False)
-    if len(node.terms) not in (0, terms):
-        raise RuleError(f"{rule} takes {_TERMS_TAKEN[terms]}")
-    if node.eigen is not None and not eigen:
-        raise RuleError(f"{rule} takes no eigenvariable")
+    if node.terms or node.eigen is not None:
+        schema = RULES.get(rule)
+        terms, eigen = (schema.terms, schema.eigen) if schema else (0, False)
+        if len(node.terms) not in (0, terms):
+            raise RuleError(f"{rule} takes {_TERMS_TAKEN[terms]}")
+        if node.eigen is not None and not eigen:
+            raise RuleError(f"{rule} takes no eigenvariable")
     return _HANDLERS[rule](node)
 
 
@@ -482,14 +483,16 @@ _TERMS_TAKEN = {
 # from it. A rule's principal formula stands on `side`, is of class `kind`
 # and passes `where` when given. The rule takes `terms` :term annotations,
 # or none to have them inferred, and an :eigen when `eigen` is set. Its
-# `arity` premises are the conclusion less the principal formula plus, in
+# `arity` premises are the conclusion less the principal formula f plus, in
 # premise j, the formulas actives(f, *instance)[j] = (antecedent,
-# succedent); the instance is the rule's terms, then its eigenparameter.
+# succedent). A quantifier or description rule's instance is its terms,
+# then its eigenparameter; the two identity rules are described at their
+# entries.
 
 
 class Schema(NamedTuple):
     side: str
-    kind: Optional[type]
+    kind: type
     arity: int
     actives: Callable
     terms: int = 0
@@ -523,6 +526,10 @@ def _between_instances(f: Identity) -> bool:
     return isinstance(f.lhs, _INSTANCE_TERM) and isinstance(f.rhs, _INSTANCE_TERM)
 
 
+def _reflexive(f: Identity) -> bool:
+    return f.lhs == f.rhs and isinstance(f.lhs, _INSTANCE_TERM)
+
+
 RULES: dict[str, Schema] = {
     "negl": Schema("ant", Not, 1, lambda f: [((), (f.sub,))]),
     "negr": Schema("suc", Not, 1, lambda f: [((f.sub,), ())]),
@@ -544,8 +551,10 @@ RULES: dict[str, Schema] = {
                    where=_applied_to_term),
     "lamr": Schema("suc", LambdaAtom, 1, lambda f: [((), (_inst(f, f.arg),))],
                    where=_applied_to_term),
-    # an abstract applied to a description: some a satisfies both bodies;
-    # any b1, b2 satisfying the description are equal; b is the one
+    # an abstract applied to a description. iota1l: some a satisfies both
+    # bodies. iota2l: any b1 and b2 satisfying the description are equal.
+    # iotar: b satisfies both bodies, and any a satisfying the description
+    # is b
     "iota1l": Schema("ant", LambdaAtom, 1, lambda f, a: [((_desc(f, a), _inst(f, a)), ())],
                      eigen=True, where=_applied_to_description),
     "iota2l": Schema("ant", LambdaAtom, 3, lambda f, b1, b2: [
@@ -555,11 +564,11 @@ RULES: dict[str, Schema] = {
         ((), (_desc(f, b),)), ((), (_inst(f, b),)), ((_desc(f, a),), (Identity(a, b),))],
         terms=1, eigen=True, where=_applied_to_description),
     # eqminus consumes its principal b1=b2 and an atom beside it, and adds
-    # chi, that atom with some occurrences of b1 replaced by b2; eqplus has
-    # no principal formula and discharges b=b
+    # chi, that atom with some occurrences of b1 replaced by b2. eqplus
+    # discharges its principal formula b=b: it stands only in the premise
     "eqminus": Schema("ant", Identity, 1, lambda f, chi: [((chi,), ())], terms=2,
                       where=_between_instances),
-    "eqplus": Schema("ant", None, 1, lambda f, b: [((Identity(b, b),), ())], terms=1),
+    "eqplus": Schema("ant", Identity, 1, lambda f: [((f,), ())], terms=1, where=_reflexive),
 }
 
 # the premise count of every rule, the structural ones first
@@ -644,19 +653,19 @@ def _h_schema(rule: str, what: str, instances):
     first of its `instances(node, f)` whose premises match, under the
     eigenparameter condition when the rule has one."""
     schema = RULES[rule]
-    side = schema.side
+    side, principal, actives, eigen = schema.side, schema.principal, schema.actives, schema.eigen
     noun = "premises" if schema.arity > 1 else "premise"
 
     def h(node: ProofNode) -> StepInfo:
         c = node.conclusion
         prems = [p.conclusion for p in node.premises]
-        for i, f in _candidates(getattr(c, side), schema.principal, node.at):
+        for i, f in _candidates(getattr(c, side), principal, node.at):
             for inst in instances(node, f):
                 if all(
                     _premise_is(p, c, (side, i), ant, suc)
-                    for p, (ant, suc) in zip(prems, schema.actives(f, *inst))
+                    for p, (ant, suc) in zip(prems, actives(f, *inst))
                 ):
-                    if not schema.eigen:
+                    if not eigen:
                         return StepInfo(rule, principal=(side, i), terms=inst)
                     *terms, a = inst
                     _eigen_check(a, c, witness=terms[0] if terms else None)
@@ -800,11 +809,13 @@ def _h_eqminus(node: ProofNode) -> StepInfo:
         for j, a0 in enumerate(c.ant):
             if j == i or not is_atomic(a0):
                 continue
+            # the conclusion less both principal formulas
             base = _moved(ca, (alpha_key(eq), alpha_key(a0)))
             for chi in _diff_candidates(p, "ant", base):
-                if _rewrite_compatible(a0, chi, eq.lhs, eq.rhs) and _premise_is(
-                    p, c, ("ant", i, j), *schema.actives(eq, chi)[0]
-                ):
+                if not _rewrite_compatible(a0, chi, eq.lhs, eq.rhs):
+                    continue
+                ((ant, _),) = schema.actives(eq, chi)
+                if pa == _moved(base, add=ant):
                     return StepInfo("eqminus", principal=("ant", i), terms=(eq.lhs, eq.rhs))
     raise RuleError("no identity/atom pair in the antecedent matches the premise")
 
@@ -819,15 +830,11 @@ def _h_eqplus(node: ProofNode) -> StepInfo:
     if k is None:
         raise RuleError("premise must have exactly one extra antecedent formula")
     extra = p.ant[_first_index(p.ant, k)]
-    b = extra.lhs if isinstance(extra, Identity) else None
-    if not (
-        isinstance(b, _INSTANCE_TERM)
-        and _premise_is(p, c, ("ant",), *RULES["eqplus"].actives(None, b)[0])
-    ):
+    if not RULES["eqplus"].principal(extra):
         raise RuleError("discharged formula must be a reflexive identity b=b")
-    if node.terms and node.terms[0] != b:
+    if node.terms and node.terms[0] != extra.lhs:
         raise RuleError("annotated term does not match the discharged identity")
-    return StepInfo("eqplus", terms=(b,))
+    return StepInfo("eqplus", terms=(extra.lhs,))
 
 
 _HANDLERS: dict[str, Callable[[ProofNode], StepInfo]] = {

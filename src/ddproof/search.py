@@ -180,9 +180,9 @@ def _quick_refuted(g: Sequent, st: _State) -> bool:
 # closures
 
 
-def _eqplus(g: Sequent, t: Term) -> _Move:
-    """eqplus discharging t=t from g."""
-    return _Move("eqplus", g, _premises(g.ant, g.suc, RULES["eqplus"].actives(None, t)))
+def _eqplus(g: Sequent, refl: Identity) -> _Move:
+    """eqplus discharging the reflexive identity refl from g."""
+    return _Move("eqplus", g, _premises(g.ant, g.suc, RULES["eqplus"].actives(refl)))
 
 
 def _closing(f: Formula, g: Sequent) -> Plan:
@@ -196,8 +196,8 @@ def _try_close(g: Sequent) -> Optional[Plan]:
         if alpha_key(f) in suc_keys:
             return _closing(f, g)
     for f in g.suc:
-        if isinstance(f, Identity) and f.lhs == f.rhs:
-            mv = _eqplus(g, f.lhs)
+        if RULES["eqplus"].principal(f):
+            mv = _eqplus(g, f)
             return mv, (_closing(f, mv.children[0]),)
     return None
 
@@ -234,7 +234,10 @@ def _invertible(g: Sequent, st: _State) -> Optional[_Move]:
             if rule is None or not RULES[rule].principal(f):
                 continue
             inst = (st.supply.fresh(),) if RULES[rule].eigen else ()
-            rest = (_remove_at(g.ant, i), g.suc) if side == "ant" else (g.ant, _remove_at(g.suc, i))
+            if side == "ant":
+                rest = (_remove_at(g.ant, i), g.suc)
+            else:
+                rest = (g.ant, _remove_at(g.suc, i))
             children = _premises(*rest, RULES[rule].actives(f, *inst))
             return _Move(rule, g, children, eigen=inst[0] if inst else None)
     return None
@@ -278,7 +281,8 @@ def _term_pool(g: Sequent) -> list[Term]:
 
 def _rewrite_variants(atom: Formula, src: Term, dst: Term) -> Iterator[Formula]:
     """Every distinct result of replacing a nonempty subset of the src
-    occurrences in an atom by dst, the all-positions rewrite first."""
+    occurrences in an atom by dst, the all-positions rewrite first; none
+    for a formula that is not atomic."""
     if isinstance(atom, PredAtom):
         slots = list(atom.args)
         rebuild = lambda xs: PredAtom(atom.pred, tuple(xs))
@@ -318,8 +322,6 @@ def _eqminus_moves(g: Sequent, uses: dict, st: _State) -> Iterator[_Move]:
         ):
             used = Identity(src, dst) if flipped else eq
             for j, atom in enumerate(g.ant):
-                if not isinstance(atom, (PredAtom, Identity)):
-                    continue
                 key = ("eqminus", alpha_key(eq), alpha_key(atom))
                 if uses.get(key, 0) >= cap:
                     continue
@@ -398,10 +400,11 @@ def _choice_moves(g: Sequent, uses: dict, st: _State) -> list[_Move]:
     # speculative move, and only worthwhile next to a real equation
     if any(isinstance(f, Identity) and f.lhs != f.rhs for f in g.ant):
         for t in pool:
-            key = ("eqplus", alpha_key(Identity(t, t)))
+            refl = Identity(t, t)
+            key = ("eqplus", alpha_key(refl))
             if uses.get(key, 0) >= cap:
                 continue
-            mv = _eqplus(g, t)
+            mv = _eqplus(g, refl)
             mv.uses, mv.prio = _spend(uses, key), uses.get(key, 0)
             moves.append(mv)
 
