@@ -2,10 +2,10 @@
 leaves its outputs as they were.
 
     python3 tools/output_gates.py [prove-sample] [prove-default] [cut-corpus] [parse]
-                                  [kernel] [translate]
+                                  [kernel] [translate] [walks]
 
 The package is imported from the checkout's src/ and the corpora from
-its perfbench/gen.py. With no argument all six gates run, one after
+its perfbench/gen.py. With no argument all seven gates run, one after
 another in this interpreter; each prints one line: its name, its digest
 and a tally. Run it on both sides of a change and compare the lines.
 
@@ -37,6 +37,15 @@ and a tally. Run it on both sides of a change and compare the lines.
   translate     format_sequent of translate_sequent over the 500
                 prove-sample sequents, then format_formula of translate
                 over 200 seeded desk-check formulas, one line each
+  walks         the structural walks of `syntax` over every distinct
+                formula (and subformula, description bodies included) of
+                the prove sample, 300 seeded desk-check formulas and every
+                node of the cut corpus: alpha_key, free_vars, params_in,
+                consts_in, preds_in, logical_constants, the arity map of
+                validate_formula, is_pure_fol, format_formula of
+                substitute for each of x, y, y1, z by each of y, x1, #a,
+                $c, and format_formula of rename_param of each parameter
+                to $k and to #a9, one line per formula
 """
 
 import hashlib
@@ -52,6 +61,8 @@ KERNEL_PERTURBATIONS = 20
 KERNEL_OPS = ("drop", "duplicate", "move", "at", "eigen", "term", "rename")
 TRANSLATE_SEED = 20261020
 TRANSLATE_DESK = 200
+WALKS_SEED = 20261021
+WALKS_DESK = 300
 # what a mutation inserts or puts in place of a character
 SNIPPETS = ("(", ")", "~", "&", "|", ",", ".", "=", "=>", "->", "<->", "-", "<",
             "#", "#a", "$", "$c", ":", ":at 1", ":eigen #b", "x", "P", "forall",
@@ -279,9 +290,57 @@ def translate_gate() -> str:
     return f"{h.hexdigest()} {len(lines)} lines"
 
 
+def _subformulas(f, out: dict) -> None:
+    """Add f and its subformulas to `out`, keyed by structural equality, in
+    pre-order; read off the dataclass fields, so that the gate does not
+    lean on the walks it checks."""
+    from ddproof.syntax import IotaTerm, is_term
+
+    out.setdefault(f, None)
+    for name in f.__match_args__:
+        v = getattr(f, name)
+        if isinstance(v, IotaTerm):
+            _subformulas(v.body, out)
+        elif not isinstance(v, (str, tuple)) and not is_term(v):
+            _subformulas(v, out)
+
+
+def walks_gate() -> str:
+    import gen
+    from ddproof.kernel import iter_nodes
+    from ddproof.surface import format_formula
+    from ddproof.syntax import (Const, Param, Var, alpha_key, consts_in, free_vars,
+                                logical_constants, params_in, preds_in, rename_param,
+                                substitute, validate_formula)
+    from ddproof.translate import is_pure_fol
+
+    forms: dict = {}
+    for s in gen.prove_sample():
+        for f in s.ant + s.suc:
+            _subformulas(f, forms)
+    for f in gen.desk_formulas(random.Random(WALKS_SEED), WALKS_DESK):
+        _subformulas(f, forms)
+    for _, proof in gen.cut_corpus():
+        for _, node in iter_nodes(proof):
+            for f in node.conclusion.ant + node.conclusion.suc:
+                _subformulas(f, forms)
+    by = (Var("y"), Var("x1"), Param("a"), Const("c"))
+    h = hashlib.sha256()
+    for f in forms:
+        row = [alpha_key(f), sorted(free_vars(f)), sorted(params_in(f)),
+               sorted(consts_in(f)), list(preds_in(f)), logical_constants(f),
+               sorted(validate_formula(f).items()), is_pure_fol(f)]
+        row += [format_formula(substitute(f, x, t)) for x in ("x", "y", "y1", "z") for t in by]
+        row += [format_formula(rename_param(f, p, new))
+                for p in sorted(params_in(f)) for new in (Const("k"), Param("a9"))]
+        h.update(f"{row!r}\n".encode())
+    return f"{h.hexdigest()} {len(forms)} formulas"
+
+
 GATES = {"prove-sample": prove_sample_gate, "prove-default": prove_default_gate,
          "cut-corpus": cut_corpus_gate,
-         "parse": parse_gate, "kernel": kernel_gate, "translate": translate_gate}
+         "parse": parse_gate, "kernel": kernel_gate, "translate": translate_gate,
+         "walks": walks_gate}
 
 
 def main(argv: list) -> int:
