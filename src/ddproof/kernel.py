@@ -55,6 +55,8 @@ from .syntax import (
     Sequent,
     Term,
     Var,
+    _Node,
+    _SHAPES,
     alpha_key,
     is_atomic,
     is_term,
@@ -323,64 +325,26 @@ def match_subst(body: Formula, x: str, chi: Formula):
             return isinstance(c, Var) and c.name == b.name and c.name not in cenv
         return c == b
 
-    def walk(b: Formula, c, benv: dict, cenv: dict, depth: int) -> bool:
+    def walk(b, c, benv: dict, cenv: dict, depth: int) -> bool:
         if type(b) is not type(c):
             return False
-        if isinstance(b, PredAtom):
-            return (
-                b.pred == c.pred
-                and len(b.args) == len(c.args)
-                and all(term_ok(u, v, benv, cenv) for u, v in zip(b.args, c.args))
-            )
-        if isinstance(b, Identity):
-            return term_ok(b.lhs, c.lhs, benv, cenv) and term_ok(
-                b.rhs, c.rhs, benv, cenv
-            )
-        if isinstance(b, Not):
-            return walk(b.sub, c.sub, benv, cenv, depth)
-        if isinstance(b, (And, Or, Imp, Iff)):
-            return walk(b.left, c.left, benv, cenv, depth) and walk(
-                b.right, c.right, benv, cenv, depth
-            )
-        if isinstance(b, (Forall, Exists)):
-            return walk(
-                b.body,
-                c.body,
-                {**benv, b.bound: depth},
-                {**cenv, c.bound: depth},
-                depth + 1,
-            )
-        if isinstance(b, LambdaAtom):
-            if isinstance(b.arg, IotaTerm) != isinstance(c.arg, IotaTerm):
+        shape = _SHAPES[type(b)]
+        bs, cs = shape.parts(b), shape.parts(c)
+        if len(bs) != len(cs) or shape.spread and b.pred != c.pred:
+            return False
+        # a binder's body is matched with both bound variables at `depth`
+        inner = (benv, cenv, depth)
+        if shape.binds:
+            inner = ({**benv, b.bound: depth}, {**cenv, c.bound: depth}, depth + 1)
+        for u, v in zip(bs, cs):
+            if not (walk(u, v, *inner) if isinstance(u, _Node) else term_ok(u, v, benv, cenv)):
                 return False
-            if isinstance(b.arg, IotaTerm):
-                if not walk(
-                    b.arg.body,
-                    c.arg.body,
-                    {**benv, b.arg.bound: depth},
-                    {**cenv, c.arg.bound: depth},
-                    depth + 1,
-                ):
-                    return False
-            elif not term_ok(b.arg, c.arg, benv, cenv):
-                return False
-            return walk(
-                b.body,
-                c.body,
-                {**benv, b.bound: depth},
-                {**cenv, c.bound: depth},
-                depth + 1,
-            )
-        raise TypeError(f"not a formula: {b!r}")
+            inner = (benv, cenv, depth)
+        return True
 
-    if not walk(body, chi, {}, {}, 0):
+    if not walk(body, chi, {}, {}, 0) or len(set(found)) > 1:
         return None
-    if not found:
-        return "any"
-    first = found[0]
-    if any(t != first for t in found[1:]):
-        return None
-    return first
+    return found[0] if found else "any"
 
 
 # ---------------------------------------------------------------------------
@@ -505,13 +469,8 @@ class Schema(NamedTuple):
 
 
 def _inst(f, b: Term) -> Formula:
-    """The body of quantifier or abstract f at b."""
+    """The body of quantifier, abstract or description f at b."""
     return substitute(f.body, f.bound, b)
-
-
-def _desc(f: LambdaAtom, b: Term) -> Formula:
-    """The body of f's description at b."""
-    return substitute(f.arg.body, f.arg.bound, b)
 
 
 def _applied_to_term(f: LambdaAtom) -> bool:
@@ -555,13 +514,13 @@ RULES: dict[str, Schema] = {
     # bodies. iota2l: any b1 and b2 satisfying the description are equal.
     # iotar: b satisfies both bodies, and any a satisfying the description
     # is b
-    "iota1l": Schema("ant", LambdaAtom, 1, lambda f, a: [((_desc(f, a), _inst(f, a)), ())],
+    "iota1l": Schema("ant", LambdaAtom, 1, lambda f, a: [((_inst(f.arg, a), _inst(f, a)), ())],
                      eigen=True, where=_applied_to_description),
     "iota2l": Schema("ant", LambdaAtom, 3, lambda f, b1, b2: [
-        ((), (_desc(f, b1),)), ((), (_desc(f, b2),)), ((Identity(b1, b2),), ())],
+        ((), (_inst(f.arg, b1),)), ((), (_inst(f.arg, b2),)), ((Identity(b1, b2),), ())],
         terms=2, where=_applied_to_description),
     "iotar": Schema("suc", LambdaAtom, 3, lambda f, b, a: [
-        ((), (_desc(f, b),)), ((), (_inst(f, b),)), ((_desc(f, a),), (Identity(a, b),))],
+        ((), (_inst(f.arg, b),)), ((), (_inst(f, b),)), ((_inst(f.arg, a),), (Identity(a, b),))],
         terms=1, eigen=True, where=_applied_to_description),
     # eqminus consumes its principal b1=b2 and an atom beside it, and adds
     # chi, that atom with some occurrences of b1 replaced by b2. eqplus

@@ -6,6 +6,17 @@ free-variable surrogates that can never be bound), and constants (Const).
 Descriptions (IotaTerm) are quasi-terms: they occur only as the argument of
 a predicate abstract (LambdaAtom), never inside an ordinary atom.
 
+Each node class's shape is stated once, in `_SHAPES`. A node's fields are
+its label, if it has one (a predicate's name, or the variable `bound` of a
+binder), then its parts: terms and subnodes, in field order, with a
+predicate's arguments one by one. Each part field has a sort: a formula, a
+term, or an abstract's argument, a term or a description. One binder rule
+holds for every class: a node's `bound` binds its first part, the body,
+and nothing else, so in `(lam x. psi) iota y. phi` x is bound in psi only
+and y in phi only. `_parts(f)` and `_rebuild(f, parts, bound)` take a node
+apart and put it together, and every structural walk here (free names,
+keys, substitution, validation) is one loop over a node's parts.
+
 The module also provides capture-avoiding substitution, alpha-equality via a
 canonical de Bruijn key, well-formedness validation, and one fresh-name
 rule: the smallest unused index. `scan_fresh` mints one name by it (the
@@ -26,7 +37,8 @@ not reach another one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Union
+from operator import attrgetter
+from typing import Callable, Iterable, NamedTuple, Optional, Union
 
 # ---------------------------------------------------------------------------
 # terms
@@ -168,14 +180,74 @@ QUANTIFIERS = (Forall, Exists)
 TERM_TYPES = (Var, Param, Const)
 
 
+# ---------------------------------------------------------------------------
+# shapes: one row per node class, its alpha-key tag and the sort of each
+# part field ("f" formula, "t" term, "a" term or description); see the
+# module docstring for the rule every walk below follows
+
+
+class _Shape(NamedTuple):
+    tag: str
+    fields: tuple[str, ...]  # the part fields, in order
+    sorts: str  # one per part field
+    parts: Callable  # node -> its parts
+    make: Callable  # (node, parts, bound) -> a node of its class and label
+    binds: bool  # the class has a `bound`
+    spread: bool  # a predicate: its one part field holds every part
+
+
+def _shape(cls: type, tag: str, sorts: str) -> _Shape:
+    fields = cls.__match_args__[-len(sorts):]
+    get = attrgetter(*fields)
+    spread = fields == ("args",)
+    binds = "bound" in cls.__match_args__
+    if spread:
+        make = lambda f, parts, bound: cls(f.pred, tuple(parts))
+    elif binds:
+        make = lambda f, parts, bound: cls(bound, *parts)
+    else:
+        make = lambda f, parts, bound: cls(*parts)
+    parts = get if spread or len(fields) > 1 else lambda f: (get(f),)
+    return _Shape(tag, fields, sorts, parts, make, binds, spread)
+
+
+_SHAPES: dict[type, _Shape] = {
+    cls: _shape(cls, tag, sorts)
+    for cls, tag, sorts in (
+        (PredAtom, "P", "t"),
+        (Identity, "=", "tt"),
+        (Not, "not", "f"),
+        (And, "and", "ff"),
+        (Or, "or", "ff"),
+        (Imp, "imp", "ff"),
+        (Iff, "iff", "ff"),
+        (Forall, "all", "f"),
+        (Exists, "ex", "f"),
+        (LambdaAtom, "lam", "fa"),
+        (IotaTerm, "iota", "f"),
+    )
+}
+
+FORMULA_TYPES = tuple(cls for cls in _SHAPES if cls is not IotaTerm)
+
+
+def _parts(f) -> tuple:
+    """The terms and subnodes of a formula or description, in field order."""
+    return _SHAPES[type(f)].parts(f)
+
+
+def _rebuild(f, parts, bound: Optional[str] = None):
+    """The node of f's class and label with these parts, binding `bound`
+    (f's own when None) if the class binds."""
+    return _SHAPES[type(f)].make(f, parts, bound or getattr(f, "bound", None))
+
+
 def is_term(t: object) -> bool:
     return isinstance(t, TERM_TYPES)
 
 
 def is_formula(f: object) -> bool:
-    return isinstance(
-        f, (PredAtom, Identity, Not, And, Or, Imp, Iff, Forall, Exists, LambdaAtom)
-    )
+    return isinstance(f, FORMULA_TYPES)
 
 
 def is_atomic(f: Formula) -> bool:
@@ -250,29 +322,22 @@ class ParamSupply:
 _EMPTY: frozenset[str] = frozenset()
 
 
-def free_vars(f: Formula) -> frozenset[str]:
+def free_vars(f) -> frozenset[str]:
     fv = getattr(f, "_fv", None)
     if fv is not None:
         return fv
-    if isinstance(f, PredAtom):
-        fv = frozenset(t.name for t in f.args if isinstance(t, Var))
-    elif isinstance(f, Identity):
-        fv = frozenset(t.name for t in (f.lhs, f.rhs) if isinstance(t, Var))
-    elif isinstance(f, Not):
-        fv = free_vars(f.sub)
-    elif isinstance(f, BINARY_OPS):
-        fv = free_vars(f.left) | free_vars(f.right)
-    elif isinstance(f, QUANTIFIERS):
-        fv = free_vars(f.body) - {f.bound}
-    elif isinstance(f, LambdaAtom):
-        fv = free_vars(f.body) - {f.bound}
-        if isinstance(f.arg, IotaTerm):
-            fv |= free_vars(f.arg.body) - {f.arg.bound}
-        elif isinstance(f.arg, Var):
-            fv |= {f.arg.name}
-    else:
-        raise TypeError(f"not a formula: {f!r}")
-    fv = fv or _EMPTY
+    shape = _SHAPES[type(f)]
+    bound = f.bound if shape.binds else None
+    out: set[str] = set()
+    for p in shape.parts(f):
+        if isinstance(p, _Node):
+            out |= free_vars(p)
+        elif isinstance(p, Var):
+            out.add(p.name)
+        if bound is not None:  # the body is done
+            out.discard(bound)
+            bound = None
+    fv = frozenset(out) or _EMPTY
     _store(f, "_fv", fv)
     return fv
 
@@ -286,7 +351,8 @@ def _names(x: _Node) -> tuple[frozenset[str], frozenset[str], tuple]:
         return names
     terms: list = []
     preds: list = []
-    _occurrences(x, terms, preds)
+    for f in x.ant + x.suc if isinstance(x, Sequent) else (x,):
+        _occurrences(f, terms, preds)
     names = (
         frozenset([t.name for t in terms if isinstance(t, Param)]) or _EMPTY,
         frozenset([t.name for t in terms if isinstance(t, Const)]) or _EMPTY,
@@ -298,29 +364,15 @@ def _names(x: _Node) -> tuple[frozenset[str], frozenset[str], tuple]:
 
 def _occurrences(f, terms: list, preds: list) -> None:
     """Append the term and (name, arity) occurrences of f, in walk order."""
-    if isinstance(f, PredAtom):
-        terms += f.args
-        preds.append((f.pred, len(f.args)))
-    elif isinstance(f, Identity):
-        terms += (f.lhs, f.rhs)
-    elif isinstance(f, Not):
-        _occurrences(f.sub, terms, preds)
-    elif isinstance(f, BINARY_OPS):
-        _occurrences(f.left, terms, preds)
-        _occurrences(f.right, terms, preds)
-    elif isinstance(f, (Forall, Exists, IotaTerm)):
-        _occurrences(f.body, terms, preds)
-    elif isinstance(f, LambdaAtom):
-        _occurrences(f.body, terms, preds)
-        if isinstance(f.arg, IotaTerm):
-            _occurrences(f.arg.body, terms, preds)
+    shape = _SHAPES[type(f)]
+    parts = shape.parts(f)
+    if shape.spread:
+        preds.append((f.pred, len(parts)))
+    for p in parts:
+        if isinstance(p, _Node):
+            _occurrences(p, terms, preds)
         else:
-            terms.append(f.arg)
-    elif isinstance(f, Sequent):
-        for g in f.ant + f.suc:
-            _occurrences(g, terms, preds)
-    else:
-        raise TypeError(f"not a formula: {f!r}")
+            terms.append(p)
 
 
 def _gather(x, i: int, kind: type) -> frozenset[str]:
@@ -355,25 +407,15 @@ def preds_in(x) -> tuple[tuple[str, int], ...]:
 
 
 def logical_constants(f: Formula) -> int:
-    """Count of connectives, quantifiers, abstracts and descriptions.
-
-    An abstract contributes 1 and a description argument another 1; the
-    biconditional counts as a single connective. Drives the cut-degree
-    measure."""
-    if isinstance(f, (PredAtom, Identity)):
-        return 0
-    if isinstance(f, Not):
-        return 1 + logical_constants(f.sub)
-    if isinstance(f, BINARY_OPS):
-        return 1 + logical_constants(f.left) + logical_constants(f.right)
-    if isinstance(f, QUANTIFIERS):
-        return 1 + logical_constants(f.body)
-    if isinstance(f, LambdaAtom):
-        n = 1 + logical_constants(f.body)
-        if isinstance(f.arg, IotaTerm):
-            n += 1 + logical_constants(f.arg.body)
-        return n
-    raise TypeError(f"not a formula: {f!r}")
+    """Count of connectives, quantifiers, abstracts and descriptions: every
+    node with a subnode counts 1, so an abstract contributes 1 and a
+    description argument another 1, and the biconditional counts as a
+    single connective. Drives the cut-degree measure."""
+    n, atom = 0, True
+    for p in _SHAPES[type(f)].parts(f):
+        if isinstance(p, _Node):
+            n, atom = n + logical_constants(p), False
+    return 0 if atom else n + 1
 
 
 # ---------------------------------------------------------------------------
@@ -394,81 +436,34 @@ def substitute(f: Formula, x: str, t: Term) -> Formula:
     index of its base name that is free in neither its body nor {x, t}."""
     if x not in free_vars(f):
         return f
-
-    def sub_term(u: Term) -> Term:
-        return t if isinstance(u, Var) and u.name == x else u
-
-    def under_binder(bound: str, body: Formula, rebuild):
-        if bound == x:
-            return None  # shadowed; caller keeps node as-is for this binder
+    shape = _SHAPES[type(f)]
+    parts = shape.parts(f)
+    out = [
+        substitute(p, x, t) if isinstance(p, _Node)
+        else t if isinstance(p, Var) and p.name == x else p
+        for p in (parts[1:] if shape.binds else parts)
+    ]
+    if not shape.binds:
+        return shape.make(f, out, None)
+    bound, body = f.bound, parts[0]
+    if bound != x:  # else x is shadowed in the body
         if isinstance(t, Var) and t.name == bound and x in free_vars(body):
             nb = scan_fresh(_var_base(bound), free_vars(body) | {x, t.name})
-            body = substitute(body, bound, Var(nb))
-            return rebuild(nb, substitute(body, x, t))
-        return rebuild(bound, substitute(body, x, t))
-
-    if isinstance(f, PredAtom):
-        return PredAtom(f.pred, tuple(sub_term(a) for a in f.args))
-    if isinstance(f, Identity):
-        return Identity(sub_term(f.lhs), sub_term(f.rhs))
-    if isinstance(f, Not):
-        return Not(substitute(f.sub, x, t))
-    if isinstance(f, BINARY_OPS):
-        return type(f)(substitute(f.left, x, t), substitute(f.right, x, t))
-    if isinstance(f, QUANTIFIERS):
-        out = under_binder(f.bound, f.body, lambda b, body: type(f)(b, body))
-        return f if out is None else out
-    if isinstance(f, LambdaAtom):
-        if isinstance(f.arg, IotaTerm):
-            it = f.arg
-            if it.bound == x or x not in free_vars(it.body):
-                new_arg: Union[Term, IotaTerm] = it
-            elif isinstance(t, Var) and t.name == it.bound:
-                nb = scan_fresh(
-                    _var_base(it.bound), free_vars(it.body) | {x, t.name}
-                )
-                new_arg = IotaTerm(
-                    nb, substitute(substitute(it.body, it.bound, Var(nb)), x, t)
-                )
-            else:
-                new_arg = IotaTerm(it.bound, substitute(it.body, x, t))
-        else:
-            new_arg = sub_term(f.arg)
-        if f.bound == x or x not in free_vars(f.body):
-            return LambdaAtom(f.bound, f.body, new_arg)
-        if isinstance(t, Var) and t.name == f.bound:
-            nb = scan_fresh(_var_base(f.bound), free_vars(f.body) | {x, t.name})
-            body = substitute(f.body, f.bound, Var(nb))
-            return LambdaAtom(nb, substitute(body, x, t), new_arg)
-        return LambdaAtom(f.bound, substitute(f.body, x, t), new_arg)
-    raise TypeError(f"not a formula: {f!r}")
+            body, bound = substitute(body, bound, Var(nb)), nb
+        body = substitute(body, x, t)
+    return shape.make(f, [body, *out], bound)
 
 
 def rename_param(f: Formula, old: str, new: Term) -> Formula:
     """Replace every occurrence of Param old by `new` (a Param or Const).
     Parameters are never bound, so this is plain structural replacement."""
-
-    def sub_term(u: Term) -> Term:
-        return new if isinstance(u, Param) and u.name == old else u
-
-    if isinstance(f, PredAtom):
-        return PredAtom(f.pred, tuple(sub_term(a) for a in f.args))
-    if isinstance(f, Identity):
-        return Identity(sub_term(f.lhs), sub_term(f.rhs))
-    if isinstance(f, Not):
-        return Not(rename_param(f.sub, old, new))
-    if isinstance(f, BINARY_OPS):
-        return type(f)(rename_param(f.left, old, new), rename_param(f.right, old, new))
-    if isinstance(f, QUANTIFIERS):
-        return type(f)(f.bound, rename_param(f.body, old, new))
-    if isinstance(f, LambdaAtom):
-        arg: Union[Term, IotaTerm]
-        if isinstance(f.arg, IotaTerm):
-            arg = IotaTerm(f.arg.bound, rename_param(f.arg.body, old, new))
-        else:
-            arg = sub_term(f.arg)
-        return LambdaAtom(f.bound, rename_param(f.body, old, new), arg)
-    raise TypeError(f"not a formula: {f!r}")
+    shape = _SHAPES[type(f)]
+    parts = [
+        rename_param(p, old, new) if isinstance(p, _Node)
+        else new if isinstance(p, Param) and p.name == old else p
+        for p in shape.parts(f)
+    ]
+    return shape.make(f, parts, f.bound if shape.binds else None)
 
 
 def rename_param_seq(s: Sequent, old: str, new: Term) -> Sequent:
@@ -494,26 +489,16 @@ def _term_key(t: Term, env: tuple[str, ...]) -> str:
 
 
 def _key(f: Formula, env: tuple[str, ...]) -> str:
-    if isinstance(f, PredAtom):
-        inner = " ".join(_term_key(a, env) for a in f.args)
-        return f"(P {f.pred}/{len(f.args)} {inner})"
-    if isinstance(f, Identity):
-        return f"(= {_term_key(f.lhs, env)} {_term_key(f.rhs, env)})"
-    if isinstance(f, Not):
-        return f"(not {_key(f.sub, env)})"
-    if isinstance(f, BINARY_OPS):
-        tag = {And: "and", Or: "or", Imp: "imp", Iff: "iff"}[type(f)]
-        return f"({tag} {_key(f.left, env)} {_key(f.right, env)})"
-    if isinstance(f, QUANTIFIERS):
-        tag = "all" if isinstance(f, Forall) else "ex"
-        return f"({tag} {_key(f.body, env + (f.bound,))})"
-    if isinstance(f, LambdaAtom):
-        if isinstance(f.arg, IotaTerm):
-            arg = f"(iota {_key(f.arg.body, env + (f.arg.bound,))})"
-        else:
-            arg = _term_key(f.arg, env)
-        return f"(lam {_key(f.body, env + (f.bound,))} {arg})"
-    raise TypeError(f"not a formula: {f!r}")
+    tag, _, _, parts, _, binds, spread = _SHAPES[type(f)]
+    parts = parts(f)
+    if spread:
+        tag = f"P {f.pred}/{len(parts)}"
+    inner = env + (f.bound,) if binds else env
+    keys = []
+    for p in parts:
+        keys.append(_key(p, inner) if isinstance(p, _Node) else _term_key(p, env))
+        inner = env  # the body is done
+    return f"({tag} {' '.join(keys)})"
 
 
 def alpha_key(f: Formula) -> str:
@@ -592,55 +577,46 @@ def validate_formula(
     if arities is None:
         arities = {}
 
-    # a path is (parent path, step) pairs down from `path`; the dotted
-    # string is built only for an error, so deep formulas cost no
-    # quadratic string building
+    # a path is (parent path, node, part index) triples down from `path`;
+    # the dotted string is built only for an error, so deep formulas cost
+    # no quadratic string building
     def dotted(p) -> str:
         steps = []
         while isinstance(p, tuple):
-            p, step = p
-            steps.append(step)
+            p, node, i = p
+            shape = _SHAPES[type(node)]
+            steps.append(f"arg{i}" if shape.spread else shape.fields[i])
         steps.append(p)
         return ".".join(reversed(steps))
 
-    def check_term(t, where) -> None:
-        if isinstance(t, IotaTerm):
-            raise IllFormed(dotted(where), "description outside an abstract argument")
-        if not is_term(t):
-            raise IllFormed(dotted(where), f"not a term: {t!r}")
-
-    def walk(f: Formula, path) -> None:
-        if isinstance(f, PredAtom):
-            for i, a in enumerate(f.args):
-                check_term(a, (path, f"arg{i}"))
-            seen = arities.get(f.pred)
-            if seen is None:
-                arities[f.pred] = len(f.args)
-            elif seen != len(f.args):
+    def walk(f, path) -> None:
+        shape = _SHAPES[type(f)]
+        parts = shape.parts(f)
+        sorts, spread = shape.sorts, shape.spread
+        for i, p in enumerate(parts):
+            if isinstance(p, TERM_TYPES) and (spread or sorts[i] != "f"):
+                continue
+            sort = "t" if spread else sorts[i]
+            where = (path, f, i)
+            if sort == "f":
+                if not isinstance(p, FORMULA_TYPES):
+                    raise IllFormed(dotted(where), f"not a formula: {p!r}")
+            elif not (sort == "a" and isinstance(p, IotaTerm)):
                 raise IllFormed(
-                    dotted(path),
-                    f"predicate {f.pred} used with arity {len(f.args)}, "
-                    f"previously {seen}",
+                    dotted(where),
+                    "description outside an abstract argument"
+                    if isinstance(p, IotaTerm) else f"not a term: {p!r}",
                 )
-        elif isinstance(f, Identity):
-            check_term(f.lhs, (path, "lhs"))
-            check_term(f.rhs, (path, "rhs"))
-        elif isinstance(f, Not):
-            walk(f.sub, (path, "sub"))
-        elif isinstance(f, BINARY_OPS):
-            walk(f.left, (path, "left"))
-            walk(f.right, (path, "right"))
-        elif isinstance(f, QUANTIFIERS):
-            walk(f.body, (path, "body"))
-        elif isinstance(f, LambdaAtom):
-            walk(f.body, (path, "body"))
-            if isinstance(f.arg, IotaTerm):
-                walk(f.arg.body, ((path, "arg"), "body"))
-            else:
-                check_term(f.arg, (path, "arg"))
-        else:
-            raise IllFormed(dotted(path), f"not a formula: {f!r}")
+            walk(p, where)
+        if shape.spread and arities.setdefault(f.pred, len(parts)) != len(parts):
+            raise IllFormed(
+                dotted(path),
+                f"predicate {f.pred} used with arity {len(parts)}, "
+                f"previously {arities[f.pred]}",
+            )
 
+    if not is_formula(f):
+        raise IllFormed(path, f"not a formula: {f!r}")
     walk(f, path)
     return arities
 

@@ -14,15 +14,13 @@ whole point of keeping descriptions as structured syntax.
 """
 
 from .syntax import (
-    BINARY_OPS,
-    QUANTIFIERS,
     Formula,
-    Identity,
     IotaTerm,
     LambdaAtom,
-    Not,
-    PredAtom,
     Sequent,
+    _Node,
+    _parts,
+    _rebuild,
     substitute,
 )
 from .builders import paraphrase
@@ -30,38 +28,26 @@ from .builders import paraphrase
 
 def is_pure_fol(f: Formula) -> bool:
     """True when the formula contains no abstracts and no descriptions."""
-    if isinstance(f, (PredAtom, Identity)):
-        return True
-    if isinstance(f, Not):
-        return is_pure_fol(f.sub)
-    if isinstance(f, BINARY_OPS):
-        return is_pure_fol(f.left) and is_pure_fol(f.right)
-    if isinstance(f, QUANTIFIERS):
-        return is_pure_fol(f.body)
-    return False  # LambdaAtom
+    return not isinstance(f, LambdaAtom) and all(
+        is_pure_fol(p) for p in _parts(f) if isinstance(p, _Node)
+    )
 
 
 def translate(f: Formula) -> Formula:
     """Eliminate every abstract: beta-reduce ordinary arguments, unfold
     description arguments to the quantified paraphrase. Homomorphic on
-    everything else."""
-    if isinstance(f, (PredAtom, Identity)):
+    everything else; an atom is returned as it is."""
+    parts = _parts(f)
+    if not any(isinstance(p, _Node) for p in parts):
         return f
-    if isinstance(f, Not):
-        return Not(translate(f.sub))
-    if isinstance(f, BINARY_OPS):
-        return type(f)(translate(f.left), translate(f.right))
-    if isinstance(f, QUANTIFIERS):
-        return type(f)(f.bound, translate(f.body))
-    # abstract: translate the bodies first, then eliminate this layer
-    if isinstance(f.arg, IotaTerm):
-        unfolded = LambdaAtom(
-            f.bound,
-            translate(f.body),
-            IotaTerm(f.arg.bound, translate(f.arg.body)),
-        )
-        return paraphrase(unfolded)
-    return substitute(translate(f.body), f.bound, f.arg)
+    # translate the parts first, then eliminate this layer
+    parts = [translate(p) if isinstance(p, _Node) else p for p in parts]
+    if not isinstance(f, LambdaAtom):
+        return _rebuild(f, parts)
+    body, arg = parts
+    if isinstance(arg, IotaTerm):
+        return paraphrase(LambdaAtom(f.bound, body, arg))
+    return substitute(body, f.bound, arg)
 
 
 def translate_sequent(s: Sequent) -> Sequent:
