@@ -51,12 +51,13 @@ from .syntax import (
     Not,
     Or,
     Param,
-    PredAtom,
     Sequent,
     Term,
     Var,
     _Node,
     _SHAPES,
+    _parts,
+    _rebuild,
     alpha_key,
     is_atomic,
     is_term,
@@ -740,17 +741,23 @@ def _iotar_instances(node: ProofNode, f: LambdaAtom) -> Iterator[tuple]:
             yield b, a
 
 
-def _rewrite_compatible(a0: Formula, chi: Formula, s1: Term, s2: Term) -> bool:
-    """chi can be a0 with some occurrences of s1 replaced by s2."""
-    if isinstance(a0, PredAtom) and isinstance(chi, PredAtom):
-        if a0.pred != chi.pred or len(a0.args) != len(chi.args):
-            return False
-        pairs = zip(a0.args, chi.args)
-    elif isinstance(a0, Identity) and isinstance(chi, Identity):
-        pairs = zip((a0.lhs, a0.rhs), (chi.lhs, chi.rhs))
-    else:
-        return False
-    return all(u == v or (u == s1 and v == s2) for u, v in pairs)
+def rewrite_variants(atom: Formula, src: Term, dst: Term) -> Iterator[Formula]:
+    """Every result of replacing a nonempty subset of the src occurrences in
+    an atom by dst, the all-positions rewrite first: all distinct, and none
+    the atom itself, as src is not dst. None for a formula that is not
+    atomic. eqminus on src=dst consumes the atom and adds chi exactly when
+    chi is the atom or one of these."""
+    if src == dst or not is_atomic(atom):
+        return
+    parts = _parts(atom)
+    idxs = [i for i, t in enumerate(parts) if t == src]
+    full = (1 << len(idxs)) - 1
+    for mask in (full, *range(1, full)) if idxs else ():
+        xs = list(parts)
+        for b, i in enumerate(idxs):
+            if mask >> b & 1:
+                xs[i] = dst
+        yield _rebuild(atom, xs)
 
 
 def _h_eqminus(node: ProofNode) -> StepInfo:
@@ -771,7 +778,7 @@ def _h_eqminus(node: ProofNode) -> StepInfo:
             # the conclusion less both principal formulas
             base = _moved(ca, (alpha_key(eq), alpha_key(a0)))
             for chi in _diff_candidates(p, "ant", base):
-                if not _rewrite_compatible(a0, chi, eq.lhs, eq.rhs):
+                if chi != a0 and chi not in rewrite_variants(a0, eq.lhs, eq.rhs):
                     continue
                 ((ant, _),) = schema.actives(eq, chi)
                 if pa == _moved(base, add=ant):

@@ -31,14 +31,13 @@ from .syntax import (
     LambdaAtom,
     Param,
     ParamSupply,
-    PredAtom,
     Sequent,
     Term,
     alpha_key,
     params_in,
     sequent_key,
 )
-from .kernel import RULES, Proof, ProofNode, check_proof
+from .kernel import RULES, Proof, ProofNode, check_proof, rewrite_variants
 from .builders import flip_identity, paraphrase, weaken_to
 from .semantics import (
     EnumerationCapError,
@@ -279,34 +278,6 @@ def _term_pool(g: Sequent) -> list[Term]:
     return pool
 
 
-def _rewrite_variants(atom: Formula, src: Term, dst: Term) -> Iterator[Formula]:
-    """Every distinct result of replacing a nonempty subset of the src
-    occurrences in an atom by dst, the all-positions rewrite first; none
-    for a formula that is not atomic."""
-    if isinstance(atom, PredAtom):
-        slots = list(atom.args)
-        rebuild = lambda xs: PredAtom(atom.pred, tuple(xs))
-    elif isinstance(atom, Identity):
-        slots = [atom.lhs, atom.rhs]
-        rebuild = lambda xs: Identity(xs[0], xs[1])
-    else:
-        return
-    idxs = [i for i, t in enumerate(slots) if t == src]
-    if not idxs:
-        return
-    full = (1 << len(idxs)) - 1
-    seen = set()
-    for mask in (full, *range(1, full)):
-        xs = list(slots)
-        for b, i in enumerate(idxs):
-            if mask >> b & 1:
-                xs[i] = dst
-        new = rebuild(xs)
-        if new != atom and new not in seen:
-            seen.add(new)
-            yield new
-
-
 def _eqminus_moves(g: Sequent, uses: dict, st: _State) -> Iterator[_Move]:
     """eqminus on each identity, either way round, and each atom beside it:
     the identity the node consumes is oriented src=dst and flipped back to
@@ -325,7 +296,7 @@ def _eqminus_moves(g: Sequent, uses: dict, st: _State) -> Iterator[_Move]:
                 key = ("eqminus", alpha_key(eq), alpha_key(atom))
                 if uses.get(key, 0) >= cap:
                     continue
-                for new in _rewrite_variants(atom, src, dst):
+                for new in rewrite_variants(atom, src, dst):
                     yield _Move(
                         "eqminus",
                         _with(g, "ant", used),
