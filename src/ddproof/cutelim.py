@@ -43,12 +43,6 @@ class ReductionError(ValueError):
     """A reduction was invoked outside its precondition."""
 
 
-def formula_degree(f: Formula) -> int:
-    """Number of logical constants in a formula (connectives, quantifiers,
-    the abstraction and description operators)."""
-    return logical_constants(f)
-
-
 @dataclass(frozen=True)
 class CutMetrics:
     cut_degrees: tuple[tuple[str, int], ...]  # (path, degree) in pre-order
@@ -211,7 +205,7 @@ def right_reduce(
     proof of G^k, P => D^k, S whose cuts all have degree below phi's."""
     if k < 1:
         raise ReductionError("k must be positive")
-    dphi = formula_degree(phi)
+    dphi = logical_constants(phi)
     if not _max_cut_degree(d1, d2) < dphi:
         raise ReductionError(
             "premise proofs contain cuts at or above the degree of the cut formula"
@@ -412,7 +406,7 @@ def left_reduce(
     producing a proof of G, P^k => D, S^k with all cuts below phi's degree."""
     if k < 1:
         raise ReductionError("k must be positive")
-    dphi = formula_degree(phi)
+    dphi = logical_constants(phi)
     if not _max_cut_degree(d1, d2) < dphi:
         raise ReductionError(
             "premise proofs contain cuts at or above the degree of the cut formula"

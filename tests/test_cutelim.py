@@ -59,7 +59,6 @@ from ddproof.cutelim import (
     TraceEntry,
     eliminate_cuts,
     eliminate_cuts_traced,
-    formula_degree,
     is_regular,
     left_reduce,
     metrics,
@@ -180,14 +179,14 @@ class TestMetrics:
         right = build_rlambda_right(dd)
         p = mk_cut(left, right, paraphrase(dd))
         m = metrics(p)
-        assert m.proof_degree == formula_degree(paraphrase(dd)) == 4
+        assert m.proof_degree == logical_constants(paraphrase(dd)) == 4
         assert m.cut_degrees == (("root", 4),)
 
     def test_degree_counts_each_operator_once(self):
         dd = parse_formula("(lam x. P(x)) (iota y. Q(y))")
-        assert formula_degree(dd) == 2
-        assert formula_degree(parse_formula("Q(#b)")) == 0
-        assert formula_degree(parse_formula("Q(#b) <-> P(#b)")) == 1
+        assert logical_constants(dd) == 2
+        assert logical_constants(parse_formula("Q(#b)")) == 0
+        assert logical_constants(parse_formula("Q(#b) <-> P(#b)")) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +373,7 @@ class TestRightReduce:
         check_proof(out)
         assert same_multiset(out.conclusion, Sequent(gamma, ()))
         assert "rr:iota1" in cases
-        assert metrics(out).proof_degree < formula_degree(dd)
+        assert metrics(out).proof_degree < logical_constants(dd)
 
     def test_description_unpacked_against_uniqueness(self):
         dd = parse_formula("(lam x. P(x)) (iota y. Q(y))")
