@@ -318,10 +318,8 @@ def match_subst(body: Formula, x: str, chi: Formula):
             if b.name in benv:
                 return isinstance(c, Var) and cenv.get(c.name) == benv[b.name]
             if b.name == x:
-                if isinstance(c, (Param, Const)):
-                    found.append(c)
-                    return True
-                return False
+                found.append(c)
+                return isinstance(c, (Param, Const))
             # other free variable: must appear verbatim and free
             return isinstance(c, Var) and c.name == b.name and c.name not in cenv
         return c == b

@@ -7,15 +7,13 @@ Descriptions (IotaTerm) are quasi-terms: they occur only as the argument of
 a predicate abstract (LambdaAtom), never inside an ordinary atom.
 
 Each node class's shape is stated once, in `_SHAPES`. A node's fields are
-its label, if it has one (a predicate's name, or the variable `bound` of a
-binder), then its parts: terms and subnodes, in field order, with a
-predicate's arguments one by one. Each part field has a sort: a formula, a
-term, or an abstract's argument, a term or a description. One binder rule
-holds for every class: a node's `bound` binds its first part, the body,
-and nothing else, so in `(lam x. psi) iota y. phi` x is bound in psi only
-and y in phi only. `_parts(f)` and `_rebuild(f, parts, bound)` take a node
-apart and put it together, and every structural walk here (free names,
-keys, substitution, validation) is one loop over a node's parts.
+its label, if any (a predicate's name, or a binder's variable `bound`),
+then its parts: terms and subnodes in field order, a predicate's arguments
+one by one, each part field of one sort (formula, term, or an abstract's
+argument: a term or a description). A node's `bound` binds its first part,
+the body, and nothing else: in `(lam x. psi) iota y. phi`, x is bound in
+psi only and y in phi only. `_parts` and `_rebuild` take a node apart and
+put it together; every structural walk here is one loop over the parts.
 
 The module also provides capture-avoiding substitution, alpha-equality via a
 canonical de Bruijn key, well-formedness validation, and one fresh-name
