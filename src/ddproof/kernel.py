@@ -422,13 +422,15 @@ def analyze_step(node: ProofNode) -> StepInfo:
         raise RuleError(
             f"{rule} takes {RULE_ARITY[rule]} premises, got {len(node.premises)}"
         )
-    if node.terms or node.eigen is not None:
+    if node.terms or node.eigen is not None or node.at is not None:
         schema = RULES.get(rule)
-        terms, eigen = (schema.terms, schema.eigen) if schema else (0, False)
+        terms, eigen, at = (schema.terms, schema.eigen, schema.at) if schema else (0, False, False)
         if len(node.terms) not in (0, terms):
             raise RuleError(f"{rule} takes {_TERMS_TAKEN[terms]}")
         if node.eigen is not None and not eigen:
             raise RuleError(f"{rule} takes no eigenvariable")
+        if node.at is not None and not at:
+            raise RuleError(f"{rule} takes no :at")
     return _HANDLERS[rule](node)
 
 
@@ -445,9 +447,10 @@ _TERMS_TAKEN = {
 # RULES: the handlers below are built from it, and search builds its moves
 # from it. A rule's principal formula stands on `side`, is of class `kind`
 # and passes `where` when given. The rule takes `terms` :term annotations,
-# or none to have them inferred, and an :eigen when `eigen` is set. Its
-# `arity` premises are the conclusion less the principal formula f plus, in
-# premise j, the formulas actives(f, *instance)[j] = (antecedent,
+# or none to have them inferred, an :eigen when `eigen` is set, and an :at
+# (its principal formula's index in the conclusion) unless `at` is cleared.
+# Its `arity` premises are the conclusion less the principal formula f plus,
+# in premise j, the formulas actives(f, *instance)[j] = (antecedent,
 # succedent). A quantifier or description rule's instance is its terms,
 # then its eigenparameter; the two identity rules are described at their
 # entries.
@@ -461,6 +464,7 @@ class Schema(NamedTuple):
     terms: int = 0
     eigen: bool = False
     where: Optional[Callable[[Formula], bool]] = None
+    at: bool = True
 
     def principal(self, f: Formula) -> bool:
         """f can be this rule's principal formula."""
@@ -526,7 +530,7 @@ RULES: dict[str, Schema] = {
     # discharges its principal formula b=b: it stands only in the premise
     "eqminus": Schema("ant", Identity, 1, lambda f, chi: [((chi,), ())], terms=2,
                       where=_between_instances),
-    "eqplus": Schema("ant", Identity, 1, lambda f: [((f,), ())], terms=1, where=_reflexive),
+    "eqplus": Schema("ant", Identity, 1, lambda f: [((f,), ())], terms=1, where=_reflexive, at=False),
 }
 
 # the premise count of every rule, the structural ones first
@@ -765,9 +769,7 @@ def _h_eqminus(node: ProofNode) -> StepInfo:
     if cs != ps:
         raise RuleError("eqminus must leave the succedent alone")
     schema = RULES["eqminus"]
-    for i, eq in enumerate(c.ant):
-        if not schema.principal(eq):
-            continue
+    for i, eq in _candidates(c.ant, schema.principal, node.at):
         if node.terms and (eq.lhs, eq.rhs) != tuple(node.terms):
             continue
         for j, a0 in enumerate(c.ant):

@@ -22,7 +22,8 @@ s-expressions, one node per line when pretty-printed:
 
 with optional `:term`, `:eigen` and `:at` annotations. foralll, existsr,
 iotar and eqplus take one `:term`, iota2l and eqminus two, and the other
-rules none; forallr, existsl, iota1l and iotar take `:eigen`.
+rules none; forallr, existsl, iota1l and iotar take `:eigen`; all but ax,
+cut, weakening, contraction and eqplus take `:at`.
 `#` starts a comment unless immediately followed by a letter. The unicode
 glyphs for the connectives are accepted on input and produced by the
 printers when asked, so pretty output re-parses.

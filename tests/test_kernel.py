@@ -676,6 +676,28 @@ KERNEL_VERDICTS = [
      'rejected path=root: eqplus takes one annotated term or none'),
     ('(foralll (seq (forall x. P(x)) (P(#a))) :term #a :eigen #b (ax (seq (P(#a)) (P(#a)))))',
      'rejected path=root: foralll takes no eigenvariable'),
+    # an :at on a rule whose conclusion carries no principal formula
+    ('(ax (seq (P(#a)) (P(#a))) :at 7)',
+     'rejected path=root: ax takes no :at'),
+    ('(cut (seq (P(#a)) (P(#a))) :at 0 (ax (seq (P(#a)) (P(#a)))) (ax (seq (P(#a)) (P(#a)))))',
+     'rejected path=root: cut takes no :at'),
+    ('(wl (seq (Q(#a), P(#a)) (P(#a))) :at 0 (ax (seq (P(#a)) (P(#a)))))',
+     'rejected path=root: wl takes no :at'),
+    ('(wr (seq (P(#a)) (P(#a), Q(#a))) :at 1 (ax (seq (P(#a)) (P(#a)))))',
+     'rejected path=root: wr takes no :at'),
+    ('(cl (seq (P(#a)) (P(#a))) :at 0 (wl (seq (P(#a), P(#a)) (P(#a))) (ax (seq (P(#a)) (P(#a))))))',
+     'rejected path=root: cl takes no :at'),
+    ('(cr (seq (P(#a)) (P(#a))) :at 0 (wr (seq (P(#a)) (P(#a), P(#a))) (ax (seq (P(#a)) (P(#a))))))',
+     'rejected path=root: cr takes no :at'),
+    ('(eqplus (seq (P(#a)) (P(#a))) :at 0 (wl (seq (#a = #a, P(#a)) (P(#a))) (ax (seq (P(#a)) (P(#a))))))',
+     'rejected path=root: eqplus takes no :at'),
+    # eqminus reads :at as its identity's index
+    ('(eqminus (seq (#b1 = #b2, Q(#b1)) (Q(#b2))) :at 0 (ax (seq (Q(#b2)) (Q(#b2)))))',
+     'ok height=2 cut_degrees=()'),
+    ('(eqminus (seq (#b1 = #b2, Q(#b1)) (Q(#b2))) :at 1 (ax (seq (Q(#b2)) (Q(#b2)))))',
+     'rejected path=root: no identity/atom pair in the antecedent matches the premise'),
+    ('(eqminus (seq (Q(#b1), #b1 = #b2) (Q(#b2))) :at 1 (ax (seq (Q(#b2)) (Q(#b2)))))',
+     'ok height=2 cut_degrees=()'),
 ]
 
 
