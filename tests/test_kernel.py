@@ -777,3 +777,75 @@ def test_subst_param_const_target():
 def test_proofs_equal():
     assert proofs_equal(exists_roundtrip_proof(a), exists_roundtrip_proof(a))
     assert not proofs_equal(exists_roundtrip_proof(a), ax(P(a)))
+
+
+# ---------------------------------------------------------------------------
+# instantiation matching, against substitution and alpha-equality
+
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from genutil import TERMS, formula_strategy  # noqa: E402
+
+from ddproof.kernel import match_subst  # noqa: E402
+from ddproof.syntax import alpha_equal, free_vars, substitute  # noqa: E402
+
+INSTANCE_TERMS = st.sampled_from([a, b, k, Param("x")])
+
+
+@given(formula_strategy(), st.sampled_from(["x", "y"]), INSTANCE_TERMS)
+@settings(max_examples=300, deadline=None)
+def test_match_subst_finds_the_substituted_term(body, v, t):
+    chi = substitute(body, v, t)
+    if v in free_vars(body):
+        assert match_subst(body, v, chi) == t
+    else:
+        assert chi is body
+        assert match_subst(body, v, body) == "any"
+
+
+def _scatter(f, v, terms: list):
+    """f with its free occurrences of Var v replaced by terms, in turn and
+    cycling, read off the dataclass fields."""
+    if isinstance(f, Var):
+        if f.name != v:
+            return f
+        terms.append(terms.pop(0))  # the next term, cycling
+        return terms[-1]
+    if isinstance(f, tuple):
+        return tuple(_scatter(g, v, terms) for g in f)
+    if not dataclasses.is_dataclass(f):
+        return f
+    return dataclasses.replace(f, **{
+        fd.name: _scatter(getattr(f, fd.name), v, terms)
+        for fd in dataclasses.fields(f)
+        if not (fd.name == "body" and getattr(f, "bound", None) == v)
+    })
+
+
+@given(
+    formula_strategy(),
+    st.sampled_from(["x", "y"]),
+    st.one_of(
+        formula_strategy(2),
+        st.tuples(st.sampled_from(["x", "y", "z"]), st.sampled_from(TERMS)),
+        st.lists(INSTANCE_TERMS, min_size=2, max_size=3),
+    ),
+)
+@settings(max_examples=300, deadline=None)
+def test_match_subst_answers_instantiate_to_chi(body, v, other):
+    """Whatever match_subst returns for some other chi is sound: a term
+    instantiates body to chi, "any" means body is chi already. The chis
+    are drawn formulas, substitutions into body, and body with the free
+    occurrences of v replaced by differing terms."""
+    if isinstance(other, list):
+        chi = _scatter(body, v, list(other))
+    elif isinstance(other, tuple):
+        chi = substitute(body, *other)
+    else:
+        chi = other
+    m = match_subst(body, v, chi)
+    if m == "any":
+        assert v not in free_vars(body) and alpha_equal(body, chi)
+    elif m is not None:
+        assert isinstance(m, (Param, Const))
+        assert alpha_equal(substitute(body, v, m), chi)

@@ -326,6 +326,75 @@ def test_validate_sequent_var_closed():
     validate_sequent(ok)
 
 
+_DESC = IotaTerm("y", PredAtom("Q", (Var("y"),)))
+
+
+@pytest.mark.parametrize(
+    "bad, path, reason",
+    [
+        (PredAtom("P", (Param("a"), _DESC)), "root.arg1",
+         "description outside an abstract argument"),
+        (Identity(Not(PredAtom("G", ())), Param("a")), "root.lhs",
+         "not a term: Not(sub=PredAtom(pred='G', args=()))"),
+        (Not(Param("a")), "root.sub", "not a formula: Param(name='a')"),
+        (And(_DESC, PredAtom("G", ())), "root.left", f"not a formula: {_DESC!r}"),
+        (Forall("x", PredAtom("P", (_DESC,))), "root.body.arg0",
+         "description outside an abstract argument"),
+        (LambdaAtom("x", PredAtom("G", ()), IotaTerm("y", Identity(Var("y"), _DESC))),
+         "root.arg.body.rhs", "description outside an abstract argument"),
+        (LambdaAtom("x", PredAtom("G", ()), IotaTerm("y", PredAtom("G", (Var("y"),)))),
+         "root.arg.body", "predicate G used with arity 1, previously 0"),
+    ],
+)
+def test_validate_paths(bad, path, reason):
+    with pytest.raises(IllFormed) as e:
+        validate_formula(bad)
+    assert (e.value.path, e.value.reason) == (path, reason)
+
+
+# ---------------------------------------------------------------------------
+# shapes
+
+
+_ONE_OF_EACH = [
+    PredAtom("G", ()),
+    PredAtom("R", (Var("x"), Param("a"), Const("c"))),
+    Identity(Var("x"), Const("c")),
+    Not(PredAtom("G", ())),
+    And(PredAtom("G", ()), Not(PredAtom("G", ()))),
+    Or(PredAtom("G", ()), Not(PredAtom("G", ()))),
+    Imp(PredAtom("G", ()), Not(PredAtom("G", ()))),
+    Iff(PredAtom("G", ()), Not(PredAtom("G", ()))),
+    Forall("x", PredAtom("P", (Var("x"),))),
+    Exists("x", PredAtom("P", (Var("x"),))),
+    LambdaAtom("x", PredAtom("P", (Var("x"),)), Param("a")),
+    LambdaAtom("x", PredAtom("P", (Var("x"),)), _DESC),
+    _DESC,
+]
+
+
+def test_shapes_cover_every_node_class():
+    assert {type(f) for f in _ONE_OF_EACH} == set(syntax._SHAPES)
+    assert [is_formula(f) for f in _ONE_OF_EACH] == [True] * 12 + [False]
+
+
+@pytest.mark.parametrize("f", _ONE_OF_EACH, ids=lambda f: type(f).__name__)
+def test_rebuild_of_parts_is_the_node(f):
+    parts = syntax._parts(f)
+    fields = [getattr(f, name) for name in f.__match_args__ if name not in ("pred", "bound")]
+    assert parts == (fields[0] if isinstance(f, PredAtom) else tuple(fields))
+    assert syntax._rebuild(f, parts) == f
+    if hasattr(f, "bound"):
+        assert syntax._rebuild(f, parts, "w").bound == "w"
+
+
+@given(formula_strategy())
+@settings(max_examples=150, deadline=None)
+def test_rebuild_of_parts_is_the_node_throughout(f):
+    for g in _nodes(f):
+        assert syntax._rebuild(g, list(syntax._parts(g))) == g
+
+
 # ---------------------------------------------------------------------------
 # fresh parameters
 
