@@ -2,10 +2,10 @@
 leaves its outputs as they were.
 
     python3 tools/output_gates.py [prove-sample] [prove-default] [cut-corpus] [parse]
-                                  [kernel] [translate] [walks]
+                                  [kernel] [translate] [walks] [countermodel]
 
 The package is imported from the checkout's src/ and the corpora from
-its perfbench/gen.py. With no argument all seven gates run, one after
+its perfbench/gen.py. With no argument all eight gates run, one after
 another in this interpreter; each prints one line: its name, its digest
 and a tally. Run it on both sides of a change and compare the lines.
 
@@ -46,6 +46,13 @@ and a tally. Run it on both sides of a change and compare the lines.
                 substitute for each of x, y, y1, z by each of y, x1, #a,
                 $c, and format_formula of rename_param of each parameter
                 to $k and to #a9, one line per formula
+  countermodel  every distinct sequent (by sequent_key) that search.prove
+                passes to find_countermodel while searching the prove
+                sample with gen.PROVE_BUDGET, in the order first passed:
+                the sequent printed, then find_countermodel's result up to
+                size 3 with a cap of 100,000 and again with a cap of 1,000,
+                each as the size and describe() of the countermodel,
+                `none`, or `cap` and the count the cap error carries
 """
 
 import hashlib
@@ -337,10 +344,51 @@ def walks_gate() -> str:
     return f"{h.hexdigest()} {len(forms)} formulas"
 
 
+def countermodel_gate() -> str:
+    import gen
+    from ddproof import search
+    from ddproof.semantics import EnumerationCapError, find_countermodel
+    from ddproof.surface import format_sequent, parse_sequent
+    from ddproof.syntax import sequent_key
+
+    seen: dict = {}
+    real = search.find_countermodel
+
+    def collect(s, *args, **kwargs):
+        seen.setdefault(sequent_key(s), s)
+        return real(s, *args, **kwargs)
+
+    search.find_countermodel = collect
+    try:
+        for s in gen.prove_sample():
+            search.prove(parse_sequent(format_sequent(s)), gen.PROVE_BUDGET)
+    finally:
+        search.find_countermodel = real
+    h = hashlib.sha256()
+    caps = (100_000, 1_000)
+    tally = {cap: {"countermodels": 0, "none": 0, "cap hits": 0} for cap in caps}
+    for s in seen.values():
+        row = [format_sequent(s)]
+        for cap in caps:
+            try:
+                cm = find_countermodel(s, max_size=3, cap=cap)
+            except EnumerationCapError as e:
+                kind, shown = "cap hits", f"cap {e.count}"
+            else:
+                kind = "none" if cm is None else "countermodels"
+                shown = "none" if cm is None else f"{cm.size}\n{cm.describe()}"
+            tally[cap][kind] += 1
+            row.append(shown)
+        h.update(("\0".join(row) + "\0").encode())
+    counts = "; ".join(f"cap {cap}: " + ", ".join(f"{n} {k}" for k, n in tally[cap].items())
+                       for cap in caps)
+    return f"{h.hexdigest()} {len(seen)} sequents; {counts}"
+
+
 GATES = {"prove-sample": prove_sample_gate, "prove-default": prove_default_gate,
          "cut-corpus": cut_corpus_gate,
          "parse": parse_gate, "kernel": kernel_gate, "translate": translate_gate,
-         "walks": walks_gate}
+         "walks": walks_gate, "countermodel": countermodel_gate}
 
 
 def main(argv: list) -> int:
