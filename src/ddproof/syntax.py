@@ -454,10 +454,15 @@ def substitute(f: Formula, x: str, t: Term) -> Formula:
 
 def rename_param(f: Formula, old: str, new: Term) -> Formula:
     """Replace every occurrence of Param old by `new` (a Param or Const).
-    Parameters are never bound, so this is plain structural replacement."""
+    Parameters are never bound, so this is plain structural replacement.
+    A formula without the parameter comes back as it is."""
+    return _rename(f, old, new) if old in _names(f)[0] else f
+
+
+def _rename(f: Formula, old: str, new: Term) -> Formula:
     shape = _SHAPES[type(f)]
     parts = [
-        rename_param(p, old, new) if isinstance(p, _Node)
+        _rename(p, old, new) if isinstance(p, _Node)
         else new if isinstance(p, Param) and p.name == old else p
         for p in shape.parts(f)
     ]

@@ -539,6 +539,15 @@ def test_stored_facts_match_fresh_walks(f, g, x, t, root_first):
         _assert_facts_fresh(dataclasses.replace(f, args=f.args + (t,)))
 
 
+def test_rename_param_keeps_a_formula_without_the_parameter():
+    f = Forall("x", And(PredAtom("P", (Var("x"), Param("a"))), Identity(Const("c"), Var("x"))))
+    key = alpha_key(f)
+    kept = rename_param(f, "zz", Param("b"))
+    assert kept is f and kept._akey is key
+    renamed = rename_param(f, "a", Param("b"))
+    assert renamed is not f and params_in(renamed) == {"b"}
+
+
 def test_stored_hash_is_the_field_tuple_hash():
     f = Forall("x", And(PredAtom("P", (Var("x"), Param("a"))), Identity(Const("c"), Var("x"))))
     assert hash(f) == hash(("x", f.body))
