@@ -18,24 +18,38 @@ binary-counter order over the lexicographically sorted tuple space (all
 relations empty first); constant, then parameter denotations as numerals
 with the rightmost position cycling fastest. The first interpretation
 falsifying the sequent is returned, so reported countermodels are stable
-across runs. `find_countermodel` compiles the sequent once per call: every
-formula becomes a tree of closures over one flat list of slots (domain,
-relations, constants, parameters, then one slot per binder depth), and
-each interpretation only refills the slots. Bound variables are resolved
-to slots at compile time, so no assignment dict is built or hashed while
-the closures run. It returns the same countermodel as checking each
-interpretation with `eval_sequent`.
+across runs.
+
+It evaluates a sequent on all interpretations of a size at once. The i-th
+interpretation of that order is bit i of a Python integer, i read as a
+mixed-radix number: one binary digit per predicate tuple, the predicates
+in signature order and tuple 0 the fastest within each, then one n-ary
+digit per constant, then one per parameter, the last parameter the
+fastest of all. Each binder in scope adds one n-ary digit above those.
+Connectives are integer operations; quantifiers, abstracts and
+descriptions combine the slices of their binder's digit, a description
+keeping its test for exactly one witness. The lowest set bit of the
+antecedents' AND with the succedents' NOR is the first countermodel, and
+only that index is decoded into a model and assignment.
+
+Interpretations are counted across sizes from 1, and none past the first
+`cap` is evaluated: EnumerationCapError(cap + 1) is raised when the first
+falsifying one comes later or, with none, when the sizes hold more than
+`cap` in all. A size whose vectors would be wider than BLOCK bits is
+walked in blocks of its fastest digits, so memory stays bounded.
+
+`eval_formula` and `eval_sequent` check one interpretation directly, the
+way the definitions read; the tests hold the bit-parallel engine to them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import product
 from typing import Iterator, Optional, Union
 
 from .syntax import (
-    BINARY_OPS,
-    QUANTIFIERS,
     And,
     Const,
     Exists,
@@ -55,6 +69,7 @@ from .syntax import (
     Term,
     Var,
     consts_in,
+    free_vars,
     params_in,
     preds_in,
 )
@@ -223,142 +238,104 @@ def iter_interpretations(
 
 
 # ---------------------------------------------------------------------------
-# compiled evaluation
+# bit-parallel evaluation
+
+BLOCK = 1 << 18  # bits in the widest truth vector of one block
+_OPS = {And: int.__and__, Or: int.__or__, Imp: lambda a, b: ~a | b, Iff: lambda a, b: ~(a ^ b)}
 
 
-def _unbound(v: Var):
-    """The closure for a formula that reads a variable no binder binds: like
-    `eval_formula`, it raises KeyError when evaluated."""
+def _pattern(w: int, r: int, v: int, length: int) -> int:
+    """Bits p < length whose digit of weight w and radix r, (p // w) % r, is v."""
+    x, period = ((1 << w) - 1) << (v * w), w * r
+    while period < length:
+        x |= x << period
+        period <<= 1
+    return x & ((1 << length) - 1)
 
-    def unbound(env):
-        raise KeyError(v)
 
-    return unbound
+def _depth(f: Formula) -> int:
+    """How deep f nests its binders: quantifiers, abstracts, descriptions."""
+    if isinstance(f, (PredAtom, Identity)):
+        return 0
+    if isinstance(f, Not):
+        return _depth(f.sub)
+    if isinstance(f, (And, Or, Imp, Iff)):
+        return max(_depth(f.left), _depth(f.right))
+    if isinstance(f, LambdaAtom) and isinstance(f.arg, IotaTerm):
+        return 1 + max(_depth(f.body), _depth(f.arg.body))
+    return 1 + _depth(f.body)
 
 
-class _Compiler:
-    """Turns formulas over one signature into closures `f(env) -> bool`.
+class _Block:
+    """Interpretations start..start+length-1 of domain size n as the bits of
+    a vector; under k binders it has width[k] = length * n**k bits, a digit
+    per binder above the interpretation's, the innermost the slowest.
+    `digits` maps each term's (class, name) and predicate's (name, arity)
+    to its digit's weight (tuple 0's, for a predicate); those below `fast`
+    vary within the block, the others are fixed."""
 
-    `env` is a flat list: the domain at slot 0, then one slot per predicate
-    relation, constant and parameter in signature order, then one slot per
-    binder depth. A binder writes its slot before running its body and
-    sibling binders reuse it, so every variable is read from the slot its
-    binder was given at compile time. Each closure computes what
-    `eval_formula` computes on the same interpretation."""
+    def __init__(self, n: int, digits: dict, fast: int, start: int, length: int, depth: int):
+        self.n, self.digits, self.fast, self.start = n, digits, fast, start
+        self.width = [length * n**k for k in range(depth + 1)]
+        self.ones = [(1 << w) - 1 for w in self.width]
+        self.masks: dict = {}
 
-    def __init__(self, sig: Signature):
-        slots = [(key, 1 + i) for i, key in enumerate(sig.preds)]
-        self.consts = len(slots) + 1
-        slots += [(Const(n), self.consts + i) for i, n in enumerate(sig.consts)]
-        self.params = len(slots) + 1
-        slots += [(Param(n), self.params + i) for i, n in enumerate(sig.params)]
-        self.bound = len(slots) + 1
-        self.slot = dict(slots)
-        self.width = self.bound
+    def at(self, key, k: int) -> list:
+        """Per value of key, the bits of depth k where key has it: per element
+        a term denotes or a binder's level binds; per tuple of the domain,
+        in `product` order, where a predicate holds of it."""
+        got = self.masks.get((key, k))
+        if got is None:
+            if type(key) is int and key == k - 1:  # a binder's level, under it
+                got = [self.ones[key] << (v * self.width[key]) for v in range(self.n)]
+            elif k:  # as one binder fewer, copied across that binder's digit
+                step = self.width[k - 1]
+                got = [sum(m << (v * step) for v in range(self.n)) for m in self.at(key, k - 1)]
+            else:
+                w, length = self.digits[key], self.width[0]
+                places = ([(w << j, 2, 1) for j in range(self.n ** key[1])] if type(key[0]) is str
+                          else [(w, self.n, v) for v in range(self.n)])
+                got = [_pattern(w, r, v, length) if w * r <= self.fast
+                       else (1 << length) - 1 if self.start // w % r == v else 0
+                       for w, r, v in places]
+            self.masks[(key, k)] = got
+        return got
 
-    def term(self, t: Term, scope: dict) -> Optional[int]:
-        """The slot of a term; None for a variable no binder in scope binds."""
-        return scope.get(t.name) if isinstance(t, Var) else self.slot[t]
-
-    def binder(self, name: str, scope: dict, depth: int) -> tuple[int, dict]:
-        s = self.bound + depth
-        self.width = max(self.width, s + 1)
-        return s, {**scope, name: s}
-
-    def __call__(self, f: Formula, scope: dict, depth: int):
-        if isinstance(f, (PredAtom, Identity)):
-            terms = f.args if isinstance(f, PredAtom) else (f.lhs, f.rhs)
-            idx = [self.term(t, scope) for t in terms]
-            if None in idx:
-                return _unbound(terms[idx.index(None)])
-            if isinstance(f, Identity):
-                i, j = idx
-                return lambda env: env[i] == env[j]
-            r = self.slot[(f.pred, len(idx))]
-            return lambda env: tuple([env[i] for i in idx]) in env[r]
-        if isinstance(f, Not):
-            sub = self(f.sub, scope, depth)
-            return lambda env: not sub(env)
-        if isinstance(f, BINARY_OPS):
-            left = self(f.left, scope, depth)
-            right = self(f.right, scope, depth)
-            if isinstance(f, And):
-                return lambda env: left(env) and right(env)
-            if isinstance(f, Or):
-                return lambda env: left(env) or right(env)
-            if isinstance(f, Imp):
-                return lambda env: not left(env) or right(env)
-            return lambda env: left(env) == right(env)
-        if isinstance(f, QUANTIFIERS):
-            s, inner = self.binder(f.bound, scope, depth)
-            body = self(f.body, inner, depth + 1)
-            if isinstance(f, Forall):
-
-                def forall(env):
-                    for o in env[0]:
-                        env[s] = o
-                        if not body(env):
-                            return False
-                    return True
-
-                return forall
-
-            def exists(env):
-                for o in env[0]:
-                    env[s] = o
-                    if body(env):
-                        return True
-                return False
-
-            return exists
-        if isinstance(f, LambdaAtom):
-            s, inner = self.binder(f.bound, scope, depth)
-            body = self(f.body, inner, depth + 1)
-            if not isinstance(f.arg, IotaTerm):
-                arg = self.term(f.arg, scope)
-                if arg is None:
-                    return _unbound(f.arg)
-
-                def apply(env):
-                    env[s] = env[arg]
-                    return body(env)
-
-                return apply
-            w, inner = self.binder(f.arg.bound, scope, depth)
-            phi = self(f.arg.body, inner, depth + 1)
-
-            def description(env):
-                witness = None
-                for o in env[0]:
-                    env[w] = o
-                    if phi(env):
-                        if witness is not None:
-                            return False  # not unique
-                        witness = o
-                if witness is None:
-                    return False  # no witness
-                env[s] = witness
-                return body(env)
-
-            return description
-        raise TypeError(f"not a formula: {f!r}")
-
-    def falsifier(self, s: Sequent):
-        """A closure that is true on exactly the interpretations falsifying
-        `s`: every antecedent formula true, every succedent formula false."""
-        ant = [self(f, {}, 0) for f in s.ant]
-        suc = [self(f, {}, 0) for f in s.suc]
-
-        def falsified(env) -> bool:
-            for f in ant:
-                if not f(env):
-                    return False
-            for f in suc:
-                if f(env):
-                    return False
-            return True
-
-        return falsified
+    def eval(self, f: Formula, scope: dict, d: int) -> int:
+        """The vector of f under d binders, whose levels `scope` maps the
+        bound names to."""
+        cls = type(f)
+        if cls is PredAtom or cls is Identity:
+            values = [self.at(scope[t.name] if type(t) is Var else (type(t), t.name), d)
+                      for t in (f.args if cls is PredAtom else (f.lhs, f.rhs))]
+            if cls is Identity:
+                return sum(map(int.__and__, *values))
+            vec = 0
+            for m, masks in zip(self.at((f.pred, len(values)), d), product(*values)):
+                for x in masks:
+                    m &= x
+                vec |= m
+            return vec
+        if cls is Not:
+            return self.eval(f.sub, scope, d) ^ self.ones[d]
+        if cls in _OPS:
+            return _OPS[cls](self.eval(f.left, scope, d), self.eval(f.right, scope, d)) & self.ones[d]
+        step, m = self.width[d], self.ones[d]
+        body = self.eval(f.body, {**scope, f.bound: d}, d + 1)
+        chunks = [(body >> (v * step)) & m for v in range(self.n)]
+        if cls is Forall or cls is Exists:
+            return reduce(int.__and__ if cls is Forall else int.__or__, chunks)
+        if type(f.arg) is not IotaTerm:
+            arg = scope[f.arg.name] if type(f.arg) is Var else (type(f.arg), f.arg.name)
+            return sum(map(int.__and__, chunks, self.at(arg, d)))
+        phi = self.eval(f.arg.body, {**scope, f.arg.bound: d}, d + 1)
+        one = two = hit = 0  # some witness, two or more, and the body at the witness
+        for v, c in enumerate(chunks):
+            u = (phi >> (v * step)) & m
+            two |= one & u
+            one |= u
+            hit |= u & c
+        return hit & ~two
 
 
 @dataclass
@@ -384,29 +361,47 @@ def find_countermodel(
     sequent (a bare formula is read as its own succedent). Returns the first
     countermodel in enumeration order, None when every interpretation within
     the size bound satisfies the sequent. Raises EnumerationCapError when
-    more than `cap` interpretations would have to be checked."""
+    more than `cap` interpretations would have to be checked, and KeyError
+    on a variable no binder binds."""
     if not isinstance(s, Sequent):
         s = Sequent((), (s,))
     sig = signature_of(s)
-    compiled = _Compiler(sig)
-    falsified = compiled.falsifier(s)
-    c, p, b = compiled.consts, compiled.params, compiled.bound
-    env: list = [None] * compiled.width
-    count = 0
-    for size in range(1, max_size + 1):
-        last = None
-        # iter_interpretations fills its dicts in signature order, so their
-        # values go straight into the slots
-        for model, asg in iter_interpretations(sig, size):
-            count += 1
-            if count > cap:
-                raise EnumerationCapError(count)
-            if model is not last:
-                last = model
-                env[0] = model.domain
-                env[1:c] = model.preds.values()
-                env[c:p] = model.consts.values()
-            env[p:b] = asg.values()
-            if falsified(env):
-                return Countermodel(model, asg, size)
+    for f in s.ant + s.suc:
+        if free_vars(f):
+            raise KeyError(Var(min(free_vars(f))))
+    depth = max(map(_depth, s.ant + s.suc), default=0)
+    terms = [(Const, name) for name in sig.consts] + [(Param, name) for name in sig.params]
+    count = 0  # interpretations of the smaller sizes
+    for n in range(1, max_size + 1):
+        digits, total = {}, 1
+        for t in reversed(terms):
+            digits[t], total = total, total * n
+        for key in reversed(sig.preds):
+            digits[key], total = total, total << n ** key[1]
+        room, fast = BLOCK // n**depth, total
+        if total > room:  # as many of the fastest digits as fit
+            fast, q = 1, n ** len(terms)
+            while fast < q and fast * n <= room:
+                fast *= n
+            while fast >= q and fast * 2 <= room:
+                fast *= 2
+        limit = min(total, cap - count)
+        for start in range(0, limit, fast):
+            blk = _Block(n, digits, fast, start, min(fast, limit - start), depth)
+            vec = blk.ones[0]
+            for f in s.ant:
+                vec &= blk.eval(f, {}, 0) if vec else 0
+            for f in s.suc:
+                vec &= ~blk.eval(f, {}, 0) if vec else 0
+            if vec:
+                index = start + (vec & -vec).bit_length() - 1
+                domain = tuple(range(n))
+                preds = {key: frozenset(t for j, t in enumerate(product(domain, repeat=key[1]))
+                                        if index // digits[key] >> j & 1) for key in sig.preds}
+                consts = {c: index // digits[(Const, c)] % n for c in sig.consts}
+                asg = {Param(p): index // digits[(Param, p)] % n for p in sig.params}
+                return Countermodel(Model(domain, preds, consts), asg, n)
+        count += total
+        if count > cap:
+            raise EnumerationCapError(cap + 1)
     return None

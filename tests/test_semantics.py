@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from genutil import closed_formula_strategy, formula_strategy
+from ddproof import semantics
 from ddproof.semantics import (
     Countermodel,
     EnumerationCapError,
@@ -294,13 +295,16 @@ def _reference_countermodel(s, max_size):
     return None, count
 
 
-def _random_formula(rng, depth, scope=()):
+def _random_formula(rng, depth, scope=(), params="ab", unary=True):
     """Closed over `scope`. Bound names come from {x, y}, so inner binders
-    often shadow outer ones."""
+    often shadow outer ones. With `unary` off, R/2 stands where P/1 would."""
 
     def term():
-        pool = [Param("a"), Param("b"), Const("c")] + [Var(v) for v in scope]
+        pool = [Param(p) for p in params] + [Const("c")] + [Var(v) for v in scope]
         return rng.choice(pool)
+
+    def sub(scope):
+        return _random_formula(rng, depth - 1, scope, params, unary)
 
     kinds = ["atom", "atom"]
     if depth:
@@ -308,27 +312,24 @@ def _random_formula(rng, depth, scope=()):
     kind = rng.choice(kinds)
     if kind == "atom":
         pick = rng.randrange(3)
-        if pick == 0:
+        if pick == 0 and unary:
             return PredAtom("P", (term(),))
-        if pick == 1:
+        if pick < 2:
             return PredAtom("R", (term(), term()))
         return Identity(term(), term())
     if kind == "not":
-        return Not(_random_formula(rng, depth - 1, scope))
+        return Not(sub(scope))
     if kind == "bin":
         ctor = rng.choice([And, Or, Imp, Iff])
-        return ctor(
-            _random_formula(rng, depth - 1, scope),
-            _random_formula(rng, depth - 1, scope),
-        )
+        return ctor(sub(scope), sub(scope))
     v = rng.choice("xy")
-    body = _random_formula(rng, depth - 1, scope + (v,))
+    body = sub(scope + (v,))
     if kind == "quant":
         return rng.choice([Forall, Exists])(v, body)
     if kind == "lam":
         return LambdaAtom(v, body, term())
     w = rng.choice("xy")
-    phi = _random_formula(rng, depth - 1, scope + (w,))
+    phi = sub(scope + (w,))
     return LambdaAtom(v, body, IotaTerm(w, phi))
 
 
@@ -364,3 +365,47 @@ def test_compiled_countermodel_unbound_variable():
         eval_sequent(s, M([0], {("P", 1): frozenset()}), {})
     with pytest.raises(KeyError):
         find_countermodel(s)
+
+
+def test_bit_parallel_countermodel_matches_reference_up_to_size_3(monkeypatch):
+    """Sequents over R/2, $c and #a, #b, #d, up to domain size 3 (41,472
+    interpretations there), against the reference: the same answer, and
+    the cap error raised exactly one interpretation short of the count the
+    reference enumerated to decide. Each sample runs again with blocks of
+    1,024 bits, so that one call walks hundreds of blocks."""
+    rng = random.Random(14)
+    sample = [
+        # falsified only at size 3, with R full: index 41,396 of that size
+        parse_sequent("forall x. forall y. R(x, y) => #a = #b | #a = #d | #b = #d | ~R($c, #a)"),
+        parse_sequent("R(#a, $c), (lam x. R(x, #b)) (iota y. R(y, #d)) => exists x. R(#b, x)"),
+    ] + [
+        Sequent(
+            tuple(_random_formula(rng, 2, (), "abd", False) for _ in range(rng.randint(0, 2))),
+            (Or(*(_random_formula(rng, 2, (), "abd", False) for _ in range(2))),),
+        )
+        for _ in range(40)
+    ]
+    small, blocks = 1 << 10, []
+
+    class CountedBlock(semantics._Block):
+        def __init__(self, *args):
+            blocks.append(args)
+            super().__init__(*args)
+
+    by_size = {1: 0, 2: 0, 3: 0, None: 0}
+    for s in sample:
+        expected, count = _reference_countermodel(s, max_size=3)
+        for block in (semantics.BLOCK, small):
+            monkeypatch.setattr(semantics, "BLOCK", block)
+            monkeypatch.setattr(semantics, "_Block", CountedBlock)
+            blocks.clear()
+            cm = find_countermodel(s, max_size=3, cap=count)
+            assert (None if cm is None else (cm.model, cm.assignment, cm.size)) == expected, s
+            if s is sample[0] and block == small:
+                assert len(blocks) > 500, len(blocks)
+            with pytest.raises(EnumerationCapError) as e:
+                find_countermodel(s, max_size=3, cap=count - 1)
+            assert e.value.count == count
+            monkeypatch.undo()
+        by_size[expected and expected[2]] += 1
+    assert all(by_size.values()), by_size
