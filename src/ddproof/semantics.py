@@ -20,17 +20,16 @@ with the rightmost position cycling fastest. The first interpretation
 falsifying the sequent is returned, so reported countermodels are stable
 across runs.
 
-It evaluates a sequent on all interpretations of a size at once. The i-th
-interpretation of that order is bit i of a Python integer, i read as a
-mixed-radix number: one binary digit per predicate tuple, the predicates
-in signature order and tuple 0 the fastest within each, then one n-ary
-digit per constant, then one per parameter, the last parameter the
-fastest of all. Each binder in scope adds one n-ary digit above those.
-Connectives are integer operations; quantifiers, abstracts and
-descriptions combine the slices of their binder's digit, a description
-keeping its test for exactly one witness. The lowest set bit of the
-antecedents' AND with the succedents' NOR is the first countermodel, and
-only that index is decoded into a model and assignment.
+It evaluates a sequent on all interpretations of a size at once: the i-th
+in that order is bit i of a Python integer, i read in mixed radix as one
+binary digit per predicate tuple (the predicates in signature order, tuple
+0 the fastest within each), then one n-ary digit per constant, then one
+per parameter, the last the fastest of all. Each binder in scope adds one
+n-ary digit above those. Connectives are integer operations; quantifiers,
+abstracts and descriptions combine the slices of their binder's digit, a
+description keeping its test for exactly one witness. The lowest set bit
+of the antecedents' AND with the succedents' NOR is the first
+countermodel, and only that index is decoded into a model and assignment.
 
 Interpretations are counted across sizes from 1, and none past the first
 `cap` is evaluated: EnumerationCapError(cap + 1) is raised when the first
@@ -69,7 +68,6 @@ from .syntax import (
     Term,
     Var,
     consts_in,
-    free_vars,
     params_in,
     preds_in,
 )
@@ -253,26 +251,31 @@ def _pattern(w: int, r: int, v: int, length: int) -> int:
     return x & ((1 << length) - 1)
 
 
-def _depth(f: Formula) -> int:
-    """How deep f nests its binders: quantifiers, abstracts, descriptions."""
+def _depth(f: Formula, scope: frozenset = frozenset()) -> int:
+    """How deep f nests its binders: quantifiers, abstracts, descriptions.
+    Raises KeyError, as evaluating f would, on a variable no binder binds."""
     if isinstance(f, (PredAtom, Identity)):
+        for t in f.args if isinstance(f, PredAtom) else (f.lhs, f.rhs):
+            if isinstance(t, Var) and t.name not in scope:
+                raise KeyError(t)
         return 0
     if isinstance(f, Not):
-        return _depth(f.sub)
+        return _depth(f.sub, scope)
     if isinstance(f, (And, Or, Imp, Iff)):
-        return max(_depth(f.left), _depth(f.right))
+        return max(_depth(f.left, scope), _depth(f.right, scope))
     if isinstance(f, LambdaAtom) and isinstance(f.arg, IotaTerm):
-        return 1 + max(_depth(f.body), _depth(f.arg.body))
-    return 1 + _depth(f.body)
+        return 1 + max(_depth(f.body, scope | {f.bound}), _depth(f.arg.body, scope | {f.arg.bound}))
+    if isinstance(f, LambdaAtom) and isinstance(f.arg, Var) and f.arg.name not in scope:
+        raise KeyError(f.arg)
+    return 1 + _depth(f.body, scope | {f.bound})
 
 
 class _Block:
-    """Interpretations start..start+length-1 of domain size n as the bits of
-    a vector; under k binders it has width[k] = length * n**k bits, a digit
-    per binder above the interpretation's, the innermost the slowest.
-    `digits` maps each term's (class, name) and predicate's (name, arity)
-    to its digit's weight (tuple 0's, for a predicate); those below `fast`
-    vary within the block, the others are fixed."""
+    """Interpretations start..start+length-1 of size n as the bits of a
+    vector, with width[k] = length * n**k bits under k binders, a digit per
+    binder above the interpretation's, the innermost the slowest. `digits`
+    maps each term's (class, name) and predicate's (name, arity) to its
+    digit's weight (tuple 0's, for a predicate); those below `fast` vary."""
 
     def __init__(self, n: int, digits: dict, fast: int, start: int, length: int, depth: int):
         self.n, self.digits, self.fast, self.start = n, digits, fast, start
@@ -366,9 +369,6 @@ def find_countermodel(
     if not isinstance(s, Sequent):
         s = Sequent((), (s,))
     sig = signature_of(s)
-    for f in s.ant + s.suc:
-        if free_vars(f):
-            raise KeyError(Var(min(free_vars(f))))
     depth = max(map(_depth, s.ant + s.suc), default=0)
     terms = [(Const, name) for name in sig.consts] + [(Param, name) for name in sig.params]
     count = 0  # interpretations of the smaller sizes
@@ -395,12 +395,11 @@ def find_countermodel(
                 vec &= ~blk.eval(f, {}, 0) if vec else 0
             if vec:
                 index = start + (vec & -vec).bit_length() - 1
-                domain = tuple(range(n))
-                preds = {key: frozenset(t for j, t in enumerate(product(domain, repeat=key[1]))
+                preds = {key: frozenset(t for j, t in enumerate(product(range(n), repeat=key[1]))
                                         if index // digits[key] >> j & 1) for key in sig.preds}
                 consts = {c: index // digits[(Const, c)] % n for c in sig.consts}
                 asg = {Param(p): index // digits[(Param, p)] % n for p in sig.params}
-                return Countermodel(Model(domain, preds, consts), asg, n)
+                return Countermodel(Model(tuple(range(n)), preds, consts), asg, n)
         count += total
         if count > cap:
             raise EnumerationCapError(cap + 1)
