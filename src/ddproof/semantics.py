@@ -402,5 +402,5 @@ def find_countermodel(
                 return Countermodel(Model(tuple(range(n)), preds, consts), asg, n)
         count += total
         if count > cap:
-            raise EnumerationCapError(cap + 1)
+            raise EnumerationCapError(max(cap, 0) + 1)
     return None
