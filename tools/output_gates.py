@@ -1,11 +1,11 @@
 """Output gates: sha256 digests of what ddproof prints, to show that a change
 leaves its outputs as they were.
 
-    python3 tools/output_gates.py [prove-sample] [prove-default] [cut-corpus] [parse]
-                                  [kernel] [translate] [walks] [countermodel]
+    python3 tools/output_gates.py [prove-sample] [prove-default] [cut-corpus] [cut-extra]
+                                  [parse] [kernel] [translate] [walks] [countermodel]
 
 The package is imported from the checkout's src/ and the corpora from
-its perfbench/gen.py. With no argument all eight gates run, one after
+its perfbench/gen.py. With no argument all nine gates run, one after
 another in this interpreter; each prints one line: its name, its digest
 and a tally. Run it on both sides of a change and compare the lines.
 
@@ -20,6 +20,12 @@ and a tally. Run it on both sides of a change and compare the lines.
   cut-corpus    the 55 criterion-4 proofs: format_proof of each
                 eliminate_cuts_traced result, then repr of each of its
                 TraceEntry rows, proof by proof
+  cut-extra     the same digest over proofs whose elimination renames
+                eigenparameters where the corpus never does: a hand-built
+                proof whose reduction duplicates a subproof with its
+                eigenparameters, then 500 seeded gen.ProofGen proofs with
+                a cut (300 grown up to 8 steps, 200 up to 12); none carries
+                an `:at`
   parse         the fixtures, 60 desk-check proofs (about 30% printed with
                 unicode glyphs), 300 prove-sample sequents, and 12 seeded
                 insertions, deletions and replacements of each: for every
@@ -70,6 +76,21 @@ TRANSLATE_SEED = 20261020
 TRANSLATE_DESK = 200
 WALKS_SEED = 20261021
 WALKS_DESK = 300
+CUT_EXTRA_SEED = 20261022
+# reducing its cut copies the existsr subproof into both andr branches, so
+# the copies' eigenparameters must be renamed apart after the reduction
+DUPLICATION_PROOF = """
+(cut (seq (P(#c)) (P(#c) & P(#c), forall y. Q(y) -> Q(y)))
+  (andr (seq (P(#c)) (P(#c) & P(#c), exists x. P(x)))
+    (existsr (seq (P(#c)) (P(#c), exists x. P(x))) :term #c
+      (wr (seq (P(#c)) (P(#c), P(#c))) (ax (seq (P(#c)) (P(#c))))))
+    (existsr (seq (P(#c)) (P(#c), exists x. P(x))) :term #c
+      (wr (seq (P(#c)) (P(#c), P(#c))) (ax (seq (P(#c)) (P(#c)))))))
+  (existsl (seq (exists x. P(x)) (forall y. Q(y) -> Q(y))) :eigen #a
+    (wl (seq (P(#a)) (forall y. Q(y) -> Q(y)))
+      (forallr (seq () (forall y. Q(y) -> Q(y))) :eigen #b
+        (impr (seq () (Q(#b) -> Q(#b))) (ax (seq (Q(#b)) (Q(#b)))))))))
+"""
 # what a mutation inserts or puts in place of a character
 SNIPPETS = ("(", ")", "~", "&", "|", ",", ".", "=", "=>", "->", "<->", "-", "<",
             "#", "#a", "$", "$c", ":", ":at 1", ":eigen #b", "x", "P", "forall",
@@ -111,20 +132,37 @@ def prove_default_gate() -> str:
     return _prove_gate(DEFAULT_BUDGET)
 
 
-def cut_corpus_gate() -> str:
-    import gen
+def _cut_gate(proofs) -> str:
     from ddproof.cutelim import eliminate_cuts_traced
     from ddproof.surface import format_proof
 
     h = hashlib.sha256()
     steps = 0
-    for _, proof in gen.cut_corpus():
+    for proof in proofs:
         out, trace = eliminate_cuts_traced(proof)
         h.update(format_proof(out).encode())
         for entry in trace:
             h.update(repr(entry).encode())
         steps += len(trace)
     return f"{h.hexdigest()} {steps} steps"
+
+
+def cut_corpus_gate() -> str:
+    import gen
+
+    return _cut_gate(proof for _, proof in gen.cut_corpus())
+
+
+def cut_extra_gate() -> str:
+    import gen
+    from ddproof.surface import parse_proof
+
+    rng = random.Random(CUT_EXTRA_SEED)
+    proofs = [parse_proof(DUPLICATION_PROOF)]
+    for steps, n in ((8, 300), (12, 200)):
+        pgen = gen.ProofGen(rng, max_steps=steps)
+        proofs += [pgen.proof_with_cut() for _ in range(n)]
+    return _cut_gate(proofs)
 
 
 def _parse_corpus() -> list:
@@ -386,7 +424,7 @@ def countermodel_gate() -> str:
 
 
 GATES = {"prove-sample": prove_sample_gate, "prove-default": prove_default_gate,
-         "cut-corpus": cut_corpus_gate,
+         "cut-corpus": cut_corpus_gate, "cut-extra": cut_extra_gate,
          "parse": parse_gate, "kernel": kernel_gate, "translate": translate_gate,
          "walks": walks_gate, "countermodel": countermodel_gate}
 
