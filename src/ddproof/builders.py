@@ -3,7 +3,7 @@
 Everything here builds ProofNode trees that the kernel accepts as-is; the
 tests re-check every construction. The main entry points:
 
-  * weaken_to / contract_to / mk_cut: structural plumbing.
+  * without / weaken_to / contract_to / fit_to / mk_cut: structural plumbing.
   * flip_identity: replace an antecedent identity b=c by c=b (two nodes,
     via the equality rules; identity map when b and c coincide).
   * build_sym_trans: b1=b, b2=b ==> b1=b2 in exactly four nodes.
@@ -47,6 +47,7 @@ from .syntax import (
     is_atomic,
     params_in,
     scan_fresh,
+    side_counts,
     substitute,
 )
 
@@ -55,94 +56,84 @@ def ax(f: Formula) -> ProofNode:
     return ProofNode("ax", Sequent((f,), (f,)))
 
 
-def _remove_one(forms: tuple, f: Formula) -> tuple:
-    key = alpha_key(f)
-    for i, g in enumerate(forms):
-        if alpha_key(g) == key:
-            return forms[:i] + forms[i + 1 :]
-    raise ValueError(f"formula not present: {f!r}")
-
-
-def _multiset_diff(big: tuple, small: tuple) -> list:
-    """Formulas in `big` beyond the multiset `small` (raises if small is
-    not contained in big)."""
-    rest = list(big)
-    for f in small:
-        key = alpha_key(f)
-        for i, g in enumerate(rest):
-            if alpha_key(g) == key:
-                del rest[i]
-                break
+def without(forms: tuple, counts: dict[str, int]) -> tuple:
+    """`forms` less the first `counts[k]` occurrences of each alpha key k,
+    the rest in their order; raises ValueError when fewer occur."""
+    left = dict(counts)
+    out = []
+    for f in forms:
+        k = alpha_key(f)
+        if left.get(k):
+            left[k] -= 1
         else:
-            raise ValueError(f"not a sub-multiset: {f!r} missing")
-    return rest
+            out.append(f)
+    missing = [k for k, n in left.items() if n]
+    if missing:
+        raise ValueError(f"not a sub-multiset: {missing[0]} missing")
+    return tuple(out)
+
+
+def _refit(proof: ProofNode, node: ProofNode, target: Sequent) -> ProofNode:
+    """`node` (proof, or structural steps on it) concluding `target`. A
+    reordered conclusion drops `:at`, which indexed the old order."""
+    if node is proof and proof.conclusion == target:
+        return proof
+    return replace(node, conclusion=target, at=None)
 
 
 def weaken_to(proof: ProofNode, target: Sequent) -> ProofNode:
     """Weaken until the conclusion is exactly `target` (which must extend
     the current conclusion as a multiset on both sides)."""
     cur = proof.conclusion
-    add_ant = _multiset_diff(target.ant, cur.ant)
-    add_suc = _multiset_diff(target.suc, cur.suc)
+    have_ant, have_suc = side_counts(cur)
+    add_ant, add_suc = without(target.ant, have_ant), without(target.suc, have_suc)
     node = proof
-    ant, suc = list(cur.ant), list(cur.suc)
+    ant, suc = cur.ant, cur.suc
     for f in add_ant:
-        ant = [f] + ant
-        node = ProofNode("wl", Sequent(tuple(ant), tuple(suc)), (node,))
+        ant = (f,) + ant
+        node = ProofNode("wl", Sequent(ant, suc), (node,))
     for f in add_suc:
-        suc = suc + [f]
-        node = ProofNode("wr", Sequent(tuple(ant), tuple(suc)), (node,))
-    if node is proof:
-        return proof if cur == target else replace(proof, conclusion=target)
-    return replace(node, conclusion=target)
+        suc = suc + (f,)
+        node = ProofNode("wr", Sequent(ant, suc), (node,))
+    return _refit(proof, node, target)
 
 
 def contract_to(proof: ProofNode, target: Sequent) -> ProofNode:
     """Contract duplicate formulas until the conclusion is exactly `target`
     (every formula of the current conclusion must survive in target, just
     with smaller multiplicities)."""
-    cur = proof.conclusion
-    drop_ant = _multiset_diff(cur.ant, target.ant)
-    drop_suc = _multiset_diff(cur.suc, target.suc)
+    sides = [proof.conclusion.ant, proof.conclusion.suc]
     node = proof
-    ant, suc = list(cur.ant), list(cur.suc)
-    for f in drop_ant:
-        key = alpha_key(f)
-        if not any(alpha_key(g) == key for g in target.ant):
-            raise ValueError(f"cannot contract {f!r} away entirely")
-        ant.remove(next(g for g in ant if alpha_key(g) == key))
-        node = ProofNode("cl", Sequent(tuple(ant), tuple(suc)), (node,))
-    for f in drop_suc:
-        key = alpha_key(f)
-        if not any(alpha_key(g) == key for g in target.suc):
-            raise ValueError(f"cannot contract {f!r} away entirely")
-        suc.remove(next(g for g in suc if alpha_key(g) == key))
-        node = ProofNode("cr", Sequent(tuple(ant), tuple(suc)), (node,))
-    if node is proof:
-        return proof if cur == target else replace(proof, conclusion=target)
-    return replace(node, conclusion=target)
+    for i, rule in enumerate(("cl", "cr")):
+        keep = side_counts(target)[i]
+        for f in without(sides[i], keep):
+            key = alpha_key(f)
+            if key not in keep:
+                raise ValueError(f"cannot contract {f!r} away entirely")
+            sides[i] = without(sides[i], {key: 1})
+            node = ProofNode(rule, Sequent(*sides), (node,))
+    return _refit(proof, node, target)
 
 
 def fit_to(proof: ProofNode, target: Sequent) -> ProofNode:
     """Reach `target` by contracting surplus copies, then weakening in
     whatever is missing."""
-    cur = proof.conclusion
 
-    def trimmed(forms: tuple, goal: tuple) -> tuple:
-        budget: dict[str, int] = {}
-        for f in goal:
-            budget[alpha_key(f)] = budget.get(alpha_key(f), 0) + 1
+    def trimmed(forms: tuple, goal: dict[str, int]) -> tuple:
+        budget = dict(goal)
         out = []
         for f in forms:
-            k = alpha_key(f)
-            if budget.get(k, 0) > 0:
-                budget[k] -= 1
-                out.append(f)
-            elif not any(alpha_key(g) == k for g in goal):
+            n = budget.get(alpha_key(f))
+            if n is None:
                 out.append(f)  # not contractible to zero; weaken_to will fail
+            elif n:
+                budget[alpha_key(f)] = n - 1
+                out.append(f)
         return tuple(out)
 
-    mid = Sequent(trimmed(cur.ant, target.ant), trimmed(cur.suc, target.suc))
+    cur = proof.conclusion
+    goal_ant, goal_suc = side_counts(target)
+    mid = Sequent(trimmed(cur.ant, goal_ant), trimmed(cur.suc, goal_suc))
     return weaken_to(contract_to(proof, mid), target)
 
 
@@ -150,7 +141,8 @@ def mk_cut(p1: ProofNode, p2: ProofNode, chi: Formula) -> ProofNode:
     """Cut `chi` out of p1's succedent and p2's antecedent."""
     c1, c2 = p1.conclusion, p2.conclusion
     concl = Sequent(
-        c1.ant + _remove_one(c2.ant, chi), _remove_one(c1.suc, chi) + c2.suc
+        c1.ant + without(c2.ant, {alpha_key(chi): 1}),
+        without(c1.suc, {alpha_key(chi): 1}) + c2.suc,
     )
     return ProofNode("cut", concl, (p1, p2))
 
@@ -500,7 +492,7 @@ def derived_iota1l(prem: ProofNode, dd: LambdaAtom, a: Param) -> ProofNode:
     ex, x, psi, y, phi = _dd_parts(dd)
     phi_a = substitute(phi, y, a)
     psi_a = substitute(psi, x, a)
-    gamma = _remove_one(_remove_one(prem.conclusion.ant, phi_a), psi_a)
+    gamma = without(without(prem.conclusion.ant, {alpha_key(phi_a): 1}), {alpha_key(psi_a): 1})
     delta = prem.conclusion.suc
     if a.name in params_in(Sequent((dd,) + gamma, delta)):
         raise ValueError(f"parameter {a.name} is not fresh for the conclusion")
@@ -540,7 +532,7 @@ def derived_iota2l(
     phi1 = substitute(phi, y, b1)
     phi2 = substitute(phi, y, b2)
     eq12 = Identity(b1, b2)
-    gamma = _remove_one(prem3.conclusion.ant, eq12)
+    gamma = without(prem3.conclusion.ant, {alpha_key(eq12): 1})
     delta = prem3.conclusion.suc
     avoid = (
         params_in(prem1.conclusion)
@@ -605,8 +597,8 @@ def derived_iotar(
     phi_b = substitute(phi, y, b)
     phi_a = substitute(phi, y, a)
     psi_b = substitute(psi, x, b)
-    gamma = _remove_one(prem3.conclusion.ant, phi_a)
-    delta = _remove_one(prem3.conclusion.suc, Identity(a, b))
+    gamma = without(prem3.conclusion.ant, {alpha_key(phi_a): 1})
+    delta = without(prem3.conclusion.suc, {alpha_key(Identity(a, b)): 1})
     if a.name in params_in(Sequent(gamma, delta + (dd,))) or a == b:
         raise ValueError(f"parameter {a.name} is not fresh for the conclusion")
     avoid = (

@@ -11,9 +11,30 @@ formula at once, which is what makes contraction unproblematic.
 Everything here builds plain ProofNode trees; validity is established by
 running the kernel checker over the results (the test suite does this
 for every construction).
+
+The loop works on regular proofs: each eigenparameter belongs to one
+inference and occurs nowhere outside that inference's premises. A step
+keeps p regular without a pass over the whole proof:
+  * `left_reduce(..., avoid=proof_params(p))` ends in
+    `regularize(out, avoid)`, so every eigenparameter of the reduced
+    proof is fresh for all of p, unique, and confined to its premises;
+    every other parameter in it already stood in the cut's subtree.
+  * `fit_to` adds only weakenings and contractions, which have none.
+  * The rest of p was regular and shares no eigenparameter with the
+    reduced proof, so the spliced proof is regular; `assert is_regular`
+    checks it at every step.
+Three renaming passes stay, each because it changes proofs:
+  * the initial `regularize(proof)`, on inputs that are not regular;
+  * `_corregularize`: `avoid` holds every parameter of the proof, so it
+    renames every eigenparameter of both premises, and the fresh names it
+    picks are the ones the output carries;
+  * the final `regularize` of `left_reduce` and `right_reduce`: the left
+    reduction through a two-premise inference copies the right premise,
+    eigenparameters and all, into each branch, and the copies must be
+    renamed apart.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Optional
 
 from .syntax import (
@@ -22,9 +43,9 @@ from .syntax import (
     IotaTerm,
     ParamSupply,
     Sequent,
-    alpha_equal,
     alpha_key,
     logical_constants,
+    side_counts,
     substitute,
 )
 from .kernel import (
@@ -36,7 +57,7 @@ from .kernel import (
     proof_params,
     subst_param_proof,
 )
-from .builders import build_sym_trans, fit_to, mk_cut, weaken_to
+from .builders import build_sym_trans, fit_to, mk_cut, weaken_to, without
 
 
 class ReductionError(ValueError):
@@ -112,11 +133,7 @@ def _subtree_outside_walk(root: ProofNode, avoid: set, on_clash):
                 changed |= q2 is not q
                 new_premises.append(q2)
             premises = tuple(new_premises)
-        if not changed:
-            return node
-        return ProofNode(
-            node.rule, node.conclusion, premises, terms=node.terms, eigen=eigen
-        )
+        return replace(node, premises=premises, eigen=eigen) if changed else node
 
     return walk(root, set(avoid))
 
@@ -152,21 +169,23 @@ def regularize(proof: ProofNode, avoid: Iterable[str] = ()) -> ProofNode:
 # ---------------------------------------------------------------------------
 # shared reduction helpers
 
-def _count_alpha(forms, key: str) -> int:
-    return sum(1 for f in forms if alpha_key(f) == key)
-
-
-def _remove_n(forms: tuple, key: str, n: int) -> tuple:
-    out = []
-    left = n
-    for f in forms:
-        if left and alpha_key(f) == key:
-            left -= 1
-        else:
-            out.append(f)
-    if left:
-        raise ReductionError(f"expected {n} tracked occurrences, found {n - left}")
-    return tuple(out)
+def _reducible(d1, d2, phi: Formula, k: int, on_left: int, on_right: int) -> str:
+    """phi's alpha key, once the premises meet what both reductions need:
+    k >= 1, no cut of d1 or d2 at or above phi's degree, and phi at least
+    `on_left` times in d1's succedent and `on_right` times in d2's
+    antecedent; raises ReductionError otherwise."""
+    if k < 1:
+        raise ReductionError("k must be positive")
+    if not _max_cut_degree(d1, d2) < logical_constants(phi):
+        raise ReductionError(
+            "premise proofs contain cuts at or above the degree of the cut formula"
+        )
+    key = alpha_key(phi)
+    if side_counts(d1.conclusion)[1].get(key, 0) < on_left:
+        raise ReductionError("left premise lacks the tracked occurrences")
+    if side_counts(d2.conclusion)[0].get(key, 0) < on_right:
+        raise ReductionError("right premise lacks the tracked occurrences")
+    return key
 
 
 def _principal_formula(node: ProofNode, info) -> Optional[Formula]:
@@ -188,6 +207,23 @@ def _corregularize(d1, d2, avoid):
     return d1r, d2r
 
 
+def _parametric(d, info, goal: Sequent, phi_key: str, k: int, side: int, ih) -> ProofNode:
+    """d's last inference, concluding `goal`, over its premises reduced by
+    `ih` with their share of the k occurrences tracked on `side` (0 the
+    antecedent, 1 the succedent). Each premise keeps all k but a cut's:
+    the premise whose side they stand on (the right one for the
+    antecedent) takes as many as that side holds besides the cut formula,
+    the other premise the rest."""
+    counts = [k] * len(d.premises)
+    if d.rule == "cut":
+        i = 1 - side
+        held = side_counts(d.premises[i].conclusion)[side].get(phi_key, 0)
+        counts[i] = min(k, held - (alpha_key(info.cut_formula) == phi_key))
+        counts[side] = k - counts[i]
+    premises = tuple(ih(q, m) for q, m in zip(d.premises, counts))
+    return ProofNode(d.rule, goal, premises, terms=d.terms, eigen=d.eigen)
+
+
 # ---------------------------------------------------------------------------
 # right reduction
 
@@ -203,32 +239,21 @@ def right_reduce(
     """Reduce a cut on phi with left premise d1 |- G => D, phi (phi principal
     in the last inference of d1) against d2 |- phi^k, P => S, producing a
     proof of G^k, P => D^k, S whose cuts all have degree below phi's."""
-    if k < 1:
-        raise ReductionError("k must be positive")
-    dphi = logical_constants(phi)
-    if not _max_cut_degree(d1, d2) < dphi:
-        raise ReductionError(
-            "premise proofs contain cuts at or above the degree of the cut formula"
-        )
-    info1 = analyze_step(d1)
+    key = _reducible(d1, d2, phi, k, 1, k)
     if d1.rule != "ax":
-        pf = _principal_formula(d1, info1)
+        info1 = analyze_step(d1)
         # d1 must end in a right rule: its principal formula is on the
         # succedent, and it is neither wr nor cr
         if (
             info1.principal is None
             or info1.principal[0] != "suc"
             or d1.rule in ("wr", "cr")
-            or not alpha_equal(pf, phi)
+            or alpha_key(_principal_formula(d1, info1)) != key
         ):
             raise ReductionError("cut formula is not principal in the left premise")
-    elif not alpha_equal(d1.conclusion.suc[0], phi):
-        raise ReductionError("axiom left premise does not conclude the cut formula")
-    if _count_alpha(d2.conclusion.ant, alpha_key(phi)) < k:
-        raise ReductionError("right premise lacks the tracked occurrences")
     d1, d2 = _corregularize(d1, d2, avoid)
     gamma = d1.conclusion.ant
-    delta = _remove_n(d1.conclusion.suc, alpha_key(phi), 1)
+    delta = without(d1.conclusion.suc, {key: 1})
     out = _rr(d1, gamma, delta, d2, phi, k, [] if trace is None else trace)
     return regularize(out, avoid)
 
@@ -236,7 +261,7 @@ def right_reduce(
 def _mixed(gamma, delta, seqt: Sequent, phi_key: str, m: int) -> Sequent:
     """Target sequent with m tracked antecedent occurrences replaced by m
     copies of the (gamma => delta) context, antecedent copies first."""
-    return Sequent(gamma * m + _remove_n(seqt.ant, phi_key, m), delta * m + seqt.suc)
+    return Sequent(gamma * m + without(seqt.ant, {phi_key: m}), delta * m + seqt.suc)
 
 
 def _rr(d1, gamma, delta, d2, phi, k, trace) -> ProofNode:
@@ -308,7 +333,7 @@ def _rr(d1, gamma, delta, d2, phi, k, trace) -> ProofNode:
         # so it can serve as the left premise of the last cut below
         c1 = fit_to(
             c1,
-            Sequent(c1.conclusion.ant, _remove_n(c1.conclusion.suc, alpha_key(beta), 1)),
+            Sequent(c1.conclusion.ant, without(c1.conclusion.suc, {alpha_key(beta): 1})),
         )
         c2 = mk_cut(c1, p2, beta)
         c3 = mk_cut(c2, q2, alpha)
@@ -374,19 +399,7 @@ def _rr(d1, gamma, delta, d2, phi, k, trace) -> ProofNode:
 
     # every tracked occurrence is parametric in the last inference of d2
     trace.append(f"rr:parametric:{rule}")
-    if rule == "cut":
-        q1, q2 = d2.premises
-        chi = info.cut_formula
-        avail2 = _count_alpha(q2.conclusion.ant, phi_key)
-        if alpha_key(chi) == phi_key:
-            avail2 -= 1
-        m2 = min(k, avail2)
-        m1 = k - m2
-        counts = [m1, m2]
-    else:
-        counts = [k] * len(d2.premises)
-    new_premises = tuple(ih(q, m) for q, m in zip(d2.premises, counts))
-    return ProofNode(rule, goal, new_premises, terms=d2.terms, eigen=d2.eigen)
+    return _parametric(d2, info, goal, phi_key, k, 0, ih)
 
 
 # ---------------------------------------------------------------------------
@@ -404,26 +417,16 @@ def left_reduce(
     """Reduce a cut on phi with left premise d1 |- G => D, phi^k and right
     premise d2 |- phi, P => S (phi need not be principal anywhere),
     producing a proof of G, P^k => D, S^k with all cuts below phi's degree."""
-    if k < 1:
-        raise ReductionError("k must be positive")
-    dphi = logical_constants(phi)
-    if not _max_cut_degree(d1, d2) < dphi:
-        raise ReductionError(
-            "premise proofs contain cuts at or above the degree of the cut formula"
-        )
-    if _count_alpha(d1.conclusion.suc, alpha_key(phi)) < k:
-        raise ReductionError("left premise lacks the tracked occurrences")
-    if _count_alpha(d2.conclusion.ant, alpha_key(phi)) < 1:
-        raise ReductionError("right premise does not contain the cut formula")
+    key = _reducible(d1, d2, phi, k, k, 1)
     d1, d2 = _corregularize(d1, d2, avoid)
-    pi = _remove_n(d2.conclusion.ant, alpha_key(phi), 1)
+    pi = without(d2.conclusion.ant, {key: 1})
     sigma = d2.conclusion.suc
     out = _lr(d1, d2, pi, sigma, phi, k, [] if trace is None else trace)
     return regularize(out, avoid)
 
 
 def _lr_mixed(pi, sigma, seqt: Sequent, phi_key: str, m: int) -> Sequent:
-    return Sequent(seqt.ant + pi * m, _remove_n(seqt.suc, phi_key, m) + sigma * m)
+    return Sequent(seqt.ant + pi * m, without(seqt.suc, {phi_key: m}) + sigma * m)
 
 
 def _lr(d1, d2, pi, sigma, phi, k, trace) -> ProofNode:
@@ -465,30 +468,18 @@ def _lr(d1, d2, pi, sigma, phi, k, trace) -> ProofNode:
             new_premises = tuple(ih(q, k - 1) for q in d1.premises)
             lifted_concl = Sequent(
                 d1.conclusion.ant + pi * (k - 1),
-                _remove_n(d1.conclusion.suc, phi_key, k) + sigma * (k - 1) + (phi,),
+                without(d1.conclusion.suc, {phi_key: k}) + sigma * (k - 1) + (phi,),
             )
             lifted = ProofNode(
                 rule, lifted_concl, new_premises, terms=d1.terms, eigen=d1.eigen
             )
         g2 = lifted.conclusion.ant
-        d2_ = _remove_n(lifted.conclusion.suc, phi_key, 1)
+        d2_ = without(lifted.conclusion.suc, {phi_key: 1})
         return _rr(lifted, g2, d2_, d2, phi, 1, trace)
 
     # parametric: recurse through d1's last inference
     trace.append(f"lr:parametric:{rule}")
-    if rule == "cut":
-        q1, q2 = d1.premises
-        chi = info.cut_formula
-        avail1 = _count_alpha(q1.conclusion.suc, phi_key)
-        if alpha_key(chi) == phi_key:
-            avail1 -= 1
-        m1 = min(k, avail1)
-        m2 = k - m1
-        counts = [m1, m2]
-    else:
-        counts = [k] * len(d1.premises)
-    new_premises = tuple(ih(q, m) for q, m in zip(d1.premises, counts))
-    return ProofNode(rule, goal, new_premises, terms=d1.terms, eigen=d1.eigen)
+    return _parametric(d1, info, goal, phi_key, k, 1, ih)
 
 
 # ---------------------------------------------------------------------------
@@ -505,9 +496,18 @@ def _splice(node: ProofNode, parts: tuple, replacement: ProofNode) -> ProofNode:
     i, rest = parts[0], parts[1:]
     premises = list(node.premises)
     premises[i] = _splice(premises[i], rest, replacement)
-    return ProofNode(
-        node.rule, node.conclusion, tuple(premises), terms=node.terms, eigen=node.eigen
-    )
+    return replace(node, premises=tuple(premises))
+
+
+def _topmost(maximal: list) -> tuple[str, ProofNode]:
+    """The first (path, node) of a pre-order list of cuts that has none of
+    the listed cuts above it, in its premises. A subtree's nodes directly
+    follow its root in pre-order, so a listed cut has one above it exactly
+    when the next listed cut is above it."""
+    for (path, node), (following, _) in zip(maximal, maximal[1:]):
+        if not following.startswith("" if path == "root" else path + "."):
+            return path, node
+    return maximal[-1]
 
 
 def _measure(cuts: list) -> tuple[int, int]:
@@ -530,14 +530,7 @@ def eliminate_cuts_traced(proof: ProofNode) -> tuple[ProofNode, list[TraceEntry]
     before = _measure(cuts)
     while cuts:
         maxdeg = before[0]
-        maximal = [(path, node) for path, node, deg in cuts if deg == maxdeg]
-        max_paths = {path for path, _ in maximal}
-        candidates = []
-        for path, node in maximal:
-            prefix = "" if path == "root" else path + "."
-            if not any(q != path and q.startswith(prefix) and q != "root" for q in max_paths):
-                candidates.append((path, node))
-        path, node = min(candidates, key=lambda pn: _parts(pn[0]))
+        path, node = _topmost([(path, node) for path, node, deg in cuts if deg == maxdeg])
         chi = analyze_step(node).cut_formula
         cases: list[str] = []
         ambient = proof_params(p)
@@ -549,7 +542,7 @@ def eliminate_cuts_traced(proof: ProofNode) -> tuple[ProofNode, list[TraceEntry]
         else:
             assert _max_cut_degree(reduced) < maxdeg, "reduction must lower the degree"
         reduced = fit_to(reduced, node.conclusion)
-        p = regularize(_splice(p, _parts(path), reduced))
+        p = _splice(p, _parts(path), reduced)
         assert is_regular(p)
         cuts = cut_nodes(p)
         after = _measure(cuts)

@@ -10,7 +10,7 @@ import sys
 from dataclasses import replace
 
 import pytest
-from genutil import cut_corpus
+from genutil import ProofGen, cut_corpus
 
 from ddproof import syntax
 from ddproof.syntax import (
@@ -34,6 +34,7 @@ from ddproof.kernel import (
     ProofNode,
     analyze_step,
     check_proof,
+    cut_nodes,
     iter_nodes,
     proof_height,
     proof_params,
@@ -65,7 +66,7 @@ from ddproof.cutelim import (
     regularize,
     right_reduce,
 )
-from ddproof.surface import parse_formula
+from ddproof.surface import parse_formula, parse_proof
 
 
 def P(t):
@@ -696,3 +697,132 @@ def test_elimination_computes_each_parameter_set_once(monkeypatch):
     monkeypatch.undo()
     assert (proof_size(root), proof_size(out), len(trace)) == (52, 259, 16)
     assert calls <= proof_size(root) + built
+
+
+# ---------------------------------------------------------------------------
+# the loop keeps proofs regular without a whole-proof pass
+
+# reducing its cut copies the existsl subproof, eigenparameters and all,
+# into both premises of the andr
+DUPLICATION_PROOF = """
+(cut (seq (P(#c)) (P(#c) & P(#c), forall y. Q(y) -> Q(y)))
+  (andr (seq (P(#c)) (P(#c) & P(#c), exists x. P(x)))
+    (existsr (seq (P(#c)) (P(#c), exists x. P(x))) :term #c
+      (wr (seq (P(#c)) (P(#c), P(#c))) (ax (seq (P(#c)) (P(#c))))))
+    (existsr (seq (P(#c)) (P(#c), exists x. P(x))) :term #c
+      (wr (seq (P(#c)) (P(#c), P(#c))) (ax (seq (P(#c)) (P(#c)))))))
+  (existsl (seq (exists x. P(x)) (forall y. Q(y) -> Q(y))) :eigen #a
+    (wl (seq (P(#a)) (forall y. Q(y) -> Q(y)))
+      (forallr (seq () (forall y. Q(y) -> Q(y))) :eigen #b
+        (impr (seq () (Q(#b) -> Q(#b))) (ax (seq (Q(#b)) (Q(#b)))))))))
+"""
+
+
+def generated_cut_proofs(seed=20261022):
+    rng = random.Random(seed)
+    proofs = []
+    for steps, n in ((8, 150), (12, 100)):
+        gen = ProofGen(rng, max_steps=steps)
+        proofs += [gen.proof_with_cut() for _ in range(n)]
+    return proofs
+
+
+def test_spliced_proofs_are_already_regular(monkeypatch, criterion4_corpus):
+    """After each step's splice the proof is regular as it stands:
+    regularizing it returns the very same object, so the loop need not."""
+    import ddproof.cutelim as cutelim
+
+    real = cutelim._splice
+    depth = splices = 0
+
+    def checked(node, parts, replacement):
+        # _splice recurses through the module global; check the outermost call
+        nonlocal depth, splices
+        depth += 1
+        try:
+            out = real(node, parts, replacement)
+        finally:
+            depth -= 1
+        if depth == 0:
+            splices += 1
+            assert regularize(out) is out
+        return out
+
+    proofs = [parse_proof(DUPLICATION_PROOF), *criterion4_corpus, *generated_cut_proofs()]
+    monkeypatch.setattr(cutelim, "_splice", checked)
+    steps = sum(len(eliminate_cuts_traced(root)[1]) for root in proofs)
+    assert splices == steps > 300
+
+
+def test_final_regularize_of_left_reduce_carries_weight(monkeypatch):
+    """The left reduction copies the existsl subproof into both andr
+    branches; without left_reduce's final regularize the copies share
+    their eigenparameters and the loop's regularity assertion fails."""
+    import ddproof.cutelim as cutelim
+
+    root = parse_proof(DUPLICATION_PROOF)
+    check_proof(root)
+    out, _ = eliminate_cuts_traced(root)
+    check_proof(out)
+    assert is_regular(out)
+    real = cutelim.regularize
+
+    def skip_final(proof, avoid=()):
+        if sys._getframe(1).f_code is left_reduce.__code__:
+            return proof
+        return real(proof, avoid)
+
+    monkeypatch.setattr(cutelim, "regularize", skip_final)
+    with pytest.raises(AssertionError) as err:
+        eliminate_cuts_traced(root)
+    assert "is_regular" in str(err.traceback[-1].statement)
+
+
+# ---------------------------------------------------------------------------
+# `:at` through cut elimination
+
+# the andl's `:at 1` names P & Q in its conclusion; the reduction reorders
+# that conclusion to the cut's, where P & Q stands first
+REORDERED_AT_PROOF = """
+(cut (seq (P & Q, A) (P)) (ax (seq (P & Q) (P & Q)))
+  (andl (seq (A, P & Q) (P)) :at 1
+    (wl (seq (A, P, Q) (P)) (wl (seq (P, Q) (P)) (ax (seq (P) (P)))))))
+"""
+
+KEPT_AT_PROOF = """
+(impr (seq () (P & Q -> P)) :at 0
+  (andl (seq (P & Q) (P)) :at 0
+    (cut (seq (P, Q) (P)) (ax (seq (P) (P)))
+      (wl (seq (P, Q) (P)) (ax (seq (P) (P)))))))
+"""
+
+
+def test_reordered_conclusion_drops_at():
+    root = parse_proof(REORDERED_AT_PROOF)
+    check_proof(root)
+    out = eliminate_cuts(root)
+    check_proof(out)
+    assert out.rule == "andl" and out.at is None
+    assert out.conclusion == root.conclusion
+    base = root.premises[1]
+    moved = weaken_to(base, Sequent(tuple(reversed(base.conclusion.ant)), base.conclusion.suc))
+    assert moved.at is None
+    check_proof(moved)
+
+
+def test_unchanged_conclusions_keep_at():
+    root = parse_proof(KEPT_AT_PROOF)
+    check_proof(root)
+    out = eliminate_cuts(root)
+    check_proof(out)
+    assert not cut_nodes(out)
+    assert (out.rule, out.at, out.premises[0].rule, out.premises[0].at) == ("impr", 0, "andl", 0)
+    # a renamed eigenparameter leaves the conclusion, and so `:at`, as it was
+    forall = parse_proof(
+        "(forallr (seq () (forall x. P(x) -> P(x))) :eigen #a :at 0"
+        " (impr (seq () (P(#a) -> P(#a))) :at 0 (ax (seq (P(#a)) (P(#a))))))"
+    )
+    renamed = regularize(forall, avoid={"a"})
+    assert renamed.eigen != forall.eigen
+    assert (renamed.at, renamed.premises[0].at) == (0, 0)
+    check_proof(renamed)
