@@ -403,33 +403,22 @@ def _search(
     if _quick_refuted(g, st):
         return None
 
-    mv = _invertible(g, st)
-    if mv is not None:
+    # an invertible move is committed to, and spends no uses; else each
+    # choice move is tried in turn
+    committed = _invertible(g, st)
+    if committed is not None:
+        committed.uses = uses
+    for mv in [committed] if committed is not None else _choice_moves(g, uses, st):
         subs = []
         for child in mv.children:
             key = sequent_key(child)
             if key in seen:
-                return None
-            sub = _search(child, depth - 1, seen | {key}, uses, st)
-            if sub is None:
-                return None
-            subs.append(sub)
-        return mv, tuple(subs)
-
-    for mv in _choice_moves(g, uses, st):
-        subs = []
-        ok = True
-        for child in mv.children:
-            key = sequent_key(child)
-            if key in seen:
-                ok = False
                 break
             sub = _search(child, depth - 1, seen | {key}, mv.uses, st)
             if sub is None:
-                ok = False
                 break
             subs.append(sub)
-        if ok:
+        else:
             return mv, tuple(subs)
     return None
 
