@@ -107,6 +107,27 @@ def test_deep_negation_chain_ends_cleanly():
     assert "Traceback" not in child.stderr
 
 
+def test_out_of_memory_is_one_line_and_exit_2():
+    """Eighteen nested binders at size 3 need vectors far beyond 256 MiB of
+    address space; the MemoryError ends in exit 2 ("unknown") and one line,
+    not a traceback and exit 1 ("countermodel found")."""
+    resource = pytest.importorskip("resource")
+    limit = 256 << 20
+    binders = "".join(f"forall x{i}. " for i in range(18))
+    goal = f"=> {binders}R(x0, x17) | ~R(x0, x17)"
+    child = subprocess.run(
+        [sys.executable, "-m", "ddproof", "countermodel", "--max-size", "3", goal],
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert child.returncode == 2, child.stderr[-2000:]
+    assert child.stderr == "ddproof: unknown: out of memory\n"
+    assert child.stdout == ""
+
+
 class TestCountermodel:
     def test_found(self, capsys):
         code, out, _ = run(
@@ -224,6 +245,23 @@ class TestEliminateCut:
         assert measures
         for a, b, c, d in measures:
             assert (int(c), int(d)) < (int(a), int(b))
+
+    def test_reordered_at_is_dropped(self, capsys, tmp_path):
+        """The reduction reorders the andl's conclusion; its `:at 1` named
+        P & Q in the old order, so it must go, or the kernel rejects the
+        output."""
+        src = tmp_path / "at.rlp"
+        src.write_text(
+            "(cut (seq (P & Q, A) (P)) (ax (seq (P & Q) (P & Q)))"
+            " (andl (seq (A, P & Q) (P)) :at 1"
+            " (wl (seq (A, P, Q) (P)) (wl (seq (P, Q) (P)) (ax (seq (P) (P)))))))"
+        )
+        assert run(capsys, "check", str(src))[0] == 0
+        code, out, err = run(capsys, "eliminate-cut", str(src))
+        assert (code, err) == (0, "")
+        root = parse_proof(out)
+        check_proof(root)
+        assert root.rule == "andl" and root.at is None
 
     def test_cut_free_input_passes_through(self, capsys, tmp_path):
         run(capsys, "fixtures", "--out", str(tmp_path))
