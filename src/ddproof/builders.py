@@ -123,11 +123,12 @@ def fit_to(proof: ProofNode, target: Sequent) -> ProofNode:
         budget = dict(goal)
         out = []
         for f in forms:
-            n = budget.get(alpha_key(f))
+            k = alpha_key(f)
+            n = budget.get(k)
             if n is None:
                 out.append(f)  # not contractible to zero; weaken_to will fail
             elif n:
-                budget[alpha_key(f)] = n - 1
+                budget[k] = n - 1
                 out.append(f)
         return tuple(out)
 
@@ -140,10 +141,8 @@ def fit_to(proof: ProofNode, target: Sequent) -> ProofNode:
 def mk_cut(p1: ProofNode, p2: ProofNode, chi: Formula) -> ProofNode:
     """Cut `chi` out of p1's succedent and p2's antecedent."""
     c1, c2 = p1.conclusion, p2.conclusion
-    concl = Sequent(
-        c1.ant + without(c2.ant, {alpha_key(chi): 1}),
-        without(c1.suc, {alpha_key(chi): 1}) + c2.suc,
-    )
+    one = {alpha_key(chi): 1}
+    concl = Sequent(c1.ant + without(c2.ant, one), without(c1.suc, one) + c2.suc)
     return ProofNode("cut", concl, (p1, p2))
 
 
@@ -492,7 +491,8 @@ def derived_iota1l(prem: ProofNode, dd: LambdaAtom, a: Param) -> ProofNode:
     ex, x, psi, y, phi = _dd_parts(dd)
     phi_a = substitute(phi, y, a)
     psi_a = substitute(psi, x, a)
-    gamma = without(without(prem.conclusion.ant, {alpha_key(phi_a): 1}), {alpha_key(psi_a): 1})
+    gamma = without(prem.conclusion.ant, {alpha_key(phi_a): 1})
+    gamma = without(gamma, {alpha_key(psi_a): 1})
     delta = prem.conclusion.suc
     if a.name in params_in(Sequent((dd,) + gamma, delta)):
         raise ValueError(f"parameter {a.name} is not fresh for the conclusion")
