@@ -56,20 +56,24 @@ def ax(f: Formula) -> ProofNode:
     return ProofNode("ax", Sequent((f,), (f,)))
 
 
-def without(forms: tuple, counts: dict[str, int]) -> tuple:
-    """`forms` less the first `counts[k]` occurrences of each alpha key k,
-    the rest in their order; raises ValueError when fewer occur."""
-    left = dict(counts)
+def without(forms: tuple, removed: tuple) -> tuple:
+    """`forms` less the multiset `removed`: for each alpha key, as many of
+    its first occurrences as `removed` holds, the rest in their order;
+    raises ValueError when `removed` is not a sub-multiset of `forms`."""
+    left: dict[str, int] = {}
+    for f in removed:
+        k = alpha_key(f)
+        left[k] = left.get(k, 0) + 1
     out = []
     for f in forms:
         k = alpha_key(f)
-        if left.get(k):
-            left[k] -= 1
+        n = left.get(k)
+        if n:
+            left[k] = n - 1
         else:
             out.append(f)
-    missing = [k for k, n in left.items() if n]
-    if missing:
-        raise ValueError(f"not a sub-multiset: {missing[0]} missing")
+    if any(left.values()):
+        raise ValueError(f"not a sub-multiset: {removed!r} of {forms!r}")
     return tuple(out)
 
 
@@ -85,8 +89,7 @@ def weaken_to(proof: ProofNode, target: Sequent) -> ProofNode:
     """Weaken until the conclusion is exactly `target` (which must extend
     the current conclusion as a multiset on both sides)."""
     cur = proof.conclusion
-    have_ant, have_suc = side_counts(cur)
-    add_ant, add_suc = without(target.ant, have_ant), without(target.suc, have_suc)
+    add_ant, add_suc = without(target.ant, cur.ant), without(target.suc, cur.suc)
     node = proof
     ant, suc = cur.ant, cur.suc
     for f in add_ant:
@@ -105,12 +108,12 @@ def contract_to(proof: ProofNode, target: Sequent) -> ProofNode:
     sides = [proof.conclusion.ant, proof.conclusion.suc]
     node = proof
     for i, rule in enumerate(("cl", "cr")):
+        goal = (target.ant, target.suc)[i]
         keep = side_counts(target)[i]
-        for f in without(sides[i], keep):
-            key = alpha_key(f)
-            if key not in keep:
+        for f in without(sides[i], goal):
+            if alpha_key(f) not in keep:
                 raise ValueError(f"cannot contract {f!r} away entirely")
-            sides[i] = without(sides[i], {key: 1})
+            sides[i] = without(sides[i], (f,))
             node = ProofNode(rule, Sequent(*sides), (node,))
     return _refit(proof, node, target)
 
@@ -141,8 +144,7 @@ def fit_to(proof: ProofNode, target: Sequent) -> ProofNode:
 def mk_cut(p1: ProofNode, p2: ProofNode, chi: Formula) -> ProofNode:
     """Cut `chi` out of p1's succedent and p2's antecedent."""
     c1, c2 = p1.conclusion, p2.conclusion
-    one = {alpha_key(chi): 1}
-    concl = Sequent(c1.ant + without(c2.ant, one), without(c1.suc, one) + c2.suc)
+    concl = Sequent(c1.ant + without(c2.ant, (chi,)), without(c1.suc, (chi,)) + c2.suc)
     return ProofNode("cut", concl, (p1, p2))
 
 
@@ -491,8 +493,7 @@ def derived_iota1l(prem: ProofNode, dd: LambdaAtom, a: Param) -> ProofNode:
     ex, x, psi, y, phi = _dd_parts(dd)
     phi_a = substitute(phi, y, a)
     psi_a = substitute(psi, x, a)
-    gamma = without(prem.conclusion.ant, {alpha_key(phi_a): 1})
-    gamma = without(gamma, {alpha_key(psi_a): 1})
+    gamma = without(prem.conclusion.ant, (phi_a, psi_a))
     delta = prem.conclusion.suc
     if a.name in params_in(Sequent((dd,) + gamma, delta)):
         raise ValueError(f"parameter {a.name} is not fresh for the conclusion")
@@ -532,7 +533,7 @@ def derived_iota2l(
     phi1 = substitute(phi, y, b1)
     phi2 = substitute(phi, y, b2)
     eq12 = Identity(b1, b2)
-    gamma = without(prem3.conclusion.ant, {alpha_key(eq12): 1})
+    gamma = without(prem3.conclusion.ant, (eq12,))
     delta = prem3.conclusion.suc
     avoid = (
         params_in(prem1.conclusion)
@@ -597,8 +598,8 @@ def derived_iotar(
     phi_b = substitute(phi, y, b)
     phi_a = substitute(phi, y, a)
     psi_b = substitute(psi, x, b)
-    gamma = without(prem3.conclusion.ant, {alpha_key(phi_a): 1})
-    delta = without(prem3.conclusion.suc, {alpha_key(Identity(a, b)): 1})
+    gamma = without(prem3.conclusion.ant, (phi_a,))
+    delta = without(prem3.conclusion.suc, (Identity(a, b),))
     if a.name in params_in(Sequent(gamma, delta + (dd,))) or a == b:
         raise ValueError(f"parameter {a.name} is not fresh for the conclusion")
     avoid = (

@@ -253,15 +253,15 @@ def right_reduce(
             raise ReductionError("cut formula is not principal in the left premise")
     d1, d2 = _corregularize(d1, d2, avoid)
     gamma = d1.conclusion.ant
-    delta = without(d1.conclusion.suc, {key: 1})
+    delta = without(d1.conclusion.suc, (phi,))
     out = _rr(d1, gamma, delta, d2, phi, k, [] if trace is None else trace)
     return regularize(out, avoid)
 
 
-def _mixed(gamma, delta, seqt: Sequent, phi_key: str, m: int) -> Sequent:
+def _mixed(gamma, delta, seqt: Sequent, phi: Formula, m: int) -> Sequent:
     """Target sequent with m tracked antecedent occurrences replaced by m
     copies of the (gamma => delta) context, antecedent copies first."""
-    return Sequent(gamma * m + without(seqt.ant, {phi_key: m}), delta * m + seqt.suc)
+    return Sequent(gamma * m + without(seqt.ant, (phi,) * m), delta * m + seqt.suc)
 
 
 def _rr(d1, gamma, delta, d2, phi, k, trace) -> ProofNode:
@@ -281,7 +281,7 @@ def _rr(d1, gamma, delta, d2, phi, k, trace) -> ProofNode:
     on_ant = info.principal is not None and info.principal[0] == "ant"
     hit = on_ant and alpha_key(principal) == phi_key
 
-    goal = _mixed(gamma, delta, d2.conclusion, phi_key, k)
+    goal = _mixed(gamma, delta, d2.conclusion, phi, k)
 
     def ih(premise: ProofNode, m: int) -> ProofNode:
         return _rr(d1, gamma, delta, premise, phi, m, trace) if m else premise
@@ -333,7 +333,7 @@ def _rr(d1, gamma, delta, d2, phi, k, trace) -> ProofNode:
         # so it can serve as the left premise of the last cut below
         c1 = fit_to(
             c1,
-            Sequent(c1.conclusion.ant, without(c1.conclusion.suc, {alpha_key(beta): 1})),
+            Sequent(c1.conclusion.ant, without(c1.conclusion.suc, (beta,))),
         )
         c2 = mk_cut(c1, p2, beta)
         c3 = mk_cut(c2, q2, alpha)
@@ -417,16 +417,16 @@ def left_reduce(
     """Reduce a cut on phi with left premise d1 |- G => D, phi^k and right
     premise d2 |- phi, P => S (phi need not be principal anywhere),
     producing a proof of G, P^k => D, S^k with all cuts below phi's degree."""
-    key = _reducible(d1, d2, phi, k, k, 1)
+    _reducible(d1, d2, phi, k, k, 1)
     d1, d2 = _corregularize(d1, d2, avoid)
-    pi = without(d2.conclusion.ant, {key: 1})
+    pi = without(d2.conclusion.ant, (phi,))
     sigma = d2.conclusion.suc
     out = _lr(d1, d2, pi, sigma, phi, k, [] if trace is None else trace)
     return regularize(out, avoid)
 
 
-def _lr_mixed(pi, sigma, seqt: Sequent, phi_key: str, m: int) -> Sequent:
-    return Sequent(seqt.ant + pi * m, without(seqt.suc, {phi_key: m}) + sigma * m)
+def _lr_mixed(pi, sigma, seqt: Sequent, phi: Formula, m: int) -> Sequent:
+    return Sequent(seqt.ant + pi * m, without(seqt.suc, (phi,) * m) + sigma * m)
 
 
 def _lr(d1, d2, pi, sigma, phi, k, trace) -> ProofNode:
@@ -446,7 +446,7 @@ def _lr(d1, d2, pi, sigma, phi, k, trace) -> ProofNode:
         and alpha_key(principal) == phi_key
     )
 
-    goal = _lr_mixed(pi, sigma, d1.conclusion, phi_key, k)
+    goal = _lr_mixed(pi, sigma, d1.conclusion, phi, k)
 
     def ih(premise: ProofNode, m: int) -> ProofNode:
         return _lr(premise, d2, pi, sigma, phi, m, trace) if m else premise
@@ -468,13 +468,13 @@ def _lr(d1, d2, pi, sigma, phi, k, trace) -> ProofNode:
             new_premises = tuple(ih(q, k - 1) for q in d1.premises)
             lifted_concl = Sequent(
                 d1.conclusion.ant + pi * (k - 1),
-                without(d1.conclusion.suc, {phi_key: k}) + sigma * (k - 1) + (phi,),
+                without(d1.conclusion.suc, (phi,) * k) + sigma * (k - 1) + (phi,),
             )
             lifted = ProofNode(
                 rule, lifted_concl, new_premises, terms=d1.terms, eigen=d1.eigen
             )
         g2 = lifted.conclusion.ant
-        d2_ = without(lifted.conclusion.suc, {phi_key: 1})
+        d2_ = without(lifted.conclusion.suc, (phi,))
         return _rr(lifted, g2, d2_, d2, phi, 1, trace)
 
     # parametric: recurse through d1's last inference
