@@ -10,11 +10,16 @@ table `RULES`: the side and test of its principal formula, the annotations
 it takes and the formulas each premise adds. The handlers are built from
 that table, and so are the search's moves.
 
-Annotations (instantiation terms, eigenvariables) are optional: when absent
-the checker re-derives them by trying candidate principal occurrences in
-order and matching instantiations against the premises (first match wins).
-A rule given annotations it does not take, as `RULES` states them, is
-rejected.
+Annotations (instantiation terms, eigenvariables) are optional. A rule's
+instance has one slot per term, then one for its eigenparameter; a slot
+left out takes, in turn, a fresh parameter and each value it gets where the
+rule's active formulas, with a variable in each slot, match the formulas a
+premise adds. The first principal candidate whose premises match at some
+instance wins, and the order of its instances cannot change the outcome: a
+slot that occurs in an active formula is fixed by it, so at most one value
+fits, and a slot that occurs in none fits any value, so the fresh
+parameter, tried first, is the one reported. A rule given annotations it
+does not take, as `RULES` states them, is rejected.
 
 Eigenvariable conditions are strict: the eigenvariable may not occur
 anywhere in the conclusion. iotar also rejects an eigenvariable equal to its
@@ -34,6 +39,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import product
 from typing import Callable, Iterator, NamedTuple, Optional, Union
 
 from .syntax import (
@@ -59,6 +65,7 @@ from .syntax import (
     _parts,
     _rebuild,
     alpha_key,
+    free_vars,
     is_atomic,
     is_term,
     logical_constants,
@@ -305,21 +312,22 @@ def _first_index(forms: tuple, key: str) -> int:
 # instantiation matching
 
 
-def match_subst(body: Formula, x: str, chi: Formula):
-    """Find t with body[x/t] alpha-equal to chi.
+def match_subst(pattern: Formula, xs, chi: Formula) -> Optional[dict[str, Term]]:
+    """Find terms for the pattern variables xs that make pattern alpha-equal
+    to chi.
 
-    Returns the unique such Param/Const, the string "any" when x is not free
-    in body and body is alpha-equal to chi, or None when no match exists.
+    Returns a map from each of xs free in pattern to the unique Param or
+    Const that fits it, or None when no match exists. A variable that is
+    not free in pattern is left out of the map: any term fits it.
     """
-    found: list[Term] = []
+    found: dict[str, Term] = {}
 
     def term_ok(b: Term, c, benv: dict, cenv: dict) -> bool:
         if isinstance(b, Var):
             if b.name in benv:
                 return isinstance(c, Var) and cenv.get(c.name) == benv[b.name]
-            if b.name == x:
-                found.append(c)
-                return isinstance(c, (Param, Const))
+            if b.name in xs:
+                return isinstance(c, (Param, Const)) and found.setdefault(b.name, c) == c
             # other free variable: must appear verbatim and free
             return isinstance(c, Var) and c.name == b.name and c.name not in cenv
         return c == b
@@ -341,9 +349,7 @@ def match_subst(body: Formula, x: str, chi: Formula):
             inner = (benv, cenv, depth)
         return True
 
-    if not walk(body, chi, {}, {}, 0) or len(set(found)) > 1:
-        return None
-    return found[0] if found else "any"
+    return found if walk(pattern, chi, {}, {}, 0) else None
 
 
 # ---------------------------------------------------------------------------
@@ -610,7 +616,53 @@ def _h_contract(mine: str):
     return h
 
 
-def _h_schema(rule: str, what: str, instances):
+# --- instance inference
+
+
+def _instances(node: ProofNode, f: Formula):
+    """The instances to try for principal formula f, in order. A rule's
+    instance has one slot per term, then one for its eigenparameter. A slot
+    takes its annotation; one left out tries a fresh parameter, then each
+    value it gets where the rule's active formulas, with a variable in each
+    slot, match a formula the premise adds on that side."""
+    rule, schema = node.rule, RULES[node.rule]
+    given = list(node.terms or (None,) * schema.terms)
+    for t in given:
+        if t is not None:
+            _require_slot_term(t, f"{rule} instantiation term")
+    if schema.eigen:
+        given.append(None if node.eigen is None else _require_eigen(node.eigen))
+    if None not in given:
+        return (tuple(given),)
+    c = node.conclusion
+    prems = [p.conclusion for p in node.premises]
+    xs: list[str] = []
+    for _ in given:
+        xs.append(scan_fresh("_", free_vars(f) | set(xs)))
+    kinds = [_INSTANCE_TERM] * schema.terms + [Param] * schema.eigen
+    fresh = _fresh_param_for(c, *prems)
+    slots = [[fresh] if t is None else [t] for t in given]
+    for p, actives in zip(prems, schema.actives(f, *map(Var, xs))):
+        for side, pats in zip(("ant", "suc"), actives):
+            if not pats:
+                continue
+            base = _without(c, side, f) if side == schema.side else side_counts(c)[_SIDE[side]]
+            for chi in _diff_candidates(p, side, base):
+                for pat in pats:
+                    found = match_subst(pat, xs, chi) or {}
+                    for x, t, kind, slot in zip(xs, given, kinds, slots):
+                        v = found.get(x)
+                        if t is None and isinstance(v, kind) and v not in slot:
+                            slot.append(v)
+    return product(*slots)
+
+
+def _abstract_instance(node: ProofNode, f: LambdaAtom) -> list:
+    _require_slot_term(f.arg, "abstract argument")
+    return [()]
+
+
+def _h_schema(rule: str, what: str, instances=_instances):
     """The handler of a RULES entry: the first principal candidate and the
     first of its `instances(node, f)` whose premises match, under the
     eigenparameter condition when the rule has one."""
@@ -635,112 +687,6 @@ def _h_schema(rule: str, what: str, instances):
         raise RuleError(f"no {rule} {what} matches the {noun}")
 
     return h
-
-
-# --- instance inference: the annotated instance, else candidates read off
-# the premises, in the order they are tried
-
-
-def _no_instance(node: ProofNode, f: Formula) -> list:
-    return [()]
-
-
-def _abstract_instance(node: ProofNode, f: LambdaAtom) -> list:
-    _require_slot_term(f.arg, "abstract argument")
-    return [()]
-
-
-def _quantifier_instances(node: ProofNode, f: Formula) -> list:
-    """b is annotated, or matched against the premise's new formulas."""
-    rule, c, p = node.rule, node.conclusion, node.premises[0].conclusion
-    side, eigen = RULES[rule].side, RULES[rule].eigen
-    if eigen and node.eigen is not None:
-        return [(_require_eigen(node.eigen),)]
-    if not eigen and node.terms:
-        _require_slot_term(node.terms[0], f"{rule} instantiation term")
-        return [(node.terms[0],)]
-    bs = []
-    for chi in _diff_candidates(p, side, _without(c, side, f)):
-        m = match_subst(f.body, f.bound, chi)
-        if m == "any":
-            bs.append((_fresh_param_for(c, p),))
-        elif isinstance(m, Param if eigen else _INSTANCE_TERM):
-            bs.append((m,))
-    return bs
-
-
-def _iota1l_instances(node: ProofNode, f: LambdaAtom) -> list:
-    """a is annotated, matched against either body, or fresh."""
-    c, p = node.conclusion, node.premises[0].conclusion
-    if node.eigen is not None:
-        return [(_require_eigen(node.eigen),)]
-    cands: list[Param] = []
-    for chi in _diff_candidates(p, "ant", _without(c, "ant", f)):
-        for body, bound in ((f.arg.body, f.arg.bound), (f.body, f.bound)):
-            m = match_subst(body, bound, chi)
-            if isinstance(m, Param) and m not in cands:
-                cands.append(m)
-    cands.append(_fresh_param_for(c, p))
-    return [(a,) for a in cands]
-
-
-def _iota2l_instances(node: ProofNode, f: LambdaAtom) -> list:
-    """b1, b2 are annotated, or the sides of an identity new in premise 3."""
-    if node.terms:
-        pairs = [tuple(node.terms)]
-    else:
-        c, p3 = node.conclusion, node.premises[2].conclusion
-        pairs = [
-            (chi.lhs, chi.rhs)
-            for chi in _diff_candidates(p3, "ant", _without(c, "ant", f))
-            if isinstance(chi, Identity)
-        ]
-    return [
-        (b1, b2)
-        for b1, b2 in pairs
-        if isinstance(b1, _INSTANCE_TERM) and isinstance(b2, _INSTANCE_TERM)
-    ]
-
-
-def _iotar_instances(node: ProofNode, f: LambdaAtom) -> Iterator[tuple]:
-    """The witness b is annotated or matched in premise 1; for each, the
-    eigenparameter a is annotated, the new antecedent formula of premise 3,
-    the left side of its identity a=b, or fresh."""
-    c = node.conclusion
-    prems = [p.conclusion for p in node.premises]
-    p1, p3 = prems[0], prems[2]
-    base = _without(c, "suc", f)
-    if node.terms:
-        _require_slot_term(node.terms[0], "iotar witness term")
-        bs: list = [node.terms[0]]
-    else:
-        bs = []
-        for chi in _diff_candidates(p1, "suc", base):
-            m = match_subst(f.arg.body, f.arg.bound, chi)
-            if m == "any":
-                bs.append(_fresh_param_for(c, *prems))
-            elif m is not None:
-                bs.append(m)
-    for b in bs:
-        if node.eigen is not None:
-            eigens: list[Param] = [_require_eigen(node.eigen)]
-        else:
-            eigens = []
-            for chi in _diff_candidates(p3, "ant", side_counts(c)[0]):
-                m = match_subst(f.arg.body, f.arg.bound, chi)
-                if isinstance(m, Param) and m not in eigens:
-                    eigens.append(m)
-            for chi in _diff_candidates(p3, "suc", base):
-                if (
-                    isinstance(chi, Identity)
-                    and chi.rhs == b
-                    and isinstance(chi.lhs, Param)
-                    and chi.lhs not in eigens
-                ):
-                    eigens.append(chi.lhs)
-            eigens.append(_fresh_param_for(c, *prems))
-        for a in eigens:
-            yield b, a
 
 
 def rewrite_variants(atom: Formula, src: Term, dst: Term) -> Iterator[Formula]:
@@ -811,18 +757,15 @@ _HANDLERS: dict[str, Callable[[ProofNode], StepInfo]] = {
     "cl": _h_contract("ant"),
     "cr": _h_contract("suc"),
     **{
-        rule: _h_schema(rule, "principal formula", _no_instance)
+        rule: _h_schema(rule, "principal formula")
         for rule in ("negl", "negr", "andl", "andr", "orl", "orr", "impl", "impr", "iffl", "iffr")
     },
     **{
-        rule: _h_schema(rule, "instance", _quantifier_instances)
-        for rule in ("foralll", "forallr", "existsl", "existsr")
+        rule: _h_schema(rule, "instance")
+        for rule in ("foralll", "forallr", "existsl", "existsr", "iota1l", "iota2l", "iotar")
     },
     "laml": _h_schema("laml", "abstract", _abstract_instance),
     "lamr": _h_schema("lamr", "abstract", _abstract_instance),
-    "iota1l": _h_schema("iota1l", "instance", _iota1l_instances),
-    "iota2l": _h_schema("iota2l", "instance", _iota2l_instances),
-    "iotar": _h_schema("iotar", "instance", _iotar_instances),
     "eqminus": _h_eqminus,
     "eqplus": _h_eqplus,
 }

@@ -170,6 +170,23 @@ class TestCheck:
         code, _, err = run(capsys, "check", str(tmp_path / "nope.rlp"))
         assert code == 3
 
+    def test_infers_the_instance_of_a_vacuous_description(self, capsys, tmp_path):
+        # iotar without annotations, on a description whose body does not
+        # mention its variable: premise 3's identity fixes the instance
+        proof = tmp_path / "iotar.rlp"
+        proof.write_text(
+            "(iotar (seq (Q, P(#c), forall z. z = #c) ((lam x. P(x)) (iota y. Q)))\n"
+            "  (wl (seq (Q, P(#c), forall z. z = #c) (Q)) (wl (seq (P(#c), Q) (Q))"
+            " (ax (seq (Q) (Q)))))\n"
+            "  (wl (seq (Q, P(#c), forall z. z = #c) (P(#c))) (wl (seq (Q, P(#c)) (P(#c)))"
+            " (ax (seq (P(#c)) (P(#c))))))\n"
+            "  (foralll (seq (Q, Q, P(#c), forall z. z = #c) (#a = #c)) :term #a\n"
+            "    (wl (seq (#a = #c, Q, Q, P(#c)) (#a = #c)) (wl (seq (Q, Q, #a = #c) (#a = #c))"
+            " (wl (seq (Q, #a = #c) (#a = #c)) (ax (seq (#a = #c) (#a = #c))))))))\n"
+        )
+        code, out, err = run(capsys, "check", str(proof))
+        assert (code, out, err) == (0, "OK height=6\n", "")
+
     def test_eqminus_with_one_term_is_one_line(self, capsys, tmp_path):
         bad = tmp_path / "eqminus.rlp"
         bad.write_text(

@@ -7,6 +7,7 @@ rejections, and parameter substitution through proofs."""
 import dataclasses
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -355,6 +356,19 @@ def test_iotar_eigen_in_context_rejected():
         analyze_step(stepnode)
 
 
+
+def test_iotar_infers_the_witness_of_a_vacuous_description():
+    # the description's body G does not mention y, so only the identity
+    # c = a of premise 3 fixes the witness and the eigenparameter
+    dd = LambdaAtom("x", P(x), IotaTerm("y", G))
+    ctx = [G, P(c), Forall("z", Identity(Var("z"), c))]
+    p1 = leaf(ctx, [G])
+    p2 = leaf(ctx, [P(c)])
+    p3 = leaf([G, *ctx], [Identity(a, c)])
+    info = analyze_step(node("iotar", ctx, [dd], [p1, p2, p3]))
+    assert info.terms == (c,) and info.eigen == a
+
+
 # ---------------------------------------------------------------------------
 # whole proofs
 
@@ -698,6 +712,11 @@ KERNEL_VERDICTS = [
      'rejected path=root: no identity/atom pair in the antecedent matches the premise'),
     ('(eqminus (seq (Q(#b1), #b1 = #b2) (Q(#b2))) :at 1 (ax (seq (Q(#b2)) (Q(#b2)))))',
      'ok height=2 cut_degrees=()'),
+    # an annotated term that is a variable, in every term slot alike
+    ('(iotar (seq (Q, P(#c), forall z. z = #c) ((lam x. P(x)) (iota y. Q))) :term x :eigen #a (wl (seq (Q, P(#c), forall z. z = #c) (Q)) (wl (seq (P(#c), Q) (Q)) (ax (seq (Q) (Q))))) (wl (seq (Q, P(#c), forall z. z = #c) (P(#c))) (wl (seq (Q, P(#c)) (P(#c))) (ax (seq (P(#c)) (P(#c)))))) (foralll (seq (Q, Q, P(#c), forall z. z = #c) (#a = #c)) :term #a (wl (seq (#a = #c, Q, Q, P(#c)) (#a = #c)) (wl (seq (Q, Q, #a = #c) (#a = #c)) (wl (seq (Q, #a = #c) (#a = #c)) (ax (seq (#a = #c) (#a = #c))))))))',
+     "rejected path=root: iotar instantiation term must be a parameter or constant, got Var(name='x')"),
+    ('(iota2l (seq ((lam x. P(x)) (iota y. Q(y)), Q(#a), Q(#b)) (#a = #b)) :term x :term #b (wr (seq (Q(#a), Q(#b)) (#a = #b, Q(#a))) (wl (seq (Q(#a), Q(#b)) (Q(#a))) (ax (seq (Q(#a)) (Q(#a)))))) (wr (seq (Q(#a), Q(#b)) (#a = #b, Q(#b))) (wl (seq (Q(#a), Q(#b)) (Q(#b))) (ax (seq (Q(#b)) (Q(#b)))))) (wl (seq (#a = #b, Q(#a), Q(#b)) (#a = #b)) (wl (seq (Q(#b), #a = #b) (#a = #b)) (ax (seq (#a = #b) (#a = #b))))))',
+     "rejected path=root: iota2l instantiation term must be a parameter or constant, got Var(name='x')"),
 ]
 
 
@@ -790,17 +809,26 @@ from ddproof.kernel import match_subst  # noqa: E402
 from ddproof.syntax import alpha_equal, free_vars, substitute  # noqa: E402
 
 INSTANCE_TERMS = st.sampled_from([a, b, k, Param("x")])
+# the pattern variables: one, or two at once
+PATTERN_VARS = st.sampled_from([("x",), ("y",), ("x", "y")])
 
 
-@given(formula_strategy(), st.sampled_from(["x", "y"]), INSTANCE_TERMS)
+def _instantiate(body, xs, terms):
+    """body with each of xs replaced by its term; the terms are closed, so
+    the order of the substitutions does not matter."""
+    for v, t in zip(xs, terms):
+        body = substitute(body, v, t)
+    return body
+
+
+@given(formula_strategy(), PATTERN_VARS, st.lists(INSTANCE_TERMS, min_size=2, max_size=2))
 @settings(max_examples=300, deadline=None)
-def test_match_subst_finds_the_substituted_term(body, v, t):
-    chi = substitute(body, v, t)
-    if v in free_vars(body):
-        assert match_subst(body, v, chi) == t
-    else:
+def test_match_subst_finds_the_substituted_term(body, xs, terms):
+    chi = _instantiate(body, xs, terms)
+    want = {v: t for v, t in zip(xs, terms) if v in free_vars(body)}
+    assert match_subst(body, xs, chi) == want
+    if not want:
         assert chi is body
-        assert match_subst(body, v, body) == "any"
 
 
 def _scatter(f, v, terms: list):
@@ -824,7 +852,7 @@ def _scatter(f, v, terms: list):
 
 @given(
     formula_strategy(),
-    st.sampled_from(["x", "y"]),
+    PATTERN_VARS,
     st.one_of(
         formula_strategy(2),
         st.tuples(st.sampled_from(["x", "y", "z"]), st.sampled_from(TERMS)),
@@ -832,20 +860,145 @@ def _scatter(f, v, terms: list):
     ),
 )
 @settings(max_examples=300, deadline=None)
-def test_match_subst_answers_instantiate_to_chi(body, v, other):
-    """Whatever match_subst returns for some other chi is sound: a term
-    instantiates body to chi, "any" means body is chi already. The chis
-    are drawn formulas, substitutions into body, and body with the free
-    occurrences of v replaced by differing terms."""
+def test_match_subst_answers_instantiate_to_chi(body, xs, other):
+    """Whatever match_subst returns for some other chi is sound: a term for
+    each pattern variable free in body, and none for another, that
+    instantiate body to chi. The chis are drawn formulas, substitutions
+    into body, and body with the free occurrences of each pattern variable
+    replaced by differing terms."""
     if isinstance(other, list):
-        chi = _scatter(body, v, list(other))
+        chi = body
+        for v in xs:
+            chi = _scatter(chi, v, list(other))
     elif isinstance(other, tuple):
         chi = substitute(body, *other)
     else:
         chi = other
-    m = match_subst(body, v, chi)
-    if m == "any":
-        assert v not in free_vars(body) and alpha_equal(body, chi)
-    elif m is not None:
-        assert isinstance(m, (Param, Const))
-        assert alpha_equal(substitute(body, v, m), chi)
+    m = match_subst(body, xs, chi)
+    if m is not None:
+        assert set(m) == set(xs) & free_vars(body)
+        assert all(isinstance(t, (Param, Const)) for t in m.values())
+        assert alpha_equal(_instantiate(body, list(m), list(m.values())), chi)
+
+
+# ---------------------------------------------------------------------------
+# annotation inference over every rule with instance slots
+
+from ddproof.kernel import RULES  # noqa: E402
+from ddproof.syntax import Sequent, params_in, scan_fresh  # noqa: E402
+
+SLOT_RULES = ("foralll", "forallr", "existsl", "existsr", "iota1l", "iota2l", "iotar")
+INFERENCE_SEED = 20261023
+
+
+def _seeded_body(rng, v: str, depth: int = 2):
+    """A formula over P, R and identity whose one free variable, if any, is
+    v; v is often left out, or shadowed by a binder."""
+    if depth == 0 or rng.random() < 0.3:
+        ts = [Var(v), a, b, k]
+        kind = rng.randrange(3)
+        if kind == 0:
+            return P(rng.choice(ts))
+        if kind == 1:
+            return PredAtom("R", (rng.choice(ts), rng.choice(ts)))
+        return Identity(rng.choice(ts), rng.choice(ts))
+    kind = rng.randrange(3)
+    if kind == 0:
+        return Not(_seeded_body(rng, v, depth - 1))
+    if kind == 1:
+        return And(_seeded_body(rng, v, depth - 1), _seeded_body(rng, v, depth - 1))
+    # a binder of another variable, or one that shadows v
+    return rng.choice([Forall, Exists])(rng.choice(["z", v]), _seeded_body(rng, v, depth - 1))
+
+
+def _seeded_step(rng, rule: str):
+    """A valid step of `rule` with seeded bodies and instance: its node
+    with the instance annotated, and the instance, terms then
+    eigenparameter."""
+    schema = RULES[rule]
+    if rule.startswith("iota"):
+        f = LambdaAtom("x", _seeded_body(rng, "x"), IotaTerm("y", _seeded_body(rng, "y")))
+    else:
+        f = schema.kind("x", _seeded_body(rng, "x"))
+    # c and d occur in no body, so an eigenparameter among them is fresh
+    # for the conclusion, and differs from the witness
+    eigen = rng.choice([c, d])
+    pool = [a, b, k, d if eigen == c else c]
+    inst = tuple(rng.choice(pool) for _ in range(schema.terms))
+    inst += (eigen,) * schema.eigen
+    ant, suc = [G], [H]
+    prems = [leaf([*add_ant, *ant], [*suc, *add_suc])
+             for add_ant, add_suc in schema.actives(f, *inst)]
+    if schema.side == "ant":
+        ant = [f, *ant]
+    else:
+        suc = [*suc, f]
+    terms, eigen = (inst[:-1], inst[-1]) if schema.eigen else (inst, None)
+    return node(rule, ant, suc, prems, terms=terms, eigen=eigen), f, inst
+
+
+@pytest.mark.parametrize("rule", SLOT_RULES)
+def test_inference_recovers_the_annotated_instance(rule):
+    """Each step checks with its annotations and without them; without
+    them the kernel infers the annotated terms and eigenparameter, except
+    in a slot that occurs in no active formula, where it infers the fresh
+    parameter. Bodies that do not mention their variable are among them."""
+    rng = random.Random(f"{INFERENCE_SEED} {rule}")
+    schema = RULES[rule]
+    vacuous = 0
+    for _ in range(60):
+        step, f, inst = _seeded_step(rng, rule)
+        info = analyze_step(step)
+        assert info.terms + (info.eigen,) * schema.eigen == inst
+        bare = dataclasses.replace(step, terms=(), eigen=None)
+        info = analyze_step(bare)
+        prems = [p.conclusion for p in step.premises]
+        fresh = Param(scan_fresh("a", params_in([step.conclusion, *prems])))
+        want = []
+        for i, t in enumerate(inst):
+            marked = inst[:i] + (Param("marker"),) + inst[i + 1:]
+            occurs = "marker" in params_in(schema.actives(f, *marked))
+            want.append(t if occurs else fresh)
+            vacuous += not occurs
+        assert info.terms + (info.eigen,) * schema.eigen == tuple(want)
+    assert vacuous or rule in ("iota2l", "iotar")
+
+
+def _conjunction(n: int):
+    """R(#p0) & ... & R(#p(n-1))."""
+    out = PredAtom("R", (Param("p0"),))
+    for i in range(1, n):
+        out = And(out, PredAtom("R", (Param(f"p{i}"),)))
+    return out
+
+
+BIG = _conjunction(300)
+
+
+@pytest.mark.parametrize("rule, ant, suc, prems, slots", [
+    # iota2l: each slot matches one term, in premise 1 or 2
+    ("iota2l", [DD], [], [leaf([], [Q(b)]), leaf([], [Q(c)]), leaf([BIG], [])],
+     [{b}, {c}]),
+    # iotar: the witness matches b, the eigenparameter a
+    ("iotar", [], [DD], [leaf([], [Q(b)]), leaf([], [P(b)]), leaf([BIG], [Identity(a, b)])],
+     [{b}, {a}]),
+], ids=["iota2l", "iotar"])
+def test_inference_stays_bounded(monkeypatch, rule, ant, suc, prems, slots):
+    """A premise that adds a formula with 300 parameters gives each slot no
+    candidate beyond the fresh parameter and its matches."""
+    from ddproof import kernel
+
+    step = node(rule, ant, suc, prems)
+    fresh = Param(scan_fresh("a", params_in([step.conclusion, *(p.conclusion for p in prems)])))
+    tried = list(kernel._instances(step, DD))
+    for i, matches in enumerate(slots):
+        assert {inst[i] for inst in tried} <= {fresh} | matches
+    calls = []
+    real = kernel._premise_is
+    monkeypatch.setattr(kernel, "_premise_is", lambda *args: calls.append(1) or real(*args))
+    with pytest.raises(RuleError, match=f"^no {rule} instance matches the premises$"):
+        analyze_step(step)
+    bound = 1
+    for matches in slots:
+        bound *= 1 + len(matches)
+    assert len(tried) <= bound and len(calls) <= bound * len(prems)
