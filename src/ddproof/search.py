@@ -1,8 +1,10 @@
 """Bounded backward proof search with countermodel extraction.
 
 The searcher applies rules backward from the goal, cut-free. Every move's
-premises, and the test for its principal formula, come from the kernel's
-rule table `RULES`, so each schema is stated once. Loss-free rules
+premises, the test for its principal formula and the slots of its instance
+come from the kernel's rule table `RULES`, so each schema is stated once: a
+choice move fills each term slot from the goal's term pool and a fresh
+parameter, and an eigenparameter slot with a fresh one. Loss-free rules
 (propositional decompositions, the lambda conversions, and the
 eigenparameter rules) are committed in a fixed order; everything that
 requires a choice (which term to instantiate with, which description
@@ -21,7 +23,8 @@ are possible: Proved, Refuted, or Unknown when the budget runs out.
 """
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Union
+from itertools import product
+from typing import Iterator, Optional, Sequence, Union
 
 from .syntax import (
     Const,
@@ -312,60 +315,43 @@ def _eqminus_moves(g: Sequent, uses: dict, st: _State) -> Iterator[_Move]:
 def _choice_moves(g: Sequent, uses: dict, st: _State) -> list[_Move]:
     cap = st.budget.contraction_cap
     moves: list[_Move] = []
+    fresh_key = ("fresh-params",)
 
-    def open_families(rule: str) -> Iterator[tuple[Formula, tuple]]:
-        """Each principal formula of `rule` in g that is under its
-        contraction cap, with its key."""
-        for f in g.ant if RULES[rule].side == "ant" else g.suc:
-            if RULES[rule].principal(f):
-                key = (rule, alpha_key(f))
-                if uses.get(key, 0) < cap:
-                    yield f, key
+    def instances(rule: str, pool: Sequence[Term] = (), minted: Optional[Param] = None) -> None:
+        """`rule` in keeping form on each principal formula of g under its
+        contraction cap, at each tuple of different terms from the pool and
+        the minted parameter (which spends a fresh-params use), then a fresh
+        eigenparameter if the rule takes one."""
+        schema = RULES[rule]
+        terms = pool if minted is None else [*pool, minted]
+        for f in g.ant if schema.side == "ant" else g.suc:
+            if not schema.principal(f):
+                continue
+            key = (rule, alpha_key(f))
+            if uses.get(key, 0) >= cap:
+                continue
+            for ts in product(terms, repeat=schema.terms):
+                if len(set(ts)) < len(ts):
+                    continue
+                base = _spend(uses, fresh_key) if minted in ts else uses
+                inst = ts + (st.supply.fresh(),) if schema.eigen else ts
+                moves.append(_kept(g, rule, f, inst, _spend(base, key), uses.get(key, 0)))
 
     # description in the antecedent: the no-witness rule first
-    for f, key in open_families("iota1l"):
-        e = st.supply.fresh()
-        moves.append(_kept(g, "iota1l", f, (e,), _spend(uses, key), uses.get(key, 0)))
+    instances("iota1l")
 
     # the equality rewrites
     moves.extend(_eqminus_moves(g, uses, st))
 
+    # universal instantiation on the left, existential witness on the right,
+    # then description on the right and the uniqueness rule: most premises
+    # last
     pool = _term_pool(g)
-    fresh_key = ("fresh-params",)
-    minted: Optional[Param] = None
+    minted = None
     if uses.get(fresh_key, 0) < st.budget.term_pool_cap:
         minted = st.supply.fresh()
-
-    def instantiation_pool():
-        for t in pool:
-            yield t, uses
-        if minted is not None:
-            yield minted, _spend(uses, fresh_key)
-
-    # universal instantiation on the left, existential witness on the right
-    for rule in ("foralll", "existsr"):
-        for f, key in open_families(rule):
-            for t, base_uses in instantiation_pool():
-                moves.append(_kept(g, rule, f, (t,), _spend(base_uses, key), uses.get(key, 0)))
-
-    # description on the right, then the uniqueness rule: most premises last
-    for f, key in open_families("iotar"):
-        for t, base_uses in instantiation_pool():
-            e = st.supply.fresh()
-            moves.append(_kept(g, "iotar", f, (t, e), _spend(base_uses, key), uses.get(key, 0)))
-
-    for f, key in open_families("iota2l"):
-        candidates = pool if minted is None else pool + [minted]
-        for b1 in candidates:
-            for b2 in candidates:
-                if b1 == b2:
-                    continue
-                base_uses = uses
-                if minted is not None and (b1 == minted or b2 == minted):
-                    base_uses = _spend(uses, fresh_key)
-                moves.append(
-                    _kept(g, "iota2l", f, (b1, b2), _spend(base_uses, key), uses.get(key, 0))
-                )
+    for rule in ("foralll", "existsr", "iotar", "iota2l"):
+        instances(rule, pool, minted)
 
     # introduce a reflexive identity as rewrite fodder, the most
     # speculative move, and only worthwhile next to a real equation
