@@ -317,7 +317,7 @@ def _choice_moves(g: Sequent, uses: dict, st: _State) -> list[_Move]:
     moves: list[_Move] = []
     fresh_key = ("fresh-params",)
 
-    def instances(rule: str, pool: Sequence[Term] = (), minted: Optional[Param] = None) -> None:
+    def slot_moves(rule: str, pool: Sequence[Term] = (), minted: Optional[Param] = None) -> None:
         """`rule` in keeping form on each principal formula of g under its
         contraction cap, at each tuple of different terms from the pool and
         the minted parameter (which spends a fresh-params use), then a fresh
@@ -338,7 +338,7 @@ def _choice_moves(g: Sequent, uses: dict, st: _State) -> list[_Move]:
                 moves.append(_kept(g, rule, f, inst, _spend(base, key), uses.get(key, 0)))
 
     # description in the antecedent: the no-witness rule first
-    instances("iota1l")
+    slot_moves("iota1l")
 
     # the equality rewrites
     moves.extend(_eqminus_moves(g, uses, st))
@@ -351,7 +351,7 @@ def _choice_moves(g: Sequent, uses: dict, st: _State) -> list[_Move]:
     if uses.get(fresh_key, 0) < st.budget.term_pool_cap:
         minted = st.supply.fresh()
     for rule in ("foralll", "existsr", "iotar", "iota2l"):
-        instances(rule, pool, minted)
+        slot_moves(rule, pool, minted)
 
     # introduce a reflexive identity as rewrite fodder, the most
     # speculative move, and only worthwhile next to a real equation

@@ -884,8 +884,9 @@ def test_match_subst_answers_instantiate_to_chi(body, xs, other):
 # ---------------------------------------------------------------------------
 # annotation inference over every rule with instance slots
 
+from ddproof import kernel  # noqa: E402
 from ddproof.kernel import RULES  # noqa: E402
-from ddproof.syntax import Sequent, params_in, scan_fresh  # noqa: E402
+from ddproof.syntax import params_in, scan_fresh  # noqa: E402
 
 SLOT_RULES = ("foralll", "forallr", "existsl", "existsr", "iota1l", "iota2l", "iotar")
 INFERENCE_SEED = 20261023
@@ -986,8 +987,6 @@ BIG = _conjunction(300)
 def test_inference_stays_bounded(monkeypatch, rule, ant, suc, prems, slots):
     """A premise that adds a formula with 300 parameters gives each slot no
     candidate beyond the fresh parameter and its matches."""
-    from ddproof import kernel
-
     step = node(rule, ant, suc, prems)
     fresh = Param(scan_fresh("a", params_in([step.conclusion, *(p.conclusion for p in prems)])))
     tried = list(kernel._instances(step, DD))
