@@ -23,7 +23,7 @@ are possible: Proved, Refuted, or Unknown when the budget runs out.
 """
 
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import permutations
 from typing import Iterator, Optional, Sequence, Union
 
 from .syntax import (
@@ -330,9 +330,9 @@ def _choice_moves(g: Sequent, uses: dict, st: _State) -> list[_Move]:
             key = (rule, alpha_key(f))
             if uses.get(key, 0) >= cap:
                 continue
-            for ts in product(terms, repeat=schema.terms):
-                if len(set(ts)) < len(ts):
-                    continue
+            # the terms are all different, so these are the tuples of
+            # different terms, in the order of their product
+            for ts in permutations(terms, schema.terms):
                 base = _spend(uses, fresh_key) if minted in ts else uses
                 inst = ts + (st.supply.fresh(),) if schema.eigen else ts
                 moves.append(_kept(g, rule, f, inst, _spend(base, key), uses.get(key, 0)))
