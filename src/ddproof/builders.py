@@ -19,7 +19,6 @@ tests re-check every construction. The main entry points:
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Optional, Union
 
 from .kernel import ProofNode
@@ -46,6 +45,7 @@ from .syntax import (
     free_vars,
     is_atomic,
     params_in,
+    replace,
     scan_fresh,
     side_counts,
     substitute,

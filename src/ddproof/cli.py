@@ -4,8 +4,8 @@ One subcommand per invocation: parse, check, prove, eliminate-cut,
 countermodel, translate, fixtures. Exit codes: 0 for success (a proof
 found, a check passed, no countermodel within the requested bound), 1
 for a definite negative (rejected, unparsable or ill-formed input, refuted
-goal, countermodel found), 2 for unknown (budget or enumeration cap, or
-out of memory), 3 for usage errors.
+goal, countermodel found), 2 for unknown (budget or enumeration cap, out
+of memory, or input nested too deeply), 3 for usage errors.
 
 Formula files (.rlf) hold one formula or sequent per line; proof files
 (.rlp) hold a single s-expression. Every proof printed by any subcommand
@@ -375,6 +375,9 @@ def main(argv=None) -> int:
         return 2
     except MemoryError:
         print("ddproof: unknown: out of memory", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("ddproof: unknown: input nested too deeply", file=sys.stderr)
         return 2
     except BrokenPipeError:
         # the reader went away (e.g. piped into head); not our problem

@@ -34,7 +34,6 @@ Three renaming passes stay, each because it changes proofs:
     renamed apart.
 """
 
-from dataclasses import dataclass, replace
 from typing import Iterable, Optional
 
 from .syntax import (
@@ -45,6 +44,8 @@ from .syntax import (
     Sequent,
     alpha_key,
     logical_constants,
+    record,
+    replace,
     side_counts,
     substitute,
 )
@@ -64,13 +65,13 @@ class ReductionError(ValueError):
     """A reduction was invoked outside its precondition."""
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CutMetrics:
     cut_degrees: tuple[tuple[str, int], ...]  # (path, degree) in pre-order
     proof_degree: int
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TraceEntry:
     """One iteration of the elimination loop."""
 

@@ -37,7 +37,6 @@ returns is read back by a later one.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import product
 from typing import Callable, Iterator, NamedTuple, Optional, Union
@@ -70,7 +69,9 @@ from .syntax import (
     is_term,
     logical_constants,
     params_in,
+    record,
     rename_param_seq,
+    replace,
     scan_fresh,
     sequents_alpha_equal,
     side_counts,
@@ -83,13 +84,13 @@ sys.setrecursionlimit(max(sys.getrecursionlimit(), 50_000))
 # ---------------------------------------------------------------------------
 # proof trees
 
-@dataclass(frozen=True, eq=False)
+@record(frozen=True, eq=False)
 class ProofNode:
     """One inference: its conclusion, premise subtrees and annotations.
 
     Three facts about a node are computed on first use and then stored on
     it: `own_params`, `params` and `cut_degree`. A node is never mutated
-    (`dataclasses.replace` and every rewrite build new nodes), and each
+    (`syntax.replace` and every rewrite build new nodes), and each
     fact depends only on the node's fields and its premises' facts, so a
     stored value cannot go stale. Validity never rests on them:
     `check_proof` re-analyzes every step."""
@@ -139,7 +140,7 @@ class ProofNode:
         return logical_constants(analyze_step(self).cut_formula)
 
 
-@dataclass(frozen=True, eq=False)
+@record(frozen=True, eq=False)
 class Proof:
     """A checked proof: the validated tree plus facts found while checking."""
 
@@ -170,7 +171,7 @@ class CheckError(Exception):
         super().__init__(f"path={path}: {reason}")
 
 
-@dataclass
+@record
 class StepInfo:
     """The resolved instantiation of one valid inference step."""
 

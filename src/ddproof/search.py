@@ -22,7 +22,6 @@ First-order logic with identity is undecidable, so all three outcomes
 are possible: Proved, Refuted, or Unknown when the budget runs out.
 """
 
-from dataclasses import dataclass, field
 from itertools import permutations
 from typing import Iterator, Optional, Sequence, Union
 
@@ -38,6 +37,7 @@ from .syntax import (
     Term,
     alpha_key,
     params_in,
+    record,
     sequent_key,
 )
 from .kernel import RULES, Proof, ProofNode, check_proof, rewrite_variants
@@ -50,7 +50,7 @@ from .semantics import (
 )
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SearchBudget:
     max_depth: int = 20
     term_pool_cap: int = 4
@@ -73,18 +73,18 @@ QUICK_REFUTE_CAP = 20_000
 PROVE_ENUM_CAP = 100_000
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Proved:
     proof: Proof
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Refuted:
     model: Model
     assignment: dict
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Unknown:
     reason: str  # "budget-exhausted" or "signature-cap"
 
@@ -105,7 +105,7 @@ class _State:
         self.quick_size = min(2, budget.model_cap)
 
 
-@dataclass
+@record
 class _Move:
     """One backward rule application, as data: a node `rule` concluding
     `conclusion` from `children`, annotated with `terms` and `eigen`. When
@@ -122,7 +122,7 @@ class _Move:
     goal: Optional[Sequent] = None
     wrap: Optional[str] = None
     flip: Optional[Identity] = None
-    uses: dict = field(default_factory=dict)
+    uses: dict = {}  # a new dict for each move
     prio: int = 0  # prior applications of this move's key on the branch
 
 
@@ -452,7 +452,7 @@ def prove(goal: Sequent, budget: Optional[SearchBudget] = None) -> Verdict:
 # the description-paraphrase regression suite
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SuiteResult:
     psi: Formula
     phi: Formula

@@ -43,7 +43,6 @@ way the definitions read; the tests hold the bit-parallel engine to them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import reduce
 from itertools import product
 from typing import Iterator, Optional, Union
@@ -70,6 +69,7 @@ from .syntax import (
     consts_in,
     params_in,
     preds_in,
+    record,
 )
 
 
@@ -81,7 +81,7 @@ class EnumerationCapError(Exception):
         super().__init__(f"gave up after enumerating {count} interpretations")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Signature:
     preds: tuple[tuple[str, int], ...]  # (name, arity), sorted by name
     consts: tuple[str, ...]
@@ -105,11 +105,11 @@ def signature_of(*items) -> Signature:
     )
 
 
-@dataclass
+@record
 class Model:
     domain: tuple[int, ...]
     preds: dict[tuple[str, int], frozenset]
-    consts: dict[str, int] = field(default_factory=dict)
+    consts: dict[str, int] = {}  # a new dict for each model
 
     def rel(self, name: str, arity: int) -> frozenset:
         return self.preds.get((name, arity), frozenset())
@@ -341,7 +341,7 @@ class _Block:
         return hit & ~two
 
 
-@dataclass
+@record
 class Countermodel:
     model: Model
     assignment: Assignment

@@ -26,33 +26,123 @@ Formula nodes, descriptions and sequents store the structural facts that
 the calculus keeps asking for, each computed on first use: hashes, canonical
 keys (`alpha_key`, `sequent_key`), the multiset of each sequent side
 (`side_counts`), free variables, and parameter, constant and predicate
-names. Nodes are frozen and `dataclasses.replace` builds a new node with
-nothing stored, so a stored fact cannot go stale. Pickling carries the
-fields only: string hashes are salted per process, so a stored hash must
-not reach another one.
+names. Nodes are frozen and `replace` builds a new node with nothing
+stored, so a stored fact cannot go stale. Pickling carries the fields only:
+string hashes are salted per process, so a stored hash must not reach
+another one.
+
+Every record class of the package, nodes included, is made by `record`,
+which writes the methods `dataclasses` would and imports nothing.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import attrgetter
 from typing import Callable, Iterable, NamedTuple, Optional, Union
+
+# ---------------------------------------------------------------------------
+# records
+
+# sets an attribute of a frozen record: a field in `__init__`, a stored fact
+_store = object.__setattr__
+
+_NEW = object()  # stands for a `{}` default
+
+
+class FrozenError(AttributeError):
+    """An assignment to a frozen record."""
+
+
+def _repr(self) -> str:
+    # a loop, not a comprehension, so that a nested record costs one frame
+    # per level
+    shown = []
+    for n in self.__match_args__:
+        shown.append(f"{n}={getattr(self, n)!r}")
+    return f"{type(self).__qualname__}({', '.join(shown)})"
+
+
+def _reduce(self):
+    return type(self), tuple([getattr(self, n) for n in self.__match_args__])
+
+
+def _frozen(self, name, value=None):
+    raise FrozenError(f"cannot assign to or delete field {name!r}")
+
+
+def record(cls=None, *, frozen: bool = False, eq: bool = True, slots: bool = False):
+    """Class decorator writing what `dataclasses.dataclass` would for these
+    options. The fields are the class's own annotations, in order; a class
+    attribute of the same name is the field's default, and a `{}` default
+    is a new dict for each instance. Adds `__init__`, `__repr__` in the
+    dataclass format, `__match_args__` and a `__reduce__` that pickles the
+    fields only. With `eq`, `__eq__` compares the field tuples of objects
+    of one class; a frozen record hashes its field tuple, a mutable one is
+    unhashable. Without `eq`, equality and hash are identity. A frozen
+    record raises FrozenError on assignment; `_store` still fills it.
+    `slots` rebuilds the class with its fields as `__slots__`."""
+    if cls is None:
+        return lambda cls: record(cls, frozen=frozen, eq=eq, slots=slots)
+    names = tuple(cls.__dict__.get("__annotations__", ()))
+    given = [cls.__dict__[n] for n in names if n in cls.__dict__]
+    fresh = [n for n in names if isinstance(cls.__dict__.get(n), dict)]
+    if slots:
+        ns = {k: v for k, v in cls.__dict__.items()
+              if k not in names + ("__dict__", "__weakref__")}
+        ns.update(__slots__=names, __qualname__=cls.__qualname__)
+        cls = type(cls)(cls.__name__, cls.__bases__, ns)
+    else:
+        for n in fresh:
+            delattr(cls, n)
+    # the methods that run often are written out for the fields, in one exec
+    mine = "".join(f"self.{n}, " for n in names)
+    src = [f"def __init__(self, {', '.join(names)}):"]
+    for n in names:
+        value = f"{{}} if {n} is _NEW else {n}" if n in fresh else n
+        src.append(f" _store(self, {n!r}, {value})" if frozen else f" self.{n} = {value}")
+    if eq:
+        src += [
+            "def __eq__(self, other):",
+            " if type(other) is type(self):",
+            f"  return ({mine}) == ({mine.replace('self.', 'other.')})",
+            " return NotImplemented",
+            f"def __hash__(self): return hash(({mine}))" if frozen else "__hash__ = None",
+        ]
+    made = {"__repr__": _repr, "__reduce__": _reduce, "__match_args__": names}
+    if frozen:
+        made.update(__setattr__=_frozen, __delattr__=_frozen)
+    exec("\n".join(src), {"_store": _store, "_NEW": _NEW}, made)
+    made["__init__"].__defaults__ = tuple(_NEW if isinstance(v, dict) else v for v in given)
+    for k, v in made.items():
+        setattr(cls, k, v)
+    return cls
+
+
+def replace(obj, **changes):
+    """A new record of obj's class, with `changes` in place of some of its
+    fields. It is built through `__init__`, so nothing stored on obj
+    carries over."""
+    for name in obj.__match_args__:
+        if name not in changes:
+            changes[name] = getattr(obj, name)
+    return type(obj)(**changes)
+
 
 # ---------------------------------------------------------------------------
 # terms
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Var:
     name: str
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Param:
     name: str
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Const:
     name: str
 
@@ -63,10 +153,6 @@ Term = Union[Var, Param, Const]
 # formulas
 
 
-# fills a slot of a frozen node
-_store = object.__setattr__
-
-
 class _Node:
     """Slots for the facts a node stores on first use: `_hash`, `_akey` (the
     canonical key), `_fv` (free variables) and `_names` (parameters,
@@ -75,8 +161,8 @@ class _Node:
     __slots__ = ("_hash", "_akey", "_fv", "_names")
 
     def __hash__(self) -> int:
-        # the value the generated dataclass hash returns, so sets and dicts
-        # keyed by nodes iterate in the same order
+        # the value `record`'s hash returns, the field tuple's, so sets and
+        # dicts keyed by nodes iterate in the same order
         try:
             return self._hash
         except AttributeError:
@@ -87,9 +173,9 @@ class _Node:
 
 
 def _node(cls):
-    """Frozen slotted dataclass with the stored hash. Frozen slotted
-    dataclasses pickle their fields only, so nothing stored is pickled."""
-    cls = dataclass(frozen=True, slots=True)(cls)
+    """Frozen slotted record with the stored hash. A record pickles its
+    fields only, so nothing stored is pickled."""
+    cls = record(cls, frozen=True, slots=True)
     cls.__hash__ = _Node.__hash__
     return cls
 

@@ -107,6 +107,66 @@ def test_deep_negation_chain_ends_cleanly():
     assert "Traceback" not in child.stderr
 
 
+def _run_limited(argv, limit=1 << 30, timeout=300):
+    """`python -m ddproof` in a child limited to `limit` bytes of address
+    space."""
+    resource = pytest.importorskip("resource")
+    return subprocess.run(
+        [sys.executable, "-m", "ddproof", *argv],
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        capture_output=True,
+        text=True,
+        timeout=timeout,
+    )
+
+
+@pytest.mark.parametrize("cmd", ["prove", "countermodel"])
+def test_too_deep_negation_chain_is_one_line_and_exit_2(cmd):
+    """60,000 `~` exhaust the recursion limit in the parser; that is
+    "unknown" (exit 2) and one line, not a traceback and exit 1."""
+    child = _run_limited([cmd, "~" * 60_000 + "P(#a) => P(#a)"])
+    assert child.returncode == 2, child.stderr[-2000:]
+    assert child.stderr == "ddproof: unknown: input nested too deeply\n"
+    assert child.stdout == ""
+
+
+@pytest.mark.parametrize("cmd", ["parse", "translate"])
+def test_too_deep_parentheses_are_one_line_and_exit_2(cmd, tmp_path):
+    """10,000 nested parentheses, which cost several frames per level."""
+    path = tmp_path / "deep.rlf"
+    path.write_text("(" * 10_000 + "P(#a)" + ")" * 10_000 + "\n")
+    child = _run_limited([cmd, str(path)])
+    assert child.returncode == 2, child.stderr[-2000:]
+    assert child.stderr == "ddproof: unknown: input nested too deeply\n"
+    assert child.stdout == ""
+
+
+def test_import_loads_every_traced_module_and_no_dataclasses():
+    """`import ddproof.cli` in a fresh interpreter loads every module the
+    benchmark's tracer wraps (it reads them from `sys.modules` right after
+    that import), and none of the modules `dataclasses` would pull in."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    script = (
+        "import sys\n"
+        "import ddproof.cli\n"
+        "loaded = set(sys.modules)\n"
+        "from tracer import TRACED\n"
+        "print(sorted({m for m, _ in TRACED if 'ddproof.' + m not in loaded}))\n"
+        "print(sorted({'dataclasses', 'inspect'} & loaded))\n"
+    )
+    path = os.pathsep.join([os.path.join(root, "perfbench"), *sys.path])
+    child = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert child.returncode == 0, child.stderr[-2000:]
+    assert child.stdout == "[]\n[]\n"
+
+
 def test_out_of_memory_is_one_line_and_exit_2():
     """Eighteen nested binders at size 3 need vectors far beyond 256 MiB of
     address space; the MemoryError ends in exit 2 ("unknown") and one line,

@@ -7,7 +7,6 @@ Trace case names are pinned so a silent change of strategy shows up.
 
 import random
 import sys
-from dataclasses import replace
 
 import pytest
 from genutil import ProofGen, cut_corpus
@@ -26,6 +25,7 @@ from ddproof.syntax import (
     logical_constants,
     params_in,
     rename_param_seq,
+    replace,
     seq,
     sequent_key,
     sequents_alpha_equal,

@@ -4,7 +4,6 @@ that would be unsound under a laxer reading), whole-proof checking with
 failure paths, validation once per formula object, a frozen table of
 rejections, and parameter substitution through proofs."""
 
-import dataclasses
 import json
 import os
 import random
@@ -43,6 +42,7 @@ from ddproof.syntax import (
     Param,
     PredAtom,
     Var,
+    replace,
     seq,
     validate_sequent,
 )
@@ -458,16 +458,16 @@ def test_stored_facts_follow_replace():
     # each fact is read first, so a copy made by replace would be stale
     one = ax(P(a))
     assert (one.own_params, one.params) == ({"a"}, {"a"})
-    moved = dataclasses.replace(one, conclusion=seq([P(b)], [P(b)]))
+    moved = replace(one, conclusion=seq([P(b)], [P(b)]))
     assert (moved.own_params, moved.params) == ({"b"}, {"b"})
     up = node("existsl", [Exists("x", P(x))], [G], [leaf([P(a)], [G])], eigen=a)
     assert (up.own_params, up.params) == (set(), {"a"})
-    assert dataclasses.replace(up, eigen=c).params == {"a", "c"}
+    assert replace(up, eigen=c).params == {"a", "c"}
     chi = And(P(a), P(a))
     cut = node("cut", [P(a)], [G], [leaf([P(a)], [chi]), leaf([chi], [G])])
     assert cut.cut_degree == 1
     atomic_premises = (leaf([P(a)], [P(a)]), leaf([P(a)], [G]))
-    atomic = dataclasses.replace(cut, premises=atomic_premises)
+    atomic = replace(cut, premises=atomic_premises)
     assert atomic.cut_degree == 0
 
 
@@ -833,7 +833,7 @@ def test_match_subst_finds_the_substituted_term(body, xs, terms):
 
 def _scatter(f, v, terms: list):
     """f with its free occurrences of Var v replaced by terms, in turn and
-    cycling, read off the dataclass fields."""
+    cycling, read off the record fields."""
     if isinstance(f, Var):
         if f.name != v:
             return f
@@ -841,12 +841,12 @@ def _scatter(f, v, terms: list):
         return terms[-1]
     if isinstance(f, tuple):
         return tuple(_scatter(g, v, terms) for g in f)
-    if not dataclasses.is_dataclass(f):
+    if not hasattr(f, "__match_args__"):
         return f
-    return dataclasses.replace(f, **{
-        fd.name: _scatter(getattr(f, fd.name), v, terms)
-        for fd in dataclasses.fields(f)
-        if not (fd.name == "body" and getattr(f, "bound", None) == v)
+    return replace(f, **{
+        name: _scatter(getattr(f, name), v, terms)
+        for name in f.__match_args__
+        if not (name == "body" and getattr(f, "bound", None) == v)
     })
 
 
@@ -951,7 +951,7 @@ def test_inference_recovers_the_annotated_instance(rule):
         step, f, inst = _seeded_step(rng, rule)
         info = analyze_step(step)
         assert info.terms + (info.eigen,) * schema.eigen == inst
-        bare = dataclasses.replace(step, terms=(), eigen=None)
+        bare = replace(step, terms=(), eigen=None)
         info = analyze_step(bare)
         prems = [p.conclusion for p in step.premises]
         fresh = Param(scan_fresh("a", params_in([step.conclusion, *prems])))

@@ -2,14 +2,13 @@
 validation, traversal helpers, and the facts nodes store."""
 
 import concurrent.futures as cf
-import dataclasses
 import itertools
 import multiprocessing
 import os
 import pickle
 import random
+import sys
 from collections import Counter
-from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -44,6 +43,7 @@ from ddproof.syntax import (
     params_in,
     preds_in,
     rename_param,
+    replace,
     scan_fresh,
     sequent_key,
     sequents_alpha_equal,
@@ -494,7 +494,7 @@ def _nodes(x):
 
 def _assert_facts_fresh(x) -> None:
     for g in _nodes(x):
-        assert hash(g) == hash(tuple(getattr(g, fd.name) for fd in fields(g)))
+        assert hash(g) == hash(tuple(getattr(g, name) for name in g.__match_args__))
         terms, preds = [], []
         _ref_occurrences(g, terms, preds)
         assert params_in(g) == {t.name for t in terms if isinstance(t, Param)}
@@ -511,7 +511,7 @@ def _assert_facts_fresh(x) -> None:
 
 
 def _formula_fields(f) -> list:
-    return [fd.name for fd in fields(f) if is_formula(getattr(f, fd.name))]
+    return [name for name in f.__match_args__ if is_formula(getattr(f, name))]
 
 
 @given(
@@ -534,9 +534,9 @@ def test_stored_facts_match_fresh_walks(f, g, x, t, root_first):
     _assert_facts_fresh(Sequent((f, g), (g,)))
     # a replaced field is seen: nothing stored on f is carried over
     for name in _formula_fields(f):
-        _assert_facts_fresh(dataclasses.replace(f, **{name: g}))
+        _assert_facts_fresh(replace(f, **{name: g}))
     if isinstance(f, PredAtom):
-        _assert_facts_fresh(dataclasses.replace(f, args=f.args + (t,)))
+        _assert_facts_fresh(replace(f, args=f.args + (t,)))
 
 
 def test_rename_param_keeps_a_formula_without_the_parameter():
@@ -624,9 +624,9 @@ def test_side_counts_are_the_alpha_key_multisets(drawn, ant_at, suc_at):
     assert side_counts(s) is counts
     # a replaced side is seen: nothing stored on s is carried over
     for changed in (
-        dataclasses.replace(s, ant=s.suc),
-        dataclasses.replace(s, suc=s.suc + (pool[0],)),
-        dataclasses.replace(s, ant=()),
+        replace(s, ant=s.suc),
+        replace(s, suc=s.suc + (pool[0],)),
+        replace(s, ant=()),
     ):
         assert list(side_counts(changed)) == _ref_counts(changed)
 
@@ -635,7 +635,7 @@ def test_side_counts_follow_replace():
     f, g = PredAtom("P", (Param("a"),)), PredAtom("Q", ())
     s = Sequent((f, f, g), (g,))
     assert side_counts(s) == ({alpha_key(f): 2, alpha_key(g): 1}, {alpha_key(g): 1})
-    moved = dataclasses.replace(s, suc=(f,))
+    moved = replace(s, suc=(f,))
     assert side_counts(moved) == ({alpha_key(f): 2, alpha_key(g): 1}, {alpha_key(f): 1})
     assert side_counts(s)[1] == {alpha_key(g): 1}
 
@@ -689,3 +689,102 @@ def test_substitute_is_linear_in_depth(monkeypatch):
     for _ in range(n):
         expect = Not(expect)
     assert out == expect
+
+
+# ---------------------------------------------------------------------------
+# records: every class `syntax.record` makes keeps the dataclass contract
+# (repr, equality, hash, frozenness, defaults, replace, pickling)
+
+
+def _records() -> dict:
+    import ddproof.cli  # noqa: F401  (loads every module)
+
+    found = {}
+    for name, module in sorted(sys.modules.items()):
+        if name.startswith("ddproof"):
+            for cls in vars(module).values():
+                if isinstance(cls, type) and cls.__repr__ is syntax._repr:
+                    found[f"{cls.__module__}.{cls.__qualname__}"] = cls
+    return found
+
+
+# the record classes that are mutable, that compare by identity, and that
+# have slots; the others are frozen, compare fields and keep a `__dict__`
+_MUTABLE = {"kernel.StepInfo", "search._Move", "semantics.Model", "semantics.Countermodel"}
+_IDENTITY = {"kernel.ProofNode", "kernel.Proof"}
+_SLOTTED = {
+    f"syntax.{c}" for c in (
+        "IotaTerm PredAtom Identity Not And Or Imp Iff Forall Exists "
+        "LambdaAtom Sequent"
+    ).split()
+}
+
+
+def test_record_classes_and_their_kinds():
+    names = {name.removeprefix("ddproof.") for name in _records()}
+    assert len(names) == 29
+    assert _MUTABLE | _IDENTITY | _SLOTTED <= names
+    assert sum(name.startswith("syntax.") for name in names) == 15
+
+
+@pytest.mark.parametrize("name", sorted(_records()))
+def test_record_semantics(name):
+    cls = _records()[name]
+    name = name.removeprefix("ddproof.")
+    fields = cls.__match_args__
+    values = tuple(f"{n}!" for n in fields)
+    x, y = cls(*values), cls(**dict(zip(fields, values)))
+    shown = ", ".join(f"{n}={v!r}" for n, v in zip(fields, values))
+    assert repr(x) == f"{cls.__qualname__}({shown})"
+    assert tuple(getattr(y, n) for n in fields) == values
+    other = cls(*values[:-1], "other")
+    if name in _IDENTITY:
+        assert x != y and x == x and hash(x) == object.__hash__(x)
+    else:
+        assert x == y and x is not y and x != other
+        assert x.__eq__(values) is NotImplemented
+    if name in _MUTABLE:
+        assert cls.__hash__ is None
+        with pytest.raises(TypeError):
+            hash(x)
+        changed = cls(*values)
+        setattr(changed, fields[0], "changed")
+        assert getattr(changed, fields[0]) == "changed"
+    else:
+        if name not in _IDENTITY:
+            assert hash(x) == hash(y) == hash(values)
+        for attempt in (lambda: setattr(x, fields[0], "z"), lambda: delattr(x, fields[0])):
+            with pytest.raises(AttributeError):
+                attempt()
+        assert getattr(x, fields[0]) == values[0]
+    assert (name in _SLOTTED) == ("__dict__" not in dir(x))
+    if name in _SLOTTED:
+        assert x._hash == hash(values)  # stored
+    # a replaced or unpickled record holds its fields and nothing stored
+    moved = syntax.replace(x, **{fields[-1]: "new"})
+    back = pickle.loads(pickle.dumps(x))
+    assert x.__reduce__() == (cls, tuple(getattr(x, n) for n in fields))
+    for z, want in ((moved, values[:-1] + ("new",)), (back, tuple(getattr(x, n) for n in fields))):
+        assert type(z) is cls and z is not x
+        assert tuple(getattr(z, n) for n in fields) == want
+        if name in _SLOTTED:
+            extra = {s for c in cls.__mro__ for s in getattr(c, "__slots__", ())} - set(fields)
+            assert extra and not [s for s in extra if hasattr(z, s)]
+        else:
+            assert set(vars(z)) == set(fields)
+
+
+def test_record_defaults():
+    from ddproof.kernel import StepInfo
+    from ddproof.search import DEFAULT_BUDGET, SearchBudget, _Move
+    from ddproof.semantics import Model
+
+    assert DEFAULT_BUDGET == SearchBudget(20, 4, 2, 3)
+    assert StepInfo("ax") == StepInfo("ax", None, (), None, None)
+    assert PredAtom("P") == PredAtom("P", ())
+    # a `{}` default is a new dict for each instance
+    a, b = _Move("ax", "goal").uses, _Move("ax", "goal").uses
+    assert a == b == {} and a is not b
+    a, b = Model((0,), {}).consts, Model((0,), {}).consts
+    assert a == b == {} and a is not b
+    assert _Move("ax", "goal", uses={"k": 1}).uses == {"k": 1}

@@ -222,10 +222,8 @@ def parse_gate() -> str:
 
 def _perturb(rng, root):
     """One node of `root` changed by one seeded operation: (label, proof)."""
-    from dataclasses import replace
-
     from ddproof.kernel import iter_nodes
-    from ddproof.syntax import Const, Param, Sequent, Var, params_in, rename_param
+    from ddproof.syntax import Const, Param, Sequent, Var, params_in, rename_param, replace
 
     path, node = rng.choice(list(iter_nodes(root)))
     op = rng.choice(KERNEL_OPS)
@@ -266,7 +264,7 @@ def _perturb(rng, root):
 
 
 def _replace_at(root, path: str, new):
-    from dataclasses import replace
+    from ddproof.syntax import replace
 
     if path == "root":
         return new
@@ -337,7 +335,7 @@ def translate_gate() -> str:
 
 def _subformulas(f, out: dict) -> None:
     """Add f and its subformulas to `out`, keyed by structural equality, in
-    pre-order; read off the dataclass fields, so that the gate does not
+    pre-order; read off the record fields, so that the gate does not
     lean on the walks it checks."""
     from ddproof.syntax import IotaTerm, is_term
 
