@@ -37,6 +37,7 @@ from .surface import (
     format_proof,
     format_sequent,
     parse_formula,
+    parse_lines,
     parse_proof,
     parse_sequent,
 )
@@ -97,19 +98,11 @@ def _read(path: str) -> str:
         raise UsageError(str(e)) from None
 
 
-def _content_lines(text: str):
-    """Nonblank, non-comment lines with their 1-based line numbers. A line
-    whose first token is `#` followed by anything but a letter is a comment
-    (parameters are written #name, so `#a = #b` is content)."""
-    import re
-
-    for i, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped:
-            continue
-        if stripped.startswith("#") and not re.match(r"#[A-Za-z]", stripped):
-            continue
-        yield i, stripped
+def _shown(item, unicode: bool) -> str:
+    """A line of a formula file, printed back."""
+    if isinstance(item, Sequent):
+        return format_sequent(item, unicode=unicode)
+    return format_formula(item, unicode=unicode)
 
 
 def _checked(root: ProofNode) -> ProofNode:
@@ -125,21 +118,20 @@ def _checked(root: ProofNode) -> ProofNode:
 def _cmd_parse(args) -> int:
     text = _read(args.file)
     if args.file.endswith(".rlp"):
-        root = parse_proof(text)
-        print(format_proof(root, unicode=args.unicode))
+        print(format_proof(parse_proof(text), unicode=args.unicode))
         return 0
-    for _, line in _content_lines(text):
-        if "=>" in line:
-            print(format_sequent(parse_sequent(line), unicode=args.unicode))
-        else:
-            print(format_formula(parse_formula(line), unicode=args.unicode))
+    for item in parse_lines(text):
+        print(_shown(item, args.unicode))
     return 0
 
 
+def _check_file(path: str) -> int:
+    """The height of the proof in a file, once the kernel accepts it."""
+    return check_proof(parse_proof(_read(path))).height
+
+
 def _cmd_check(args) -> int:
-    root = parse_proof(_read(args.file))
-    proof = check_proof(root)
-    print(f"OK height={proof.height}")
+    print(f"OK height={_check_file(args.file)}")
     return 0
 
 
@@ -193,16 +185,14 @@ def _cmd_countermodel(args) -> int:
 
 
 def _cmd_translate(args) -> int:
-    text = _read(args.file)
-    for _, line in _content_lines(text):
-        if "=>" in line:
-            out = translate_sequent(parse_sequent(line))
+    for item in parse_lines(_read(args.file)):
+        if isinstance(item, Sequent):
+            out = translate_sequent(item)
             assert all(is_pure_fol(f) for f in out.ant + out.suc)
-            print(format_sequent(out, unicode=args.unicode))
         else:
-            out = translate(parse_formula(line))
+            out = translate(item)
             assert is_pure_fol(out)
-            print(format_formula(out, unicode=args.unicode))
+        print(_shown(out, args.unicode))
     return 0
 
 
@@ -278,10 +268,6 @@ def fixture_proofs() -> list[tuple[str, ProofNode]]:
     return entries
 
 
-def _check_fixture_file(path: str) -> int:
-    return check_proof(parse_proof(_read(path))).height
-
-
 def _cmd_fixtures(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     named_paths = []
@@ -291,7 +277,7 @@ def _cmd_fixtures(args) -> int:
             fh.write(format_proof(proof, unicode=args.unicode) + "\n")
         named_paths.append((name, path))
     # every file is checked before any line is printed
-    heights = [_check_fixture_file(p) for _, p in named_paths]
+    heights = [_check_file(p) for _, p in named_paths]
     for (name, _), height in zip(named_paths, heights):
         print(f"OK {name} height={height}")
     return 0

@@ -26,7 +26,9 @@ rules none; forallr, existsl, iota1l and iotar take `:eigen`; all but ax,
 cut, weakening, contraction and eqplus take `:at`.
 `#` starts a comment unless immediately followed by a letter. The unicode
 glyphs for the connectives are accepted on input and produced by the
-printers when asked, so pretty output re-parses.
+printers when asked, so pretty output re-parses. The notation is stated
+once, in the table `_NOTATION`; the scanner's glyph map, the reserved
+words, the precedence-climbing parser and both print styles read it.
 
 The scanner is one regular expression, `_TOKEN`, whose `findall` gives the
 token strings in one pass. Names keep their `#`, `$` or `:` prefix, so a
@@ -47,7 +49,7 @@ from __future__ import annotations
 
 import re
 from itertools import compress, islice
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 from .kernel import ProofNode
 from .syntax import (
@@ -79,15 +81,33 @@ class ParseError(Exception):
         super().__init__(f"{line}:{col}: {msg}")
 
 
-_RESERVED = {"forall", "exists", "lam", "iota"}
-
-_GLYPHS = dict(
-    zip("¬∧∨→↔⇒∀∃λι", ("~", "&", "|", "->", "<->", "=>", "forall", "exists", "lam", "iota"))
+# The notation, stated once: an ASCII token, its glyph, the node class it
+# builds and, for a connective, its level (higher binds tighter) and how it
+# groups. The words are the binders, and reserved.
+_NOTATION = (
+    ("<->", "↔", Iff, 1, "right"),
+    ("->", "→", Imp, 2, "right"),
+    ("|", "∨", Or, 3, "left"),
+    ("&", "∧", And, 4, "left"),
+    ("~", "¬", Not, 5, "prefix"),
+    ("forall", "∀", Forall, None, None),
+    ("exists", "∃", Exists, None, None),
+    ("lam", "λ", LambdaAtom, None, None),
+    ("iota", "ι", IotaTerm, None, None),
+    ("=>", "⇒", Sequent, None, None),
 )
+
+_GLYPHS = {glyph: tok for tok, glyph, *_ in _NOTATION}
+_BINDERS = {tok: cls for tok, _, cls, *_ in _NOTATION if tok.isalpha()}
+_PREFIX = {tok: cls for tok, _, cls, _, group in _NOTATION if group == "prefix"}
+# connective class -> (level, groups to the right)
+_LEVEL = {cls: (level, group == "right") for _, _, cls, level, group in _NOTATION if level}
+# infix token -> (node class, level, groups to the right)
+_INFIX = {tok: (cls, *_LEVEL[cls]) for tok, _, cls, _, group in _NOTATION if group in ("left", "right")}
 
 # One token: a name with its `#`, `$` or `:` prefix, a number, an operator
 # or a glyph.
-_TOKENS = r"[#$:]?[A-Za-z][A-Za-z0-9_]*|[0-9]+|<?->|=>|[=~&|(),.¬∧∨→↔⇒∀∃λι]"
+_TOKENS = r"[#$:]?[A-Za-z][A-Za-z0-9_]*|[0-9]+|<?->|=>|[=~&|(),.%s]" % "".join(_GLYPHS)
 
 # Whitespace (only [ \t\r\n]) and comments, then one token, the empty
 # string at the end of the text, or else the rest of the text from a
@@ -134,8 +154,10 @@ def _span_ends(toks: list[str]) -> dict[int, int]:
 
 
 class _Parser:
-    def __init__(self, text: str):
+    def __init__(self, text: str, line: int = 1):
+        """Scan `text`, whose first line is line `line` of its source."""
         self.text = text
+        self.line = line
         toks = _TOKEN.findall(text)
         if len(toks) > 1 and not toks[-2]:
             toks.pop()  # after trailing whitespace the end matched twice
@@ -161,7 +183,7 @@ class _Parser:
         hash_at = text.find("#", max(bol, m.start()), at)
         if hash_at >= 0:
             at = hash_at
-        raise ParseError(msg, text.count("\n", 0, at) + 1, at - bol + 1)
+        raise ParseError(msg, text.count("\n", 0, at) + self.line, at - bol + 1)
 
     def shown(self) -> str:
         t = self.toks[self.pos]
@@ -177,7 +199,7 @@ class _Parser:
 
     def name(self) -> str:
         t = self.toks[self.pos]
-        if not t[:1].isalpha() or t in _RESERVED:
+        if not t[:1].isalpha() or t in _BINDERS:
             self.expected("ident")
         self.pos += 1
         return t
@@ -191,68 +213,54 @@ class _Parser:
     def term(self) -> Term:
         t = self.toks[self.pos]
         c = t[:1]
-        if c == "#":
-            self.pos += 1
-            return Param(t[1:])
-        if c == "$":
-            self.pos += 1
-            return Const(t[1:])
-        if c.isalpha() and t not in _RESERVED:
-            self.pos += 1
-            return Var(t)
-        self.fail("expected a term")
+        if c == "#" or c == "$":
+            term = (Param if c == "#" else Const)(t[1:])
+        elif c.isalpha() and t not in _BINDERS:
+            term = Var(t)
+        else:
+            self.fail("expected a term")
+        self.pos += 1
+        return term
 
     # --- formulas ---
 
-    def formula(self) -> Formula:
-        left = self.imp()
-        if self.toks[self.pos] == "<->":
-            self.pos += 1
-            return Iff(left, self.formula())
-        return left
-
-    def imp(self) -> Formula:
-        left = self.disj()
-        if self.toks[self.pos] == "->":
-            self.pos += 1
-            return Imp(left, self.imp())
-        return left
-
-    def disj(self) -> Formula:
-        f = self.conj()
-        while self.toks[self.pos] == "|":
-            self.pos += 1
-            f = Or(f, self.conj())
-        return f
-
-    def conj(self) -> Formula:
+    def formula(self, level: int = 1) -> Formula:
+        """A formula whose infix connectives are all at `level` or above,
+        by precedence climbing: the right operand of a connective that
+        groups to the left is read one level higher."""
         f = self.neg()
-        while self.toks[self.pos] == "&":
+        while True:
+            op = _INFIX.get(self.toks[self.pos])
+            if op is None or op[1] < level:
+                return f
+            cls, lvl, right = op
             self.pos += 1
-            f = And(f, self.neg())
-        return f
+            f = cls(f, self.formula(lvl if right else lvl + 1))
 
     def neg(self) -> Formula:
-        if self.toks[self.pos] == "~":
+        """An atom under a chain of prefix connectives, read in a loop."""
+        toks, start = self.toks, self.pos
+        while toks[self.pos] in _PREFIX:
             self.pos += 1
-            return Not(self.neg())
-        return self.atom()
+        end = self.pos
+        f = self.atom()
+        for i in range(end - 1, start - 1, -1):
+            f = _PREFIX[toks[i]](f)
+        return f
 
     def atom(self) -> Formula:
         toks, pos = self.toks, self.pos
         t = toks[pos]
-        if t == "forall" or t == "exists":
-            self.pos += 1
-            v = self.name()
-            self.expect(".")
-            return (Forall if t == "forall" else Exists)(v, self.formula())
-        if t == "iota":
+        binder = _BINDERS.get(t)
+        if binder is IotaTerm:
             self.fail("a description is only legal as the argument of an abstract")
-        if t == "lam":
+        if binder is LambdaAtom:
             self.fail("an abstract must be parenthesized: (lam x. ...) arg")
+        if binder is not None:  # a quantifier
+            return binder(*self.binding())
         if t == "(":
             if toks[pos + 1] == "lam":
-                return self.lambda_atom()
+                return LambdaAtom(*self.binding(paren=True), self.lambda_arg())
             self.pos += 1
             f = self.formula()
             self.expect(")")
@@ -285,33 +293,27 @@ class _Parser:
         self.expect("=")
         return Identity(lhs, self.term())
 
-    def lambda_atom(self) -> LambdaAtom:
-        self.pos += 2  # "(" and "lam"
+    def binding(self, paren: bool = False) -> tuple[str, Formula]:
+        """A binder's variable and body, `x. body`, read from the binder on,
+        or when `paren` from a "(" before it to a ")" after the body."""
+        self.pos += 1 + paren
         v = self.name()
         self.expect(".")
         body = self.formula()
-        self.expect(")")
-        return LambdaAtom(v, body, self.lambda_arg())
+        if paren:
+            self.expect(")")
+        return v, body
 
     def lambda_arg(self) -> Union[Term, IotaTerm]:
         t = self.toks[self.pos]
         if t == "iota":
-            return self.iota()
+            return IotaTerm(*self.binding())
         if t == "(" and self.toks[self.pos + 1] == "iota":
-            self.pos += 1
-            it = self.iota()
-            self.expect(")")
-            return it
+            return IotaTerm(*self.binding(paren=True))
         c = t[:1]
-        if c == "#" or c == "$" or c.isalpha() and t not in _RESERVED:
+        if c == "#" or c == "$" or c.isalpha() and t not in _BINDERS:
             return self.term()
         self.fail("an abstract needs a term or description argument")
-
-    def iota(self) -> IotaTerm:
-        self.pos += 1  # "iota"
-        v = self.name()
-        self.expect(".")
-        return IotaTerm(v, self.formula())
 
     # --- sequents ---
 
@@ -394,59 +396,53 @@ class _Parser:
         )
 
 
-def _parse(text: str, rule):
-    p = _Parser(text)
+def _parse(p: _Parser, rule):
     out = rule(p)
     p.done()
     return out
 
 
 def parse_term(text: str) -> Term:
-    return _parse(text, _Parser.term)
+    return _parse(_Parser(text), _Parser.term)
 
 
 def parse_formula(text: str) -> Formula:
-    return _parse(text, _Parser.formula)
+    return _parse(_Parser(text), _Parser.formula)
 
 
 def parse_sequent(text: str) -> Sequent:
-    return _parse(text, _Parser.sequent)
+    return _parse(_Parser(text), _Parser.sequent)
 
 
 def parse_proof(text: str) -> ProofNode:
-    return _parse(text, _Parser.proof)
+    return _parse(_Parser(text), _Parser.proof)
+
+
+def parse_lines(text: str) -> Iterator[Union[Formula, Sequent]]:
+    """Each line's formula, or its sequent if a token is the arrow, parsed
+    as the line is reached; a line without tokens is skipped. A ParseError
+    gives the line in `text` and the column in that line as written."""
+    for number, line in enumerate(text.splitlines(), start=1):
+        p = _Parser(line, number)
+        if p.toks[0]:
+            yield _parse(p, _Parser.sequent if "=>" in p.toks else _Parser.formula)
 
 
 # ---------------------------------------------------------------------------
 # printers
 
-_ASCII_STYLE = {
-    "~": "~",
-    "&": " & ",
-    "|": " | ",
-    "->": " -> ",
-    "<->": " <-> ",
-    "=>": "=>",
-    "forall": "forall ",
-    "exists": "exists ",
-    "lam": "lam ",
-    "iota": "iota ",
-}
 
-_UNICODE_STYLE = {
-    "~": "¬",
-    "&": " ∧ ",
-    "|": " ∨ ",
-    "->": " → ",
-    "<->": " ↔ ",
-    "=>": "⇒",
-    "forall": "∀",
-    "exists": "∃",
-    "lam": "λ",
-    "iota": "ι",
-}
+def _style(column: int) -> dict:
+    """A print style: each node class's token (`column` 0) or glyph
+    (`column` 1), spaced around an infix connective and after a word."""
+    sty = {}
+    for row in _NOTATION:
+        s = row[column]
+        sty[row[2]] = f" {s} " if row[4] in ("left", "right") else s + " " * (s in _BINDERS)
+    return sty
 
-_LEVEL = {Iff: 1, Imp: 2, Or: 3, And: 4}
+
+_STYLES = (_style(0), _style(1))
 
 
 def format_term(t: Union[Term, IotaTerm], unicode: bool = False) -> str:
@@ -457,86 +453,66 @@ def format_term(t: Union[Term, IotaTerm], unicode: bool = False) -> str:
     if isinstance(t, Const):
         return "$" + t.name
     if isinstance(t, IotaTerm):
-        sty = _UNICODE_STYLE if unicode else _ASCII_STYLE
-        return f"{sty['iota']}{t.bound}. {_render(t.body, 1, True, sty)}"
+        return _binding(t, _STYLES[unicode])
     raise TypeError(f"not a term: {t!r}")
 
 
-def _render(f: Formula, min_prec: int, tail: bool, sty: dict) -> str:
-    if isinstance(f, PredAtom):
+def _binding(f: Union[Formula, IotaTerm], sty: dict) -> str:
+    """A quantifier, a description, or an abstract without its argument."""
+    return f"{sty[type(f)]}{f.bound}. {_render(f.body, 1, True, sty)}"
+
+
+def _render(f: Formula, min_level: int, tail: bool, sty: dict) -> str:
+    cls = type(f)
+    if cls is PredAtom:
         if not f.args:
             return f.pred
         return f"{f.pred}({', '.join(format_term(a) for a in f.args)})"
-    if isinstance(f, Identity):
+    if cls is Identity:
         return f"{format_term(f.lhs)} = {format_term(f.rhs)}"
-    if isinstance(f, Not):
-        return sty["~"] + _render(f.sub, 5, tail, sty)
-    if isinstance(f, (And, Or, Imp, Iff)):
-        lvl = _LEVEL[type(f)]
-        wrap = lvl < min_prec
-        inner_tail = True if wrap else tail
-        if isinstance(f, (And, Or)):
-            lmin, rmin = lvl, lvl + 1
-        else:
-            lmin, rmin = lvl + 1, lvl
-        op = {And: "&", Or: "|", Imp: "->", Iff: "<->"}[type(f)]
-        s = (
-            _render(f.left, lmin, False, sty)
-            + sty[op]
-            + _render(f.right, rmin, inner_tail, sty)
-        )
+    if cls is Not:
+        return sty[Not] + _render(f.sub, _LEVEL[Not][0], tail, sty)
+    if cls in _LEVEL:
+        level, right = _LEVEL[cls]
+        wrap = level < min_level
+        s = _render(f.left, level + right, False, sty) + sty[cls]
+        s += _render(f.right, level + (not right), wrap or tail, sty)
         return f"({s})" if wrap else s
-    if isinstance(f, (Forall, Exists)):
-        kw = "forall" if isinstance(f, Forall) else "exists"
-        s = f"{sty[kw]}{f.bound}. {_render(f.body, 1, True, sty)}"
+    if cls is Forall or cls is Exists:
+        s = _binding(f, sty)
         return s if tail else f"({s})"
-    if isinstance(f, LambdaAtom):
-        body = _render(f.body, 1, True, sty)
-        if isinstance(f.arg, IotaTerm):
-            arg = f"({sty['iota']}{f.arg.bound}. {_render(f.arg.body, 1, True, sty)})"
-        else:
-            arg = format_term(f.arg)
-        return f"({sty['lam']}{f.bound}. {body}) {arg}"
+    if cls is LambdaAtom:
+        arg = f"({_binding(f.arg, sty)})" if type(f.arg) is IotaTerm else format_term(f.arg)
+        return f"({_binding(f, sty)}) {arg}"
     raise TypeError(f"not a formula: {f!r}")
 
 
+def _formulas(fs: tuple[Formula, ...], sty: dict) -> str:
+    return ", ".join(_render(f, 1, True, sty) for f in fs)
+
+
 def format_formula(f: Formula, unicode: bool = False) -> str:
-    return _render(f, 1, True, _UNICODE_STYLE if unicode else _ASCII_STYLE)
+    return _render(f, 1, True, _STYLES[unicode])
 
 
 def format_sequent(s: Sequent, unicode: bool = False) -> str:
-    sty = _UNICODE_STYLE if unicode else _ASCII_STYLE
-    ant = ", ".join(_render(f, 1, True, sty) for f in s.ant)
-    suc = ", ".join(_render(f, 1, True, sty) for f in s.suc)
-    arrow = sty["=>"]
-    if ant and suc:
-        return f"{ant} {arrow} {suc}"
-    if ant:
-        return f"{ant} {arrow}"
-    if suc:
-        return f"{arrow} {suc}"
-    return arrow
+    sty = _STYLES[unicode]
+    return " ".join(filter(None, (_formulas(s.ant, sty), sty[Sequent], _formulas(s.suc, sty))))
 
 
 def format_proof(root: ProofNode, unicode: bool = False) -> str:
+    sty = _STYLES[unicode]
     lines: list[str] = []
 
-    def seq_sexpr(s: Sequent) -> str:
-        ant = ", ".join(format_formula(f, unicode) for f in s.ant)
-        suc = ", ".join(format_formula(f, unicode) for f in s.suc)
-        return f"(seq ({ant}) ({suc}))"
-
     def go(n: ProofNode, depth: int):
-        head = f"{'  ' * depth}({n.rule} {seq_sexpr(n.conclusion)}"
+        s = n.conclusion
+        head = f"{'  ' * depth}({n.rule} (seq ({_formulas(s.ant, sty)}) ({_formulas(s.suc, sty)}))"
         for t in n.terms:
             head += f" :term {format_term(t)}"
         if n.eigen is not None:
             head += f" :eigen {format_term(n.eigen)}"
         if n.at is not None:
             head += f" :at {n.at}"
-        if not n.premises:
-            lines.append(head + ")")
-            return
         lines.append(head)
         for p in n.premises:
             go(p, depth + 1)

@@ -259,8 +259,6 @@ Formula = Union[
     PredAtom, Identity, Not, And, Or, Imp, Iff, Forall, Exists, LambdaAtom
 ]
 
-BINARY_OPS = (And, Or, Imp, Iff)
-QUANTIFIERS = (Forall, Exists)
 TERM_TYPES = (Var, Param, Const)
 
 

@@ -133,9 +133,10 @@ def test_too_deep_negation_chain_is_one_line_and_exit_2(cmd):
 
 @pytest.mark.parametrize("cmd", ["parse", "translate"])
 def test_too_deep_parentheses_are_one_line_and_exit_2(cmd, tmp_path):
-    """10,000 nested parentheses, which cost several frames per level."""
+    """20,000 nested parentheses, which cost three frames per level in the
+    parser (16,000 still end in exit 0)."""
     path = tmp_path / "deep.rlf"
-    path.write_text("(" * 10_000 + "P(#a)" + ")" * 10_000 + "\n")
+    path.write_text("(" * 20_000 + "P(#a)" + ")" * 20_000 + "\n")
     child = _run_limited([cmd, str(path)])
     assert child.returncode == 2, child.stderr[-2000:]
     assert child.stderr == "ddproof: unknown: input nested too deeply\n"
@@ -280,6 +281,27 @@ class TestParseAndTranslate:
         code, _, err = run(capsys, "parse", str(f))
         assert code == 1
         assert "parse error" in err
+
+    @pytest.mark.parametrize("cmd", ["parse", "translate"])
+    def test_sequent_written_with_the_glyph_arrow(self, capsys, tmp_path, cmd):
+        # so that the --unicode output of a sequent file parses again
+        f = tmp_path / "in.rlf"
+        f.write_text("P(#a) ⇒ P(#a)\n", encoding="utf-8")
+        assert run(capsys, cmd, str(f)) == (0, "P(#a) => P(#a)\n", "")
+
+    @pytest.mark.parametrize("cmd", ["parse", "translate"])
+    def test_arrow_in_a_comment_does_not_make_a_sequent(self, capsys, tmp_path, cmd):
+        f = tmp_path / "in.rlf"
+        f.write_text("P(#a) # implies => nothing\n")
+        assert run(capsys, cmd, str(f)) == (0, "P(#a)\n", "")
+
+    @pytest.mark.parametrize("cmd", ["parse", "translate"])
+    def test_error_gives_the_files_line_and_column(self, capsys, tmp_path, cmd):
+        f = tmp_path / "in.rlf"
+        f.write_text("P(#a)\n\n  Q(#b) &\n")
+        assert run(capsys, cmd, str(f)) == (
+            1, "P(#a)\n", "ddproof: parse error: 3:10: expected a formula\n"
+        )
 
     def test_translate_file(self, capsys, tmp_path):
         f = tmp_path / "in.rlf"

@@ -135,6 +135,15 @@ def test_parse_sequents():
     assert parse_sequent("G =>") == Sequent((G,), ())
 
 
+def test_long_negation_chain_parses_in_a_loop():
+    # counted in a loop: `==` or `repr` on the chain would itself recurse
+    f = parse_formula("~" * 100_000 + "P")
+    depth = 0
+    while type(f) is Not:
+        f, depth = f.sub, depth + 1
+    assert (depth, f) == (100_000, PredAtom("P", ()))
+
+
 def test_comments():
     s = parse_sequent("P(#a) # a trailing comment\n => Q(#a)")
     assert s == seq([P(Param("a"))], [Q(Param("a"))])
