@@ -118,7 +118,7 @@ def _checked(root: ProofNode) -> ProofNode:
 def _cmd_parse(args) -> int:
     text = _read(args.file)
     if args.file.endswith(".rlp"):
-        print(format_proof(parse_proof(text), unicode=args.unicode))
+        print(format_proof(_checked(parse_proof(text)), unicode=args.unicode))
         return 0
     for item in parse_lines(text):
         print(_shown(item, args.unicode))

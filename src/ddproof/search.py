@@ -13,10 +13,20 @@ keeping form: the principal formula is contracted first so the original
 copy survives, bounded by a per-formula contraction budget. Branches
 refuted by a small countermodel are pruned early.
 
-A move is data: its rule, conclusion, annotations and the step that fits
-it onto the goal. The search returns the plan that won, its moves and
+A move is data: its rule, principal formula, instance and active
+formulas. Its premises are built only when the search recurses into them
+or the move wins. The search returns the plan that won, its moves and
 their sub-plans, and the proof is built from it once; the kernel
 re-checks that proof before it is reported.
+
+At depth 1 a move's premises are leaves: the search would only key each
+one, check it against the branch and try to close it. So they are tested
+without being built. A leaf's key comes from the goal's stored key, and
+the leaf closes exactly when an active formula's key meets the other side
+or a succedent active is a reflexive identity. The test is exact because
+the goal did not close, and each side of a premise is the goal's side,
+less at most one formula, plus actives: any match, and any reflexive
+identity in the succedent, involves an active.
 
 First-order logic with identity is undecidable, so all three outcomes
 are possible: Proved, Refuted, or Unknown when the budget runs out.
@@ -107,60 +117,93 @@ class _State:
 
 @record
 class _Move:
-    """One backward rule application, as data: a node `rule` concluding
-    `conclusion` from `children`, annotated with `terms` and `eigen`. When
-    `goal` is set the node is fitted onto it by `wrap`: "weaken" for a
-    closing axiom, or the contraction ("cl" or "cr") of a move tried in
-    keeping form, after eqminus's identity is flipped back when `flip` is
-    set."""
+    """One backward rule application to a goal g, as data: `rule` on the
+    principal formula f at `inst` (its terms, then its eigenparameter),
+    whose premises are g, less the formula at index `drop` of the rule's
+    side when set, plus each pair of the rule's `actives` there. A choice
+    move spends a use of each key in `spent`, after `prio` prior ones on
+    the branch, and is tried in keeping form (`kept`): its node concludes g
+    with a second copy of f, which a contraction merges, after eqminus's
+    identity is flipped back when `flip` is set. An "ax" move is the axiom
+    on f, weakened onto g."""
 
     rule: str
-    conclusion: Sequent
-    children: tuple[Sequent, ...] = ()
-    terms: tuple[Term, ...] = ()
-    eigen: Optional[Param] = None
-    goal: Optional[Sequent] = None
-    wrap: Optional[str] = None
+    f: Formula
+    inst: tuple = ()
+    actives: Sequence = ()
+    drop: Optional[int] = None
+    spent: tuple = ()
+    prio: int = 0
+    kept: bool = False
     flip: Optional[Identity] = None
-    uses: dict = {}  # a new dict for each move
-    prio: int = 0  # prior applications of this move's key on the branch
 
 
-# a plan is the move that won at a sequent and the plans of its children;
+# a plan is the move that won at a sequent and the plans of its premises;
 # the proof is built from it once, when the search has succeeded
 Plan = tuple[_Move, tuple]
 
 
-def _node(mv: _Move, subs) -> ProofNode:
-    """The proof of one move from its children's proofs."""
-    node = ProofNode(mv.rule, mv.conclusion, tuple(subs), mv.terms, mv.eigen)
+def _node(g: Sequent, mv: _Move, subs) -> ProofNode:
+    """The proof of mv on g from its premises' proofs."""
+    if mv.rule == "ax":
+        return weaken_to(ProofNode("ax", Sequent((mv.f,), (mv.f,))), g)
+    schema = RULES[mv.rule]
+    terms, eigen = (mv.inst[:-1], mv.inst[-1]) if schema.eigen else (mv.inst, None)
+    conclusion = _with(g, schema.side, mv.f) if mv.kept else g
+    node = ProofNode(mv.rule, conclusion, tuple(subs), terms, eigen)
     if mv.flip is not None:
         node = flip_identity(node, mv.flip)
-    if mv.wrap == "weaken":
-        return weaken_to(node, mv.goal)
-    if mv.wrap is not None:
-        return ProofNode(mv.wrap, mv.goal, (node,))
+    if mv.kept:
+        return ProofNode("cl" if schema.side == "ant" else "cr", g, (node,))
     return node
 
 
-def _build(plan: Plan) -> ProofNode:
+def _build(g: Sequent, plan: Plan) -> ProofNode:
     mv, subs = plan
-    return _node(mv, [_build(sub) for sub in subs])
+    premises = _premises(g, mv) if subs else ()
+    return _node(g, mv, [_build(p, sub) for p, sub in zip(premises, subs)])
 
 
-def _remove_at(forms: tuple, i: int) -> tuple:
-    return forms[:i] + forms[i + 1 :]
+def _less(sides: tuple, side: str, i: Optional[int]) -> tuple:
+    """A pair (antecedent, succedent) less the item at index i of `side`."""
+    ant, suc = sides
+    if i is None:
+        return sides
+    return (ant[:i] + ant[i + 1 :], suc) if side == "ant" else (ant, suc[:i] + suc[i + 1 :])
 
 
-def _premises(ant: tuple, suc: tuple, actives) -> tuple[Sequent, ...]:
-    """One premise per (antecedent, succedent) pair in `actives`: the
-    antecedent formulas in front of `ant`, the succedent ones behind `suc`."""
-    return tuple(Sequent(a + ant, suc + s) for a, s in actives)
+def _premises(g: Sequent, mv: _Move) -> tuple[Sequent, ...]:
+    """mv's premises on g: each pair of actives, the antecedent formulas in
+    front of what g keeps, the succedent ones behind."""
+    ant, suc = _less((g.ant, g.suc), RULES[mv.rule].side, mv.drop)
+    return tuple(Sequent(a + ant, suc + s) for a, s in mv.actives)
+
+
+def _leaves(g: Sequent, mv: _Move) -> Iterator[tuple[tuple, bool]]:
+    """The key of each premise of mv on g, from g's, and whether
+    `_try_close` closes it, neither built (see the module docstring)."""
+    side = RULES[mv.rule].side
+    ant, suc = keys = sequent_key(g)
+    if mv.drop is not None:
+        lost = alpha_key(getattr(g, side)[mv.drop])
+        ant, suc = _less(keys, side, keys[side == "suc"].index(lost))
+    for a, s in mv.actives:
+        ak, sk = [alpha_key(f) for f in a], [alpha_key(f) for f in s]
+        pa, ps = tuple(sorted([*ant, *ak])), tuple(sorted([*suc, *sk]))
+        meet = not set(ak).isdisjoint(ps) or not set(sk).isdisjoint(pa)
+        yield (pa, ps), meet or any(map(RULES["eqplus"].principal, s))
 
 
 def _with(g: Sequent, side: str, f: Formula) -> Sequent:
     """g with f added on `side`, where `_premises` puts actives."""
     return Sequent((f,) + g.ant, g.suc) if side == "ant" else Sequent(g.ant, g.suc + (f,))
+
+
+def _spend(uses: dict, keys: tuple) -> dict:
+    out = dict(uses)
+    for key in keys:
+        out[key] = out.get(key, 0) + 1
+    return out
 
 
 def _quick_refuted(g: Sequent, st: _State) -> bool:
@@ -182,25 +225,24 @@ def _quick_refuted(g: Sequent, st: _State) -> bool:
 # closures
 
 
-def _eqplus(g: Sequent, refl: Identity) -> _Move:
-    """eqplus discharging the reflexive identity refl from g."""
-    return _Move("eqplus", g, _premises(g.ant, g.suc, RULES["eqplus"].actives(refl)))
+def _eqplus(refl: Identity, spent: tuple = (), prio: int = 0) -> _Move:
+    """eqplus discharging the reflexive identity refl."""
+    return _Move("eqplus", refl, (), RULES["eqplus"].actives(refl), spent=spent, prio=prio)
 
 
-def _closing(f: Formula, g: Sequent) -> Plan:
-    """The axiom on f, weakened onto g."""
-    return _Move("ax", Sequent((f,), (f,)), goal=g, wrap="weaken"), ()
+def _closing(f: Formula) -> Plan:
+    """The axiom on f, weakened onto the sequent it closes."""
+    return _Move("ax", f), ()
 
 
 def _try_close(g: Sequent) -> Optional[Plan]:
     suc_keys = {alpha_key(f) for f in g.suc}
     for f in g.ant:
         if alpha_key(f) in suc_keys:
-            return _closing(f, g)
+            return _closing(f)
     for f in g.suc:
         if RULES["eqplus"].principal(f):
-            mv = _eqplus(g, f)
-            return mv, (_closing(f, mv.children[0]),)
+            return _eqplus(f), (_closing(f),)
     return None
 
 
@@ -236,42 +278,12 @@ def _invertible(g: Sequent, st: _State) -> Optional[_Move]:
             if rule is None or not RULES[rule].principal(f):
                 continue
             inst = (st.supply.fresh(),) if RULES[rule].eigen else ()
-            if side == "ant":
-                rest = (_remove_at(g.ant, i), g.suc)
-            else:
-                rest = (g.ant, _remove_at(g.suc, i))
-            children = _premises(*rest, RULES[rule].actives(f, *inst))
-            return _Move(rule, g, children, eigen=inst[0] if inst else None)
+            return _Move(rule, f, inst, RULES[rule].actives(f, *inst), drop=i)
     return None
 
 
 # ---------------------------------------------------------------------------
 # choice moves (tried as alternatives, in keeping form)
-
-
-def _spend(uses: dict, key) -> dict:
-    out = dict(uses)
-    out[key] = out.get(key, 0) + 1
-    return out
-
-
-def _kept(g: Sequent, rule: str, f: Formula, inst: tuple, uses: dict, prio: int) -> _Move:
-    """`rule` on f in keeping form: its node concludes g with a second copy
-    of f, which a contraction merges, so its premises are g plus the rule's
-    actives for f at `inst`, the terms and then the eigenparameter."""
-    schema = RULES[rule]
-    terms, eigen = (inst[:-1], inst[-1]) if schema.eigen else (inst, None)
-    return _Move(
-        rule,
-        _with(g, schema.side, f),
-        _premises(g.ant, g.suc, schema.actives(f, *inst)),
-        terms,
-        eigen,
-        goal=g,
-        wrap="cl" if schema.side == "ant" else "cr",
-        uses=uses,
-        prio=prio,
-    )
 
 
 def _term_pool(g: Sequent) -> list[Term]:
@@ -301,14 +313,8 @@ def _eqminus_moves(g: Sequent, uses: dict, st: _State) -> Iterator[_Move]:
                     continue
                 for new in rewrite_variants(atom, src, dst):
                     yield _Move(
-                        "eqminus",
-                        _with(g, "ant", used),
-                        _premises(_remove_at(g.ant, j), g.suc, schema.actives(used, new)),
-                        goal=g,
-                        wrap="cl",
-                        flip=used if flipped else None,
-                        uses=_spend(uses, key),
-                        prio=uses.get(key, 0),
+                        "eqminus", used, (), schema.actives(used, new), j, (key,),
+                        uses.get(key, 0), True, used if flipped else None,
                     )
 
 
@@ -333,9 +339,11 @@ def _choice_moves(g: Sequent, uses: dict, st: _State) -> list[_Move]:
             # the terms are all different, so these are the tuples of
             # different terms, in the order of their product
             for ts in permutations(terms, schema.terms):
-                base = _spend(uses, fresh_key) if minted in ts else uses
+                spent = (key, fresh_key) if minted in ts else (key,)
                 inst = ts + (st.supply.fresh(),) if schema.eigen else ts
-                moves.append(_kept(g, rule, f, inst, _spend(base, key), uses.get(key, 0)))
+                moves.append(_Move(
+                    rule, f, inst, schema.actives(f, *inst), None, spent, uses.get(key, 0), True
+                ))
 
     # description in the antecedent: the no-witness rule first
     slot_moves("iota1l")
@@ -359,11 +367,8 @@ def _choice_moves(g: Sequent, uses: dict, st: _State) -> list[_Move]:
         for t in pool:
             refl = Identity(t, t)
             key = ("eqplus", alpha_key(refl))
-            if uses.get(key, 0) >= cap:
-                continue
-            mv = _eqplus(g, refl)
-            mv.uses, mv.prio = _spend(uses, key), uses.get(key, 0)
-            moves.append(mv)
+            if uses.get(key, 0) < cap:
+                moves.append(_eqplus(refl, (key,), uses.get(key, 0)))
 
     # fresh families before repeat applications; the sort is stable, so
     # ties keep the rule order above
@@ -390,21 +395,27 @@ def _search(
         return None
 
     # an invertible move is committed to, and spends no uses; else each
-    # choice move is tried in turn
+    # choice move is tried in turn. A move's premises are built when the
+    # search recurses into them or the move wins; at depth 1 they are
+    # leaves, tested unbuilt, each counted as the call at depth 0 would be
     committed = _invertible(g, st)
-    if committed is not None:
-        committed.uses = uses
     for mv in [committed] if committed is not None else _choice_moves(g, uses, st):
+        premises = _premises(g, mv) if depth > 1 else None
         subs = []
-        for child in mv.children:
-            key = sequent_key(child)
+        for i, (key, closes) in enumerate(_leaves(g, mv)):
             if key in seen:
                 break
-            sub = _search(child, depth - 1, seen | {key}, mv.uses, st)
-            if sub is None:
+            if premises is not None:
+                sub = _search(premises[i], depth - 1, seen | {key}, _spend(uses, mv.spent), st)
+            else:
+                st.expansions += 1
+                sub = closes and st.expansions <= NODE_CAP
+            if not sub:
                 break
             subs.append(sub)
         else:
+            if depth == 1:
+                subs = [_try_close(p) for p in _premises(g, mv)]
             return mv, tuple(subs)
     return None
 
@@ -444,7 +455,7 @@ def prove(goal: Sequent, budget: Optional[SearchBudget] = None) -> Verdict:
 
     plan = _run_search(goal, budget)
     if plan is not None:
-        return Proved(check_proof(_build(plan)))
+        return Proved(check_proof(_build(goal, plan)))
     return Unknown("signature-cap" if capped else "budget-exhausted")
 
 

@@ -282,6 +282,14 @@ class TestParseAndTranslate:
         assert code == 1
         assert "parse error" in err
 
+    def test_parse_runs_the_kernel_on_a_proof(self, capsys, tmp_path):
+        # a proof is printed only once the kernel accepts it, as check does
+        bad = tmp_path / "bad.rlp"
+        bad.write_text("(ax (seq (P(#a)) (Q(#a))))\n")
+        expected = (1, "", "ddproof: rejected: path=root: axiom sides differ\n")
+        assert run(capsys, "parse", str(bad)) == expected
+        assert run(capsys, "check", str(bad)) == expected
+
     @pytest.mark.parametrize("cmd", ["parse", "translate"])
     def test_sequent_written_with_the_glyph_arrow(self, capsys, tmp_path, cmd):
         # so that the --unicode output of a sequent file parses again

@@ -1,5 +1,8 @@
 """Bounded proof search: verdicts, budgets, and the paraphrase suite."""
 
+import functools
+import importlib.util
+import os
 import random
 
 import pytest
@@ -16,14 +19,18 @@ from ddproof.kernel import (
 )
 from ddproof.search import (
     DEFAULT_BUDGET,
+    NODE_CAP,
     Proved,
     Refuted,
     SearchBudget,
     Unknown,
     _choice_moves,
     _invertible,
+    _leaves,
     _node,
+    _premises,
     _State,
+    _try_close,
     decide_rlambda_suite,
     prove,
     rlambda_goals,
@@ -40,9 +47,11 @@ from ddproof.syntax import (
     LambdaAtom,
     Not,
     Or,
+    ParamSupply,
     PredAtom,
     Sequent,
     Var,
+    sequent_key,
 )
 
 from genutil import FormulaGen
@@ -199,11 +208,12 @@ def test_search_premises_satisfy_the_kernel(rule):
     moves = [mv for mv in moves if mv.rule == rule]
     assert moves
     for mv in moves:
-        root = _node(mv, [ProofNode("ax", c) for c in mv.children])
+        leaves = [ProofNode("ax", c) for c in _premises(g, mv)]
+        root = _node(g, mv, leaves)
         for _, n in iter_nodes(root):
             if n.rule != "ax":
                 info = analyze_step(n)
-            if n.conclusion is mv.conclusion:
+            if n.premises[:1] and n.premises[0] is leaves[0]:
                 node, principal = n, info.principal
         assert node.rule == rule
         if rule != "eqplus":
@@ -232,6 +242,79 @@ def test_search_builds_only_the_proofs_it_returns(monkeypatch):
         if isinstance(v, Proved):
             kept += proof_size(v.proof.root)
     assert kept > 0 and built <= 2 * kept, (built, kept)
+
+
+@functools.lru_cache(maxsize=None)
+def perfbench_gen():
+    """perfbench/gen.py, the benchmark's own input generators."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    path = os.path.join(root, "perfbench", "gen.py")
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return gen
+
+
+@pytest.mark.parametrize(
+    "item, expansions, fresh",
+    [(478, 50_046, 8_874), (324, 11_610, 1_800), (88, 10_995, 986)],
+)
+def test_search_effort_is_pinned(monkeypatch, item, expansions, fresh):
+    """The three heaviest prove-sample items at the gate budget end at the
+    same expansion count, which fixes each NODE_CAP verdict, and draw the
+    same fresh parameters: work saved per expansion must not change how
+    much the search expands or which names it mints."""
+    states = []
+    init, mint = _State.__init__, ParamSupply.fresh
+
+    def recording_init(self, *args):
+        init(self, *args)
+        self.minted = 0
+        states.append(self)
+
+    def counting_fresh(self):
+        for st in states:
+            st.minted += st.supply is self
+        return mint(self)
+
+    monkeypatch.setattr(_State, "__init__", recording_init)
+    monkeypatch.setattr(ParamSupply, "fresh", counting_fresh)
+    gen = perfbench_gen()
+    prove(gen.prove_sample()[item], gen.PROVE_BUDGET)
+    (st,) = states
+    assert (st.expansions, st.minted) == (expansions, fresh)
+    assert (st.expansions > NODE_CAP) == (item == 478)
+
+
+def test_leaf_test_agrees_with_try_close():
+    """On seeded sequents that do not close, and on such premises of
+    theirs, every premise of every move offered gets from the leaf test
+    the key and the verdict that building it and calling `_try_close`
+    give. A few written sequents make sure premises close both ways."""
+    fgen = FormulaGen(random.Random(20250919), max_conn=4, max_dd_depth=1)
+    written = ["~#a = #a =>", "=> exists x. x = #b", "#a = #b, P(#a) => P(#b)"]
+    goals = [parse_sequent(text) for text in written] + [fgen.sequent() for _ in range(150)]
+    rules, closed_by = set(), set()
+    for g in goals:
+        if _try_close(g) is not None:
+            continue
+        st = _State(g, QUICK)
+        moves = [mv for mv in [_invertible(g, st)] if mv is not None]
+        for mv in moves + _choice_moves(g, {}, st):
+            premises = _premises(g, mv)
+            leaves = list(_leaves(g, mv))
+            assert len(leaves) == len(premises)
+            for p, (key, closes) in zip(premises, leaves):
+                assert key == sequent_key(p)
+                plan = _try_close(p)
+                assert closes == (plan is not None), (g, mv.rule, p)
+                if closes:
+                    closed_by.add(plan[0].rule)
+                elif len(goals) < 600:
+                    goals.append(p)
+            rules.add(mv.rule)
+    assert closed_by == {"ax", "eqplus"}
+    assert rules == set(RULES)
 
 
 class TestRlambdaSuite:

@@ -776,15 +776,13 @@ def test_record_semantics(name):
 
 def test_record_defaults():
     from ddproof.kernel import StepInfo
-    from ddproof.search import DEFAULT_BUDGET, SearchBudget, _Move
+    from ddproof.search import DEFAULT_BUDGET, SearchBudget
     from ddproof.semantics import Model
 
     assert DEFAULT_BUDGET == SearchBudget(20, 4, 2, 3)
     assert StepInfo("ax") == StepInfo("ax", None, (), None, None)
     assert PredAtom("P") == PredAtom("P", ())
     # a `{}` default is a new dict for each instance
-    a, b = _Move("ax", "goal").uses, _Move("ax", "goal").uses
-    assert a == b == {} and a is not b
     a, b = Model((0,), {}).consts, Model((0,), {}).consts
     assert a == b == {} and a is not b
-    assert _Move("ax", "goal", uses={"k": 1}).uses == {"k": 1}
+    assert Model((0,), {}, {"k": 1}).consts == {"k": 1}
