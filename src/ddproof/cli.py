@@ -15,6 +15,7 @@ is re-checked by the kernel first.
 import argparse
 import os
 import sys
+from typing import Optional
 
 from .builders import (
     ax,
@@ -65,28 +66,29 @@ class _Parser(argparse.ArgumentParser):
         self.exit(3, f"{self.prog}: error: {message}\n")
 
 
-def _env_int(name: str, fallback: int) -> int:
-    raw = os.environ.get(name)
-    if raw is None:
-        return fallback
-    try:
-        return int(raw)
-    except ValueError:
-        raise UsageError(f"{name} must be an integer, got {raw!r}") from None
+def _bound(value: Optional[int], flag: str, env: str = "", fallback: int = 0) -> int:
+    """The flag's value, else the environment variable env's, else the
+    fallback: a bound, which may be zero but not negative."""
+    name = flag
+    if value is None:
+        name, raw = env, os.environ.get(env)
+        if raw is None:
+            return fallback
+        try:
+            value = int(raw)
+        except ValueError:
+            raise UsageError(f"{env} must be an integer, got {raw!r}") from None
+    if value < 0:
+        raise UsageError(f"{name} must not be negative, got {value}")
+    return value
 
 
 def _budget(args) -> SearchBudget:
-    depth = args.depth
-    if depth is None:
-        depth = _env_int("RL_MAX_DEPTH", DEFAULT_BUDGET.max_depth)
-    models = args.models
-    if models is None:
-        models = _env_int("RL_MAX_MODEL", DEFAULT_BUDGET.model_cap)
     return SearchBudget(
-        max_depth=depth,
-        term_pool_cap=args.term_pool,
-        contraction_cap=args.contractions,
-        model_cap=models,
+        max_depth=_bound(args.depth, "--depth", "RL_MAX_DEPTH", DEFAULT_BUDGET.max_depth),
+        term_pool_cap=_bound(args.term_pool, "--term-pool"),
+        contraction_cap=_bound(args.contractions, "--contractions"),
+        model_cap=_bound(args.models, "--models", "RL_MAX_MODEL", DEFAULT_BUDGET.model_cap),
     )
 
 
@@ -173,9 +175,7 @@ def _cmd_eliminate_cut(args) -> int:
 
 def _cmd_countermodel(args) -> int:
     goal = _goal(args.sequent)
-    max_size = args.max_size
-    if max_size is None:
-        max_size = _env_int("RL_MAX_MODEL", DEFAULT_MAX_SIZE)
+    max_size = _bound(args.max_size, "--max-size", "RL_MAX_MODEL", DEFAULT_MAX_SIZE)
     cm = find_countermodel(goal, max_size=max_size)
     if cm is None:
         print(f"no countermodel up to size {max_size}")

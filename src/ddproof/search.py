@@ -28,6 +28,15 @@ the goal did not close, and each side of a premise is the goal's side,
 less at most one formula, plus actives: any match, and any reflexive
 identity in the succedent, involves an active.
 
+A goal is probed for a small countermodel only if it may have one. The
+root may not when the up-front pass found none without hitting its cap,
+a probed goal when its probe found none without hitting it, and nor may
+a premise of either: a premise's countermodel is one of its goal, of the
+same size, as invertible rules are invertible in every model, a choice
+move in keeping form drops nothing, and an eqminus keeps the identity
+that makes the consumed atom hold. The one exception, an eqminus that
+consumes its own identity either way round, passes nothing on.
+
 First-order logic with identity is undecidable, so all three outcomes
 are possible: Proved, Refuted, or Unknown when the budget runs out.
 """
@@ -110,7 +119,7 @@ class _State:
     def __init__(self, goal: Sequent, budget: SearchBudget):
         self.budget = budget
         self.supply = ParamSupply(params_in(goal))
-        self.refute_memo: dict[str, bool] = {}
+        self.refute_memo: dict[tuple, Optional[bool]] = {}
         self.expansions = 0
         self.quick_size = min(2, budget.model_cap)
 
@@ -206,19 +215,25 @@ def _spend(uses: dict, keys: tuple) -> dict:
     return out
 
 
-def _quick_refuted(g: Sequent, st: _State) -> bool:
+def _quick_refuted(g: Sequent, st: _State, free: bool) -> Optional[bool]:
+    """Whether a model up to st.quick_size refutes g: False if none does,
+    None if the probe hit its cap. A goal `free` of one is not probed."""
+    if free:
+        return False
     key = sequent_key(g)
-    hit = st.refute_memo.get(key)
-    if hit is None:
+    if key not in st.refute_memo:
         try:
-            hit = (
-                find_countermodel(g, max_size=st.quick_size, cap=QUICK_REFUTE_CAP)
-                is not None
-            )
+            cm = find_countermodel(g, max_size=st.quick_size, cap=QUICK_REFUTE_CAP)
+            st.refute_memo[key] = cm is not None
         except EnumerationCapError:
-            hit = False
-        st.refute_memo[key] = hit
-    return hit
+            st.refute_memo[key] = None
+    return st.refute_memo[key]
+
+
+def _keeps_countermodels(g: Sequent, mv: _Move) -> bool:
+    """Whether every countermodel of a premise of mv is one of g: true
+    but for an eqminus that consumes its own identity, either way round."""
+    return mv.rule != "eqminus" or g.ant[mv.drop] not in (mv.f, Identity(mv.f.rhs, mv.f.lhs))
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +396,7 @@ def _choice_moves(g: Sequent, uses: dict, st: _State) -> list[_Move]:
 
 
 def _search(
-    g: Sequent, depth: int, seen: frozenset, uses: dict, st: _State
+    g: Sequent, depth: int, seen: frozenset, uses: dict, st: _State, free: bool
 ) -> Optional[Plan]:
     st.expansions += 1
     if st.expansions > NODE_CAP:
@@ -391,7 +406,8 @@ def _search(
         return closed
     if depth <= 0:
         return None
-    if _quick_refuted(g, st):
+    refuted = _quick_refuted(g, st, free)
+    if refuted:
         return None
 
     # an invertible move is committed to, and spends no uses; else each
@@ -406,7 +422,8 @@ def _search(
             if key in seen:
                 break
             if premises is not None:
-                sub = _search(premises[i], depth - 1, seen | {key}, _spend(uses, mv.spent), st)
+                sub = _search(premises[i], depth - 1, seen | {key}, _spend(uses, mv.spent),
+                              st, refuted is False and _keeps_countermodels(g, mv))
             else:
                 st.expansions += 1
                 sub = closes and st.expansions <= NODE_CAP
@@ -420,14 +437,14 @@ def _search(
     return None
 
 
-def _run_search(goal: Sequent, budget: SearchBudget):
+def _run_search(goal: Sequent, budget: SearchBudget, free: bool):
     # iterative deepening: blind alleys stay shallow on early passes, and
     # the refutation memo carries over, so re-searching cheap levels is
     # a small fraction of the final pass
     st = _State(goal, budget)
     root_key = frozenset({sequent_key(goal)})
     for depth in range(0, budget.max_depth + 1):
-        found = _search(goal, depth, root_key, {}, st)
+        found = _search(goal, depth, root_key, {}, st, free)
         if found is not None:
             return found
         if st.expansions > NODE_CAP:
@@ -453,7 +470,7 @@ def prove(goal: Sequent, budget: Optional[SearchBudget] = None) -> Verdict:
     if cm is not None:
         return Refuted(cm.model, cm.assignment)
 
-    plan = _run_search(goal, budget)
+    plan = _run_search(goal, budget, free=not capped)
     if plan is not None:
         return Proved(check_proof(_build(goal, plan)))
     return Unknown("signature-cap" if capped else "budget-exhausted")

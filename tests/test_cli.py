@@ -394,6 +394,37 @@ class TestUsage:
     def test_unknown_subcommand(self, capsys):
         assert run(capsys, "bogus")[0] == 3
 
+    @pytest.mark.parametrize("argv", [
+        ("prove", "P(#a) => Q(#a)", "--depth", "-1"),
+        ("prove", "P(#a) => Q(#a)", "--models", "-1"),
+        ("prove", "P(#a) => Q(#a)", "--term-pool", "-1"),
+        ("prove", "P(#a) => Q(#a)", "--contractions", "-2"),
+        ("countermodel", "P(#a) => Q(#a)", "--max-size", "-2"),
+    ])
+    def test_negative_flag_is_a_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert err == f"ddproof: error: {argv[2]} must not be negative, got {argv[3]}\n"
+
+    @pytest.mark.parametrize("name, argv", [
+        ("RL_MAX_DEPTH", ("prove", "P(#a) => Q(#a)")),
+        ("RL_MAX_MODEL", ("prove", "P(#a) => Q(#a)")),
+        ("RL_MAX_MODEL", ("countermodel", "P(#a) => Q(#a)")),
+    ])
+    def test_negative_variable_is_a_usage_error(self, capsys, monkeypatch, name, argv):
+        monkeypatch.setenv(name, "-1")
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert err == f"ddproof: error: {name} must not be negative, got -1\n"
+
+    def test_zero_bounds_are_valid(self, capsys, monkeypatch):
+        monkeypatch.setenv("RL_MAX_DEPTH", "0")
+        code, out, _ = run(capsys, "prove", "P(#a) => P(#a)", "--term-pool", "0",
+                           "--contractions", "0")
+        assert code == 0 and out.startswith("proved\n")
+        code, out, _ = run(capsys, "countermodel", "P(#a) => Q(#a)", "--max-size", "0")
+        assert (code, out) == (0, "no countermodel up to size 0\n")
+
     def test_missing_argument(self, capsys):
         assert run(capsys, "prove")[0] == 3
 

@@ -17,15 +17,18 @@ from ddproof.kernel import (
     proof_height,
     proof_size,
 )
+from ddproof import search
 from ddproof.search import (
     DEFAULT_BUDGET,
     NODE_CAP,
+    QUICK_REFUTE_CAP,
     Proved,
     Refuted,
     SearchBudget,
     Unknown,
     _choice_moves,
     _invertible,
+    _keeps_countermodels,
     _leaves,
     _node,
     _premises,
@@ -35,7 +38,7 @@ from ddproof.search import (
     prove,
     rlambda_goals,
 )
-from ddproof.semantics import eval_sequent, find_countermodel
+from ddproof.semantics import EnumerationCapError, eval_sequent, find_countermodel
 from ddproof.surface import parse_formula, parse_sequent
 from ddproof.syntax import (
     And,
@@ -315,6 +318,80 @@ def test_leaf_test_agrees_with_try_close():
             rules.add(mv.rule)
     assert closed_by == {"ax", "eqplus"}
     assert rules == set(RULES)
+
+
+def _has_countermodel(s: Sequent) -> bool:
+    """Whether a model of size 1 or 2 refutes s; a cap error is not a yes."""
+    try:
+        return find_countermodel(s, max_size=2, cap=QUICK_REFUTE_CAP) is not None
+    except EnumerationCapError:
+        return False
+
+
+def test_moves_that_pass_the_fact_on_keep_countermodels():
+    """A move passes "no countermodel up to the probe's size" from its goal
+    to its premises only if every such countermodel of a premise is one of
+    the goal. The eqminus moves that rewrite `#a = #b` itself, to `#b = #b`
+    or, flipped, to `#a = #a`, have premises with countermodels below a goal
+    with none, so they must not pass it on."""
+    fgen = FormulaGen(random.Random(20251019), max_conn=4, max_dd_depth=1)
+    written = ["#a = #b, P(#a) => P(#b)", "$c = #a, Q($c) => Q(#a)",
+               "#a = #b, P(#a) => Q(#b)", "#a = #b, R(#a, #b) => R(#b, #b)"]
+    goals = [parse_sequent(text) for text in written] + [fgen.sequent() for _ in range(100)]
+    rules, withheld = set(), set()
+    for g in goals:
+        if _try_close(g) is not None:
+            continue
+        st = _State(g, QUICK)
+        goal_refuted = None
+        moves = [mv for mv in [_invertible(g, st)] if mv is not None]
+        for mv in moves + _choice_moves(g, {}, st):
+            keeps = _keeps_countermodels(g, mv)
+            for p in _premises(g, mv):
+                if not _has_countermodel(p):
+                    continue
+                if goal_refuted is None:
+                    goal_refuted = _has_countermodel(g)
+                if keeps:
+                    assert goal_refuted, (g, mv.rule, p)
+                    rules.add(mv.rule)
+                elif not goal_refuted:
+                    withheld.add((sequent_key(g), sequent_key(p)))
+                if len(goals) < 400:
+                    goals.append(p)
+    assert rules == set(RULES)
+    held = parse_sequent("#a = #b, P(#a) => P(#b)")
+    for rewritten in ("#b = #b", "#a = #a"):
+        p = Sequent((parse_formula(rewritten), *held.ant[1:]), held.suc)
+        assert (sequent_key(held), sequent_key(p)) in withheld
+
+
+@pytest.mark.parametrize("item, probes", [(478, 4), (324, 4), (88, 28), (451, 2)])
+def test_no_skipped_probe_could_have_hit(monkeypatch, item, probes):
+    """On the prove-sample items whose probes hit (88, 451) and the two
+    heaviest, every goal whose probe the search skips has no countermodel
+    up to size 2, and the number of probes made is pinned."""
+    skipped, made = {}, 0
+    real_probe, real_find = search._quick_refuted, search.find_countermodel
+
+    def probe(g, st, free):
+        if free:
+            skipped.setdefault(sequent_key(g), g)
+        return real_probe(g, st, free)
+
+    def find(*args, **kwargs):
+        nonlocal made
+        made += 1
+        return real_find(*args, **kwargs)
+
+    monkeypatch.setattr(search, "_quick_refuted", probe)
+    monkeypatch.setattr(search, "find_countermodel", find)
+    gen = perfbench_gen()
+    prove(gen.prove_sample()[item], gen.PROVE_BUDGET)
+    assert made - 1 == probes  # the first call is prove's up-front pass
+    assert skipped
+    for g in skipped.values():
+        assert find_countermodel(g, max_size=2, cap=QUICK_REFUTE_CAP) is None, g
 
 
 class TestRlambdaSuite:

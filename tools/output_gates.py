@@ -53,8 +53,10 @@ and a tally. Run it on both sides of a change and compare the lines.
                 $c, and format_formula of rename_param of each parameter
                 to $k and to #a9, one line per formula
   countermodel  every distinct sequent (by sequent_key) that search.prove
-                passes to find_countermodel while searching the prove
-                sample with gen.PROVE_BUDGET, in the order first passed:
+                passes to find_countermodel up front or that reaches the
+                search's countermodel probe point (search._quick_refuted,
+                probed or skipped) while searching the prove sample with
+                gen.PROVE_BUDGET, in the order first passed:
                 the sequent printed, then find_countermodel's result up to
                 size 3 with a cap of 100,000 and again with a cap of 1,000,
                 each as the size and describe() of the countermodel,
@@ -387,19 +389,25 @@ def countermodel_gate() -> str:
     from ddproof.surface import format_sequent, parse_sequent
     from ddproof.syntax import sequent_key
 
+    # the up-front pass calls find_countermodel, and _search calls
+    # _quick_refuted at every probe point, probed or not
     seen: dict = {}
-    real = search.find_countermodel
+    real = {name: getattr(search, name) for name in ("find_countermodel", "_quick_refuted")}
 
-    def collect(s, *args, **kwargs):
-        seen.setdefault(sequent_key(s), s)
-        return real(s, *args, **kwargs)
+    def collector(fn):
+        def collect(s, *args, **kwargs):
+            seen.setdefault(sequent_key(s), s)
+            return fn(s, *args, **kwargs)
+        return collect
 
-    search.find_countermodel = collect
+    for name, fn in real.items():
+        setattr(search, name, collector(fn))
     try:
         for s in gen.prove_sample():
             search.prove(parse_sequent(format_sequent(s)), gen.PROVE_BUDGET)
     finally:
-        search.find_countermodel = real
+        for name, fn in real.items():
+            setattr(search, name, fn)
     h = hashlib.sha256()
     caps = (100_000, 1_000)
     tally = {cap: {"countermodels": 0, "none": 0, "cap hits": 0} for cap in caps}
