@@ -19,6 +19,7 @@ tests re-check every construction. The main entry points:
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Optional, Union
 
 from .kernel import ProofNode
@@ -47,7 +48,7 @@ from .syntax import (
     params_in,
     replace,
     scan_fresh,
-    side_counts,
+    sequent_key,
     substitute,
 )
 
@@ -60,19 +61,16 @@ def without(forms: tuple, removed: tuple) -> tuple:
     """`forms` less the multiset `removed`: for each alpha key, as many of
     its first occurrences as `removed` holds, the rest in their order;
     raises ValueError when `removed` is not a sub-multiset of `forms`."""
-    left: dict[str, int] = {}
-    for f in removed:
-        k = alpha_key(f)
-        left[k] = left.get(k, 0) + 1
+    left = sorted([alpha_key(f) for f in removed])
     out = []
     for f in forms:
         k = alpha_key(f)
-        n = left.get(k)
-        if n:
-            left[k] = n - 1
+        i = bisect_left(left, k)
+        if i < len(left) and left[i] == k:
+            del left[i]
         else:
             out.append(f)
-    if any(left.values()):
+    if left:
         raise ValueError(f"not a sub-multiset: {removed!r} of {forms!r}")
     return tuple(out)
 
@@ -109,7 +107,7 @@ def contract_to(proof: ProofNode, target: Sequent) -> ProofNode:
     node = proof
     for i, rule in enumerate(("cl", "cr")):
         goal = (target.ant, target.suc)[i]
-        keep = side_counts(target)[i]
+        keep = sequent_key(target)[i]
         for f in without(sides[i], goal):
             if alpha_key(f) not in keep:
                 raise ValueError(f"cannot contract {f!r} away entirely")
@@ -122,21 +120,19 @@ def fit_to(proof: ProofNode, target: Sequent) -> ProofNode:
     """Reach `target` by contracting surplus copies, then weakening in
     whatever is missing."""
 
-    def trimmed(forms: tuple, goal: dict[str, int]) -> tuple:
-        budget = dict(goal)
-        out = []
+    def trimmed(forms: tuple, goal: tuple[str, ...]) -> tuple:
+        out, kept = [], []
         for f in forms:
             k = alpha_key(f)
-            n = budget.get(k)
-            if n is None:
-                out.append(f)  # not contractible to zero; weaken_to will fail
-            elif n:
-                budget[k] = n - 1
+            # a key not in goal is kept: not contractible to zero, and
+            # weaken_to will fail
+            if k not in goal or kept.count(k) < goal.count(k):
                 out.append(f)
+                kept.append(k)
         return tuple(out)
 
     cur = proof.conclusion
-    goal_ant, goal_suc = side_counts(target)
+    goal_ant, goal_suc = sequent_key(target)
     mid = Sequent(trimmed(cur.ant, goal_ant), trimmed(cur.suc, goal_suc))
     return weaken_to(contract_to(proof, mid), target)
 

@@ -98,6 +98,17 @@ def _read(path: str) -> str:
             return fh.read()
     except OSError as e:
         raise UsageError(str(e)) from None
+    except UnicodeDecodeError as e:
+        raise UsageError(f"{path}: not UTF-8 text: {e}") from None
+
+
+def _lines(text: str):
+    """Each line of a formula file, once it is well-formed as a goal of
+    `prove` is; a formula f is read as the sequent `=> f`."""
+    for number, item in parse_lines(text):
+        goal = item if isinstance(item, Sequent) else Sequent((), (item,))
+        validate_sequent(goal, path=f"line {number}: root")
+        yield item
 
 
 def _shown(item, unicode: bool) -> str:
@@ -122,7 +133,7 @@ def _cmd_parse(args) -> int:
     if args.file.endswith(".rlp"):
         print(format_proof(_checked(parse_proof(text)), unicode=args.unicode))
         return 0
-    for item in parse_lines(text):
+    for item in _lines(text):
         print(_shown(item, args.unicode))
     return 0
 
@@ -185,7 +196,7 @@ def _cmd_countermodel(args) -> int:
 
 
 def _cmd_translate(args) -> int:
-    for item in parse_lines(_read(args.file)):
+    for item in _lines(_read(args.file)):
         if isinstance(item, Sequent):
             out = translate_sequent(item)
             assert all(is_pure_fol(f) for f in out.ant + out.suc)
@@ -269,13 +280,16 @@ def fixture_proofs() -> list[tuple[str, ProofNode]]:
 
 
 def _cmd_fixtures(args) -> int:
-    os.makedirs(args.out, exist_ok=True)
     named_paths = []
-    for name, proof in fixture_proofs():
-        path = os.path.join(args.out, name + ".rlp")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(format_proof(proof, unicode=args.unicode) + "\n")
-        named_paths.append((name, path))
+    try:
+        os.makedirs(args.out, exist_ok=True)
+        for name, proof in fixture_proofs():
+            path = os.path.join(args.out, name + ".rlp")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(format_proof(proof, unicode=args.unicode) + "\n")
+            named_paths.append((name, path))
+    except OSError as e:
+        raise UsageError(str(e)) from None
     # every file is checked before any line is printed
     heights = [_check_file(p) for _, p in named_paths]
     for (name, _), height in zip(named_paths, heights):

@@ -46,7 +46,7 @@ from .syntax import (
     logical_constants,
     record,
     replace,
-    side_counts,
+    sequent_key,
     substitute,
 )
 from .kernel import (
@@ -182,9 +182,9 @@ def _reducible(d1, d2, phi: Formula, k: int, on_left: int, on_right: int) -> str
             "premise proofs contain cuts at or above the degree of the cut formula"
         )
     key = alpha_key(phi)
-    if side_counts(d1.conclusion)[1].get(key, 0) < on_left:
+    if sequent_key(d1.conclusion)[1].count(key) < on_left:
         raise ReductionError("left premise lacks the tracked occurrences")
-    if side_counts(d2.conclusion)[0].get(key, 0) < on_right:
+    if sequent_key(d2.conclusion)[0].count(key) < on_right:
         raise ReductionError("right premise lacks the tracked occurrences")
     return key
 
@@ -218,7 +218,7 @@ def _parametric(d, info, goal: Sequent, phi_key: str, k: int, side: int, ih) -> 
     counts = [k] * len(d.premises)
     if d.rule == "cut":
         i = 1 - side
-        held = side_counts(d.premises[i].conclusion)[side].get(phi_key, 0)
+        held = sequent_key(d.premises[i].conclusion)[side].count(phi_key)
         counts[i] = min(k, held - (alpha_key(info.cut_formula) == phi_key))
         counts[side] = k - counts[i]
     premises = tuple(ih(q, m) for q, m in zip(d.premises, counts))

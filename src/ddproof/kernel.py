@@ -27,16 +27,18 @@ witness term: with the two identified, the uniqueness premise becomes
 vacuous and the rule could derive "the domain is a singleton" from nothing.
 
 `check_proof` reads facts stored on syntax objects, each computed once from
-the object's own fields: a formula's alpha key and free variables, and each
-sequent side's multiset of alpha keys (`syntax.side_counts`). Within one
-call it validates each distinct formula object once. Step results are never
-stored: every call runs `analyze_step` on every node, and nothing a check
-returns is read back by a later one.
+the object's own fields: a formula's alpha key and free variables, and a
+sequent's `syntax.sequent_key`, the one form of each side's multiset: its
+alpha keys in sorted order. Within one call it validates each distinct
+formula object once. Step results are never stored: every call runs
+`analyze_step` on every node, and nothing a check returns is read back by a
+later one.
 """
 
 from __future__ import annotations
 
 import sys
+from bisect import bisect_left
 from functools import cached_property
 from itertools import product
 from typing import Callable, Iterator, NamedTuple, Optional, Union
@@ -73,8 +75,8 @@ from .syntax import (
     rename_param_seq,
     replace,
     scan_fresh,
+    sequent_key,
     sequents_alpha_equal,
-    side_counts,
     substitute,
     validate_sequent,
 )
@@ -247,35 +249,24 @@ def cut_nodes(root: ProofNode) -> list[tuple[str, ProofNode, int]]:
 # ---------------------------------------------------------------------------
 # multiset utilities
 #
-# A side's multiset is the dict `side_counts` stores on each sequent: an
-# alpha key and its number of occurrences, with no zero counts, so two
-# multisets are equal exactly when the dicts are. Rules compare a premise's
-# stored dicts with the conclusion's, adjusted by copies.
+# A side's multiset is its entry in `sequent_key`, stored on each sequent:
+# the side's alpha keys in sorted order, so two multisets are equal exactly
+# when the tuples are. Rules compare a premise's stored tuples with the
+# conclusion's, adjusted by sorted copies.
 
 _SIDE = {"ant": 0, "suc": 1}
 
 
-def _moved(count: dict[str, int], drop: tuple = (), add: tuple = ()) -> dict[str, int]:
-    """A copy of `count` less one occurrence of each key in `drop` (each is
+def _moved(keys: tuple[str, ...], drop: tuple = (), add: tuple = ()) -> tuple[str, ...]:
+    """Sorted `keys` less one occurrence of each key in `drop` (each is
     there) and plus one of each formula in `add`."""
-    out = dict(count)
+    out = list(keys)
     for k in drop:
-        n = out[k] - 1
-        if n:
-            out[k] = n
-        else:
-            del out[k]
-    for f in add:
-        k = alpha_key(f)
-        out[k] = out.get(k, 0) + 1
-    return out
-
-
-def _sum(a: dict[str, int], b: dict[str, int]) -> dict[str, int]:
-    out = dict(a)
-    for k, n in b.items():
-        out[k] = out.get(k, 0) + n
-    return out
+        out.remove(k)
+    if add:
+        out += [alpha_key(f) for f in add]
+        out.sort()
+    return tuple(out)
 
 
 def _premise_is(
@@ -283,22 +274,22 @@ def _premise_is(
 ) -> bool:
     """p's sides are c's, less c's formula at `drop` (side, index) and plus
     the formulas `ant` and `suc`."""
-    have, base = side_counts(p), side_counts(c)
+    have, base = sequent_key(p), sequent_key(c)
     for side, adds in (("ant", ant), ("suc", suc)):
-        forms, i = getattr(c, side), _SIDE[side]
-        gone = (alpha_key(forms[drop[1]]),) if drop[0] == side else ()
-        if len(getattr(p, side)) != len(forms) - len(gone) + len(adds):
+        i = _SIDE[side]
+        gone = (alpha_key(getattr(c, side)[drop[1]]),) if drop[0] == side else ()
+        if len(have[i]) != len(base[i]) - len(gone) + len(adds):
             return False
         if have[i] != (_moved(base[i], gone, adds) if gone or adds else base[i]):
             return False
     return True
 
 
-def _single_extra(big: dict[str, int], small: dict[str, int]) -> Optional[str]:
+def _single_extra(big: tuple[str, ...], small: tuple[str, ...]) -> Optional[str]:
     """If big == small + one occurrence of some key, return it, else None."""
-    for k, n in big.items():
-        if n != small.get(k, 0):
-            return k if {**small, k: small.get(k, 0) + 1} == big else None
+    for i, k in enumerate(big):  # both sorted: the first k small lacks
+        if small[i : i + 1] != (k,):
+            return k if big[i + 1 :] == small[i:] else None
     return None
 
 
@@ -381,11 +372,19 @@ def _candidates(side: tuple, want, at: Optional[int]):
             yield i, f
 
 
-def _diff_candidates(p: Sequent, side: str, base: dict[str, int]) -> list[Formula]:
-    """Formulas of p's `side` that exceed `base`, else (absorption case) one
-    representative per distinct key; first occurrences, in order."""
-    count = side_counts(p)[_SIDE[side]]
-    extra = {k for k, n in count.items() if n > base.get(k, 0)}
+def _diff_candidates(p: Sequent, side: str, base: tuple[str, ...]) -> list[Formula]:
+    """Formulas of p's `side` that exceed the sorted keys `base`, else
+    (absorption case) one representative per distinct key; first
+    occurrences, in order."""
+    # a merge of the two sorted tuples: a key of p's side left without an
+    # occurrence in base to match is in excess
+    extra, j = set(), 0
+    for k in sequent_key(p)[_SIDE[side]]:
+        j = bisect_left(base, k, j)
+        if base[j : j + 1] == (k,):
+            j += 1
+        else:
+            extra.add(k)
     out, seen = [], set()
     for f in getattr(p, side):
         k = alpha_key(f)
@@ -395,9 +394,9 @@ def _diff_candidates(p: Sequent, side: str, base: dict[str, int]) -> list[Formul
     return out
 
 
-def _without(c: Sequent, side: str, f: Formula) -> dict[str, int]:
+def _without(c: Sequent, side: str, f: Formula) -> tuple[str, ...]:
     """The multiset of c's `side` less one occurrence of f."""
-    return _moved(side_counts(c)[_SIDE[side]], (alpha_key(f),))
+    return _moved(sequent_key(c)[_SIDE[side]], (alpha_key(f),))
 
 
 def _fresh_param_for(*xs) -> Param:
@@ -563,10 +562,10 @@ def _h_ax(node: ProofNode) -> StepInfo:
 
 def _h_cut(node: ProofNode) -> StepInfo:
     p1, p2 = (p.conclusion for p in node.premises)
-    ant, suc = side_counts(node.conclusion)
-    (p1a, p1s), (p2a, p2s) = side_counts(p1), side_counts(p2)
+    ant, suc = sequent_key(node.conclusion)
+    (p1a, p1s), (p2a, p2s) = sequent_key(p1), sequent_key(p2)
     # the conclusion plus the cut formula on each side is the premises' sum
-    both_ant, both_suc = _sum(p1a, p2a), _sum(p1s, p2s)
+    both_ant, both_suc = tuple(sorted(p1a + p2a)), tuple(sorted(p1s + p2s))
     tried = set()
     for chi in p1.suc:
         k = alpha_key(chi)
@@ -588,7 +587,7 @@ def _h_weaken(mine: str):
 
     def h(node: ProofNode) -> StepInfo:
         c = node.conclusion
-        cc, pc = side_counts(c), side_counts(node.premises[0].conclusion)
+        cc, pc = sequent_key(c), sequent_key(node.premises[0].conclusion)
         if cc[_SIDE[other]] != pc[_SIDE[other]]:
             raise RuleError(f"weakening must leave the {other_side} side alone")
         k = _single_extra(cc[_SIDE[mine]], pc[_SIDE[mine]])
@@ -604,7 +603,7 @@ def _h_contract(mine: str):
 
     def h(node: ProofNode) -> StepInfo:
         c = node.conclusion
-        cc, pc = side_counts(c), side_counts(node.premises[0].conclusion)
+        cc, pc = sequent_key(c), sequent_key(node.premises[0].conclusion)
         if cc[_SIDE[other]] != pc[_SIDE[other]]:
             raise RuleError(f"contraction must leave the {other_side} side alone")
         k = _single_extra(pc[_SIDE[mine]], cc[_SIDE[mine]])
@@ -647,7 +646,7 @@ def _instances(node: ProofNode, f: Formula):
         for side, pats in zip(("ant", "suc"), actives):
             if not pats:
                 continue
-            base = _without(c, side, f) if side == schema.side else side_counts(c)[_SIDE[side]]
+            base = _without(c, side, f) if side == schema.side else sequent_key(c)[_SIDE[side]]
             for chi in _diff_candidates(p, side, base):
                 for pat in pats:
                     found = match_subst(pat, xs, chi) or {}
@@ -712,7 +711,7 @@ def rewrite_variants(atom: Formula, src: Term, dst: Term) -> Iterator[Formula]:
 def _h_eqminus(node: ProofNode) -> StepInfo:
     c = node.conclusion
     p = node.premises[0].conclusion
-    (ca, cs), (pa, ps) = side_counts(c), side_counts(p)
+    (ca, cs), (pa, ps) = sequent_key(c), sequent_key(p)
     if cs != ps:
         raise RuleError("eqminus must leave the succedent alone")
     schema = RULES["eqminus"]
@@ -736,7 +735,7 @@ def _h_eqminus(node: ProofNode) -> StepInfo:
 def _h_eqplus(node: ProofNode) -> StepInfo:
     c = node.conclusion
     p = node.premises[0].conclusion
-    (ca, cs), (pa, ps) = side_counts(c), side_counts(p)
+    (ca, cs), (pa, ps) = sequent_key(c), sequent_key(p)
     if cs != ps:
         raise RuleError("eqplus must leave the succedent alone")
     k = _single_extra(pa, ca)

@@ -418,14 +418,15 @@ def parse_proof(text: str) -> ProofNode:
     return _parse(_Parser(text), _Parser.proof)
 
 
-def parse_lines(text: str) -> Iterator[Union[Formula, Sequent]]:
-    """Each line's formula, or its sequent if a token is the arrow, parsed
-    as the line is reached; a line without tokens is skipped. A ParseError
-    gives the line in `text` and the column in that line as written."""
+def parse_lines(text: str) -> Iterator[tuple[int, Union[Formula, Sequent]]]:
+    """Each line's number in `text` and its formula, or its sequent if a
+    token is the arrow, parsed as the line is reached; a line without tokens
+    is skipped. A ParseError gives the line in `text` and the column in that
+    line as written."""
     for number, line in enumerate(text.splitlines(), start=1):
         p = _Parser(line, number)
         if p.toks[0]:
-            yield _parse(p, _Parser.sequent if "=>" in p.toks else _Parser.formula)
+            yield number, _parse(p, _Parser.sequent if "=>" in p.toks else _Parser.formula)
 
 
 # ---------------------------------------------------------------------------

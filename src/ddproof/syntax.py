@@ -24,12 +24,11 @@ over one construction. A minted name depends on its input only.
 
 Formula nodes, descriptions and sequents store the structural facts that
 the calculus keeps asking for, each computed on first use: hashes, canonical
-keys (`alpha_key`, `sequent_key`), the multiset of each sequent side
-(`side_counts`), free variables, and parameter, constant and predicate
-names. Nodes are frozen and `replace` builds a new node with nothing
-stored, so a stored fact cannot go stale. Pickling carries the fields only:
-string hashes are salted per process, so a stored hash must not reach
-another one.
+keys (`alpha_key`, and `sequent_key`, the one multiset of each sequent
+side), free variables, and parameter, constant and predicate names. Nodes
+are frozen and `replace` builds a new node with nothing stored, so a stored
+fact cannot go stale. Pickling carries the fields only: string hashes are
+salted per process, so a stored hash must not reach another one.
 
 Every record class of the package, nodes included, is made by `record`,
 which writes the methods `dataclasses` would and imports nothing.
@@ -341,14 +340,8 @@ def is_atomic(f: Formula) -> bool:
 # sequents
 
 
-class _SequentNode(_Node):
-    """Adds the slot `_counts` for the per-side multisets of `side_counts`."""
-
-    __slots__ = ("_counts",)
-
-
 @_node
-class Sequent(_SequentNode):
+class Sequent(_Node):
     ant: tuple[Formula, ...]
     suc: tuple[Formula, ...]
 
@@ -603,7 +596,9 @@ def alpha_equal(f: Formula, g: Formula) -> bool:
 
 
 def sequent_key(s: Sequent) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """Canonical multiset key for a sequent (order-insensitive per side)."""
+    """The multiset of each side, as its formulas' alpha keys in sorted
+    order: two sides are equal as multisets up to alpha-equality exactly
+    when their tuples are. Stored on first use and shared by every caller."""
     try:
         return s._akey
     except AttributeError:
@@ -614,25 +609,6 @@ def sequent_key(s: Sequent) -> tuple[tuple[str, ...], tuple[str, ...]]:
     )
     _store(s, "_akey", key)
     return key
-
-
-def _key_counts(side: tuple) -> dict[str, int]:
-    count: dict[str, int] = {}
-    for f in side:
-        k = alpha_key(f)
-        count[k] = count.get(k, 0) + 1
-    return count
-
-
-def side_counts(s: Sequent) -> tuple[dict[str, int], dict[str, int]]:
-    """The multiset of each side, as a dict from `alpha_key` to its number
-    of occurrences; no count is zero. Stored on first use and shared by
-    every caller, so a caller must copy a dict before changing it."""
-    counts = getattr(s, "_counts", None)
-    if counts is None:
-        counts = (_key_counts(s.ant), _key_counts(s.suc))
-        _store(s, "_counts", counts)
-    return counts
 
 
 def sequents_alpha_equal(s1: Sequent, s2: Sequent) -> bool:

@@ -260,6 +260,17 @@ class TestCheck:
         )
 
 
+@pytest.mark.parametrize("cmd", ["parse", "check", "eliminate-cut", "translate"])
+def test_file_not_in_utf8_is_a_usage_error(capsys, tmp_path, cmd):
+    # a UTF-16 byte order mark: not valid UTF-8
+    bad = tmp_path / "bad.rlp"
+    bad.write_bytes(b"\xff\xfe(\x00a\x00x\x00")
+    code, out, err = run(capsys, cmd, str(bad))
+    assert (code, out) == (3, "")
+    assert err.startswith(f"ddproof: error: {bad}: not UTF-8 text: ")
+    assert err.count("\n") == 1
+
+
 class TestParseAndTranslate:
     def test_parse_formula_lines(self, capsys, tmp_path):
         f = tmp_path / "in.rlf"
@@ -309,6 +320,24 @@ class TestParseAndTranslate:
         f.write_text("P(#a)\n\n  Q(#b) &\n")
         assert run(capsys, cmd, str(f)) == (
             1, "P(#a)\n", "ddproof: parse error: 3:10: expected a formula\n"
+        )
+
+    @pytest.mark.parametrize("cmd", ["parse", "translate"])
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("P(x)", "root.suc0: free variable(s) ['x'] in sequent"),
+            ("P(#a) & P(#a, #b)", "root.suc0.right: predicate P used with arity 2, previously 1"),
+            ("Q(#a), P(#a) => P(#a, #b)", "root.suc0: predicate P used with arity 2, previously 1"),
+        ],
+    )
+    def test_ill_formed_line_is_one_line_and_exit_1(self, capsys, tmp_path, cmd, line, message):
+        # each line is validated as prove validates its goal, a formula f
+        # as the sequent => f, with its own arities
+        f = tmp_path / "in.rlf"
+        f.write_text(f"P(#a, #b)\n\n{line}\n")
+        assert run(capsys, cmd, str(f)) == (
+            1, "P(#a, #b)\n", f"ddproof: ill-formed: line 3: {message}\n"
         )
 
     def test_translate_file(self, capsys, tmp_path):
@@ -388,6 +417,16 @@ class TestFixtures:
         assert reported == names
         for name in names:
             assert (tmp_path / f"{name}.rlp").exists()
+
+    def test_out_that_cannot_be_a_directory_is_a_usage_error(self, capsys, tmp_path):
+        taken = tmp_path / "taken.md"
+        taken.write_text("a file\n")
+        for out, reason in ((taken, "File exists"), (taken / "sub", "Not a directory")):
+            code, printed, err = run(capsys, "fixtures", "--out", str(out))
+            assert (code, printed) == (3, "")
+            assert err.startswith("ddproof: error: ") and reason in err
+            assert err.count("\n") == 1
+        assert taken.read_text() == "a file\n"
 
 
 class TestUsage:

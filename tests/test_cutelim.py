@@ -5,6 +5,7 @@ kernel checker over the output and compare end sequents as multisets.
 Trace case names are pinned so a silent change of strategy shows up.
 """
 
+import hashlib
 import random
 import sys
 
@@ -66,7 +67,7 @@ from ddproof.cutelim import (
     regularize,
     right_reduce,
 )
-from ddproof.surface import parse_formula, parse_proof
+from ddproof.surface import format_proof, parse_formula, parse_proof
 
 
 def P(t):
@@ -826,3 +827,45 @@ def test_unchanged_conclusions_keep_at():
     assert renamed.eigen != forall.eigen
     assert (renamed.at, renamed.premises[0].at) == (0, 0)
     check_proof(renamed)
+
+
+# ---------------------------------------------------------------------------
+# the cut chain: lemma cuts composed, pinned at n = 1..5
+#
+# L (dd => ex) and R (ex => dd) are the paraphrase bridges. The chain of n
+# cuts starts with cut(L, R) on ex, then cuts in L on dd and R on ex in
+# turn. At n = 5 one proof takes 386 steps and its sequents reach 85
+# formulas, where the gates' proofs stay small.
+
+
+def cut_chain(n: int) -> ProofNode:
+    golden = dict(fixture_proofs())
+    left, right = golden["rlambda_left"], golden["rlambda_right"]
+    (dd,), (ex,) = left.conclusion.ant, left.conclusion.suc
+    p = mk_cut(left, right, ex)
+    for i in range(2, n + 1):
+        p = mk_cut(p, left, dd) if i % 2 == 0 else mk_cut(p, right, ex)
+    return p
+
+
+@pytest.mark.parametrize(
+    "n, nodes_in, steps, nodes_out, digest",
+    [
+        (1, 51, 16, 114, "9a8a2f28da0b"),
+        (2, 77, 30, 320, "bbde6009c529"),
+        (3, 103, 93, 449, "d6c7f55f55b3"),
+        (4, 129, 139, 901, "56335dd04af3"),
+        (5, 155, 386, 1070, "ba7a927a8b83"),
+    ],
+)
+def test_cut_chain_is_pinned(n, nodes_in, steps, nodes_out, digest):
+    """Steps, output size and a digest of the output and its trace, framed
+    as the cut-corpus gate frames each proof."""
+    p = cut_chain(n)
+    check_proof(p)
+    out, trace = eliminate_cuts_traced(p)
+    h = hashlib.sha256(format_proof(out).encode())
+    for entry in trace:
+        h.update(repr(entry).encode())
+    assert (proof_size(p), len(trace), proof_size(out)) == (nodes_in, steps, nodes_out)
+    assert h.hexdigest()[:12] == digest

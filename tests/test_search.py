@@ -258,15 +258,30 @@ def perfbench_gen():
     return gen
 
 
+# (budget, prove-sample item, expansions, fresh() draws): the three
+# heaviest items at the gate budget, and the four that end budget-exhausted
+# at the default one
+_EFFORT = [
+    ("gate", 478, 50_046, 8_874),
+    ("gate", 324, 11_610, 1_800),
+    ("gate", 88, 10_995, 986),
+    ("default", 17, 50_035, 3_615),
+    ("default", 383, 50_044, 2_506),
+    ("default", 457, 50_052, 6_183),
+    ("default", 478, 50_033, 8_767),
+]
+
+
 @pytest.mark.parametrize(
-    "item, expansions, fresh",
-    [(478, 50_046, 8_874), (324, 11_610, 1_800), (88, 10_995, 986)],
+    "budget, item, expansions, fresh",
+    _EFFORT,
+    ids=[f"{i}-{e}-{f}" + ("" if b == "gate" else f"-{b}") for b, i, e, f in _EFFORT],
 )
-def test_search_effort_is_pinned(monkeypatch, item, expansions, fresh):
-    """The three heaviest prove-sample items at the gate budget end at the
-    same expansion count, which fixes each NODE_CAP verdict, and draw the
-    same fresh parameters: work saved per expansion must not change how
-    much the search expands or which names it mints."""
+def test_search_effort_is_pinned(monkeypatch, budget, item, expansions, fresh):
+    """Heavy prove-sample items end at the same expansion count, which
+    fixes each NODE_CAP verdict, and draw the same fresh parameters: work
+    saved per expansion must not change how much the search expands or
+    which names it mints."""
     states = []
     init, mint = _State.__init__, ParamSupply.fresh
 
@@ -283,10 +298,15 @@ def test_search_effort_is_pinned(monkeypatch, item, expansions, fresh):
     monkeypatch.setattr(_State, "__init__", recording_init)
     monkeypatch.setattr(ParamSupply, "fresh", counting_fresh)
     gen = perfbench_gen()
-    prove(gen.prove_sample()[item], gen.PROVE_BUDGET)
+    verdict = prove(
+        gen.prove_sample()[item], gen.PROVE_BUDGET if budget == "gate" else DEFAULT_BUDGET
+    )
     (st,) = states
     assert (st.expansions, st.minted) == (expansions, fresh)
-    assert (st.expansions > NODE_CAP) == (item == 478)
+    capped = item == 478 or budget == "default"
+    assert (st.expansions > NODE_CAP) == capped
+    if capped:
+        assert verdict == Unknown("budget-exhausted")
 
 
 def test_leaf_test_agrees_with_try_close():

@@ -47,7 +47,6 @@ from ddproof.syntax import (
     scan_fresh,
     sequent_key,
     sequents_alpha_equal,
-    side_counts,
     substitute,
     validate_formula,
     validate_sequent,
@@ -598,11 +597,17 @@ def test_stored_hash_does_not_cross_processes(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# stored side multisets
+# stored side multisets: `sequent_key`, each side's alpha keys sorted
 
 
 def _ref_counts(s: Sequent) -> list:
     return [Counter(alpha_key(f) for f in side) for side in (s.ant, s.suc)]
+
+
+def _as_counts(keys: tuple) -> list:
+    """The multisets a `sequent_key` holds, once each side is seen sorted."""
+    assert all(list(side) == sorted(side) for side in keys)
+    return [Counter(side) for side in keys]
 
 
 @given(
@@ -611,55 +616,55 @@ def _ref_counts(s: Sequent) -> list:
     st.lists(st.integers(0, 7), max_size=6),
 )
 @settings(max_examples=200, deadline=None)
-def test_side_counts_are_the_alpha_key_multisets(drawn, ant_at, suc_at):
+def test_sequent_keys_are_the_alpha_key_multisets(drawn, ant_at, suc_at):
     # two alpha-variants, so that formulas built apart share a key
     pool = drawn + [Forall(v, PredAtom("P", (Var(v),))) for v in ("x", "y")]
     s = Sequent(
         tuple(pool[i % len(pool)] for i in ant_at),
         tuple(pool[i % len(pool)] for i in suc_at),
     )
-    counts = side_counts(s)
-    assert list(counts) == _ref_counts(s)
-    assert all(n > 0 for side in counts for n in side.values())
-    assert side_counts(s) is counts
+    keys = sequent_key(s)
+    assert _as_counts(keys) == _ref_counts(s)
+    assert sequent_key(s) is keys
     # a replaced side is seen: nothing stored on s is carried over
     for changed in (
         replace(s, ant=s.suc),
         replace(s, suc=s.suc + (pool[0],)),
         replace(s, ant=()),
     ):
-        assert list(side_counts(changed)) == _ref_counts(changed)
+        assert _as_counts(sequent_key(changed)) == _ref_counts(changed)
 
 
-def test_side_counts_follow_replace():
+def test_sequent_keys_follow_replace():
     f, g = PredAtom("P", (Param("a"),)), PredAtom("Q", ())
-    s = Sequent((f, f, g), (g,))
-    assert side_counts(s) == ({alpha_key(f): 2, alpha_key(g): 1}, {alpha_key(g): 1})
+    fk, gk = alpha_key(f), alpha_key(g)
+    s = Sequent((f, g, f), (g,))
+    assert sequent_key(s) == (tuple(sorted((fk, fk, gk))), (gk,))
     moved = replace(s, suc=(f,))
-    assert side_counts(moved) == ({alpha_key(f): 2, alpha_key(g): 1}, {alpha_key(f): 1})
-    assert side_counts(s)[1] == {alpha_key(g): 1}
+    assert sequent_key(moved) == (tuple(sorted((fk, fk, gk))), (fk,))
+    assert sequent_key(s)[1] == (gk,)
 
 
-def _counts_in_child(data: bytes, text: str):
+def _keys_in_child(data: bytes, text: str):
     """Run in a spawned interpreter: is anything stored on the unpickled
     sequent, and are its side multisets those of the same text parsed here?"""
     s = pickle.loads(data)
-    stored = getattr(s, "_counts", None) is not None
+    stored = getattr(s, "_akey", None) is not None
     fresh = parse_sequent(text)
-    counts = side_counts(s)
-    return hash("ddproof"), stored, counts == side_counts(fresh), list(counts) == _ref_counts(s)
+    keys = sequent_key(s)
+    return hash("ddproof"), stored, keys == sequent_key(fresh), _as_counts(keys) == _ref_counts(s)
 
 
-def test_side_counts_do_not_cross_processes(monkeypatch):
+def test_sequent_keys_do_not_cross_processes(monkeypatch):
     text = "forall x. P(x, #a), forall y. P(y, #a), Q(#a) => Q(#a), (lam y. Q(y)) iota z. R(z, $c)"
     s = parse_sequent(text)
-    assert side_counts(s)[0] == {alpha_key(s.ant[0]): 2, alpha_key(s.ant[2]): 1}
+    assert Counter(sequent_key(s)[0]) == {alpha_key(s.ant[0]): 2, alpha_key(s.ant[2]): 1}
     seed = "54321" if os.environ.get("PYTHONHASHSEED") == "12345" else "12345"
     monkeypatch.setenv("PYTHONHASHSEED", seed)
     ctx = multiprocessing.get_context("spawn")
     with cf.ProcessPoolExecutor(max_workers=1, mp_context=ctx) as ex:
         salt, stored, same, reference = ex.submit(
-            _counts_in_child, pickle.dumps(s), text
+            _keys_in_child, pickle.dumps(s), text
         ).result(timeout=120)
     assert salt != hash("ddproof"), "the child was not salted differently"
     assert not stored
