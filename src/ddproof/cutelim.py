@@ -13,8 +13,12 @@ running the kernel checker over the results (the test suite does this
 for every construction).
 
 The loop works on regular proofs: each eigenparameter belongs to one
-inference and occurs nowhere outside that inference's premises. A step
-keeps p regular without a pass over the whole proof:
+inference and occurs nowhere outside that inference's premises. Both
+`is_regular` and `regularize` read one pre-order numbering of the proof,
+in which each subtree is an interval of indices. `regularize` gives each
+clash a name fresh for the whole proof, so no rename changes whether
+another inference clashes, and makes every rename in one rebuild.
+A step keeps p regular without a pass over the whole proof:
   * `left_reduce(..., avoid=proof_params(p))` ends in
     `regularize(out, avoid)`, so every eigenparameter of the reduced
     proof is fresh for all of p, unique, and confined to its premises;
@@ -45,6 +49,7 @@ from .syntax import (
     alpha_key,
     logical_constants,
     record,
+    rename_param_seq,
     replace,
     sequent_key,
     substitute,
@@ -52,6 +57,7 @@ from .syntax import (
 from .kernel import (
     EIGEN_RULES,
     ProofNode,
+    _subst_terms,
     analyze_step,
     check_proof,
     cut_nodes,
@@ -94,77 +100,74 @@ def metrics(proof: ProofNode) -> CutMetrics:
 # regularization
 
 
-def _subtree_outside_walk(root: ProofNode, avoid: set, on_clash):
-    """Shared pre-order walk for is_regular/regularize. Calls on_clash(node,
-    eigen) at each eigen inference whose parameter is claimed elsewhere or
-    occurs outside its own premise subtrees; on_clash returns the
-    replacement (premises, eigen). Nodes that leave the eigenparameter
-    implicit get it spelled out, so later renames can see it.
+def _clashes(proof: ProofNode, avoid: set) -> tuple[list, list, set]:
+    """Each node's eigenparameter in pre-order (read off analyze_step where
+    it is implicit), the indices of those that clash, and every name seen
+    or avoided. The eigenparameter e of node i clashes when e is avoided,
+    kept by an earlier inference, or named outside i's subtree [i, end_i]."""
+    eigens, ends, span = [], [], {}
 
-    What lies outside a premise is read from the parameter sets stored on
-    the nodes (`own_params` of the node, `params` of its other premises),
-    so each set is computed once per node, not once per walk; nodes built
-    by on_clash are new objects and get their own sets."""
-    claimed: set = set()
-
-    def walk(node: ProofNode, outside: set) -> ProofNode:
-        premises = node.premises
-        eigen = node.eigen
-        changed = False
-        if eigen is None and node.rule in EIGEN_RULES:
-            eigen = analyze_step(node).eigen
-            changed = True
+    def number(node: ProofNode) -> None:
+        i = len(eigens)
+        eigen, names = node.eigen, node.own_params
         if eigen is not None:
-            if eigen.name in claimed or eigen.name in outside:
-                premises, eigen = on_clash(node, eigen)
-                changed = True
-            claimed.add(eigen.name)
-        if premises:
-            local = set(node.own_params)
-            if eigen is not None:
-                local.add(eigen.name)
-            sub = [q.params for q in premises]
-            new_premises = []
-            for i, q in enumerate(premises):
-                out_i = outside | local
-                for j, names in enumerate(sub):
-                    if j != i:
-                        out_i |= names
-                q2 = walk(q, out_i)
-                changed |= q2 is not q
-                new_premises.append(q2)
-            premises = tuple(new_premises)
-        return replace(node, premises=premises, eigen=eigen) if changed else node
+            names = names | {eigen.name}
+        elif node.rule in EIGEN_RULES:
+            eigen = analyze_step(node).eigen
+        eigens.append(eigen)
+        ends.append(i)
+        for name in names:
+            span.setdefault(name, [i, i])[1] = i
+        for q in node.premises:
+            number(q)
+        ends[i] = len(eigens) - 1
 
-    return walk(root, set(avoid))
+    number(proof)
+    taken, clashes = set(avoid), []
+    for i, eigen in enumerate(eigens):
+        if eigen is not None:
+            first, last = span.get(eigen.name, (i, i))
+            if eigen.name in taken or first < i or last > ends[i]:
+                clashes.append(i)
+            else:
+                taken.add(eigen.name)
+    return eigens, clashes, span.keys() | avoid
 
 
 def is_regular(proof: ProofNode, avoid: Iterable[str] = ()) -> bool:
     """True when every eigenparameter is used by exactly one inference and
     occurs nowhere outside the premise subtrees of that inference."""
-    ok = True
-
-    def clash(node, eigen):
-        nonlocal ok
-        ok = False
-        return node.premises, eigen
-
-    _subtree_outside_walk(proof, set(avoid), clash)
-    return ok
+    return not _clashes(proof, set(avoid))[1]
 
 
 def regularize(proof: ProofNode, avoid: Iterable[str] = ()) -> ProofNode:
     """Rename eigenparameters until each one is unique in the whole proof
-    and confined to the premises of the inference that introduces it.
-    Identity on already-regular proofs, hence idempotent."""
-    supply = ParamSupply(proof_params(proof) | set(avoid))
+    and confined to the premises of the inference that introduces it, and
+    spell out the implicit ones. Idempotent; the result is `proof` itself
+    exactly when it is regular and every eigenparameter is annotated."""
+    eigens, clashes, seen = _clashes(proof, set(avoid))
+    supply = ParamSupply(seen)
+    fresh = {i: supply.fresh() for i in clashes}
+    index = iter(range(len(eigens)))
 
-    def clash(node, eigen):
-        fresh = supply.fresh()
-        premises = tuple(subst_param_proof(q, eigen, fresh) for q in node.premises)
-        return premises, fresh
+    def rebuild(node: ProofNode, names: dict) -> ProofNode:
+        i = next(index)
+        eigen = fresh.get(i, eigens[i])
+        inner = {**names, eigens[i].name: eigen} if i in fresh else names
+        premises = []  # a loop, not a comprehension: one frame per level
+        for q in node.premises:
+            premises.append(rebuild(q, inner))
+        premises = tuple(premises)
+        hits = [(old, new) for old, new in names.items() if old in node.own_params]
+        if not hits and eigen is node.eigen and premises == node.premises:
+            return node
+        conclusion, terms = node.conclusion, node.terms
+        for old, new in hits:
+            conclusion = rename_param_seq(conclusion, old, new)
+            terms = _subst_terms(terms, old, new)
+        return replace(node, conclusion=conclusion, terms=terms, premises=premises, eigen=eigen)
 
-    return _subtree_outside_walk(proof, set(avoid), clash)
+    return rebuild(proof, {})
 
 
 # ---------------------------------------------------------------------------
@@ -538,10 +541,7 @@ def eliminate_cuts_traced(proof: ProofNode) -> tuple[ProofNode, list[TraceEntry]
         reduced = left_reduce(
             node.premises[0], node.premises[1], chi, 1, avoid=ambient, trace=cases
         )
-        if maxdeg == 0:
-            assert not cut_nodes(reduced), "reducing an atomic cut must not add cuts"
-        else:
-            assert _max_cut_degree(reduced) < maxdeg, "reduction must lower the degree"
+        assert _max_cut_degree(reduced) < maxdeg, "reduction must lower the degree"
         reduced = fit_to(reduced, node.conclusion)
         p = _splice(p, _parts(path), reduced)
         assert is_regular(p)

@@ -199,22 +199,6 @@ def iter_nodes(root: ProofNode) -> Iterator[tuple[str, ProofNode]]:
             stack.append((f"{prefix}{i}", node.premises[i]))
 
 
-def proof_height(root: ProofNode) -> int:
-    heights: dict[int, int] = {}
-    stack: list[tuple[ProofNode, bool]] = [(root, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            heights[id(node)] = 1 + max(
-                (heights[id(p)] for p in node.premises), default=0
-            )
-        else:
-            stack.append((node, True))
-            for p in node.premises:
-                stack.append((p, False))
-    return heights[id(root)]
-
-
 def proof_size(root: ProofNode) -> int:
     return sum(1 for _ in iter_nodes(root))
 

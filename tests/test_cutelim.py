@@ -6,11 +6,13 @@ Trace case names are pinned so a silent change of strategy shows up.
 """
 
 import hashlib
+import os
 import random
+import subprocess
 import sys
 
 import pytest
-from genutil import ProofGen, cut_corpus
+from genutil import ProofGen, cut_compose, cut_corpus
 
 from ddproof import syntax
 from ddproof.syntax import (
@@ -32,12 +34,12 @@ from ddproof.syntax import (
     sequents_alpha_equal,
 )
 from ddproof.kernel import (
+    EIGEN_RULES,
     ProofNode,
     analyze_step,
     check_proof,
     cut_nodes,
     iter_nodes,
-    proof_height,
     proof_params,
     proof_size,
     subst_param_proof,
@@ -195,12 +197,46 @@ class TestMetrics:
 # regularization
 
 
+IMPLICIT_EIGEN_PROOF = """
+(forallr (seq () (forall x. P(x) -> P(x)))
+  (impr (seq () (P(#a) -> P(#a))) (ax (seq (P(#a)) (P(#a))))))
+"""
+
+# the outer forallr's eigenparameter #a stands in its sibling too, and the
+# inner forallr reuses it: both clash, and each needs a name of its own
+NESTED_EIGEN_BRANCH = """
+(forallr (seq () (forall x. Q(#c) -> forall y. P(y) -> P(y))) :eigen #a
+  (impr (seq () (Q(#c) -> forall y. P(y) -> P(y)))
+    (forallr (seq (Q(#c)) (forall y. P(y) -> P(y))) :eigen #a
+      (impr (seq (Q(#c)) (P(#a) -> P(#a)))
+        (wl (seq (Q(#c), P(#a)) (P(#a))) (ax (seq (P(#a)) (P(#a)))))))))
+"""
+
+
 class TestRegularize:
     def test_identity_on_regular_proof(self):
-        p = forall_intro(a)
-        check_proof(p)
-        assert is_regular(p)
-        assert regularize(p) is p
+        # the very proof once every eigenparameter is annotated; an
+        # implicit one is spelled out, once
+        for p in (forall_intro(a), parse_proof(IMPLICIT_EIGEN_PROOF)):
+            check_proof(p)
+            assert is_regular(p)
+            r = regularize(p)
+            assert (r is p) == (p.eigen is not None)
+            assert r.eigen == a and format_proof(r) == format_proof(replace(p, eigen=a))
+            assert regularize(r) is r
+
+    def test_nested_reuse_of_a_clashing_eigen_renamed_apart(self):
+        branch = parse_proof(NESTED_EIGEN_BRANCH)
+        check_proof(branch)
+        fa = branch.conclusion.suc[0]
+        both = ProofNode("andr", seq([], [And(fa, fa)]), (branch, branch))
+        check_proof(both)
+        for avoid in ((), ("a",)):
+            r = regularize(both, avoid)
+            check_proof(r)
+            eigens = [n.eigen.name for _, n in iter_nodes(r) if n.eigen is not None]
+            assert eigens == ["a1", "a2", "a3", "a4"]
+            assert is_regular(r, avoid)
 
     def test_clash_across_branches_renamed(self):
         fa = Forall("x", P(x))
@@ -212,10 +248,9 @@ class TestRegularize:
         check_proof(both)
         assert not is_regular(both)
         r = regularize(both)
-        check_proof(r)
         assert is_regular(r)
         assert r.conclusion == both.conclusion
-        assert proof_height(r) == proof_height(both)
+        assert check_proof(r).height == check_proof(both).height
         eigens = {n.eigen.name for _, n in iter_nodes(r) if n.eigen is not None}
         assert len(eigens) == 2
 
@@ -299,6 +334,87 @@ class TestRegularize:
             for _, n in iter_nodes(r)
             if n.rule == "forallr"
         )
+
+
+def regular_by_definition(root: ProofNode, avoid) -> bool:
+    """Reference oracle: each eigenparameter, written or left for the kernel
+    to infer, is owned by one inference, is not avoided, and occurs in no
+    node outside that inference's premises."""
+    nodes = list(iter_nodes(root))
+    owners = {}
+    for path, n in nodes:
+        e = n.eigen or (analyze_step(n).eigen if n.rule in EIGEN_RULES else None)
+        if e is not None:
+            owners.setdefault(e.name, []).append(path)
+    for name, paths in owners.items():
+        if name in avoid or len(paths) > 1:
+            return False
+        (owner,) = paths
+        above = "" if owner == "root" else owner + "."
+        for path, n in nodes:
+            if path != owner and path.startswith(above):
+                continue  # in the owner's premises
+            written = params_in(n.conclusion) | params_in(n.terms)
+            if name in written or (path != owner and n.eigen == Param(name)):
+                return False
+    return True
+
+
+def regularize_corpus(seed=20261019):
+    """Fixture proofs, seeded ProofGen proofs, and a cut of each of them
+    against itself, which repeats every eigenparameter."""
+    rng = random.Random(seed)
+    proofs = [p for _, p in fixture_proofs()]
+    for steps in (8, 12):
+        gen = ProofGen(rng, max_steps=steps)
+        proofs += [gen.proof() for _ in range(50)]
+    return proofs + [cut_compose(p, p, Q(c)) for p in proofs]
+
+
+def test_regularize_is_pinned():
+    """is_regular agrees with the definition on every proof and avoid set,
+    and a digest pins regularize's output and is_regular's verdict."""
+    h = hashlib.sha256()
+    corpus = regularize_corpus()
+    renamed = 0
+    for p in corpus:
+        check_proof(p)
+        names = sorted(p.params)
+        for avoid in ((), names[:1], names):
+            regular = is_regular(p, avoid)
+            assert regular == regular_by_definition(p, avoid)
+            renamed += not regular
+            h.update(f"{format_proof(regularize(p, avoid))}\0{regular}\0".encode())
+    assert (len(corpus), renamed) == (224, 243)
+    assert h.hexdigest()[:12] == "425ab1f3c2ac"
+
+
+def test_regularity_of_a_deep_proof():
+    """A 40,000-high wl/cl chain is regular, and regularize returns it as
+    it is: both walks take one Python frame per level, so the recursion
+    limit kernel sets suffices. It runs in a child process, so a C-stack
+    overflow (segfault) fails this test instead of killing the test run."""
+    code = (
+        "from ddproof.cutelim import is_regular, regularize\n"
+        "from ddproof.kernel import ProofNode\n"
+        "from ddproof.syntax import Param, PredAtom, Sequent\n"
+        "f = PredAtom('P', (Param('a1'),))\n"
+        "one, two = Sequent((f,), (f,)), Sequent((f, f), (f,))\n"
+        "node = ProofNode('ax', one)\n"
+        "for i in range(1, 40_000):\n"
+        "    rule, concl = ('wl', two) if i % 2 else ('cl', one)\n"
+        "    node = ProofNode(rule, concl, (node,))\n"
+        "print(is_regular(node), regularize(node, avoid={'a1'}) is node)\n"
+    )
+    child = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.split() == ["True", "True"]
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@ from ddproof.kernel import (
     RuleError,
     analyze_step,
     check_proof,
-    proof_height,
     proof_params,
     proofs_equal,
     subst_param_proof,
@@ -770,7 +769,7 @@ def test_subst_param_renames_colliding_eigen():
     root = node("wl", [Q(b)], [f], [quant])
     out = subst_param_proof(root, "b", a)
     checked = check_proof(out)
-    assert checked.height == proof_height(root)
+    assert checked.height == check_proof(root).height
     assert out.conclusion.ant == (Q(a),)
     # the inner eigen is no longer a
     assert out.premises[0].eigen != a
@@ -779,8 +778,7 @@ def test_subst_param_renames_colliding_eigen():
 def test_subst_param_old_is_eigen():
     proof = exists_roundtrip_proof(a)
     out = subst_param_proof(proof, "a", d)
-    check_proof(out)
-    assert proof_height(out) == 3
+    assert check_proof(out).height == 3
     # root conclusion had no occurrence of the eigen, so it is unchanged
     assert out.conclusion == proof.conclusion
 

@@ -14,7 +14,6 @@ from ddproof.kernel import (
     analyze_step,
     check_proof,
     iter_nodes,
-    proof_height,
     proof_size,
 )
 from ddproof import search
