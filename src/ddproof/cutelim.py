@@ -17,7 +17,9 @@ inference and occurs nowhere outside that inference's premises. Both
 `is_regular` and `regularize` read one pre-order numbering of the proof,
 in which each subtree is an interval of indices. `regularize` gives each
 clash a name fresh for the whole proof, so no rename changes whether
-another inference clashes, and makes every rename in one rebuild.
+another inference clashes, and makes every rename in one rebuild. It
+renames each node through `kernel._renamed`, the step
+`subst_param_proof` takes too, so proofs are renamed in one way.
 A step keeps p regular without a pass over the whole proof:
   * `left_reduce(..., avoid=proof_params(p))` ends in
     `regularize(out, avoid)`, so every eigenparameter of the reduced
@@ -49,7 +51,6 @@ from .syntax import (
     alpha_key,
     logical_constants,
     record,
-    rename_param_seq,
     replace,
     sequent_key,
     substitute,
@@ -57,7 +58,7 @@ from .syntax import (
 from .kernel import (
     EIGEN_RULES,
     ProofNode,
-    _subst_terms,
+    _renamed,
     analyze_step,
     check_proof,
     cut_nodes,
@@ -158,13 +159,10 @@ def regularize(proof: ProofNode, avoid: Iterable[str] = ()) -> ProofNode:
         for q in node.premises:
             premises.append(rebuild(q, inner))
         premises = tuple(premises)
-        hits = [(old, new) for old, new in names.items() if old in node.own_params]
-        if not hits and eigen is node.eigen and premises == node.premises:
+        conclusion, terms = _renamed(node, names.items())
+        same = conclusion is node.conclusion and terms is node.terms and eigen is node.eigen
+        if same and premises == node.premises:
             return node
-        conclusion, terms = node.conclusion, node.terms
-        for old, new in hits:
-            conclusion = rename_param_seq(conclusion, old, new)
-            terms = _subst_terms(terms, old, new)
         return replace(node, conclusion=conclusion, terms=terms, premises=premises, eigen=eigen)
 
     return rebuild(proof, {})

@@ -801,63 +801,53 @@ def check_proof(root: ProofNode) -> Proof:
 # parameter substitution in proofs
 
 
-def _subst_terms(terms: tuple[Term, ...], old: str, new: Term) -> tuple[Term, ...]:
-    return tuple(
-        new if isinstance(t, Param) and t.name == old else t for t in terms
-    )
-
-
-def _plain_rename(node: ProofNode, old: str, new: Term) -> ProofNode:
-    """Blind parameter rename through a subtree (no eigen-clash handling;
-    callers guarantee `new` occurs nowhere in the subtree)."""
-    eigen = node.eigen
-    if eigen is not None and eigen.name == old:
-        assert isinstance(new, Param)
-        eigen = new
-    return replace(
-        node,
-        conclusion=rename_param_seq(node.conclusion, old, new),
-        terms=_subst_terms(node.terms, old, new),
-        eigen=eigen,
-        premises=tuple(_plain_rename(p, old, new) for p in node.premises),
-    )
+def _renamed(node: ProofNode, renames, eigen: Optional[Param] = None) -> tuple[Sequent, tuple]:
+    """The node's conclusion and terms after each (old, new) of `renames`
+    in turn, skipping names the node lacks (so no new name may be a later
+    pair's old one). Given `eigen`, the terms first take it in place of
+    the node's own eigenparameter; the conclusion does not."""
+    conclusion, terms = node.conclusion, node.terms
+    if eigen is not None and eigen != node.eigen:
+        terms = tuple(eigen if t == node.eigen else t for t in terms)
+    for old, new in renames:
+        if old in node.own_params:
+            conclusion = rename_param_seq(conclusion, old, new)
+            terms = tuple(new if isinstance(t, Param) and t.name == old else t for t in terms)
+    return conclusion, terms
 
 
 def subst_param_proof(root: ProofNode, old: Union[str, Param], new: Term) -> ProofNode:
     """Replace parameter `old` by term `new` throughout a proof.
 
-    Eigenvariables that collide with either name are first renamed to
-    a parameter fresh for their own subtree, so the result of
-    substituting into a valid proof is again valid, with exactly the same
-    height and rule skeleton. A proof not containing `old` is returned
-    unchanged (identity).
+    Eigenvariables that collide with either name are renamed to a parameter
+    fresh for their own subtree, so the result of substituting into a valid
+    proof is again valid, with exactly the same height and rule skeleton.
+    One walk carries those renames down the tree. A proof not containing
+    `old` is returned unchanged (identity), and so is every subtree that
+    mentions neither name.
     """
     old_name = old.name if isinstance(old, Param) else old
     new_name = new.name if isinstance(new, Param) else None
-    if old_name == new_name:
-        return root
-    if old_name not in root.params:
+    if old_name == new_name or old_name not in root.params:
         return root
 
-    def go(node: ProofNode) -> ProofNode:
-        if node.eigen is not None and node.eigen.name in (old_name, new_name):
-            avoid = proof_params(node) | {old_name}
-            if new_name:
-                avoid.add(new_name)
-            fresh = Param(scan_fresh("a", avoid))
-            node = replace(
-                node,
-                eigen=fresh,
-                terms=_subst_terms(node.terms, node.eigen.name, fresh),
-                premises=tuple(
-                    _plain_rename(p, node.eigen.name, fresh) for p in node.premises
-                ),
-            )
+    def go(node: ProofNode, names: dict) -> ProofNode:
+        if old_name not in node.params and new_name not in node.params:
+            return node
+        eigen, inner = node.eigen, names
+        if eigen is not None and eigen.name in names:
+            eigen = names[eigen.name]
+        elif eigen is not None and eigen.name in (old_name, new_name):
+            avoid = {names[n].name if n in names else n for n in node.params}
+            avoid |= {old_name, new_name}
+            eigen = Param(scan_fresh("a", avoid))
+            inner = {**names, node.eigen.name: eigen}
+        premises = []  # a loop, not a comprehension: one frame per level
+        for q in node.premises:
+            premises.append(go(q, inner))
+        conclusion, terms = _renamed(node, [*names.items(), (old_name, new)], eigen)
         return replace(
-            node,
-            conclusion=rename_param_seq(node.conclusion, old_name, new),
-            terms=_subst_terms(node.terms, old_name, new),
-            premises=tuple(go(p) for p in node.premises),
+            node, conclusion=conclusion, terms=terms, premises=tuple(premises), eigen=eigen
         )
 
-    return go(root)
+    return go(root, {})

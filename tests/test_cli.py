@@ -146,7 +146,8 @@ def test_too_deep_parentheses_are_one_line_and_exit_2(cmd, tmp_path):
 def test_import_loads_every_traced_module_and_no_dataclasses():
     """`import ddproof.cli` in a fresh interpreter loads every module the
     benchmark's tracer wraps (it reads them from `sys.modules` right after
-    that import), and none of the modules `dataclasses` would pull in."""
+    that import), every name it wraps exists, and none of the modules
+    `dataclasses` would pull in is loaded."""
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     script = (
         "import sys\n"
@@ -155,6 +156,13 @@ def test_import_loads_every_traced_module_and_no_dataclasses():
         "from tracer import TRACED\n"
         "print(sorted({m for m, _ in TRACED if 'ddproof.' + m not in loaded}))\n"
         "print(sorted({'dataclasses', 'inspect'} & loaded))\n"
+        "wrapped = [*TRACED, ('semantics', 'iter_interpretations'), ('syntax', 'ParamSupply.fresh')]\n"
+        "def found(m, path):\n"
+        "    obj = sys.modules.get('ddproof.' + m)\n"
+        "    for attr in path.split('.'):\n"
+        "        obj = getattr(obj, attr, None)\n"
+        "    return obj is not None\n"
+        "print(sorted((m, a) for m, a in wrapped if not found(m, a)))\n"
     )
     path = os.pathsep.join([os.path.join(root, "perfbench"), *sys.path])
     child = subprocess.run(
@@ -165,7 +173,7 @@ def test_import_loads_every_traced_module_and_no_dataclasses():
         timeout=120,
     )
     assert child.returncode == 0, child.stderr[-2000:]
-    assert child.stdout == "[]\n[]\n"
+    assert child.stdout == "[]\n[]\n[]\n"
 
 
 def test_out_of_memory_is_one_line_and_exit_2():

@@ -4,6 +4,7 @@ that would be unsound under a laxer reading), whole-proof checking with
 failure paths, validation once per formula object, a frozen table of
 rejections, and parameter substitution through proofs."""
 
+import hashlib
 import json
 import os
 import random
@@ -20,6 +21,7 @@ from ddproof.kernel import (
     RuleError,
     analyze_step,
     check_proof,
+    iter_nodes,
     proof_params,
     proofs_equal,
     subst_param_proof,
@@ -749,6 +751,89 @@ def exists_roundtrip_proof(p):
 def test_subst_param_identity_when_absent():
     proof = exists_roundtrip_proof(a)
     assert subst_param_proof(proof, "zz", b) is proof
+    # a branch that mentions neither name comes back as it is
+    side = ax(Q(c))
+    proof = node("cut", [Q(c), P(a)], [P(a)], [side, node("wl", [Q(c), P(a)], [P(a)], [ax(P(a))])])
+    check_proof(proof)
+    out = subst_param_proof(proof, "a", b)
+    assert out.conclusion == seq([Q(c), P(b)], [P(b)])
+    assert out.premises[0] is side
+
+
+def test_subst_param_proof_of_a_deep_proof():
+    """On a 40,000-high wl/cl chain, a -> b keeps the height and puts #b
+    everywhere: the walk takes one Python frame per level, so the recursion
+    limit kernel sets suffices. It runs in a child process, so a C-stack
+    overflow (segfault) fails this test instead of killing the test run."""
+    code = (
+        "from ddproof.kernel import ProofNode, subst_param_proof\n"
+        "from ddproof.syntax import Param, PredAtom, Sequent\n"
+        "def chain(f):\n"
+        "    one, two = Sequent((f,), (f,)), Sequent((f, f), (f,))\n"
+        "    node = ProofNode('ax', one)\n"
+        "    for i in range(1, 40_000):\n"
+        "        rule, concl = ('wl', two) if i % 2 else ('cl', one)\n"
+        "        node = ProofNode(rule, concl, (node,))\n"
+        "    return node\n"
+        "node = subst_param_proof(chain(PredAtom('P', (Param('a'),))), 'a', Param('b'))\n"
+        "want = chain(PredAtom('P', (Param('b'),)))\n"
+        "height = 0\n"
+        "while node is not None:\n"
+        "    height += 1\n"
+        "    assert (node.rule, node.conclusion) == (want.rule, want.conclusion)\n"
+        "    node, want = (node.premises or (None,))[0], (want.premises or (None,))[0]\n"
+        "print(height, want is None)\n"
+    )
+    child = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.split() == ["40000", "True"]
+
+
+def subst_pin_corpus():
+    """Fixture proofs, the criterion-4 corpus, seeded ProofGen proofs, and
+    a kernel-rejected proof whose eigenparameter `a` occurs in its own
+    conclusion and terms, alone and under a weakening that adds `b`."""
+    from genutil import ProofGen, cut_corpus
+    from test_acceptance import SEED
+
+    from ddproof.cli import fixture_proofs
+
+    golden = dict(fixture_proofs())
+    proofs = list(golden.values()) + cut_corpus(golden, random.Random(SEED + 4))
+    gen = ProofGen(random.Random(SEED + 23), max_steps=8)
+    proofs += [gen.proof() for _ in range(30)]
+    dd = parse_formula("(lam x. P(x)) (iota y. Q(y))")
+    inner = node("impr", [], [Imp(P(a), P(b))], [leaf([P(a)], [P(b)])])
+    bad = node("iotar", [P(a)], [dd, Q(a)], [inner], terms=(a,), eigen=a)
+    return proofs + [bad, node("wl", [Q(b)], [dd, Q(a)], [bad])]
+
+
+def test_subst_param_proof_is_pinned():
+    """A digest pins subst_param_proof's output for every old name of each
+    proof plus one absent name, and for every new name of it, a fresh
+    parameter and a constant; the count pins the calls that rename an
+    eigenparameter."""
+    h = hashlib.sha256()
+    calls = renamed = 0
+    for p in subst_pin_corpus():
+        names = sorted(p.params)
+        eigens = [n.eigen for _, n in iter_nodes(p)]
+        absent = syntax.scan_fresh("z", set(names))
+        fresh = Param(syntax.scan_fresh("b", set(names)))
+        for old in names + [absent]:
+            for new in [Param(n) for n in names] + [fresh, k]:
+                out = subst_param_proof(p, old, new)
+                calls += 1
+                renamed += [n.eigen for _, n in iter_nodes(out)] != eigens
+                h.update(f"{format_proof(out)}\0".encode())
+    assert (calls, renamed) == (2468, 784)
+    assert h.hexdigest()[:12] == "b8550ad8a343"
 
 
 def test_subst_param_simple():
