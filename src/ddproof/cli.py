@@ -5,11 +5,13 @@ countermodel, translate, fixtures. Exit codes: 0 for success (a proof
 found, a check passed, no countermodel within the requested bound), 1
 for a definite negative (rejected, unparsable or ill-formed input, refuted
 goal, countermodel found), 2 for unknown (budget or enumeration cap, out
-of memory, or input nested too deeply), 3 for usage errors.
+of memory, input nested too deeply, or a countermodel that failed its
+check), 3 for usage errors.
 
 Formula files (.rlf) hold one formula or sequent per line; proof files
 (.rlp) hold a single s-expression. Every proof printed by any subcommand
-is re-checked by the kernel first.
+is re-checked by the kernel first, and every countermodel is checked to
+falsify its goal.
 """
 
 import argparse
@@ -31,7 +33,7 @@ from .builders import (
 from .cutelim import eliminate_cuts, eliminate_cuts_traced
 from .kernel import CheckError, ProofNode, check_proof
 from .search import DEFAULT_BUDGET, Proved, Refuted, SearchBudget, Unknown, prove
-from .semantics import DEFAULT_MAX_SIZE, EnumerationCapError, find_countermodel
+from .semantics import DEFAULT_MAX_SIZE, EnumerationCapError, eval_sequent, find_countermodel
 from .surface import (
     ParseError,
     format_formula,
@@ -56,6 +58,10 @@ from .translate import is_pure_fol, translate, translate_sequent
 
 class UsageError(Exception):
     pass
+
+
+class FailedCheck(Exception):
+    """A countermodel about to be printed satisfies its goal."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -124,6 +130,14 @@ def _checked(root: ProofNode) -> ProofNode:
     return root
 
 
+def _falsifying(goal: Sequent, model, assignment) -> str:
+    """The one gate countermodels pass through on their way to stdout: the
+    model described, once the goal is false in it."""
+    if eval_sequent(goal, model, assignment):
+        raise FailedCheck
+    return model.describe(assignment)
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -155,14 +169,14 @@ def _goal(text: str) -> Sequent:
 
 
 def _cmd_prove(args) -> int:
-    verdict = prove(_goal(args.sequent), _budget(args))
+    goal = _goal(args.sequent)
+    verdict = prove(goal, _budget(args))
     if isinstance(verdict, Proved):
         print("proved")
         print(format_proof(_checked(verdict.proof.root), unicode=args.unicode))
         return 0
     if isinstance(verdict, Refuted):
-        print("refuted")
-        print(verdict.model.describe(verdict.assignment))
+        print("refuted", _falsifying(goal, verdict.model, verdict.assignment), sep="\n")
         return 1
     print(f"unknown: {verdict.reason}")
     return 2
@@ -191,7 +205,7 @@ def _cmd_countermodel(args) -> int:
     if cm is None:
         print(f"no countermodel up to size {max_size}")
         return 0
-    print(cm.describe())
+    print(_falsifying(goal, cm.model, cm.assignment))
     return 1
 
 
@@ -372,6 +386,9 @@ def main(argv=None) -> int:
         return 1
     except EnumerationCapError as e:
         print(f"ddproof: unknown: signature-cap ({e})", file=sys.stderr)
+        return 2
+    except FailedCheck:
+        print("ddproof: unknown: countermodel failed its check", file=sys.stderr)
         return 2
     except MemoryError:
         print("ddproof: unknown: out of memory", file=sys.stderr)

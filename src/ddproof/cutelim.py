@@ -199,8 +199,7 @@ def _principal_formula(node: ProofNode, info) -> Optional[Formula]:
 
 
 def _max_cut_degree(*proofs: ProofNode) -> int:
-    degs = [deg for p in proofs for _, _, deg in cut_nodes(p)]
-    return max(degs, default=-1)
+    return max(p.cuts[0] for p in proofs)
 
 
 def _corregularize(d1, d2, avoid):
@@ -488,10 +487,6 @@ def _lr(d1, d2, pi, sigma, phi, k, trace) -> ProofNode:
 # the elimination loop
 
 
-def _parts(path: str) -> tuple:
-    return () if path == "root" else tuple(int(x) for x in path.split("."))
-
-
 def _splice(node: ProofNode, parts: tuple, replacement: ProofNode) -> ProofNode:
     if not parts:
         return replacement
@@ -501,25 +496,19 @@ def _splice(node: ProofNode, parts: tuple, replacement: ProofNode) -> ProofNode:
     return replace(node, premises=tuple(premises))
 
 
-def _topmost(maximal: list) -> tuple[str, ProofNode]:
-    """The first (path, node) of a pre-order list of cuts that has none of
-    the listed cuts above it, in its premises. A subtree's nodes directly
-    follow its root in pre-order, so a listed cut has one above it exactly
-    when the next listed cut is above it."""
-    for (path, node), (following, _) in zip(maximal, maximal[1:]):
-        if not following.startswith("" if path == "root" else path + "."):
-            return path, node
-    return maximal[-1]
-
-
-def _measure(cuts: list) -> tuple[int, int]:
-    """(maximal cut degree, number of cuts at that degree) of a cut_nodes
-    list; (-1, 0) if cut-free."""
-    degs = [deg for _, _, deg in cuts]
-    if not degs:
-        return (-1, 0)
-    top = max(degs)
-    return (top, degs.count(top))
+def _topmost(proof: ProofNode) -> tuple[tuple, ProofNode]:
+    """The premise indices from the root to the first cut of maximal degree,
+    in pre-order, that has no such cut in its premises, and that cut. Each
+    step descends into the first premise holding a cut of that degree."""
+    top, parts, node = proof.cuts[0], [], proof
+    while True:
+        for i, q in enumerate(node.premises):
+            if q.cuts[0] == top:
+                parts.append(i)
+                node = q
+                break
+        else:
+            return tuple(parts), node
 
 
 def eliminate_cuts_traced(proof: ProofNode) -> tuple[ProofNode, list[TraceEntry]]:
@@ -528,11 +517,10 @@ def eliminate_cuts_traced(proof: ProofNode) -> tuple[ProofNode, list[TraceEntry]
     check_proof(proof)
     trace: list[TraceEntry] = []
     p = regularize(proof)
-    cuts = cut_nodes(p)
-    before = _measure(cuts)
-    while cuts:
+    before = p.cuts
+    while before[1]:
         maxdeg = before[0]
-        path, node = _topmost([(path, node) for path, node, deg in cuts if deg == maxdeg])
+        parts, node = _topmost(p)
         chi = analyze_step(node).cut_formula
         cases: list[str] = []
         ambient = proof_params(p)
@@ -541,14 +529,13 @@ def eliminate_cuts_traced(proof: ProofNode) -> tuple[ProofNode, list[TraceEntry]
         )
         assert _max_cut_degree(reduced) < maxdeg, "reduction must lower the degree"
         reduced = fit_to(reduced, node.conclusion)
-        p = _splice(p, _parts(path), reduced)
+        p = _splice(p, parts, reduced)
         assert is_regular(p)
-        cuts = cut_nodes(p)
-        after = _measure(cuts)
+        after = p.cuts
         assert after < before, "the (degree, maximal-cut-count) measure must drop"
         trace.append(
             TraceEntry(
-                path=path,
+                path=".".join(map(str, parts)) or "root",
                 formula=chi,
                 degree=maxdeg,
                 cases=tuple(cases),

@@ -90,9 +90,9 @@ sys.setrecursionlimit(max(sys.getrecursionlimit(), 50_000))
 class ProofNode:
     """One inference: its conclusion, premise subtrees and annotations.
 
-    Three facts about a node are computed on first use and then stored on
-    it: `own_params`, `params` and `cut_degree`. A node is never mutated
-    (`syntax.replace` and every rewrite build new nodes), and each
+    Four facts about a node are computed on first use and then stored on
+    it: `own_params`, `params`, `cut_degree` and `cuts`. A node is never
+    mutated (`syntax.replace` and every rewrite build new nodes), and each
     fact depends only on the node's fields and its premises' facts, so a
     stored value cannot go stale. Validity never rests on them:
     `check_proof` re-analyzes every step."""
@@ -113,25 +113,29 @@ class ProofNode:
             return params_in((self.conclusion, self.terms))
         return params_in(self.conclusion)
 
-    @cached_property
-    def params(self) -> frozenset[str]:
-        """Every parameter of the subtree: each node's `own_params` and
-        annotated eigenparameter. Filled by an iterative post-order pass
-        that descends only into nodes without a stored set, so proof height
+    def _fill(self, fact: str, of):
+        """The subtree fact `fact`, stored on each node as `of(node)` once
+        its premises hold theirs. An iterative post-order pass that
+        descends only into nodes without a stored value, so proof height
         is bounded by memory, not by the C stack."""
         stack = [self]
         while stack:
             node = stack[-1]
-            todo = [q for q in node.premises if "params" not in q.__dict__]
+            todo = [q for q in node.premises if fact not in q.__dict__]
             if todo:
                 stack.extend(todo)
                 continue
             stack.pop()
-            names = node.own_params.union(*(q.params for q in node.premises))
-            if node.eigen is not None:
-                names |= {node.eigen.name}
-            node.__dict__["params"] = names
-        return self.__dict__["params"]
+            node.__dict__[fact] = of(node)
+        return self.__dict__[fact]
+
+    @cached_property
+    def params(self) -> frozenset[str]:
+        """Every parameter of the subtree: each node's `own_params` and
+        annotated eigenparameter."""
+        return self._fill("params", lambda node: node.own_params.union(
+            *(q.params for q in node.premises), () if node.eigen is None else (node.eigen.name,)
+        ))
 
     @cached_property
     def cut_degree(self) -> Optional[int]:
@@ -140,6 +144,18 @@ class ProofNode:
         if self.rule != "cut":
             return None
         return logical_constants(analyze_step(self).cut_formula)
+
+    @cached_property
+    def cuts(self) -> tuple[int, int]:
+        """(highest cut degree in the subtree, number of cuts at it), or
+        (-1, 0) when the subtree has no cut."""
+        def of(node):
+            top, count = (node.cut_degree, 1) if node.rule == "cut" else (-1, 0)
+            for degree, n in (q.cuts for q in node.premises):
+                if degree >= top:
+                    top, count = degree, n + count * (degree == top)
+            return top, count
+        return self._fill("cuts", of)
 
 
 @record(frozen=True, eq=False)

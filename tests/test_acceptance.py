@@ -19,7 +19,7 @@ import random
 import time
 
 import bitsem
-from genutil import FormulaGen, ProofGen, cut_corpus, has_description
+from genutil import FormulaGen, ProofGen, has_description, perfbench_gen
 
 from ddproof.builders import build_leibniz
 from ddproof.cli import fixture_proofs
@@ -144,7 +144,7 @@ def _criterion4():
     """At least 50 cut-bearing proofs: the derived description rules, cut
     compositions of golden pairs, and random proofs grown around cuts."""
     if "c4" not in _cache:
-        corpus = cut_corpus(_golden(), random.Random(SEED + 4))
+        corpus = [root for _, root in perfbench_gen.cut_corpus(SEED + 4)]
         ends = []
         worst = 0.0
         steps = 0

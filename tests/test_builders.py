@@ -31,7 +31,7 @@ from ddproof.syntax import (
     sequents_alpha_equal,
     substitute,
 )
-from ddproof.kernel import ProofNode, CheckError, check_proof, iter_nodes, proof_size
+from ddproof.kernel import ProofNode, CheckError, check_proof, cut_nodes, proof_size
 from ddproof.builders import (
     ax,
     build_leibniz,
@@ -69,10 +69,6 @@ b2 = Param("b2")
 c = Param("c")
 x = Var("x")
 y = Var("y")
-
-
-def count_cuts(proof):
-    return sum(1 for _, node in iter_nodes(proof) if node.rule == "cut")
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +333,7 @@ class TestDerivedIota1:
         proof, dd = self.build()
         info = check_proof(proof)
         assert proof.conclusion == Sequent((dd,), ())
-        assert count_cuts(proof) == 1
+        assert len(cut_nodes(proof)) == 1
         # the primitive rule derives the same end sequent from the same premise
         prem = proof and ProofNode("negl", Sequent((Q(a), Not(Q(a))), ()), (ax(Q(a)),))
         direct = ProofNode("iota1l", Sequent((dd,), ()), (prem,), eigen=a)
@@ -370,7 +366,7 @@ class TestDerivedIota2:
         assert sequents_alpha_equal(
             proof.conclusion, Sequent((dd,) + gamma, (Identity(b1, b2),))
         )
-        assert count_cuts(proof) == 1
+        assert len(cut_nodes(proof)) == 1
         direct = ProofNode(
             "iota2l",
             Sequent((dd,) + gamma, (Identity(b1, b2),)),
@@ -411,7 +407,7 @@ class TestDerivedIotaR:
         proof, dd, gamma, prems = self.build()
         check_proof(proof)
         assert sequents_alpha_equal(proof.conclusion, Sequent(gamma, (dd,)))
-        assert count_cuts(proof) == 2
+        assert len(cut_nodes(proof)) == 2
         direct = ProofNode(
             "iotar", Sequent(gamma, (dd,)), prems, terms=(b,), eigen=a
         )

@@ -9,7 +9,8 @@ import pytest
 
 from ddproof.cli import fixture_proofs, main
 from ddproof.kernel import check_proof, cut_nodes
-from ddproof.surface import parse_proof
+from ddproof.semantics import Countermodel, Model, find_countermodel
+from ddproof.surface import parse_proof, parse_sequent
 from ddproof.syntax import sequents_alpha_equal
 
 
@@ -210,6 +211,21 @@ class TestCountermodel:
         code, out, _ = run(capsys, "countermodel", "P(#a) => P(#a)", "--max-size", "3")
         assert code == 0
         assert out == "no countermodel up to size 3\n"
+
+
+# each subcommand, and the module whose find_countermodel it calls
+@pytest.mark.parametrize("cmd, caller", [("prove", "search"), ("countermodel", "cli")])
+def test_countermodel_that_satisfies_the_goal_is_one_line_and_exit_2(
+    capsys, monkeypatch, cmd, caller
+):
+    """A model that does not falsify the goal is never printed as one."""
+    goal = "P(#a) => Q(#a)"
+    real = find_countermodel(parse_sequent(goal), max_size=1)
+    wrong = Model(real.model.domain, {("P", 1): frozenset(), ("Q", 1): frozenset()})
+    found = Countermodel(wrong, real.assignment, 1)
+    monkeypatch.setattr(f"ddproof.{caller}.find_countermodel", lambda *a, **k: found)
+    code, out, err = run(capsys, cmd, goal)
+    assert (code, out, err) == (2, "", "ddproof: unknown: countermodel failed its check\n")
 
 
 class TestCheck:

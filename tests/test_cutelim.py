@@ -12,7 +12,7 @@ import subprocess
 import sys
 
 import pytest
-from genutil import ProofGen, cut_compose, cut_corpus
+from genutil import ProofGen, perfbench_gen
 
 from ddproof import syntax
 from ddproof.syntax import (
@@ -90,10 +90,6 @@ b1 = Param("b1")
 b2 = Param("b2")
 c = Param("c")
 x = Var("x")
-
-
-def count_cuts(proof):
-    return sum(1 for _, node in iter_nodes(proof) if node.rule == "cut")
 
 
 def same_multiset(s1: Sequent, s2: Sequent) -> bool:
@@ -368,7 +364,7 @@ def regularize_corpus(seed=20261019):
     for steps in (8, 12):
         gen = ProofGen(rng, max_steps=steps)
         proofs += [gen.proof() for _ in range(50)]
-    return proofs + [cut_compose(p, p, Q(c)) for p in proofs]
+    return proofs + [perfbench_gen._cut_compose(p, p, Q(c)) for p in proofs]
 
 
 def test_regularize_is_pinned():
@@ -451,7 +447,7 @@ class TestRightReduce:
         assert same_multiset(out.conclusion, seq([Q(b), P(b), R(c)], [Q(b)]))
         assert "rr:and" in cases
         assert metrics(out).proof_degree == 0
-        assert count_cuts(out) == 2
+        assert len(cut_nodes(out)) == 2
 
     def test_weakening_absorbed(self):
         d1 = andr_proof()
@@ -461,7 +457,7 @@ class TestRightReduce:
         cases = []
         out = right_reduce(d1, d2, PHI_AND, 1, trace=cases)
         check_proof(out)
-        assert count_cuts(out) == 0
+        assert len(cut_nodes(out)) == 0
         assert same_multiset(out.conclusion, seq([Q(b), P(b), Q(b), P(b)], [Q(b)]))
         assert cases == ["rr:weaken-absorb"]
 
@@ -473,7 +469,7 @@ class TestRightReduce:
         cases = []
         out = right_reduce(d1, d2, PHI_AND, 1, trace=cases)
         check_proof(out)
-        assert count_cuts(out) == 0
+        assert len(cut_nodes(out)) == 0
         assert same_multiset(
             out.conclusion, seq([Q(b), P(b), R(c), P(b)], [P(b)])
         )
@@ -571,7 +567,7 @@ class TestLeftReduce:
         cases = []
         out = left_reduce(d1, d2, P(b1), 1, trace=cases)
         check_proof(out)
-        assert count_cuts(out) == 0
+        assert len(cut_nodes(out)) == 0
         assert same_multiset(
             out.conclusion, seq([Q(c), P(b1), Identity(b1, b2)], [P(b2)])
         )
@@ -584,7 +580,7 @@ class TestLeftReduce:
         cases = []
         out = left_reduce(d1, d2, P(a), 2, trace=cases)
         check_proof(out)
-        assert count_cuts(out) == 0
+        assert len(cut_nodes(out)) == 0
         assert same_multiset(
             out.conclusion, seq([P(a), Q(b), Q(b)], [P(a), P(a)])
         )
@@ -637,7 +633,7 @@ def assert_eliminated(proof):
     before = proof.conclusion
     out, trace = eliminate_cuts_traced(proof)
     check_proof(out)
-    assert count_cuts(out) == 0
+    assert len(cut_nodes(out)) == 0
     assert same_multiset(out.conclusion, before)
     seen = [(e.degree_before, e.maximal_before) for e in trace]
     seen_after = [(e.degree_after, e.maximal_after) for e in trace]
@@ -671,7 +667,7 @@ class TestEliminateCuts:
         prem = ProofNode("negl", Sequent((Q(a), Not(Q(a))), ()), (ax(Q(a)),))
         p = derived_iota1l(prem, dd, a)
         check_proof(p)
-        assert count_cuts(p) == 1
+        assert len(cut_nodes(p)) == 1
         assert_eliminated(p)
 
     def test_derived_iota2_construction(self):
@@ -695,7 +691,7 @@ class TestEliminateCuts:
         p3 = d1.premises[2]
         p = derived_iotar(p1, p2, p3, dd, b, a)
         check_proof(p)
-        assert count_cuts(p) == 2
+        assert len(cut_nodes(p)) == 2
         assert_eliminated(p)
 
     def test_paraphrase_roundtrip_cut(self):
@@ -738,9 +734,7 @@ class TestEliminateCuts:
 
 @pytest.fixture(scope="module")
 def criterion4_corpus():
-    from test_acceptance import SEED
-
-    return cut_corpus(dict(fixture_proofs()), random.Random(SEED + 4))
+    return [root for _, root in perfbench_gen.cut_corpus()]
 
 
 def walk_params(root):
@@ -762,6 +756,9 @@ def assert_facts_fresh(root):
         assert proof_params(n) == walk_params(n)
         if n.rule == "cut":
             assert n.cut_degree == logical_constants(analyze_step(n).cut_formula)
+        degrees = [degree for _, _, degree in cut_nodes(n)]
+        top = max(degrees, default=-1)
+        assert n.cuts == (top, degrees.count(top))
 
 
 def test_stored_facts_match_a_fresh_walk(criterion4_corpus):

@@ -799,13 +799,12 @@ def subst_pin_corpus():
     """Fixture proofs, the criterion-4 corpus, seeded ProofGen proofs, and
     a kernel-rejected proof whose eigenparameter `a` occurs in its own
     conclusion and terms, alone and under a weakening that adds `b`."""
-    from genutil import ProofGen, cut_corpus
+    from genutil import ProofGen, perfbench_gen
     from test_acceptance import SEED
 
     from ddproof.cli import fixture_proofs
 
-    golden = dict(fixture_proofs())
-    proofs = list(golden.values()) + cut_corpus(golden, random.Random(SEED + 4))
+    proofs = [p for _, p in fixture_proofs() + perfbench_gen.cut_corpus()]
     gen = ProofGen(random.Random(SEED + 23), max_steps=8)
     proofs += [gen.proof() for _ in range(30)]
     dd = parse_formula("(lam x. P(x)) (iota y. Q(y))")

@@ -1,7 +1,5 @@
 """Bounded proof search: verdicts, budgets, and the paraphrase suite."""
 
-import functools
-import importlib.util
 import os
 import random
 
@@ -56,7 +54,8 @@ from ddproof.syntax import (
     sequent_key,
 )
 
-from genutil import FormulaGen
+import genutil
+from genutil import FormulaGen, perfbench_gen
 
 
 def skeleton(node):
@@ -237,24 +236,21 @@ def test_search_builds_only_the_proofs_it_returns(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(ProofNode, "__init__", counting_init)
-    fgen = FormulaGen(random.Random(20250823), max_conn=4, max_dd_depth=1)
     kept = 0
-    for _ in range(SAMPLE_SLICE):
-        v = prove(fgen.sequent(), QUICK)
+    for goal in perfbench_gen.prove_sample(n=SAMPLE_SLICE):
+        v = prove(goal, QUICK)
         if isinstance(v, Proved):
             kept += proof_size(v.proof.root)
     assert kept > 0 and built <= 2 * kept, (built, kept)
 
 
-@functools.lru_cache(maxsize=None)
-def perfbench_gen():
-    """perfbench/gen.py, the benchmark's own input generators."""
+def test_bulk_generators_are_the_benchmarks():
+    """The tests draw formulas and proofs from perfbench/gen.py itself, so
+    a forked copy of its generators cannot drift from the benchmark's."""
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    path = os.path.join(root, "perfbench", "gen.py")
-    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
-    gen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(gen)
-    return gen
+    assert perfbench_gen.__file__ == os.path.join(root, "perfbench", "gen.py")
+    assert genutil.FormulaGen is perfbench_gen.FormulaGen
+    assert genutil.ProofGen is perfbench_gen.ProofGen
 
 
 # (budget, prove-sample item, expansions, fresh() draws): the three
@@ -296,10 +292,8 @@ def test_search_effort_is_pinned(monkeypatch, budget, item, expansions, fresh):
 
     monkeypatch.setattr(_State, "__init__", recording_init)
     monkeypatch.setattr(ParamSupply, "fresh", counting_fresh)
-    gen = perfbench_gen()
-    verdict = prove(
-        gen.prove_sample()[item], gen.PROVE_BUDGET if budget == "gate" else DEFAULT_BUDGET
-    )
+    limits = perfbench_gen.PROVE_BUDGET if budget == "gate" else DEFAULT_BUDGET
+    verdict = prove(perfbench_gen.prove_sample()[item], limits)
     (st,) = states
     assert (st.expansions, st.minted) == (expansions, fresh)
     capped = item == 478 or budget == "default"
@@ -405,8 +399,7 @@ def test_no_skipped_probe_could_have_hit(monkeypatch, item, probes):
 
     monkeypatch.setattr(search, "_quick_refuted", probe)
     monkeypatch.setattr(search, "find_countermodel", find)
-    gen = perfbench_gen()
-    prove(gen.prove_sample()[item], gen.PROVE_BUDGET)
+    prove(perfbench_gen.prove_sample()[item], perfbench_gen.PROVE_BUDGET)
     assert made - 1 == probes  # the first call is prove's up-front pass
     assert skipped
     for g in skipped.values():
