@@ -18,8 +18,9 @@ inference and occurs nowhere outside that inference's premises. Both
 in which each subtree is an interval of indices. `regularize` gives each
 clash a name fresh for the whole proof, so no rename changes whether
 another inference clashes, and makes every rename in one rebuild. It
-renames each node through `kernel._renamed`, the step
-`subst_param_proof` takes too, so proofs are renamed in one way.
+renames each node through `kernel._renamed`, the step `subst_param_proof`
+takes too, so proofs are renamed in one way, with one memo per walk: each
+formula is renamed once, and the nodes that shared it share its copy.
 A step keeps p regular without a pass over the whole proof:
   * `left_reduce(..., avoid=proof_params(p))` ends in
     `regularize(out, avoid)`, so every eigenparameter of the reduced
@@ -149,7 +150,7 @@ def regularize(proof: ProofNode, avoid: Iterable[str] = ()) -> ProofNode:
     eigens, clashes, seen = _clashes(proof, set(avoid))
     supply = ParamSupply(seen)
     fresh = {i: supply.fresh() for i in clashes}
-    index = iter(range(len(eigens)))
+    index, memo = iter(range(len(eigens))), {}
 
     def rebuild(node: ProofNode, names: dict) -> ProofNode:
         i = next(index)
@@ -159,7 +160,7 @@ def regularize(proof: ProofNode, avoid: Iterable[str] = ()) -> ProofNode:
         for q in node.premises:
             premises.append(rebuild(q, inner))
         premises = tuple(premises)
-        conclusion, terms = _renamed(node, names.items())
+        conclusion, terms = _renamed(node, names.items(), memo)
         same = conclusion is node.conclusion and terms is node.terms and eigen is node.eigen
         if same and premises == node.premises:
             return node

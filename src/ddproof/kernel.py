@@ -817,17 +817,18 @@ def check_proof(root: ProofNode) -> Proof:
 # parameter substitution in proofs
 
 
-def _renamed(node: ProofNode, renames, eigen: Optional[Param] = None) -> tuple[Sequent, tuple]:
+def _renamed(node: ProofNode, renames, memo, eigen: Optional[Param] = None) -> tuple[Sequent, tuple]:
     """The node's conclusion and terms after each (old, new) of `renames`
     in turn, skipping names the node lacks (so no new name may be a later
     pair's old one). Given `eigen`, the terms first take it in place of
-    the node's own eigenparameter; the conclusion does not."""
+    the node's own eigenparameter; the conclusion does not. One walk passes
+    one `memo` (`rename_param_seq`), so its nodes share each renamed formula."""
     conclusion, terms = node.conclusion, node.terms
     if eigen is not None and eigen != node.eigen:
         terms = tuple(eigen if t == node.eigen else t for t in terms)
     for old, new in renames:
         if old in node.own_params:
-            conclusion = rename_param_seq(conclusion, old, new)
+            conclusion = rename_param_seq(conclusion, old, new, memo)
             terms = tuple(new if isinstance(t, Param) and t.name == old else t for t in terms)
     return conclusion, terms
 
@@ -846,6 +847,7 @@ def subst_param_proof(root: ProofNode, old: Union[str, Param], new: Term) -> Pro
     new_name = new.name if isinstance(new, Param) else None
     if old_name == new_name or old_name not in root.params:
         return root
+    memo: dict = {}
 
     def go(node: ProofNode, names: dict) -> ProofNode:
         if old_name not in node.params and new_name not in node.params:
@@ -861,7 +863,7 @@ def subst_param_proof(root: ProofNode, old: Union[str, Param], new: Term) -> Pro
         premises = []  # a loop, not a comprehension: one frame per level
         for q in node.premises:
             premises.append(go(q, inner))
-        conclusion, terms = _renamed(node, [*names.items(), (old_name, new)], eigen)
+        conclusion, terms = _renamed(node, [*names.items(), (old_name, new)], memo, eigen)
         return replace(
             node, conclusion=conclusion, terms=terms, premises=tuple(premises), eigen=eigen
         )

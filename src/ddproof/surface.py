@@ -488,8 +488,13 @@ def _render(f: Formula, min_level: int, tail: bool, sty: dict) -> str:
     raise TypeError(f"not a formula: {f!r}")
 
 
-def _formulas(fs: tuple[Formula, ...], sty: dict) -> str:
-    return ", ".join(_render(f, 1, True, sty) for f in fs)
+def _formulas(fs: tuple[Formula, ...], sty: dict, shown: dict) -> str:
+    """`shown` maps the id of each formula rendered so far in one call, whose
+    caller keeps it alive, to its text: each formula object renders once."""
+    for f in fs:
+        if id(f) not in shown:
+            shown[id(f)] = _render(f, 1, True, sty)
+    return ", ".join([shown[id(f)] for f in fs])
 
 
 def format_formula(f: Formula, unicode: bool = False) -> str:
@@ -497,17 +502,18 @@ def format_formula(f: Formula, unicode: bool = False) -> str:
 
 
 def format_sequent(s: Sequent, unicode: bool = False) -> str:
-    sty = _STYLES[unicode]
-    return " ".join(filter(None, (_formulas(s.ant, sty), sty[Sequent], _formulas(s.suc, sty))))
+    sty, shown = _STYLES[unicode], {}
+    ant, suc = _formulas(s.ant, sty, shown), _formulas(s.suc, sty, shown)
+    return " ".join(filter(None, (ant, sty[Sequent], suc)))
 
 
 def format_proof(root: ProofNode, unicode: bool = False) -> str:
-    sty = _STYLES[unicode]
+    sty, shown = _STYLES[unicode], {}
     lines: list[str] = []
 
     def go(n: ProofNode, depth: int):
-        s = n.conclusion
-        head = f"{'  ' * depth}({n.rule} (seq ({_formulas(s.ant, sty)}) ({_formulas(s.suc, sty)}))"
+        ant, suc = _formulas(n.conclusion.ant, sty, shown), _formulas(n.conclusion.suc, sty, shown)
+        head = f"{'  ' * depth}({n.rule} (seq ({ant}) ({suc}))"
         for t in n.terms:
             head += f" :term {format_term(t)}"
         if n.eigen is not None:

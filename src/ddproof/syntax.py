@@ -387,11 +387,12 @@ class ParamSupply:
 #
 # The walks recurse through plain calls, one frame per level as the unstored
 # walks did. Free variables are stored on every node of the walk, so that
-# `substitute`, which asks at every level, stays linear in depth. Names and
-# canonical keys are stored on the node they are asked of, as a fresh walk
-# over its subtree: parsed proofs share no nodes, and filling every level
-# would cost them more than the walk. Stored facts are read with getattr, as
-# a raised AttributeError costs far more than a miss; only the hash, filled
+# `substitute`, which asks at every level, stays linear in depth. A formula's
+# names and canonical key are stored on the node they are asked of, as a
+# fresh walk: filling every level would cost more than the walk. A sequent's
+# names are the union of its formulas' stored ones, so a formula that many
+# sequents share is walked once. Stored facts are read with getattr, as a
+# raised AttributeError costs far more than a miss; only the hash, filled
 # once and read most often, is read with try.
 
 _EMPTY: frozenset[str] = frozenset()
@@ -424,15 +425,21 @@ def _names(x: _Node) -> tuple[frozenset[str], frozenset[str], tuple]:
     names = getattr(x, "_names", None)
     if names is not None:
         return names
-    terms: list = []
-    preds: list = []
-    for f in x.ant + x.suc if isinstance(x, Sequent) else (x,):
-        _occurrences(f, terms, preds)
-    names = (
-        frozenset([t.name for t in terms if isinstance(t, Param)]) or _EMPTY,
-        frozenset([t.name for t in terms if isinstance(t, Const)]) or _EMPTY,
-        tuple(dict.fromkeys(preds)),
-    )
+    if isinstance(x, Sequent):  # the union of its formulas' stored names
+        parts = [_names(f) for f in x.ant + x.suc]
+        names = (
+            _EMPTY.union(*[n[0] for n in parts]) or _EMPTY,
+            _EMPTY.union(*[n[1] for n in parts]) or _EMPTY,
+            tuple(dict.fromkeys([p for n in parts for p in n[2]])),
+        )
+    else:
+        terms, preds = [], []
+        _occurrences(x, terms, preds)
+        names = (
+            frozenset([t.name for t in terms if isinstance(t, Param)]) or _EMPTY,
+            frozenset([t.name for t in terms if isinstance(t, Const)]) or _EMPTY,
+            tuple(dict.fromkeys(preds)),
+        )
     _store(x, "_names", names)
     return names
 
@@ -546,11 +553,19 @@ def _rename(f: Formula, old: str, new: Term) -> Formula:
     return shape.make(f, parts, f.bound if shape.binds else None)
 
 
-def rename_param_seq(s: Sequent, old: str, new: Term) -> Sequent:
-    return Sequent(
-        tuple(rename_param(f, old, new) for f in s.ant),
-        tuple(rename_param(f, old, new) for f in s.suc),
-    )
+def rename_param_seq(s: Sequent, old: str, new: Term, memo: dict) -> Sequent:
+    """`rename_param` on each formula of s. `memo` maps (old, new) to the
+    formulas renamed so far and their results; one proof renaming passes
+    one dict, so a formula that many sequents share is renamed once."""
+    done = memo.setdefault((old, new), {})
+
+    def one(f: Formula) -> Formula:
+        g = done.get(f)
+        if g is None:
+            g = done[f] = rename_param(f, old, new)
+        return g
+
+    return Sequent(tuple(map(one, s.ant)), tuple(map(one, s.suc)))
 
 
 # ---------------------------------------------------------------------------

@@ -85,6 +85,33 @@ def sequent_strategy(depth=2, max_side=3):
     return st.builds(lambda a, s: Sequent(tuple(a), tuple(s)), forms, forms)
 
 
+def ref_occurrences(x, terms: list, preds: list) -> None:
+    """Append the term and (name, arity) occurrences of a sequent, formula
+    or description, in walk order: a reference walk over the node classes,
+    independent of the names `syntax` stores."""
+    if isinstance(x, Sequent):
+        for f in x.ant + x.suc:
+            ref_occurrences(f, terms, preds)
+    elif isinstance(x, PredAtom):
+        terms.extend(x.args)
+        preds.append((x.pred, len(x.args)))
+    elif isinstance(x, Identity):
+        terms.extend((x.lhs, x.rhs))
+    elif isinstance(x, Not):
+        ref_occurrences(x.sub, terms, preds)
+    elif isinstance(x, (And, Or, Imp, Iff)):
+        ref_occurrences(x.left, terms, preds)
+        ref_occurrences(x.right, terms, preds)
+    elif isinstance(x, (Forall, Exists, IotaTerm)):
+        ref_occurrences(x.body, terms, preds)
+    else:
+        ref_occurrences(x.body, terms, preds)
+        if isinstance(x.arg, IotaTerm):
+            ref_occurrences(x.arg.body, terms, preds)
+        else:
+            terms.append(x.arg)
+
+
 def has_description(f):
     """True when the formula contains a predicate abstract applied to a
     definite description."""

@@ -12,7 +12,7 @@ import subprocess
 import sys
 
 import pytest
-from genutil import ProofGen, perfbench_gen
+from genutil import ProofGen, perfbench_gen, ref_occurrences
 
 from ddproof import syntax
 from ddproof.syntax import (
@@ -737,13 +737,20 @@ def criterion4_corpus():
     return [root for _, root in perfbench_gen.cut_corpus()]
 
 
+def ref_own_params(n) -> set:
+    """The parameters of a node's conclusion and terms, by an occurrence walk
+    that reads none of the names `syntax` stores."""
+    terms = list(n.terms)
+    ref_occurrences(n.conclusion, terms, [])
+    return {t.name for t in terms if isinstance(t, Param)}
+
+
 def walk_params(root):
     """Reference oracle: the whole-proof walk that proof_params made before
     the sets were stored on the nodes."""
     out = set()
     for _, n in iter_nodes(root):
-        out |= params_in(n.conclusion)
-        out |= params_in(n.terms)
+        out |= ref_own_params(n)
         if n.eigen is not None:
             out.add(n.eigen.name)
     return out
@@ -752,7 +759,7 @@ def walk_params(root):
 def assert_facts_fresh(root):
     """Every node's stored facts equal a fresh computation."""
     for _, n in iter_nodes(root):
-        assert n.own_params == params_in(n.conclusion) | params_in(n.terms)
+        assert n.own_params == ref_own_params(n)
         assert proof_params(n) == walk_params(n)
         if n.rule == "cut":
             assert n.cut_degree == logical_constants(analyze_step(n).cut_formula)
@@ -773,13 +780,48 @@ def test_stored_facts_match_a_fresh_walk(criterion4_corpus):
         old = min(params_in(root.conclusion), default=None)
         if old is not None:
             # not a valid step any more, but its parameters must be the new ones
-            renamed = rename_param_seq(root.conclusion, old, b9)
+            renamed = rename_param_seq(root.conclusion, old, b9, {})
             moved = replace(root, conclusion=renamed)
-            assert moved.own_params == params_in(moved.conclusion) | params_in(moved.terms)
+            assert moved.own_params == ref_own_params(moved)
             assert proof_params(moved) == walk_params(moved)
             assert "b9" in moved.own_params and "b9" in moved.params
         out, _ = eliminate_cuts_traced(root)
         assert_facts_fresh(out)
+
+
+def formula_objects(root, name=None) -> set:
+    """The ids of the distinct formula objects in a proof's conclusions,
+    only those that mention parameter `name` when it is given."""
+    return {
+        id(f) for _, n in iter_nodes(root) for f in n.conclusion.ant + n.conclusion.suc
+        if name is None or name in params_in(f)
+    }
+
+
+def test_renaming_keeps_formulas_shared(criterion4_corpus):
+    """One renaming walk renames each distinct formula once: over a
+    200-high wl/cl chain whose sequents all carry one object P(a1), both
+    regularize and subst_param_proof give back one renamed object, as the
+    input held one. The elimination outputs of the criterion-4 corpus keep
+    the count of distinct formula objects pinned (2,221 when every renamed
+    node had copies of its own)."""
+    pa, ex = P(Param("a1")), parse_formula("exists x. P(x)")
+    one, two = Sequent((pa,), (ex,)), Sequent((pa, pa), (ex,))
+    node = ProofNode("existsr", one, (ProofNode("ax", Sequent((pa,), (pa,))),), (Param("a1"),))
+    for i in range(200):
+        node = ProofNode(*(("wl", two) if i % 2 == 0 else ("cl", one)), (node,))
+    root = ProofNode("existsl", Sequent((ex,), (ex,)), (node,), eigen=Param("a1"))
+    check_proof(root)
+    assert len(formula_objects(root, "a1")) == 1
+    out = regularize(root, avoid=proof_params(root))
+    check_proof(out)
+    assert out.eigen != Param("a1") and "a1" not in out.params
+    assert len(formula_objects(out, out.eigen.name)) == 1
+    moved = subst_param_proof(node, "a1", Param("b1"))
+    assert "a1" not in moved.params
+    assert len(formula_objects(moved, "b1")) == 1
+    outs = [eliminate_cuts(root) for root in criterion4_corpus]
+    assert len(set().union(*map(formula_objects, outs))) == 451
 
 
 def test_elimination_computes_each_parameter_set_once(monkeypatch):

@@ -129,7 +129,12 @@ def oracle_substitute(f, x, t):
 # ---------------------------------------------------------------------------
 # formula generator shared with the other test modules
 
-from genutil import closed_formula_strategy, formula_strategy, term_strategy  # noqa: E402
+from genutil import (  # noqa: E402
+    closed_formula_strategy,
+    formula_strategy,
+    ref_occurrences,
+    term_strategy,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -447,31 +452,6 @@ def _ref_free_vars(f, bound=frozenset()) -> set:
     return out
 
 
-def _ref_occurrences(x, terms: list, preds: list) -> None:
-    """Term and (name, arity) occurrences, in walk order."""
-    if isinstance(x, Sequent):
-        for f in x.ant + x.suc:
-            _ref_occurrences(f, terms, preds)
-    elif isinstance(x, PredAtom):
-        terms.extend(x.args)
-        preds.append((x.pred, len(x.args)))
-    elif isinstance(x, Identity):
-        terms.extend((x.lhs, x.rhs))
-    elif isinstance(x, Not):
-        _ref_occurrences(x.sub, terms, preds)
-    elif isinstance(x, (And, Or, Imp, Iff)):
-        _ref_occurrences(x.left, terms, preds)
-        _ref_occurrences(x.right, terms, preds)
-    elif isinstance(x, (Forall, Exists, IotaTerm)):
-        _ref_occurrences(x.body, terms, preds)
-    else:
-        _ref_occurrences(x.body, terms, preds)
-        if isinstance(x.arg, IotaTerm):
-            _ref_occurrences(x.arg.body, terms, preds)
-        else:
-            terms.append(x.arg)
-
-
 def _nodes(x):
     """Every formula node and description in x, x included."""
     yield x
@@ -495,7 +475,7 @@ def _assert_facts_fresh(x) -> None:
     for g in _nodes(x):
         assert hash(g) == hash(tuple(getattr(g, name) for name in g.__match_args__))
         terms, preds = [], []
-        _ref_occurrences(g, terms, preds)
+        ref_occurrences(g, terms, preds)
         assert params_in(g) == {t.name for t in terms if isinstance(t, Param)}
         assert consts_in(g) == {t.name for t in terms if isinstance(t, Const)}
         assert preds_in(g) == tuple(dict.fromkeys(preds))
@@ -530,6 +510,12 @@ def test_stored_facts_match_fresh_walks(f, g, x, t, root_first):
     _assert_facts_fresh(substitute(f, x, t))
     _assert_facts_fresh(rename_param(f, "a", Param("b")))
     _assert_facts_fresh(rename_param(f, "b", Const("c")))
+    # a sequent's names are the union of its formulas' stored ones: asked
+    # of a sequent that holds one formula object twice, before the formula
+    # is asked itself (g is not asked above) ...
+    _assert_facts_fresh(Sequent((g,), (g,)))
+    # ... and of a sequent whose formulas stored their names before it
+    params_in(g), preds_in(f)
     _assert_facts_fresh(Sequent((f, g), (g,)))
     # a replaced field is seen: nothing stored on f is carried over
     for name in _formula_fields(f):
