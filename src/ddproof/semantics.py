@@ -12,13 +12,15 @@ and satisfies psi (as x). The description body is evaluated by extending the
 environment at its bound variable, never by substituting terms into it, so
 evaluation and the first-order translation agree on every formula.
 
-`find_countermodel` enumerates interpretations smallest-first and
-deterministically: domain sizes ascending; predicate relations in
-binary-counter order over the lexicographically sorted tuple space (all
-relations empty first); constant, then parameter denotations as numerals
-with the rightmost position cycling fastest. The first interpretation
-falsifying the sequent is returned, so reported countermodels are stable
-across runs.
+`find_countermodel` first surveys the sequent in one walk (`_survey`): its
+signature, as `signature_of` builds it, and how deep it nests binders. The
+walk stores nothing on the nodes, so a goal refuted here stores no names.
+It enumerates interpretations smallest-first and deterministically: domain
+sizes ascending; predicate relations in binary-counter order over the
+lexicographically sorted tuple space (all relations empty first); constant,
+then parameter denotations as numerals with the rightmost position cycling
+fastest. The first interpretation falsifying the sequent is returned, so
+reported countermodels are stable across runs.
 
 It evaluates a sequent on all interpretations of a size at once: the i-th
 in that order is bit i of a Python integer, i read in mixed radix as one
@@ -251,23 +253,50 @@ def _pattern(w: int, r: int, v: int, length: int) -> int:
     return x & ((1 << length) - 1)
 
 
-def _depth(f: Formula, scope: frozenset = frozenset()) -> int:
-    """How deep f nests its binders: quantifiers, abstracts, descriptions.
-    Raises KeyError, as evaluating f would, on a variable no binder binds."""
-    if isinstance(f, (PredAtom, Identity)):
-        for t in f.args if isinstance(f, PredAtom) else (f.lhs, f.rhs):
-            if isinstance(t, Var) and t.name not in scope:
-                raise KeyError(t)
-        return 0
-    if isinstance(f, Not):
-        return _depth(f.sub, scope)
-    if isinstance(f, (And, Or, Imp, Iff)):
-        return max(_depth(f.left, scope), _depth(f.right, scope))
-    if isinstance(f, LambdaAtom) and isinstance(f.arg, IotaTerm):
-        return 1 + max(_depth(f.body, scope | {f.bound}), _depth(f.arg.body, scope | {f.arg.bound}))
-    if isinstance(f, LambdaAtom) and isinstance(f.arg, Var) and f.arg.name not in scope:
-        raise KeyError(f.arg)
-    return 1 + _depth(f.body, scope | {f.bound})
+def _survey(fs: tuple) -> tuple[Signature, int]:
+    """The signature of formulas fs, as `signature_of` builds it, and how
+    deep they nest their binders (quantifiers, abstracts, descriptions), in
+    one walk that stores nothing on the nodes. Raises IllFormed on a
+    predicate used with two arities, else KeyError, as evaluating would, on
+    the first variable no binder binds."""
+    preds: dict[str, int] = {}
+    consts, params, depth, unbound = set(), set(), 0, None
+    stack = [(f, frozenset(), 0) for f in reversed(fs)]  # pre-order, field order
+    while stack:
+        f, scope, d = stack.pop()
+        cls = type(f)
+        if cls is PredAtom:
+            terms = f.args
+            if preds.setdefault(f.pred, len(terms)) != len(terms):
+                raise IllFormed("signature", f"predicate {f.pred} used with two arities")
+        elif cls is Identity:
+            terms = (f.lhs, f.rhs)
+        elif cls is Not:
+            stack.append((f.sub, scope, d))
+            continue
+        elif cls in _OPS:
+            stack += ((f.right, scope, d), (f.left, scope, d))
+            continue
+        else:  # a binder: its body one level down, and an abstract's argument
+            terms, d = (), d + 1
+            if d > depth:
+                depth = d
+            if cls is LambdaAtom and type(f.arg) is IotaTerm:
+                stack.append((f.arg.body, scope | {f.arg.bound}, d))
+            elif cls is LambdaAtom:
+                terms = (f.arg,)
+            stack.append((f.body, scope | {f.bound}, d))
+        for t in terms:
+            if type(t) is Const:
+                consts.add(t.name)
+            elif type(t) is Param:
+                params.add(t.name)
+            elif unbound is None and t.name not in scope:
+                unbound = t
+    if unbound is not None:
+        raise KeyError(unbound)
+    sig = Signature(tuple(sorted(preds.items())), tuple(sorted(consts)), tuple(sorted(params)))
+    return sig, depth
 
 
 class _Block:
@@ -368,8 +397,7 @@ def find_countermodel(
     on a variable no binder binds."""
     if not isinstance(s, Sequent):
         s = Sequent((), (s,))
-    sig = signature_of(s)
-    depth = max(map(_depth, s.ant + s.suc), default=0)
+    sig, depth = _survey(s.ant + s.suc)
     terms = [(Const, name) for name in sig.consts] + [(Param, name) for name in sig.params]
     count = 0  # interpretations of the smaller sizes
     for n in range(1, max_size + 1):

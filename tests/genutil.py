@@ -7,6 +7,7 @@ also builds the criterion-4 cut corpus (`perfbench_gen.cut_corpus()`).
 The tests and the benchmark thus draw the same inputs from one copy.
 """
 
+import functools
 import importlib.util
 import os
 
@@ -28,7 +29,6 @@ from ddproof.syntax import (
     PredAtom,
     Sequent,
     Var,
-    free_vars,
 )
 
 # perfbench is a directory of scripts, not a package: load gen.py by path
@@ -76,8 +76,39 @@ def formula_strategy(depth=3):
     )
 
 
-def closed_formula_strategy(depth=3):
-    return formula_strategy(depth).filter(lambda f: not free_vars(f))
+@functools.lru_cache(maxsize=None)
+def closed_formula_strategy(depth=3, scope=frozenset()):
+    """Formulas over the atoms of `formula_strategy` with no free variable,
+    by construction: a variable is drawn only from the binders in scope.
+    Bound names come from {x, y, z}, so inner binders may shadow outer
+    ones."""
+    term = st.sampled_from([Param("a"), Param("b"), Const("c")] + [Var(v) for v in sorted(scope)])
+    base = st.one_of(
+        st.builds(PredAtom, st.just("P"), st.tuples(term)),
+        st.builds(PredAtom, st.just("R"), st.tuples(term, term)),
+        st.builds(Identity, term, term),
+    )
+    if depth == 0:
+        return base
+    sub = closed_formula_strategy(depth - 1, scope)
+
+    def bind(make):
+        # one choice per bound name, the body closed under it
+        return st.one_of(*[make(st.just(v), closed_formula_strategy(depth - 1, scope | {v}))
+                           for v in "xyz"])
+
+    lam_arg = st.one_of(term, bind(lambda v, body: st.builds(IotaTerm, v, body)))
+    return st.one_of(
+        base,
+        st.builds(Not, sub),
+        st.builds(And, sub, sub),
+        st.builds(Or, sub, sub),
+        st.builds(Imp, sub, sub),
+        st.builds(Iff, sub, sub),
+        bind(lambda v, body: st.builds(Forall, v, body)),
+        bind(lambda v, body: st.builds(Exists, v, body)),
+        bind(lambda v, body: st.builds(LambdaAtom, v, body, lam_arg)),
+    )
 
 
 def sequent_strategy(depth=2, max_side=3):

@@ -10,7 +10,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from genutil import closed_formula_strategy, formula_strategy
+from genutil import FormulaGen, closed_formula_strategy, formula_strategy, perfbench_gen
 from ddproof import semantics
 from ddproof.semantics import (
     Countermodel,
@@ -31,6 +31,7 @@ from ddproof.syntax import (
     Forall,
     Identity,
     Iff,
+    IllFormed,
     Imp,
     IotaTerm,
     LambdaAtom,
@@ -40,6 +41,8 @@ from ddproof.syntax import (
     PredAtom,
     Sequent,
     Var,
+    _Node,
+    _parts,
     alpha_equal,
     free_vars,
     substitute,
@@ -276,6 +279,65 @@ def test_signature_of():
     assert sig.preds == (("P", 1), ("Q", 1), ("R", 2))
     assert sig.consts == ("c",)
     assert sig.params == ("a",)
+
+
+def _ref_depth(f, scope=frozenset()):
+    """How deep f nests its binders, or KeyError on the first variable no
+    binder binds: the recursive walk the countermodel pass made before it
+    surveyed each sequent in one walk."""
+    if isinstance(f, (PredAtom, Identity)):
+        for t in f.args if isinstance(f, PredAtom) else (f.lhs, f.rhs):
+            if isinstance(t, Var) and t.name not in scope:
+                raise KeyError(t)
+        return 0
+    if isinstance(f, Not):
+        return _ref_depth(f.sub, scope)
+    if isinstance(f, (And, Or, Imp, Iff)):
+        return max(_ref_depth(f.left, scope), _ref_depth(f.right, scope))
+    if isinstance(f, LambdaAtom) and isinstance(f.arg, IotaTerm):
+        return 1 + max(_ref_depth(f.body, scope | {f.bound}),
+                       _ref_depth(f.arg.body, scope | {f.arg.bound}))
+    if isinstance(f, LambdaAtom) and isinstance(f.arg, Var) and f.arg.name not in scope:
+        raise KeyError(f.arg)
+    return 1 + _ref_depth(f.body, scope | {f.bound})
+
+
+def _outcome(run):
+    try:
+        return run()
+    except (KeyError, IllFormed) as e:
+        return type(e), e.args
+
+
+def test_survey_matches_signature_and_depth():
+    """`_survey` gives `signature_of`'s signature and the reference depth,
+    or raises what they raise, in their order: an arity clash before an
+    unbound variable. It stores nothing on the nodes it walks."""
+    sample = perfbench_gen.prove_sample()
+    # x is free in most desk-check formulas, and those raise KeyError
+    sample += [Sequent((), (f,)) for f in perfbench_gen.desk_formulas(random.Random(5), 400)]
+    fgen = FormulaGen(random.Random(5), max_conn=8, max_dd_depth=3)
+    sample += [fgen.sequent() for _ in range(400)]
+    raised = 0
+    for s in sample:
+        got = _outcome(lambda: semantics._survey(s.ant + s.suc))
+        expected = _outcome(lambda: (signature_of(s), max(map(_ref_depth, s.ant + s.suc), default=0)))
+        assert got == expected, s
+        raised += expected[0] is KeyError
+    assert 200 < raised < 400
+    clash = Sequent((PredAtom("P", (Var("x"),)),), (PredAtom("P", (Param("a"), Param("b"))),))
+    assert _outcome(lambda: semantics._survey(clash.ant + clash.suc)) == (
+        IllFormed, ("signature: predicate P used with two arities",))
+
+    def nodes(x):
+        yield x
+        for p in x.ant + x.suc if isinstance(x, Sequent) else _parts(x):
+            if isinstance(p, _Node):
+                yield from nodes(p)
+
+    goal = parse_sequent("P(#a), (lam x. Q(x)) iota y. R(y, $c) => exists z. P(z) & ~Q(#b)")
+    assert find_countermodel(goal) is not None
+    assert [n for n in nodes(goal) if getattr(n, "_names", None) is not None] == []
 
 
 # ---------------------------------------------------------------------------
