@@ -299,7 +299,7 @@ def _rr(d1, gamma, delta, d2, phi, k, trace) -> ProofNode:
     if hit and rule == "negl":
         trace.append("rr:neg")
         q = ih(d2.premises[0], k - 1)
-        return mk_cut(q, d1.premises[0], phi.body)
+        return mk_cut(q, d1.premises[0], phi.sub)
 
     if hit and rule == "andl":
         trace.append("rr:and")

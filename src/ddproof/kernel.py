@@ -26,13 +26,16 @@ anywhere in the conclusion. iotar also rejects an eigenvariable equal to its
 witness term: with the two identified, the uniqueness premise becomes
 vacuous and the rule could derive "the domain is a singleton" from nothing.
 
-`check_proof` reads facts stored on syntax objects, each computed once from
-the object's own fields: a formula's alpha key and free variables, and a
-sequent's `syntax.sequent_key`, the one form of each side's multiset: its
-alpha keys in sorted order. Within one call it validates each distinct
-formula object once. Step results are never stored: every call runs
-`analyze_step` on every node, and nothing a check returns is read back by a
-later one.
+Formulas are compared only through alpha keys, but for eqminus's atoms,
+which bind nothing and are compared as values. `check_proof` reads facts
+stored on syntax objects, each computed once from the object's own fields:
+a formula's alpha key and free variables, and a sequent's
+`syntax.sequent_key`, the one form of each side's multiset: its alpha keys
+in sorted order. A left-out instance is read off two keys aligned token by
+token (`syntax.match_subst`), and the premises it gives are then checked
+by their keys. Within one call it validates each distinct formula object
+once. Step results are never stored: every call runs `analyze_step` on
+every node, and nothing a check returns is read back by a later one.
 """
 
 from __future__ import annotations
@@ -61,8 +64,6 @@ from .syntax import (
     Sequent,
     Term,
     Var,
-    _Node,
-    _SHAPES,
     _parts,
     _rebuild,
     alpha_key,
@@ -70,6 +71,7 @@ from .syntax import (
     is_atomic,
     is_term,
     logical_constants,
+    match_subst,
     params_in,
     record,
     rename_param_seq,
@@ -298,50 +300,6 @@ def _first_index(forms: tuple, key: str) -> int:
         if alpha_key(f) == key:
             return i
     raise ValueError(f"no occurrence of {key}")
-
-
-# ---------------------------------------------------------------------------
-# instantiation matching
-
-
-def match_subst(pattern: Formula, xs, chi: Formula) -> Optional[dict[str, Term]]:
-    """Find terms for the pattern variables xs that make pattern alpha-equal
-    to chi.
-
-    Returns a map from each of xs free in pattern to the unique Param or
-    Const that fits it, or None when no match exists. A variable that is
-    not free in pattern is left out of the map: any term fits it.
-    """
-    found: dict[str, Term] = {}
-
-    def term_ok(b: Term, c, benv: dict, cenv: dict) -> bool:
-        if isinstance(b, Var):
-            if b.name in benv:
-                return isinstance(c, Var) and cenv.get(c.name) == benv[b.name]
-            if b.name in xs:
-                return isinstance(c, (Param, Const)) and found.setdefault(b.name, c) == c
-            # other free variable: must appear verbatim and free
-            return isinstance(c, Var) and c.name == b.name and c.name not in cenv
-        return c == b
-
-    def walk(b, c, benv: dict, cenv: dict, depth: int) -> bool:
-        if type(b) is not type(c):
-            return False
-        shape = _SHAPES[type(b)]
-        bs, cs = shape.parts(b), shape.parts(c)
-        if len(bs) != len(cs) or shape.spread and b.pred != c.pred:
-            return False
-        # a binder's body is matched with both bound variables at `depth`
-        inner = (benv, cenv, depth)
-        if shape.binds:
-            inner = ({**benv, b.bound: depth}, {**cenv, c.bound: depth}, depth + 1)
-        for u, v in zip(bs, cs):
-            if not (walk(u, v, *inner) if isinstance(u, _Node) else term_ok(u, v, benv, cenv)):
-                return False
-            inner = (benv, cenv, depth)
-        return True
-
-    return found if walk(pattern, chi, {}, {}, 0) else None
 
 
 # ---------------------------------------------------------------------------

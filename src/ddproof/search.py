@@ -55,6 +55,7 @@ from .syntax import (
     Sequent,
     Term,
     alpha_key,
+    consts_in,
     params_in,
     record,
     sequent_key,
@@ -65,7 +66,6 @@ from .semantics import (
     EnumerationCapError,
     Model,
     find_countermodel,
-    signature_of,
 )
 
 
@@ -302,9 +302,8 @@ def _invertible(g: Sequent, st: _State) -> Optional[_Move]:
 
 
 def _term_pool(g: Sequent) -> list[Term]:
-    sig = signature_of(*g.ant, *g.suc)
-    pool: list[Term] = [Param(n) for n in sorted(sig.params)]
-    pool += [Const(n) for n in sorted(sig.consts)]
+    pool: list[Term] = [Param(n) for n in sorted(params_in(g))]
+    pool += [Const(n) for n in sorted(consts_in(g))]
     return pool
 
 

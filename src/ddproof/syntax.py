@@ -25,7 +25,9 @@ over one construction. A minted name depends on its input only.
 Formula nodes, descriptions and sequents store the structural facts that
 the calculus keeps asking for, each computed on first use: hashes, canonical
 keys (`alpha_key`, and `sequent_key`, the one multiset of each sequent
-side), free variables, and parameter, constant and predicate names. Nodes
+side), free variables, and parameter, constant and predicate names. The
+key holds each name and connective as a token, so names, logical constants
+and the kernel's instance matcher `match_subst` read it, with no walk. Nodes
 are frozen and `replace` builds a new node with nothing stored, so a stored
 fact cannot go stale. Pickling carries the fields only: string hashes are
 salted per process, so a stored hash must not reach another one.
@@ -367,19 +369,18 @@ class ParamSupply:
 
     Every index below the cursor `_next` is taken, by an avoided name or one
     already minted, so `fresh` scans forward from the cursor and each name
-    it mints is `scan_fresh(base, avoid | minted so far)`."""
+    it mints is `scan_fresh("a", avoid | minted so far)`."""
 
-    def __init__(self, avoid: Iterable[str] = (), base: str = "a"):
+    def __init__(self, avoid: Iterable[str] = ()):
         self._avoid = set(avoid)
-        self._base = base
         self._next = 1
 
     def fresh(self) -> Param:
         i = self._next
-        while f"{self._base}{i}" in self._avoid:
+        while f"a{i}" in self._avoid:
             i += 1
         self._next = i + 1
-        return Param(f"{self._base}{i}")
+        return Param(f"a{i}")
 
 
 # ---------------------------------------------------------------------------
@@ -388,10 +389,10 @@ class ParamSupply:
 # The walks recurse through plain calls, one frame per level as the unstored
 # walks did. Free variables are stored on every node of the walk, so that
 # `substitute`, which asks at every level, stays linear in depth. A formula's
-# names and canonical key are stored on the node they are asked of, as a
-# fresh walk: filling every level would cost more than the walk. A sequent's
-# names are the union of its formulas' stored ones, so a formula that many
-# sequents share is walked once. Stored facts are read with getattr, as a
+# key is stored on the node it is asked of, as a fresh walk: filling every
+# level would cost more than the walk; its names are read off the key. A
+# sequent's names are the union of its formulas' stored ones, so a formula
+# that many sequents share is read once. Stored facts are read with getattr, as a
 # raised AttributeError costs far more than a miss; only the hash, filled
 # once and read most often, is read with try.
 
@@ -432,29 +433,20 @@ def _names(x: _Node) -> tuple[frozenset[str], frozenset[str], tuple]:
             _EMPTY.union(*[n[1] for n in parts]) or _EMPTY,
             tuple(dict.fromkeys([p for n in parts for p in n[2]])),
         )
-    else:
-        terms, preds = [], []
-        _occurrences(x, terms, preds)
-        names = (
-            frozenset([t.name for t in terms if isinstance(t, Param)]) or _EMPTY,
-            frozenset([t.name for t in terms if isinstance(t, Const)]) or _EMPTY,
-            tuple(dict.fromkeys(preds)),
-        )
+    else:  # the key's tokens, in walk order
+        params, consts, preds = [], [], {}
+        tokens = _tokens(x)
+        for tag, token in zip(tokens, tokens[1:]):
+            if tag == "(P":
+                name, _, n = token.rpartition("/")
+                preds[name, int(n)] = None
+            elif token[:2] == "p:":
+                params.append(token[2:])
+            elif token[:2] == "c:":
+                consts.append(token[2:])
+        names = (frozenset(params) or _EMPTY, frozenset(consts) or _EMPTY, tuple(preds))
     _store(x, "_names", names)
     return names
-
-
-def _occurrences(f, terms: list, preds: list) -> None:
-    """Append the term and (name, arity) occurrences of f, in walk order."""
-    shape = _SHAPES[type(f)]
-    parts = shape.parts(f)
-    if shape.spread:
-        preds.append((f.pred, len(parts)))
-    for p in parts:
-        if isinstance(p, _Node):
-            _occurrences(p, terms, preds)
-        else:
-            terms.append(p)
 
 
 def _gather(x, i: int, kind: type) -> frozenset[str]:
@@ -492,12 +484,10 @@ def logical_constants(f: Formula) -> int:
     """Count of connectives, quantifiers, abstracts and descriptions: every
     node with a subnode counts 1, so an abstract contributes 1 and a
     description argument another 1, and the biconditional counts as a
-    single connective. Drives the cut-degree measure."""
-    n, atom = 0, True
-    for p in _SHAPES[type(f)].parts(f):
-        if isinstance(p, _Node):
-            n, atom = n + logical_constants(p), False
-    return 0 if atom else n + 1
+    single connective. Drives the cut-degree measure. In the key every node
+    opens with "(", and only the tags P and = have no subnode."""
+    key = alpha_key(f)
+    return key.count("(") - key.count("(P ") - key.count("(= ")
 
 
 # ---------------------------------------------------------------------------
@@ -608,6 +598,35 @@ def alpha_key(f: Formula) -> str:
 
 def alpha_equal(f: Formula, g: Formula) -> bool:
     return alpha_key(f) == alpha_key(g)
+
+
+def _tokens(f) -> list[str]:
+    """f's key split into "(" with a tag, a predicate's name/arity (always
+    after "(P", as a name may spell a tag), terms (b0, v:x, p:a, c:c), ""
+    and ")". Names hold no space or parenthesis, so the split is exact."""
+    return alpha_key(f).replace(")", " )").split(" ")
+
+
+def match_subst(pattern: Formula, xs, chi: Formula) -> Optional[dict[str, Term]]:
+    """Find terms for the pattern variables xs that make pattern alpha-equal
+    to chi.
+
+    Returns a map from each of xs free in pattern to the unique Param or
+    Const that fits it, or None when no match exists. A variable that is
+    not free in pattern is left out of the map: any term fits it. In the
+    aligned keys each `v:x` (x in xs) faces one and the same `p:` or `c:`
+    token, and every other token faces its equal."""
+    us, vs = _tokens(pattern), _tokens(chi)
+    if len(us) != len(vs):
+        return None
+    found: dict[str, str] = {}
+    for tag, u, v in zip(["("] + us, us, vs):
+        if tag != "(P" and u[:2] == "v:" and u[2:] in xs:
+            if v[:2] not in ("p:", "c:") or found.setdefault(u[2:], v) != v:
+                return None
+        elif u != v:
+            return None
+    return {x: (Param if v[0] == "p" else Const)(v[2:]) for x, v in found.items()}
 
 
 def sequent_key(s: Sequent) -> tuple[tuple[str, ...], tuple[str, ...]]:

@@ -143,6 +143,21 @@ def ref_occurrences(x, terms: list, preds: list) -> None:
             terms.append(x.arg)
 
 
+def ref_degree(f) -> int:
+    """Connectives, quantifiers, abstracts and descriptions in a formula or
+    description, each counted once: a reference walk over the node
+    classes, independent of the key `logical_constants` reads."""
+    if isinstance(f, (PredAtom, Identity)):
+        return 0
+    if isinstance(f, Not):
+        return 1 + ref_degree(f.sub)
+    if isinstance(f, (And, Or, Imp, Iff)):
+        return 1 + ref_degree(f.left) + ref_degree(f.right)
+    if isinstance(f, (Forall, Exists, IotaTerm)):
+        return 1 + ref_degree(f.body)
+    return 1 + ref_degree(f.body) + (ref_degree(f.arg) if isinstance(f.arg, IotaTerm) else 0)
+
+
 def has_description(f):
     """True when the formula contains a predicate abstract applied to a
     definite description."""

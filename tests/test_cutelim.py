@@ -6,21 +6,26 @@ Trace case names are pinned so a silent change of strategy shows up.
 """
 
 import hashlib
+import inspect
 import os
 import random
+import re
 import subprocess
 import sys
 
 import pytest
-from genutil import ProofGen, perfbench_gen, ref_occurrences
+from genutil import ProofGen, perfbench_gen, ref_degree, ref_occurrences
 
-from ddproof import syntax
+from ddproof import cutelim, syntax
 from ddproof.syntax import (
     And,
     Const,
     Forall,
     Identity,
+    Imp,
+    LambdaAtom,
     Not,
+    Or,
     Param,
     PredAtom,
     Sequent,
@@ -417,22 +422,89 @@ def test_regularity_of_a_deep_proof():
 # right reduction
 
 
+def right_reductions() -> dict:
+    """Trace label -> (d1, d2, phi), a right reduction that takes that case
+    first: an axiom on either side, a description unpacked by iota1l and by
+    iota2l, and a cut on ~A, A | B, A -> B and an abstract applied to a
+    parameter, principal in the right rule above d1 and the left rule above
+    d2."""
+    A, B = P(b), Q(b)
+    neg, disj, imp, both = Not(A), Or(A, B), Imp(A, B), And(A, B)
+    lam = LambdaAtom("x", And(P(x), Q(x)), b)
+    dd1 = parse_formula("(lam x. ~Q(x)) (iota y. Q(y))")
+    prem = ProofNode("negl", Sequent((Q(a), Not(Q(a))), ()), (ax(Q(a)),))
+    dd2 = parse_formula("(lam x. P(x)) (iota y. Q(y))")
+    q1 = weaken_to(ax(Q(b1)), Sequent((Q(b1), Q(b2)), (Identity(b1, b2), Q(b1))))
+    q2 = weaken_to(ax(Q(b2)), Sequent((Q(b1), Q(b2)), (Identity(b1, b2), Q(b2))))
+    q3 = weaken_to(
+        ax(Identity(b1, b2)),
+        Sequent((Identity(b1, b2), Q(b1), Q(b2)), (Identity(b1, b2),)),
+    )
+    return {
+        "rr:ax-right": (
+            ProofNode("negr", seq([], [Q(b), Not(Q(b))]), (ax(Q(b)),)),
+            ax(Not(Q(b))),
+            Not(Q(b)),
+        ),
+        "rr:ax-left": (ax(PHI_AND), andl_proof(), PHI_AND),
+        "rr:iota1": (
+            iotar_proof(dd1, "Q", Not(Q(b)))[0],
+            ProofNode("iota1l", Sequent((dd1,), ()), (prem,), eigen=a),
+            dd1,
+        ),
+        "rr:iota2": (
+            iotar_proof(dd2, "Q", P(b))[0],
+            ProofNode(
+                "iota2l",
+                Sequent((dd2, Q(b1), Q(b2)), (Identity(b1, b2),)),
+                (q1, q2, q3),
+                terms=(b1, b2),
+            ),
+            dd2,
+        ),
+        "rr:neg": (
+            ProofNode("negr", seq([], [A, neg]), (ax(A),)),
+            ProofNode("negl", seq([neg, A], []), (ax(A),)),
+            neg,
+        ),
+        "rr:or": (
+            ProofNode("orr", seq([A], [disj]), (weaken_to(ax(A), seq([A], [A, B])),)),
+            ProofNode("orl", seq([disj], [A, B]), (
+                weaken_to(ax(A), seq([A], [A, B])),
+                weaken_to(ax(B), seq([B], [A, B])),
+            )),
+            disj,
+        ),
+        "rr:imp": (
+            ProofNode("impr", seq([B], [imp]), (weaken_to(ax(B), seq([A, B], [B])),)),
+            ProofNode("impl", seq([imp, A], [B]), (
+                weaken_to(ax(A), seq([A], [B, A])),
+                weaken_to(ax(B), seq([B, A], [B])),
+            )),
+            imp,
+        ),
+        "rr:lam": (
+            ProofNode("lamr", seq([both], [lam]), (ax(both),)),
+            ProofNode("laml", seq([lam], [both]), (ax(both),)),
+            lam,
+        ),
+    }
+
+
 class TestRightReduce:
     def test_axiom_on_the_right(self):
-        prem = ax(Q(b))
-        d1 = ProofNode("negr", seq([], [Q(b), Not(Q(b))]), (prem,))
+        d1, d2, phi = right_reductions()["rr:ax-right"]
         check_proof(d1)
-        d2 = ax(Not(Q(b)))
         cases = []
-        out = right_reduce(d1, d2, Not(Q(b)), 1, trace=cases)
+        out = right_reduce(d1, d2, phi, 1, trace=cases)
         check_proof(out)
         assert same_multiset(out.conclusion, d1.conclusion)
         assert cases == ["rr:ax-right"]
 
     def test_axiom_on_the_left(self):
-        d2 = andl_proof()
+        d1, d2, phi = right_reductions()["rr:ax-left"]
         cases = []
-        out = right_reduce(ax(PHI_AND), d2, PHI_AND, 1, trace=cases)
+        out = right_reduce(d1, d2, phi, 1, trace=cases)
         check_proof(out)
         assert same_multiset(out.conclusion, d2.conclusion)
         assert cases == ["rr:ax-left"]
@@ -477,10 +549,8 @@ class TestRightReduce:
 
     def test_description_unpacked_against_its_negation(self):
         # right premise destructs the description with the empty-case rule
-        dd = parse_formula("(lam x. ~Q(x)) (iota y. Q(y))")
-        d1, gamma = iotar_proof(dd, "Q", Not(Q(b)))
-        prem = ProofNode("negl", Sequent((Q(a), Not(Q(a))), ()), (ax(Q(a)),))
-        d2 = ProofNode("iota1l", Sequent((dd,), ()), (prem,), eigen=a)
+        d1, d2, dd = right_reductions()["rr:iota1"]
+        gamma = d1.conclusion.ant
         check_proof(d2)
         cases = []
         out = right_reduce(d1, d2, dd, 1, trace=cases)
@@ -490,20 +560,8 @@ class TestRightReduce:
         assert metrics(out).proof_degree < logical_constants(dd)
 
     def test_description_unpacked_against_uniqueness(self):
-        dd = parse_formula("(lam x. P(x)) (iota y. Q(y))")
-        d1, gamma = iotar_proof(dd, "Q", P(b))
-        q1 = weaken_to(ax(Q(b1)), Sequent((Q(b1), Q(b2)), (Identity(b1, b2), Q(b1))))
-        q2 = weaken_to(ax(Q(b2)), Sequent((Q(b1), Q(b2)), (Identity(b1, b2), Q(b2))))
-        q3 = weaken_to(
-            ax(Identity(b1, b2)),
-            Sequent((Identity(b1, b2), Q(b1), Q(b2)), (Identity(b1, b2),)),
-        )
-        d2 = ProofNode(
-            "iota2l",
-            Sequent((dd, Q(b1), Q(b2)), (Identity(b1, b2),)),
-            (q1, q2, q3),
-            terms=(b1, b2),
-        )
+        d1, d2, dd = right_reductions()["rr:iota2"]
+        gamma = d1.conclusion.ant
         check_proof(d2)
         cases = []
         out = right_reduce(d1, d2, dd, 1, trace=cases)
@@ -729,6 +787,69 @@ class TestEliminateCuts:
 
 
 # ---------------------------------------------------------------------------
+# principal reductions of ~, |, -> and abstracts
+
+
+PRINCIPAL_TRACES = {
+    "rr:neg": [("lr:dispatch:negr", "rr:neg"), ("lr:ax",)],
+    "rr:or": [("lr:dispatch:orr", "rr:or"), ("lr:parametric:wr", "lr:ax"), ("lr:weaken-absorb",)],
+    "rr:imp": [("lr:dispatch:impr", "rr:imp"), ("lr:parametric:wr", "lr:ax"), ("lr:weaken-absorb",)],
+    "rr:lam": [("lr:dispatch:lamr", "rr:lam"), ("lr:ax",)],
+}
+
+
+@pytest.mark.parametrize("label", PRINCIPAL_TRACES)
+def test_principal_reduction(label):
+    """A cut on ~A, A | B, A -> B or (lam x. A & B) b, principal on both
+    sides, through right_reduce and through the elimination loop."""
+    d1, d2, phi = right_reductions()[label]
+    check_proof(d1)
+    check_proof(d2)
+    p = mk_cut(d1, d2, phi)
+    cases = []
+    out = right_reduce(d1, d2, phi, 1, trace=cases)
+    check_proof(out)
+    assert same_multiset(out.conclusion, p.conclusion)
+    assert cases == [label]
+    assert metrics(out).proof_degree < logical_constants(phi)
+    _, trace = assert_eliminated(p)
+    assert [e.cases for e in trace] == PRINCIPAL_TRACES[label]
+
+
+def test_principal_reductions_are_pinned():
+    """The printed outputs of the four principal cases, reduced once and
+    eliminated, and the elimination traces, framed as the cut chain is."""
+    h = hashlib.sha256()
+    for label in PRINCIPAL_TRACES:
+        d1, d2, phi = right_reductions()[label]
+        h.update(format_proof(right_reduce(d1, d2, phi, 1)).encode())
+        out, trace = eliminate_cuts_traced(mk_cut(d1, d2, phi))
+        h.update(format_proof(out).encode())
+        for entry in trace:
+            h.update(repr(entry).encode())
+    assert h.hexdigest()[:12] == "b81ef75cf81a"
+
+
+def test_every_reduction_case_is_reached(criterion4_corpus):
+    """Every rr: and lr: label that cutelim writes, read from its source
+    (an f-string label by its fixed prefix), appears in the traces of the
+    right reductions above or of the criterion-4 corpus's eliminations."""
+    source = inspect.getsource(cutelim)
+    labels = re.findall(r'trace\.append\(f?"((?:rr|lr):[^"{]*)', source)
+    seen = set()
+    for d1, d2, phi in right_reductions().values():
+        right_reduce(d1, d2, phi, 1, trace=(cases := []))
+        seen.update(cases)
+    for root in criterion4_corpus:
+        seen.update(case for entry in eliminate_cuts_traced(root)[1] for case in entry.cases)
+    missing = [
+        label for label in labels
+        if not any(case == label or label[-1] == ":" and case.startswith(label) for case in seen)
+    ]
+    assert len(labels) == 20 and missing == []
+
+
+# ---------------------------------------------------------------------------
 # parameter sets and cut degrees stored on proof nodes
 
 
@@ -762,7 +883,7 @@ def assert_facts_fresh(root):
         assert n.own_params == ref_own_params(n)
         assert proof_params(n) == walk_params(n)
         if n.rule == "cut":
-            assert n.cut_degree == logical_constants(analyze_step(n).cut_formula)
+            assert n.cut_degree == ref_degree(analyze_step(n).cut_formula)
         degrees = [degree for _, _, degree in cut_nodes(n)]
         top = max(degrees, default=-1)
         assert n.cuts == (top, degrees.count(top))

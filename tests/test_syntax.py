@@ -132,6 +132,7 @@ def oracle_substitute(f, x, t):
 from genutil import (  # noqa: E402
     closed_formula_strategy,
     formula_strategy,
+    ref_degree,
     ref_occurrences,
     term_strategy,
 )
@@ -412,15 +413,11 @@ def test_param_supply_cursor_matches_scan_fresh():
     rng = random.Random(20261018)
     for _ in range(200):
         avoid = {f"a{i}" for i in range(1, 16) if rng.random() < 0.5}
-        avoid |= {f"w{i}" for i in range(1, 8) if rng.random() < 0.5}
         avoid |= set(rng.sample(["a", "a0", "aa1", "b1", "b2", "wa3", "a012"], 3))
-        supplies = [
-            (ParamSupply(avoid, base), base, set(avoid)) for base in ("a", "w")
-        ]
-        supplies.append((ParamSupply(avoid), "a", set(avoid)))
+        supplies = [(ParamSupply(avoid), set(avoid)) for _ in range(2)]
         for _ in range(25):
-            supply, base, seen = rng.choice(supplies)
-            expected = scan_fresh(base, seen)
+            supply, seen = rng.choice(supplies)
+            expected = scan_fresh("a", seen)
             seen.add(expected)
             assert supply.fresh() == Param(expected)
 
@@ -484,9 +481,32 @@ def _assert_facts_fresh(x) -> None:
                 tuple(sorted(_key(f, ()) for f in g.ant)),
                 tuple(sorted(_key(f, ()) for f in g.suc)),
             )
-        elif not isinstance(g, IotaTerm):
-            assert free_vars(g) == _ref_free_vars(g)
-            assert alpha_key(g) == _key(g, ())
+        else:
+            assert logical_constants(g) == ref_degree(g)
+            if not isinstance(g, IotaTerm):
+                assert free_vars(g) == _ref_free_vars(g)
+                assert alpha_key(g) == _key(g, ())
+
+
+def _respell(x, preds: dict, terms: dict):
+    """x with predicate names and terms renamed by the two maps, read off
+    the record fields."""
+    if isinstance(x, tuple):
+        return tuple(_respell(y, preds, terms) for y in x)
+    if isinstance(x, (Var, Param, Const)):
+        return terms.get(x, x)
+    if not hasattr(x, "__match_args__"):
+        return x
+    fields = {name: _respell(getattr(x, name), preds, terms) for name in x.__match_args__}
+    if isinstance(x, PredAtom):
+        fields["pred"] = preds.get(x.pred, x.pred)
+    return replace(x, **fields)
+
+
+# predicate, parameter and constant names that spell the key's tags or its
+# term tokens
+_TAG_PREDS = ["P", "not", "and", "all", "iff"]
+_TAG_TERMS = ["P", "b0", "v"]
 
 
 def _formula_fields(f) -> list:
@@ -522,6 +542,12 @@ def test_stored_facts_match_fresh_walks(f, g, x, t, root_first):
         _assert_facts_fresh(replace(f, **{name: g}))
     if isinstance(f, PredAtom):
         _assert_facts_fresh(replace(f, args=f.args + (t,)))
+    # names that spell tags and tokens are read by their place in the key
+    for i, name in enumerate(_TAG_PREDS):
+        p, b, c = (_TAG_TERMS[(i + j) % 3] for j in range(3))
+        preds = {"P": name, "R": _TAG_PREDS[i - 1]}
+        terms = {Param("a"): Param(p), Param("b"): Param(b), Const("c"): Const(c)}
+        _assert_facts_fresh(And(_respell(f, preds, terms), PredAtom("ex", ())))
 
 
 def test_rename_param_keeps_a_formula_without_the_parameter():
