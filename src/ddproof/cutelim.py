@@ -10,17 +10,18 @@ formula at once, which is what makes contraction unproblematic.
 
 Everything here builds plain ProofNode trees; validity is established by
 running the kernel checker over the results (the test suite does this
-for every construction).
+for every construction). Only the reductions recurse once per proof
+level, as the induction on proof height does; every other walk is a loop.
 
 The loop works on regular proofs: each eigenparameter belongs to one
 inference and occurs nowhere outside that inference's premises. Both
-`is_regular` and `regularize` read one pre-order numbering of the proof,
-in which each subtree is an interval of indices. `regularize` gives each
-clash a name fresh for the whole proof, so no rename changes whether
-another inference clashes, and makes every rename in one rebuild. It
-renames each node through `kernel._renamed`, the step `subst_param_proof`
-takes too, so proofs are renamed in one way, with one memo per walk: each
-formula is renamed once, and the nodes that shared it share its copy.
+`is_regular` and `regularize` read one pre-order numbering of the proof
+(`kernel.preorder`), in which each subtree is an interval of indices.
+`regularize` gives each clash a name fresh for the whole proof, so no
+rename changes whether another inference clashes, and makes every rename
+in one `kernel.rename_proof` pass, the loop `subst_param_proof` takes
+too: proofs are renamed in one way, with one memo per walk, so each
+formula is renamed once and the nodes that shared it share its copy.
 A step keeps p regular without a pass over the whole proof:
   * `left_reduce(..., avoid=proof_params(p))` ends in
     `regularize(out, avoid)`, so every eigenparameter of the reduced
@@ -59,11 +60,11 @@ from .syntax import (
 from .kernel import (
     EIGEN_RULES,
     ProofNode,
-    _renamed,
     analyze_step,
     check_proof,
-    cut_nodes,
+    preorder,
     proof_params,
+    rename_proof,
     subst_param_proof,
 )
 from .builders import build_sym_trans, fit_to, mk_cut, weaken_to, without
@@ -71,12 +72,6 @@ from .builders import build_sym_trans, fit_to, mk_cut, weaken_to, without
 
 class ReductionError(ValueError):
     """A reduction was invoked outside its precondition."""
-
-
-@record(frozen=True)
-class CutMetrics:
-    cut_degrees: tuple[tuple[str, int], ...]  # (path, degree) in pre-order
-    proof_degree: int
 
 
 @record(frozen=True)
@@ -93,11 +88,6 @@ class TraceEntry:
     maximal_after: int
 
 
-def metrics(proof: ProofNode) -> CutMetrics:
-    rows = tuple((path, deg) for path, _, deg in cut_nodes(proof))
-    return CutMetrics(rows, max((d for _, d in rows), default=0))
-
-
 # ---------------------------------------------------------------------------
 # regularization
 
@@ -107,24 +97,22 @@ def _clashes(proof: ProofNode, avoid: set) -> tuple[list, list, set]:
     it is implicit), the indices of those that clash, and every name seen
     or avoided. The eigenparameter e of node i clashes when e is avoided,
     kept by an earlier inference, or named outside i's subtree [i, end_i]."""
-    eigens, ends, span = [], [], {}
-
-    def number(node: ProofNode) -> None:
-        i = len(eigens)
+    eigens, ends, span = [], {}, {}
+    path: list[tuple[int, int]] = []  # (depth, index) of each eigen inference on i's path
+    for i, (depth, node) in enumerate(preorder(proof)):
+        while path and path[-1][0] >= depth:  # its subtree ended at i - 1
+            ends[path.pop()[1]] = i - 1
         eigen, names = node.eigen, node.own_params
         if eigen is not None:
             names = names | {eigen.name}
         elif node.rule in EIGEN_RULES:
             eigen = analyze_step(node).eigen
+        if eigen is not None:
+            path.append((depth, i))
         eigens.append(eigen)
-        ends.append(i)
         for name in names:
             span.setdefault(name, [i, i])[1] = i
-        for q in node.premises:
-            number(q)
-        ends[i] = len(eigens) - 1
-
-    number(proof)
+    ends.update((j, len(eigens) - 1) for _, j in path)
     taken, clashes = set(avoid), []
     for i, eigen in enumerate(eigens):
         if eigen is not None:
@@ -150,23 +138,15 @@ def regularize(proof: ProofNode, avoid: Iterable[str] = ()) -> ProofNode:
     eigens, clashes, seen = _clashes(proof, set(avoid))
     supply = ParamSupply(seen)
     fresh = {i: supply.fresh() for i in clashes}
-    index, memo = iter(range(len(eigens))), {}
+    index = iter(range(len(eigens)))  # rename_proof chooses in pre-order
 
-    def rebuild(node: ProofNode, names: dict) -> ProofNode:
+    def choose(node: ProofNode, names: dict):
         i = next(index)
-        eigen = fresh.get(i, eigens[i])
-        inner = {**names, eigens[i].name: eigen} if i in fresh else names
-        premises = []  # a loop, not a comprehension: one frame per level
-        for q in node.premises:
-            premises.append(rebuild(q, inner))
-        premises = tuple(premises)
-        conclusion, terms = _renamed(node, names.items(), memo)
-        same = conclusion is node.conclusion and terms is node.terms and eigen is node.eigen
-        if same and premises == node.premises:
-            return node
-        return replace(node, conclusion=conclusion, terms=terms, premises=premises, eigen=eigen)
+        if i in fresh:
+            return fresh[i], {**names, eigens[i].name: fresh[i]}
+        return eigens[i], names
 
-    return rebuild(proof, {})
+    return rename_proof(proof, choose)
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +159,7 @@ def _reducible(d1, d2, phi: Formula, k: int, on_left: int, on_right: int) -> str
     antecedent; raises ReductionError otherwise."""
     if k < 1:
         raise ReductionError("k must be positive")
-    if not _max_cut_degree(d1, d2) < logical_constants(phi):
+    if not max(d1.cuts[0], d2.cuts[0]) < logical_constants(phi):
         raise ReductionError(
             "premise proofs contain cuts at or above the degree of the cut formula"
         )
@@ -197,10 +177,6 @@ def _principal_formula(node: ProofNode, info) -> Optional[Formula]:
     side, idx = info.principal
     forms = node.conclusion.ant if side == "ant" else node.conclusion.suc
     return forms[idx]
-
-
-def _max_cut_degree(*proofs: ProofNode) -> int:
-    return max(p.cuts[0] for p in proofs)
 
 
 def _corregularize(d1, d2, avoid):
@@ -489,12 +465,15 @@ def _lr(d1, d2, pi, sigma, phi, k, trace) -> ProofNode:
 
 
 def _splice(node: ProofNode, parts: tuple, replacement: ProofNode) -> ProofNode:
-    if not parts:
-        return replacement
-    i, rest = parts[0], parts[1:]
-    premises = list(node.premises)
-    premises[i] = _splice(premises[i], rest, replacement)
-    return replace(node, premises=tuple(premises))
+    """`node` with the subtree at the premise indices `parts` replaced: a
+    loop down the path, then one back up that rebuilds each node on it."""
+    path = []
+    for i in parts:
+        path.append(node)
+        node = node.premises[i]
+    for node, i in zip(reversed(path), reversed(parts)):
+        replacement = replace(node, premises=(*node.premises[:i], replacement, *node.premises[i + 1 :]))
+    return replacement
 
 
 def _topmost(proof: ProofNode) -> tuple[tuple, ProofNode]:
@@ -528,7 +507,7 @@ def eliminate_cuts_traced(proof: ProofNode) -> tuple[ProofNode, list[TraceEntry]
         reduced = left_reduce(
             node.premises[0], node.premises[1], chi, 1, avoid=ambient, trace=cases
         )
-        assert _max_cut_degree(reduced) < maxdeg, "reduction must lower the degree"
+        assert reduced.cuts[0] < maxdeg, "reduction must lower the degree"
         reduced = fit_to(reduced, node.conclusion)
         p = _splice(p, parts, reduced)
         assert is_regular(p)

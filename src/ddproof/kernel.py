@@ -117,9 +117,8 @@ class ProofNode:
 
     def _fill(self, fact: str, of):
         """The subtree fact `fact`, stored on each node as `of(node)` once
-        its premises hold theirs. An iterative post-order pass that
-        descends only into nodes without a stored value, so proof height
-        is bounded by memory, not by the C stack."""
+        its premises hold theirs: a post-order loop, beside `preorder`,
+        that descends only into nodes without a stored value."""
         stack = [self]
         while stack:
             node = stack[-1]
@@ -206,19 +205,28 @@ class StepInfo:
 # traversal helpers
 
 
-def iter_nodes(root: ProofNode) -> Iterator[tuple[str, ProofNode]]:
-    """Pre-order (node before premises), with dotted paths; root is "root"."""
-    stack: list[tuple[str, ProofNode]] = [("root", root)]
+def preorder(root: ProofNode) -> Iterator[tuple[int, ProofNode]]:
+    """Each node with its depth (the root's is 0), node before premises,
+    premises left to right: the one pre-order walk, a loop."""
+    stack = [(0, root)]
     while stack:
-        path, node = stack.pop()
-        yield path, node
-        prefix = "" if path == "root" else path + "."
-        for i in range(len(node.premises) - 1, -1, -1):
-            stack.append((f"{prefix}{i}", node.premises[i]))
+        depth, node = stack.pop()
+        yield depth, node
+        depth += 1
+        for q in reversed(node.premises):
+            stack.append((depth, q))
+
+
+def iter_nodes(root: ProofNode) -> Iterator[tuple[str, ProofNode]]:
+    """Pre-order, with dotted paths; root is "root"."""
+    at: list[int] = []  # each node's index among its siblings, root to node
+    for depth, node in preorder(root):
+        at[depth:] = [at[depth] + 1 if depth < len(at) else 0]
+        yield ".".join(map(str, at[1:])) or "root", node
 
 
 def proof_size(root: ProofNode) -> int:
-    return sum(1 for _ in iter_nodes(root))
+    return sum(1 for _ in preorder(root))
 
 
 def proof_params(root: ProofNode) -> set[str]:
@@ -227,16 +235,13 @@ def proof_params(root: ProofNode) -> set[str]:
 
 
 def proofs_equal(p: ProofNode, q: ProofNode) -> bool:
-    """Same rule tree with alpha-equal sequents and equal annotations."""
-    if (
-        p.rule != q.rule
-        or len(p.premises) != len(q.premises)
-        or p.terms != q.terms
-        or p.eigen != q.eigen
-        or not sequents_alpha_equal(p.conclusion, q.conclusion)
-    ):
-        return False
-    return all(proofs_equal(a, b) for a, b in zip(p.premises, q.premises))
+    """Same rule tree with alpha-equal sequents and equal annotations: the
+    two pre-order walks in lockstep, in step while premise counts agree."""
+    return all(
+        (a.rule, len(a.premises), a.terms, a.eigen) == (b.rule, len(b.premises), b.terms, b.eigen)
+        and sequents_alpha_equal(a.conclusion, b.conclusion)
+        for (_, a), (_, b) in zip(preorder(p), preorder(q))
+    )
 
 
 def cut_nodes(root: ProofNode) -> list[tuple[str, ProofNode, int]]:
@@ -775,20 +780,41 @@ def check_proof(root: ProofNode) -> Proof:
 # parameter substitution in proofs
 
 
-def _renamed(node: ProofNode, renames, memo, eigen: Optional[Param] = None) -> tuple[Sequent, tuple]:
-    """The node's conclusion and terms after each (old, new) of `renames`
-    in turn, skipping names the node lacks (so no new name may be a later
-    pair's old one). Given `eigen`, the terms first take it in place of
-    the node's own eigenparameter; the conclusion does not. One walk passes
-    one `memo` (`rename_param_seq`), so its nodes share each renamed formula."""
-    conclusion, terms = node.conclusion, node.terms
-    if eigen is not None and eigen != node.eigen:
-        terms = tuple(eigen if t == node.eigen else t for t in terms)
-    for old, new in renames:
-        if old in node.own_params:
-            conclusion = rename_param_seq(conclusion, old, new, memo)
-            terms = tuple(new if isinstance(t, Param) and t.name == old else t for t in terms)
-    return conclusion, terms
+def rename_proof(root: ProofNode, choose: Callable, last: tuple = ()) -> ProofNode:
+    """The proof renamed in one loop that enters each node in pre-order and
+    leaves it in post-order. On entry `choose(node, names)`, given the
+    renames made nearer the root (old name -> Param), returns None to keep
+    the node's subtree, else its eigenparameter and its premises' renames.
+    On leaving, its terms take that eigenparameter for its own, then its
+    conclusion and terms each (old, new) of `names` and `last` that it has.
+    One memo serves the walk (`rename_param_seq`); an unchanged node is kept."""
+    memo, done, stack = {}, [], [(root, {}, ())]  # done: renamed, not yet placed
+    while stack:
+        node, names, picked = stack.pop()
+        if not picked:  # entered: choose, then the premises
+            picked = choose(node, names)
+            if picked is None:
+                done.append(node)
+            else:
+                stack.append((node, names, picked))
+                for q in reversed(node.premises):
+                    stack.append((q, picked[1], ()))
+            continue
+        eigen, cut = picked[0], len(done) - len(node.premises)
+        premises = tuple(done[cut:])
+        del done[cut:]
+        conclusion, terms = node.conclusion, node.terms
+        if eigen is not None and eigen != node.eigen:
+            terms = tuple(eigen if t == node.eigen else t for t in terms)
+        for old, new in (*names.items(), *last):
+            if old in node.own_params:
+                conclusion = rename_param_seq(conclusion, old, new, memo)
+                terms = tuple(new if isinstance(t, Param) and t.name == old else t for t in terms)
+        same = conclusion is node.conclusion and terms is node.terms and eigen is node.eigen
+        if not (same and premises == node.premises):
+            node = replace(node, conclusion=conclusion, terms=terms, premises=premises, eigen=eigen)
+        done.append(node)
+    return done[0]
 
 
 def subst_param_proof(root: ProofNode, old: Union[str, Param], new: Term) -> ProofNode:
@@ -797,33 +823,25 @@ def subst_param_proof(root: ProofNode, old: Union[str, Param], new: Term) -> Pro
     Eigenvariables that collide with either name are renamed to a parameter
     fresh for their own subtree, so the result of substituting into a valid
     proof is again valid, with exactly the same height and rule skeleton.
-    One walk carries those renames down the tree. A proof not containing
-    `old` is returned unchanged (identity), and so is every subtree that
-    mentions neither name.
+    One `rename_proof` walk carries those renames down the tree. A proof not
+    containing `old` is returned unchanged (identity), and so is every
+    subtree that mentions neither name.
     """
     old_name = old.name if isinstance(old, Param) else old
     new_name = new.name if isinstance(new, Param) else None
     if old_name == new_name or old_name not in root.params:
         return root
-    memo: dict = {}
 
-    def go(node: ProofNode, names: dict) -> ProofNode:
+    def choose(node: ProofNode, names: dict):
         if old_name not in node.params and new_name not in node.params:
-            return node
-        eigen, inner = node.eigen, names
+            return None
+        eigen = node.eigen
         if eigen is not None and eigen.name in names:
-            eigen = names[eigen.name]
-        elif eigen is not None and eigen.name in (old_name, new_name):
+            return names[eigen.name], names
+        if eigen is not None and eigen.name in (old_name, new_name):
             avoid = {names[n].name if n in names else n for n in node.params}
-            avoid |= {old_name, new_name}
-            eigen = Param(scan_fresh("a", avoid))
-            inner = {**names, node.eigen.name: eigen}
-        premises = []  # a loop, not a comprehension: one frame per level
-        for q in node.premises:
-            premises.append(go(q, inner))
-        conclusion, terms = _renamed(node, [*names.items(), (old_name, new)], memo, eigen)
-        return replace(
-            node, conclusion=conclusion, terms=terms, premises=tuple(premises), eigen=eigen
-        )
+            fresh = Param(scan_fresh("a", avoid | {old_name, new_name}))
+            return fresh, {**names, eigen.name: fresh}
+        return eigen, names
 
-    return go(root, {})
+    return rename_proof(root, choose, ((old_name, new),))

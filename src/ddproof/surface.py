@@ -51,7 +51,7 @@ import re
 from itertools import compress, islice
 from typing import Iterator, Optional, Union
 
-from .kernel import ProofNode
+from .kernel import ProofNode, preorder
 from .syntax import (
     And,
     Const,
@@ -347,53 +347,55 @@ class _Parser:
     # --- proofs ---
 
     def proof(self) -> ProofNode:
-        expect, toks = self.expect, self.toks
-        expect("(")
-        rule = self.name()
-        expect("(")
-        expect("seq")
-        expect("(")
-        ant = self.formula_list()
-        expect(")")
-        expect("(")
-        suc = self.formula_list()
-        expect(")")
-        expect(")")
-        terms: list[Term] = []
-        eigen: Optional[Param] = None
-        at: Optional[int] = None
-        while toks[self.pos][:1] == ":":
-            kw_at = self.pos
-            kw = toks[kw_at][1:]
-            self.pos += 1
-            if kw == "term":
-                terms.append(self.term())
-            elif kw == "eigen":
-                if eigen is not None:
-                    self.fail("duplicate :eigen", kw_at)
-                if toks[self.pos][:1] != "#":
-                    self.expected("param")
-                eigen = Param(toks[self.pos][1:])
+        """A proof, read in one loop: `open_` holds each node whose premises
+        are being read, with its other fields and the premises read so far."""
+        expect, toks, open_ = self.expect, self.toks, []
+        while True:
+            expect("(")
+            rule = self.name()
+            expect("(")
+            expect("seq")
+            expect("(")
+            ant = self.formula_list()
+            expect(")")
+            expect("(")
+            suc = self.formula_list()
+            expect(")")
+            expect(")")
+            terms, eigen, at = [], None, None
+            while toks[self.pos][:1] == ":":
+                kw_at, kw = self.pos, toks[self.pos][1:]
                 self.pos += 1
-            elif kw == "at":
-                if at is not None:
-                    self.fail("duplicate :at", kw_at)
-                if not toks[self.pos][:1].isdigit():
-                    self.expected("number")
-                try:
-                    at = int(toks[self.pos])
-                except ValueError:  # past the interpreter's digit limit
-                    self.fail("number too long")
-                self.pos += 1
-            else:
-                self.fail(f"unknown annotation :{kw}", kw_at)
-        prems: list[ProofNode] = []
-        while toks[self.pos] == "(":
-            prems.append(self.proof())
-        expect(")")
-        return ProofNode(
-            rule, Sequent(ant, suc), tuple(prems), tuple(terms), eigen, at
-        )
+                if kw == "term":
+                    terms.append(self.term())
+                elif kw == "eigen":
+                    if eigen is not None:
+                        self.fail("duplicate :eigen", kw_at)
+                    if toks[self.pos][:1] != "#":
+                        self.expected("param")
+                    eigen = Param(toks[self.pos][1:])
+                    self.pos += 1
+                elif kw == "at":
+                    if at is not None:
+                        self.fail("duplicate :at", kw_at)
+                    if not toks[self.pos][:1].isdigit():
+                        self.expected("number")
+                    try:
+                        at = int(toks[self.pos])
+                    except ValueError:  # past the interpreter's digit limit
+                        self.fail("number too long")
+                    self.pos += 1
+                else:
+                    self.fail(f"unknown annotation :{kw}", kw_at)
+            prems: list[ProofNode] = []
+            while toks[self.pos] != "(":  # the node's premises are all read
+                expect(")")
+                node = ProofNode(rule, Sequent(ant, suc), tuple(prems), tuple(terms), eigen, at)
+                if not open_:
+                    return node
+                rule, ant, suc, terms, eigen, at, prems = open_.pop()
+                prems.append(node)
+            open_.append((rule, ant, suc, terms, eigen, at, prems))
 
 
 def _parse(p: _Parser, rule):
@@ -508,10 +510,15 @@ def format_sequent(s: Sequent, unicode: bool = False) -> str:
 
 
 def format_proof(root: ProofNode, unicode: bool = False) -> str:
+    """One line per node, in pre-order, indented two spaces per level; where
+    the depth drops to d, the line before closes each node at d or deeper."""
     sty, shown = _STYLES[unicode], {}
     lines: list[str] = []
-
-    def go(n: ProofNode, depth: int):
+    last = -1
+    for depth, n in preorder(root):
+        if depth <= last:
+            lines[-1] += ")" * (last - depth + 1)
+        last = depth
         ant, suc = _formulas(n.conclusion.ant, sty, shown), _formulas(n.conclusion.suc, sty, shown)
         head = f"{'  ' * depth}({n.rule} (seq ({ant}) ({suc}))"
         for t in n.terms:
@@ -521,9 +528,5 @@ def format_proof(root: ProofNode, unicode: bool = False) -> str:
         if n.at is not None:
             head += f" :at {n.at}"
         lines.append(head)
-        for p in n.premises:
-            go(p, depth + 1)
-        lines[-1] += ")"
-
-    go(root, 0)
+    lines[-1] += ")" * (last + 1)
     return "\n".join(lines) + "\n"

@@ -144,6 +144,34 @@ def test_too_deep_parentheses_are_one_line_and_exit_2(cmd, tmp_path):
     assert child.stdout == ""
 
 
+@pytest.mark.parametrize("cmd", ["check", "parse", "eliminate-cut"])
+def test_tall_proof_needs_no_recursion_limit(cmd, tmp_path):
+    """A cut-free wl/cl chain 5,000 nodes high, written one node per line
+    without indentation. Every proof walk on the way (the parser, the
+    kernel, regularization, the printer) is a loop, so the command exits 0
+    in a child that lowers the recursion limit to 1,000 after importing
+    ddproof."""
+    one, two = "(seq (P(#a1)) (P(#a1)))", "(seq (P(#a1), P(#a1)) (P(#a1)))"
+    heads = ["(wl " + two if i % 2 else "(cl " + one for i in range(4_999, 0, -1)]
+    path = tmp_path / "tall.rlp"
+    path.write_text("\n".join([*heads, "(ax " + one]) + ")" * 5_000 + "\n")
+    code = (
+        "import sys\n"
+        "from ddproof.cli import main\n"
+        "sys.setrecursionlimit(1_000)\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    child = subprocess.run(
+        [sys.executable, "-c", code, cmd, str(path)],
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE,
+        text=True,
+        timeout=300,
+    )
+    assert child.returncode == 0, child.stderr[-2000:]
+
+
 def test_import_loads_every_traced_module_and_no_dataclasses():
     """`import ddproof.cli` in a fresh interpreter loads every module the
     benchmark's tracer wraps (it reads them from `sys.modules` right after

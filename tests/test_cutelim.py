@@ -63,14 +63,12 @@ from ddproof.builders import (
     weaken_to,
 )
 from ddproof.cutelim import (
-    CutMetrics,
     ReductionError,
     TraceEntry,
     eliminate_cuts,
     eliminate_cuts_traced,
     is_regular,
     left_reduce,
-    metrics,
     regularize,
     right_reduce,
 )
@@ -166,26 +164,29 @@ def body_pred_at(name, term):
 
 
 # ---------------------------------------------------------------------------
-# metrics
+# the stored cut summary and cut_nodes' rows
+
+
+def cut_rows(proof):
+    return [(path, degree) for path, _, degree in cut_nodes(proof)]
 
 
 class TestMetrics:
     def test_cut_free_proof(self):
-        m = metrics(build_sym_trans(b1, b2, b))
-        assert m == CutMetrics((), 0)
+        p = build_sym_trans(b1, b2, b)
+        assert (cut_rows(p), p.cuts) == ([], (-1, 0))
 
     def test_atomic_cut(self):
         p = mk_cut(ax(P(a)), ax(P(a)), P(a))
-        assert metrics(p) == CutMetrics((("root", 0),), 0)
+        assert (cut_rows(p), p.cuts) == ([("root", 0)], (0, 1))
 
     def test_description_cut_degree(self):
         dd = parse_formula("(lam x. P(x)) (iota y. Q(y))")
         left = build_rlambda_left(dd)
         right = build_rlambda_right(dd)
         p = mk_cut(left, right, paraphrase(dd))
-        m = metrics(p)
-        assert m.proof_degree == logical_constants(paraphrase(dd)) == 4
-        assert m.cut_degrees == (("root", 4),)
+        assert p.cuts == (logical_constants(paraphrase(dd)), 1) == (4, 1)
+        assert cut_rows(p) == [("root", 4)]
 
     def test_degree_counts_each_operator_once(self):
         dd = parse_formula("(lam x. P(x)) (iota y. Q(y))")
@@ -392,13 +393,15 @@ def test_regularize_is_pinned():
 
 def test_regularity_of_a_deep_proof():
     """A 40,000-high wl/cl chain is regular, and regularize returns it as
-    it is: both walks take one Python frame per level, so the recursion
-    limit kernel sets suffices. It runs in a child process, so a C-stack
+    it is: both walks are loops, so the child lowers the recursion limit
+    to 1,000 after the import. It runs in a child process, so a C-stack
     overflow (segfault) fails this test instead of killing the test run."""
     code = (
+        "import sys\n"
         "from ddproof.cutelim import is_regular, regularize\n"
         "from ddproof.kernel import ProofNode\n"
         "from ddproof.syntax import Param, PredAtom, Sequent\n"
+        "sys.setrecursionlimit(1_000)\n"
         "f = PredAtom('P', (Param('a1'),))\n"
         "one, two = Sequent((f,), (f,)), Sequent((f, f), (f,))\n"
         "node = ProofNode('ax', one)\n"
@@ -518,7 +521,7 @@ class TestRightReduce:
         check_proof(out)
         assert same_multiset(out.conclusion, seq([Q(b), P(b), R(c)], [Q(b)]))
         assert "rr:and" in cases
-        assert metrics(out).proof_degree == 0
+        assert out.cuts[0] <= 0
         assert len(cut_nodes(out)) == 2
 
     def test_weakening_absorbed(self):
@@ -557,7 +560,7 @@ class TestRightReduce:
         check_proof(out)
         assert same_multiset(out.conclusion, Sequent(gamma, ()))
         assert "rr:iota1" in cases
-        assert metrics(out).proof_degree < logical_constants(dd)
+        assert out.cuts[0] < logical_constants(dd)
 
     def test_description_unpacked_against_uniqueness(self):
         d1, d2, dd = right_reductions()["rr:iota2"]
@@ -570,7 +573,7 @@ class TestRightReduce:
             out.conclusion, Sequent(gamma + (Q(b1), Q(b2)), (Identity(b1, b2),))
         )
         assert "rr:iota2" in cases
-        assert metrics(out).proof_degree == 0
+        assert out.cuts[0] <= 0
 
     def test_rejects_non_principal_left_premise(self):
         d1 = ProofNode("wr", seq([Q(b)], [Q(b), PHI_AND]), (ax(Q(b)),))
@@ -651,7 +654,7 @@ class TestLeftReduce:
         assert same_multiset(out.conclusion, seq([Q(b), P(b), R(c)], [Q(b)]))
         assert "lr:dispatch:andr" in cases
         assert "rr:and" in cases
-        assert metrics(out).proof_degree == 0
+        assert out.cuts[0] <= 0
 
     def test_dispatch_with_two_tracked_copies(self):
         p1 = weaken_to(ax(Q(b)), seq([Q(b), P(b)], [PHI_AND, Q(b)]))
@@ -665,7 +668,7 @@ class TestLeftReduce:
             out.conclusion, seq([Q(b), P(b), R(c), R(c)], [Q(b), Q(b)])
         )
         assert "lr:dispatch:andr" in cases
-        assert metrics(out).proof_degree == 0
+        assert out.cuts[0] <= 0
 
     def test_rejects_high_degree_cuts_in_premises(self):
         inner = mk_cut(
@@ -811,7 +814,7 @@ def test_principal_reduction(label):
     check_proof(out)
     assert same_multiset(out.conclusion, p.conclusion)
     assert cases == [label]
-    assert metrics(out).proof_degree < logical_constants(phi)
+    assert out.cuts[0] < logical_constants(phi)
     _, trace = assert_eliminated(p)
     assert [e.cases for e in trace] == PRINCIPAL_TRACES[label]
 
@@ -1010,19 +1013,13 @@ def test_spliced_proofs_are_already_regular(monkeypatch, criterion4_corpus):
     import ddproof.cutelim as cutelim
 
     real = cutelim._splice
-    depth = splices = 0
+    splices = 0
 
     def checked(node, parts, replacement):
-        # _splice recurses through the module global; check the outermost call
-        nonlocal depth, splices
-        depth += 1
-        try:
-            out = real(node, parts, replacement)
-        finally:
-            depth -= 1
-        if depth == 0:
-            splices += 1
-            assert regularize(out) is out
+        nonlocal splices
+        out = real(node, parts, replacement)
+        splices += 1
+        assert regularize(out) is out
         return out
 
     proofs = [parse_proof(DUPLICATION_PROOF), *criterion4_corpus, *generated_cut_proofs()]

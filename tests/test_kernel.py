@@ -762,12 +762,14 @@ def test_subst_param_identity_when_absent():
 
 def test_subst_param_proof_of_a_deep_proof():
     """On a 40,000-high wl/cl chain, a -> b keeps the height and puts #b
-    everywhere: the walk takes one Python frame per level, so the recursion
-    limit kernel sets suffices. It runs in a child process, so a C-stack
+    everywhere: the walk is a loop, so the child lowers the recursion limit
+    to 1,000 after the import. It runs in a child process, so a C-stack
     overflow (segfault) fails this test instead of killing the test run."""
     code = (
+        "import sys\n"
         "from ddproof.kernel import ProofNode, subst_param_proof\n"
         "from ddproof.syntax import Param, PredAtom, Sequent\n"
+        "sys.setrecursionlimit(1_000)\n"
         "def chain(f):\n"
         "    one, two = Sequent((f,), (f,)), Sequent((f, f), (f,))\n"
         "    node = ProofNode('ax', one)\n"
@@ -865,6 +867,27 @@ def test_subst_param_old_is_eigen():
     assert check_proof(out).height == 3
     # root conclusion had no occurrence of the eigen, so it is unchanged
     assert out.conclusion == proof.conclusion
+
+
+def test_subst_param_reuses_an_eigen_rename_made_nearer_the_root():
+    """b is the eigenparameter of both forallr steps, the upper one above a
+    weakening that drops b. Substituting for b renames the lower one's
+    eigenparameter apart, and the upper one, which meets that rename on its
+    way down from the root, takes the same new name."""
+    proof = parse_proof(
+        "(forallr (seq (forall z. Q(z)) (forall x. P(x), forall y. Q(y))) :eigen #b\n"
+        "(wr (seq (forall z. Q(z)) (P(#b), forall y. Q(y)))\n"
+        "(forallr (seq (forall z. Q(z)) (forall y. Q(y))) :eigen #b\n"
+        "(foralll (seq (forall z. Q(z)) (Q(#b))) :term #b\n"
+        "(ax (seq (Q(#b)) (Q(#b))))))))"
+    )
+    check_proof(proof)
+    out = subst_param_proof(proof, "b", c)
+    check_proof(out)
+    assert out.conclusion == proof.conclusion
+    eigens = [n.eigen for _, n in iter_nodes(out) if n.eigen is not None]
+    assert eigens == [Param("a1"), Param("a1")]
+    assert out.premises[0].premises[0].premises[0].terms == (Param("a1"),)
 
 
 def test_subst_param_const_target():

@@ -399,6 +399,29 @@ def test_parse_proof_annotations():
     check_proof(node)
 
 
+def test_at_annotation_round_trips():
+    """format_proof writes each node's :at on the node's line, and
+    parse_proof reads it back."""
+    a = Param("a")
+    both = And(P(a), Q(a))
+    text = (
+        "(impr (seq () (P(#a) & Q(#a) -> P(#a))) :at 0\n"
+        "  (andl (seq (P(#a) & Q(#a)) (P(#a))) :at 0\n"
+        "    (wl (seq (Q(#a), P(#a)) (P(#a)))\n"
+        "      (ax (seq (P(#a)) (P(#a)))))))\n"
+    )
+    ax = ProofNode("ax", seq([P(a)], [P(a)]))
+    wl = ProofNode("wl", seq([Q(a), P(a)], [P(a)]), (ax,))
+    andl = ProofNode("andl", seq([both], [P(a)]), (wl,), at=0)
+    proof = ProofNode("impr", seq([], [Imp(both, P(a))]), (andl,), at=0)
+    check_proof(proof)
+    assert format_proof(proof) == text
+    back = parse_proof(text)
+    assert [n.at for _, n in iter_nodes(back)] == [0, 0, None, None]
+    assert proofs_equal(back, proof)
+    assert format_proof(back) == text
+
+
 def test_parse_proof_two_terms_ordered():
     text = (
         "(iota2l (seq ((lam x. P(x)) (iota y. Q(y))) (G)) :term #b :term #c\n"

@@ -739,7 +739,7 @@ _SLOTTED = {
 
 def test_record_classes_and_their_kinds():
     names = {name.removeprefix("ddproof.") for name in _records()}
-    assert len(names) == 29
+    assert len(names) == 28
     assert _MUTABLE | _IDENTITY | _SLOTTED <= names
     assert sum(name.startswith("syntax.") for name in names) == 15
 

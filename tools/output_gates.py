@@ -224,6 +224,7 @@ def parse_gate() -> str:
 
 def _perturb(rng, root):
     """One node of `root` changed by one seeded operation: (label, proof)."""
+    from ddproof.cutelim import _splice
     from ddproof.kernel import iter_nodes
     from ddproof.syntax import Const, Param, Sequent, Var, params_in, rename_param, replace
 
@@ -262,18 +263,8 @@ def _perturb(rng, root):
         node = replace(node, terms=tuple(new))
     else:
         node = replace(node, conclusion=Sequent(sides[0], sides[1]))
-    return f"{op} at {path}", _replace_at(root, path, node)
-
-
-def _replace_at(root, path: str, new):
-    from ddproof.syntax import replace
-
-    if path == "root":
-        return new
-    i, _, rest = path.partition(".")
-    premises = list(root.premises)
-    premises[int(i)] = _replace_at(premises[int(i)], rest or "root", new)
-    return replace(root, premises=tuple(premises))
+    parts = () if path == "root" else tuple(map(int, path.split(".")))
+    return f"{op} at {path}", _splice(root, parts, node)
 
 
 def _kernel_corpus() -> list:
