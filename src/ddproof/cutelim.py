@@ -62,6 +62,7 @@ from .kernel import (
     ProofNode,
     analyze_step,
     check_proof,
+    dotted,
     preorder,
     proof_params,
     rename_proof,
@@ -243,8 +244,6 @@ def _mixed(gamma, delta, seqt: Sequent, phi: Formula, m: int) -> Sequent:
 
 
 def _rr(d1, gamma, delta, d2, phi, k, trace) -> ProofNode:
-    if k == 0:
-        return d2
     phi_key = alpha_key(phi)
     if d1.rule == "ax":
         trace.append("rr:ax-left")
@@ -408,8 +407,6 @@ def _lr_mixed(pi, sigma, seqt: Sequent, phi: Formula, m: int) -> Sequent:
 
 
 def _lr(d1, d2, pi, sigma, phi, k, trace) -> ProofNode:
-    if k == 0:
-        return d1
     phi_key = alpha_key(phi)
     if d1.rule == "ax":
         trace.append("lr:ax")
@@ -515,7 +512,7 @@ def eliminate_cuts_traced(proof: ProofNode) -> tuple[ProofNode, list[TraceEntry]
         assert after < before, "the (degree, maximal-cut-count) measure must drop"
         trace.append(
             TraceEntry(
-                path=".".join(map(str, parts)) or "root",
+                path=dotted(parts),
                 formula=chi,
                 degree=maxdeg,
                 cases=tuple(cases),

@@ -35,7 +35,9 @@ in sorted order. A left-out instance is read off two keys aligned token by
 token (`syntax.match_subst`), and the premises it gives are then checked
 by their keys. Within one call it validates each distinct formula object
 once. Step results are never stored: every call runs `analyze_step` on
-every node, and nothing a check returns is read back by a later one.
+every node, and nothing a check returns is read back by a later one. The
+check reads the one `preorder` walk and keeps only the open path, which
+it renders as a dotted path only when it rejects a node.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from __future__ import annotations
 import sys
 from bisect import bisect_left
 from functools import cached_property
-from itertools import product
+from itertools import chain, product
 from typing import Callable, Iterator, NamedTuple, Optional, Union
 
 from .syntax import (
@@ -217,12 +219,17 @@ def preorder(root: ProofNode) -> Iterator[tuple[int, ProofNode]]:
             stack.append((depth, q))
 
 
+def dotted(parts) -> str:
+    """A node's path as reported: its premise indices from the root, or "root"."""
+    return ".".join(map(str, parts)) or "root"
+
+
 def iter_nodes(root: ProofNode) -> Iterator[tuple[str, ProofNode]]:
-    """Pre-order, with dotted paths; root is "root"."""
+    """Pre-order, with `dotted` paths."""
     at: list[int] = []  # each node's index among its siblings, root to node
     for depth, node in preorder(root):
         at[depth:] = [at[depth] + 1 if depth < len(at) else 0]
-        yield ".".join(map(str, at[1:])) or "root", node
+        yield dotted(at[1:]), node
 
 
 def proof_size(root: ProofNode) -> int:
@@ -739,41 +746,35 @@ _HANDLERS: dict[str, Callable[[ProofNode], StepInfo]] = {
 
 
 def check_proof(root: ProofNode) -> Proof:
-    """Check every node (premises before conclusions, left to right, so the
-    leftmost-innermost failure is the one reported). Each distinct formula
-    object is validated once per call; every node's step is analyzed afresh.
-    Returns the checked Proof with its height and cut degrees."""
+    """Check each node as the `preorder` walk leaves it, premises before
+    conclusions, left to right, so the leftmost-innermost failure is the one
+    reported. Only the open path is kept, and rendered `dotted` only for a
+    rejection. Each distinct formula object is validated once per call;
+    every node's step is analyzed afresh. Returns the checked Proof with its
+    height (its deepest node's depth, plus one) and cut degrees."""
     arities: dict[str, int] = {}
     validated: set[int] = set()
-    heights: dict[int, int] = {}
     cut_degrees: list[int] = []
-    stack: list[tuple[ProofNode, str, bool]] = [(root, "root", False)]
-    while stack:
-        node, path, expanded = stack.pop()
-        if not expanded:
-            stack.append((node, path, True))
-            prefix = "" if path == "root" else path + "."
-            for i in range(len(node.premises) - 1, -1, -1):
-                stack.append((node.premises[i], f"{prefix}{i}", False))
-            continue
-        try:
-            validate_sequent(node.conclusion, arities, path, validated)
-        except IllFormed as e:
-            raise CheckError(path, e.reason) from None
-        try:
-            info = analyze_step(node)
-        except RuleError as e:
-            raise CheckError(path, str(e)) from None
-        if info.cut_formula is not None:
-            cut_degrees.append(logical_constants(info.cut_formula))
-        heights[id(node)] = 1 + max(
-            (heights[id(p)] for p in node.premises), default=0
-        )
-    return Proof(
-        root=root,
-        height=heights[id(root)],
-        cut_degrees=tuple(sorted(cut_degrees)),
-    )
+    opened: list[list] = []  # the open path: [node, index of the premise last entered]
+    height = 0
+    for depth, node in chain(preorder(root), ((0, None),)):
+        while len(opened) > depth:  # leave the nodes the walk is done with
+            done = opened.pop()[0]
+            try:
+                validate_sequent(done.conclusion, arities, seen=validated)
+                info = analyze_step(done)
+            except IllFormed as e:
+                raise CheckError(dotted(o[1] for o in opened), e.reason) from None
+            except RuleError as e:
+                raise CheckError(dotted(o[1] for o in opened), str(e)) from None
+            if info.cut_formula is not None:
+                cut_degrees.append(logical_constants(info.cut_formula))
+        if node is not None:
+            if opened:
+                opened[-1][1] += 1
+            opened.append([node, -1])
+            height = max(height, depth + 1)
+    return Proof(root=root, height=height, cut_degrees=tuple(sorted(cut_degrees)))
 
 
 # ---------------------------------------------------------------------------

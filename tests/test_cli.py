@@ -144,17 +144,22 @@ def test_too_deep_parentheses_are_one_line_and_exit_2(cmd, tmp_path):
     assert child.stdout == ""
 
 
+def _write_chain(path, height):
+    """A cut-free wl/cl chain `height` nodes high, written one node per
+    line without indentation."""
+    one, two = "(seq (P(#a1)) (P(#a1)))", "(seq (P(#a1), P(#a1)) (P(#a1)))"
+    heads = ["(wl " + two if i % 2 else "(cl " + one for i in range(height - 1, 0, -1)]
+    path.write_text("\n".join([*heads, "(ax " + one]) + ")" * height + "\n")
+
+
 @pytest.mark.parametrize("cmd", ["check", "parse", "eliminate-cut"])
 def test_tall_proof_needs_no_recursion_limit(cmd, tmp_path):
-    """A cut-free wl/cl chain 5,000 nodes high, written one node per line
-    without indentation. Every proof walk on the way (the parser, the
-    kernel, regularization, the printer) is a loop, so the command exits 0
-    in a child that lowers the recursion limit to 1,000 after importing
-    ddproof."""
-    one, two = "(seq (P(#a1)) (P(#a1)))", "(seq (P(#a1), P(#a1)) (P(#a1)))"
-    heads = ["(wl " + two if i % 2 else "(cl " + one for i in range(4_999, 0, -1)]
+    """A wl/cl chain 5,000 nodes high. Every proof walk on the way (the
+    parser, the kernel, regularization, the printer) is a loop, so the
+    command exits 0 in a child that lowers the recursion limit to 1,000
+    after importing ddproof."""
     path = tmp_path / "tall.rlp"
-    path.write_text("\n".join([*heads, "(ax " + one]) + ")" * 5_000 + "\n")
+    _write_chain(path, 5_000)
     code = (
         "import sys\n"
         "from ddproof.cli import main\n"
@@ -170,6 +175,17 @@ def test_tall_proof_needs_no_recursion_limit(cmd, tmp_path):
         timeout=300,
     )
     assert child.returncode == 0, child.stderr[-2000:]
+
+
+def test_tall_proof_checks_in_linear_memory(tmp_path):
+    """A wl/cl chain 40,000 nodes high checks under a 1 GiB address-space
+    limit: the check keeps the open path, not a path string per pending
+    node, so its memory grows linearly with the height."""
+    path = tmp_path / "tall.rlp"
+    _write_chain(path, 40_000)
+    child = _run_limited(["check", str(path)])
+    assert child.returncode == 0, child.stderr[-2000:]
+    assert child.stdout == "OK height=40000\n"
 
 
 def test_import_loads_every_traced_module_and_no_dataclasses():

@@ -684,6 +684,14 @@ class TestLeftReduce:
             left_reduce(bad, andl_proof(), PHI_AND, 1)
 
 
+@pytest.mark.parametrize("reduce", [left_reduce, right_reduce])
+def test_reductions_reject_no_tracked_occurrence(reduce):
+    """Both reductions track k >= 1 occurrences, so neither has a case for
+    k = 0: each rejects it on entry."""
+    with pytest.raises(ReductionError, match="^k must be positive$"):
+        reduce(andr_proof(), andl_proof(), PHI_AND, 0)
+
+
 # ---------------------------------------------------------------------------
 # the elimination loop
 

@@ -540,6 +540,24 @@ def test_validate_once_reports_the_first_occurrence(shared, other, reason):
     assert (e.value.path, e.value.reason) == expected
 
 
+@pytest.mark.parametrize(
+    "bad, reason",
+    [
+        (node("foo", [P(a)], [P(a)]), "unknown rule 'foo'"),
+        (node("wl", [Q(a), P(a)], [P(a)]), "wl takes 1 premises, got 0"),
+        (node("cl", [], [P(a)], [ax(P(a))]), "contracted formula must remain in the conclusion"),
+    ],
+)
+def test_rejection_below_a_later_premise(bad, reason):
+    """A step rejected at premise 0 of the root's premise 1: `check_proof`
+    reports the path and reason the every-occurrence reference finds."""
+    root = node("cut", [P(a)], [P(a)], [ax(P(a)), node("wl", [G, P(a)], [P(a)], [bad])])
+    assert _check_every_occurrence(root) == ("1.0", reason)
+    with pytest.raises(CheckError) as e:
+        check_proof(root)
+    assert (e.value.path, e.value.reason) == ("1.0", reason)
+
+
 def test_validate_once_on_a_valid_shared_proof():
     root = _shared_context_proof(Forall("x", Q(x)))
     assert _check_every_occurrence(root) is None

@@ -2,11 +2,12 @@
 
 import random
 
+import pytest
 from hypothesis import given, settings
 
 from ddproof.semantics import find_countermodel
-from ddproof.surface import parse_formula, parse_sequent
-from ddproof.syntax import Not, Sequent, alpha_equal
+from ddproof.surface import format_formula, parse_formula, parse_sequent
+from ddproof.syntax import Iff, Not, Sequent, alpha_equal
 from ddproof.translate import is_pure_fol, translate, translate_sequent
 
 from genutil import FormulaGen, closed_formula_strategy
@@ -58,6 +59,27 @@ class TestFrozenShapes:
         f = parse_formula("forall y. (lam x. exists y. R(x, y)) y")
         out = translate(f)
         assert out == parse_formula("forall y. exists y1. R(y, y1)")
+
+    @pytest.mark.parametrize(
+        "text, want",
+        [
+            # the description's bound y is free in the abstract's body
+            (
+                "forall y. (lam x. R(x, y)) (iota y. Q(y))",
+                "forall y. exists x. (forall v1. Q(v1) <-> v1 = x) & R(x, y)",
+            ),
+            # the abstract's bound x is free in the description
+            (
+                "forall x. (lam x. R(x, x)) (iota y. Q(y, x))",
+                "forall x. exists u1. (forall y. Q(y, x) <-> y = u1) & R(u1, u1)",
+            ),
+        ],
+    )
+    def test_capture_avoiding_paraphrase(self, text, want):
+        f = parse_formula(text)
+        out = translate(f)
+        assert format_formula(out) == want
+        assert find_countermodel(Sequent((), (Iff(f, out),)), max_size=3) is None
 
 
 class TestSequents:
