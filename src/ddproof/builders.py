@@ -393,11 +393,10 @@ def _uni_at(ex: Exists, t: Term) -> Formula:
     return substitute(ex.body.left, ex.bound, t)
 
 
-def build_rlambda_left(dd: LambdaAtom, supply: Optional[ParamSupply] = None) -> ProofNode:
+def build_rlambda_left(dd: LambdaAtom) -> ProofNode:
     """Cut-free proof of  dd ==> paraphrase(dd)."""
     ex, x, psi, y, phi = _dd_parts(dd)
-    if supply is None:
-        supply = ParamSupply(params_in(dd))
+    supply = ParamSupply(params_in(dd))
     a = supply.fresh()
     a1 = supply.fresh()
     phi_a = substitute(phi, y, a)
@@ -433,11 +432,10 @@ def build_rlambda_left(dd: LambdaAtom, supply: Optional[ParamSupply] = None) -> 
     return ProofNode("cl", Sequent((dd,), (ex,)), (n_unfold,))
 
 
-def build_rlambda_right(dd: LambdaAtom, supply: Optional[ParamSupply] = None) -> ProofNode:
+def build_rlambda_right(dd: LambdaAtom) -> ProofNode:
     """Cut-free proof of  paraphrase(dd) ==> dd."""
     ex, x, psi, y, phi = _dd_parts(dd)
-    if supply is None:
-        supply = ParamSupply(params_in(dd))
+    supply = ParamSupply(params_in(dd))
     w = supply.fresh()
     e = supply.fresh()
     phi_w = substitute(phi, y, w)

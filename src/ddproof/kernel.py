@@ -169,15 +169,6 @@ class Proof:
     height: int
     cut_degrees: tuple[int, ...]  # degree of every cut, ascending
 
-    @property
-    def params(self) -> frozenset[str]:
-        """Every parameter of the proof, stored on the root when first asked."""
-        return self.root.params
-
-    @property
-    def degree(self) -> int:
-        return self.cut_degrees[-1] if self.cut_degrees else 0
-
 
 class RuleError(Exception):
     """A single inference step does not match its rule schema."""
@@ -308,10 +299,10 @@ def _single_extra(big: tuple[str, ...], small: tuple[str, ...]) -> Optional[str]
 
 
 def _first_index(forms: tuple, key: str) -> int:
+    """The first index of alpha key `key` in `forms`, which the caller read it from."""
     for i, f in enumerate(forms):
         if alpha_key(f) == key:
             return i
-    raise ValueError(f"no occurrence of {key}")
 
 
 # ---------------------------------------------------------------------------
@@ -547,39 +538,27 @@ def _h_cut(node: ProofNode) -> StepInfo:
     raise RuleError("no cut formula makes the contexts add up")
 
 
-# the side that weakening or contraction on a side leaves alone: its key
-# and its name in messages
-_OTHER_SIDE = {"ant": ("suc", "succedent"), "suc": ("ant", "antecedent")}
-
-
-def _h_weaken(mine: str):
-    other, other_side = _OTHER_SIDE[mine]
-
-    def h(node: ProofNode) -> StepInfo:
-        c = node.conclusion
-        cc, pc = sequent_key(c), sequent_key(node.premises[0].conclusion)
-        if cc[_SIDE[other]] != pc[_SIDE[other]]:
-            raise RuleError(f"weakening must leave the {other_side} side alone")
-        k = _single_extra(cc[_SIDE[mine]], pc[_SIDE[mine]])
-        if k is None:
-            raise RuleError("conclusion must add exactly one formula")
-        return StepInfo(node.rule, principal=(mine, _first_index(getattr(c, mine), k)))
-
-    return h
-
-
-def _h_contract(mine: str):
-    other, other_side = _OTHER_SIDE[mine]
+def _h_structural(mine: str, contract: bool):
+    """Weakening adds one formula to side `mine` of the premise; contraction
+    (`contract`) drops one of two copies there. Both leave the other side
+    alone."""
+    m = _SIDE[mine]
+    other_side = "antecedent" if m else "succedent"
+    kind, unmatched = (
+        ("contraction", "premise must have exactly one extra copy") if contract
+        else ("weakening", "conclusion must add exactly one formula")
+    )
 
     def h(node: ProofNode) -> StepInfo:
         c = node.conclusion
         cc, pc = sequent_key(c), sequent_key(node.premises[0].conclusion)
-        if cc[_SIDE[other]] != pc[_SIDE[other]]:
-            raise RuleError(f"contraction must leave the {other_side} side alone")
-        k = _single_extra(pc[_SIDE[mine]], cc[_SIDE[mine]])
+        if cc[1 - m] != pc[1 - m]:
+            raise RuleError(f"{kind} must leave the {other_side} side alone")
+        big, small = (pc, cc) if contract else (cc, pc)
+        k = _single_extra(big[m], small[m])
         if k is None:
-            raise RuleError("premise must have exactly one extra copy")
-        if k not in cc[_SIDE[mine]]:
+            raise RuleError(unmatched)
+        if contract and k not in cc[m]:
             raise RuleError("contracted formula must remain in the conclusion")
         return StepInfo(node.rule, principal=(mine, _first_index(getattr(c, mine), k)))
 
@@ -722,10 +701,10 @@ def _h_eqplus(node: ProofNode) -> StepInfo:
 _HANDLERS: dict[str, Callable[[ProofNode], StepInfo]] = {
     "ax": _h_ax,
     "cut": _h_cut,
-    "wl": _h_weaken("ant"),
-    "wr": _h_weaken("suc"),
-    "cl": _h_contract("ant"),
-    "cr": _h_contract("suc"),
+    "wl": _h_structural("ant", False),
+    "wr": _h_structural("suc", False),
+    "cl": _h_structural("ant", True),
+    "cr": _h_structural("suc", True),
     **{
         rule: _h_schema(rule, "principal formula")
         for rule in ("negl", "negr", "andl", "andr", "orl", "orr", "impl", "impr", "iffl", "iffr")

@@ -39,6 +39,7 @@ consumes its own identity either way round, passes nothing on.
 
 First-order logic with identity is undecidable, so all three outcomes
 are possible: Proved, Refuted, or Unknown when the budget runs out.
+`prove` is the module's one entry point.
 """
 
 from itertools import permutations
@@ -48,8 +49,6 @@ from .syntax import (
     Const,
     Formula,
     Identity,
-    IotaTerm,
-    LambdaAtom,
     Param,
     ParamSupply,
     Sequent,
@@ -61,7 +60,7 @@ from .syntax import (
     sequent_key,
 )
 from .kernel import RULES, Proof, ProofNode, check_proof, rewrite_variants
-from .builders import flip_identity, paraphrase, weaken_to
+from .builders import flip_identity, weaken_to
 from .semantics import (
     EnumerationCapError,
     Model,
@@ -474,34 +473,3 @@ def prove(goal: Sequent, budget: Optional[SearchBudget] = None) -> Verdict:
         return Proved(check_proof(_build(goal, plan)))
     return Unknown("signature-cap" if capped else "budget-exhausted")
 
-
-# ---------------------------------------------------------------------------
-# the description-paraphrase regression suite
-
-
-@record(frozen=True)
-class SuiteResult:
-    psi: Formula
-    phi: Formula
-    direction: str  # "unfold" (description proves paraphrase) or "fold"
-    verdict: Verdict
-
-
-def rlambda_goals(psi: Formula, phi: Formula) -> tuple[Sequent, Sequent]:
-    """The two implication sequents relating (lam x. psi)(iota y. phi) to
-    its quantified paraphrase."""
-    dd = LambdaAtom("x", psi, IotaTerm("y", phi))
-    ex = paraphrase(dd)
-    return Sequent((dd,), (ex,)), Sequent((ex,), (dd,))
-
-
-def decide_rlambda_suite(
-    pairs, budget: Optional[SearchBudget] = None
-) -> list[SuiteResult]:
-    """Run prove over both paraphrase directions for each (psi, phi) pair."""
-    budget = budget or DEFAULT_BUDGET
-    return [
-        SuiteResult(psi, phi, direction, prove(goal, budget))
-        for psi, phi in pairs
-        for direction, goal in zip(("unfold", "fold"), rlambda_goals(psi, phi))
-    ]

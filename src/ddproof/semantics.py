@@ -47,7 +47,7 @@ from __future__ import annotations
 
 from functools import reduce
 from itertools import product
-from typing import Iterator, Optional, Union
+from typing import Iterator, Optional
 
 from .syntax import (
     And,
@@ -385,18 +385,13 @@ DEFAULT_ENUM_CAP = 2_000_000
 
 
 def find_countermodel(
-    s: Union[Sequent, Formula],
-    max_size: int = DEFAULT_MAX_SIZE,
-    cap: int = DEFAULT_ENUM_CAP,
+    s: Sequent, max_size: int = DEFAULT_MAX_SIZE, cap: int = DEFAULT_ENUM_CAP
 ) -> Optional[Countermodel]:
     """Search domain sizes 1..max_size for an interpretation falsifying the
-    sequent (a bare formula is read as its own succedent). Returns the first
-    countermodel in enumeration order, None when every interpretation within
-    the size bound satisfies the sequent. Raises EnumerationCapError when
-    more than `cap` interpretations would have to be checked, and KeyError
-    on a variable no binder binds."""
-    if not isinstance(s, Sequent):
-        s = Sequent((), (s,))
+    sequent. Returns the first countermodel in enumeration order, None when
+    every interpretation within the size bound satisfies the sequent. Raises
+    EnumerationCapError when more than `cap` interpretations would have to
+    be checked, and KeyError on a variable no binder binds."""
     sig, depth = _survey(s.ant + s.suc)
     terms = [(Const, name) for name in sig.consts] + [(Param, name) for name in sig.params]
     count = 0  # interpretations of the smaller sizes

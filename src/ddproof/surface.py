@@ -448,15 +448,14 @@ def _style(column: int) -> dict:
 _STYLES = (_style(0), _style(1))
 
 
-def format_term(t: Union[Term, IotaTerm], unicode: bool = False) -> str:
+def format_term(t: Term) -> str:
+    """A variable, parameter or constant; `_render` prints a description."""
     if isinstance(t, Var):
         return t.name
     if isinstance(t, Param):
         return "#" + t.name
     if isinstance(t, Const):
         return "$" + t.name
-    if isinstance(t, IotaTerm):
-        return _binding(t, _STYLES[unicode])
     raise TypeError(f"not a term: {t!r}")
 
 

@@ -471,13 +471,10 @@ def consts_in(x) -> frozenset[str]:
     return _gather(x, 1, Const)
 
 
-def preds_in(x) -> tuple[tuple[str, int], ...]:
-    """Distinct (name, arity) pairs, in order of first occurrence."""
-    if isinstance(x, _Node):
-        return _names(x)[2]
-    if isinstance(x, TERM_TYPES) or x is None:
-        return ()
-    return tuple(dict.fromkeys(p for item in x for p in preds_in(item)))
+def preds_in(x: _Node) -> tuple[tuple[str, int], ...]:
+    """Distinct (name, arity) pairs of a formula, description or sequent, in
+    order of first occurrence."""
+    return _names(x)[2]
 
 
 def logical_constants(f: Formula) -> int:
@@ -663,7 +660,7 @@ class IllFormed(Exception):
 
 
 def validate_formula(
-    f: Formula, arities: Optional[dict[str, int]] = None, path: str = "root"
+    f: Formula, arities: Optional[dict[str, int]] = None, path: Union[str, tuple] = "root"
 ) -> dict[str, int]:
     """Check term-sort constraints and predicate-arity consistency.
 
@@ -674,15 +671,18 @@ def validate_formula(
     if arities is None:
         arities = {}
 
-    # a path is (parent path, node, part index) triples down from `path`;
-    # the dotted string is built only for an error, so deep formulas cost
-    # no quadratic string building
+    # a path is (parent path, node, part index) triples down from `path`, a
+    # string or validate_sequent's (path, side, index); the dotted string is
+    # built only for an error, so no walk builds strings
     def dotted(p) -> str:
         steps = []
         while isinstance(p, tuple):
             p, node, i = p
-            shape = _SHAPES[type(node)]
-            steps.append(f"arg{i}" if shape.spread else shape.fields[i])
+            if type(node) is str:
+                steps.append(f"{node}{i}")
+            else:
+                shape = _SHAPES[type(node)]
+                steps.append(f"arg{i}" if shape.spread else shape.fields[i])
         steps.append(p)
         return ".".join(reversed(steps))
 
@@ -713,7 +713,7 @@ def validate_formula(
             )
 
     if not is_formula(f):
-        raise IllFormed(path, f"not a formula: {f!r}")
+        raise IllFormed(dotted(path), f"not a formula: {f!r}")
     walk(f, path)
     return arities
 
@@ -739,11 +739,10 @@ def validate_sequent(
         for i, f in enumerate(side):
             if seen is not None and id(f) in seen:
                 continue
-            where = f"{path}.{name}{i}"
-            validate_formula(f, arities, where)
+            validate_formula(f, arities, (path, name, i))
             fv = free_vars(f)
             if fv:
-                raise IllFormed(where, f"free variable(s) {sorted(fv)} in sequent")
+                raise IllFormed(f"{path}.{name}{i}", f"free variable(s) {sorted(fv)} in sequent")
             if seen is not None:
                 seen.add(id(f))
     return arities

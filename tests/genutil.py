@@ -13,6 +13,7 @@ import os
 
 from hypothesis import strategies as st
 
+from ddproof.builders import paraphrase
 from ddproof.syntax import (
     And,
     Const,
@@ -41,6 +42,15 @@ _spec.loader.exec_module(perfbench_gen)
 FormulaGen, ProofGen = perfbench_gen.FormulaGen, perfbench_gen.ProofGen
 
 TERMS = [Var("x"), Var("y"), Param("a"), Param("b"), Const("c")]
+
+
+def rlambda_goals(psi, phi):
+    """The two implication sequents relating (lam x. psi)(iota y. phi) to
+    its quantified paraphrase: unfold (the description proves the
+    paraphrase), then fold."""
+    dd = LambdaAtom("x", psi, IotaTerm("y", phi))
+    ex = paraphrase(dd)
+    return Sequent((dd,), (ex,)), Sequent((ex,), (dd,))
 
 
 def term_strategy():

@@ -19,18 +19,23 @@ import random
 import time
 
 import bitsem
-from genutil import FormulaGen, ProofGen, has_description, perfbench_gen
+from genutil import FormulaGen, ProofGen, has_description, perfbench_gen, rlambda_goals
 
 from ddproof.builders import build_leibniz
 from ddproof.cli import fixture_proofs
 from ddproof.cutelim import eliminate_cuts_traced
-from ddproof.kernel import check_proof, cut_nodes, proofs_equal, subst_param_proof
+from ddproof.kernel import (
+    check_proof,
+    cut_nodes,
+    proof_params,
+    proofs_equal,
+    subst_param_proof,
+)
 from ddproof.search import (
     DEFAULT_BUDGET,
     Proved,
     Refuted,
     SearchBudget,
-    decide_rlambda_suite,
     prove,
 )
 from ddproof.semantics import (
@@ -128,7 +133,7 @@ def _criterion3():
         for _ in range(100):
             root = gen.proof()
             before = check_proof(root)
-            pool = sorted(before.params) or ["a"]
+            pool = sorted(proof_params(root)) or ["a"]
             old = rng.choice(pool)
             new = rng.choice((Param("b9"), Param(rng.choice(pool)), Const("d")))
             out = subst_param_proof(root, old, new)
@@ -349,10 +354,14 @@ def test_criterion_8_search_sound_in_both_directions():
         (p(x), Identity(y, Param("a"))),
         (Iff(p(x), q(x)), q(y)),
     ]
-    results = decide_rlambda_suite(pairs, DEFAULT_BUDGET)
+    results = [
+        (direction, psi, phi, prove(goal, DEFAULT_BUDGET))
+        for psi, phi in pairs
+        for direction, goal in zip(("unfold", "fold"), rlambda_goals(psi, phi))
+    ]
     assert len(results) == 20
-    not_proved = [r for r in results if not isinstance(r.verdict, Proved)]
-    assert not not_proved, [(r.direction, r.psi, r.phi) for r in not_proved]
+    not_proved = [r[:3] for r in results if not isinstance(r[3], Proved)]
+    assert not not_proved, not_proved
 
     cm = find_countermodel(parse_sequent("=> (lam x. P(x)) iota y. Q(y)"), max_size=1)
     assert cm is not None and cm.size == 1

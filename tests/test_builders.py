@@ -102,6 +102,11 @@ class TestWeakenContract:
         check_proof(p)
         assert p.conclusion == seq([P(a), Q(b)], [P(a)])
 
+    def test_contract_to_rejects_dropping_a_formula(self):
+        drop = r"^cannot contract PredAtom\(pred='P', .* away entirely$"
+        with pytest.raises(ValueError, match=drop):
+            contract_to(ax(P(a)), seq([], [P(a)]))
+
     def test_fit_to_contracts_then_weakens(self):
         base = weaken_to(ax(P(a)), seq([P(a), P(a)], [P(a)]))
         p = fit_to(base, seq([P(a), Q(b)], [P(a), Q(a)]))
@@ -250,6 +255,12 @@ class TestLeibniz:
             (substitute(phi, "x", b2),),
         )
 
+    def test_rejects_a_description(self):
+        """A description is a term: it has no Leibniz proof of its own, only
+        as the argument of an abstract."""
+        with pytest.raises(TypeError, match=r"^not a formula: IotaTerm\(bound='y', "):
+            build_leibniz(IotaTerm("y", P(x)), "x", b1, b2)
+
 
 # ---------------------------------------------------------------------------
 # description/quantifier bridge
@@ -272,6 +283,10 @@ class TestParaphrase:
         assert isinstance(uni, Forall)
         assert uni.bound != "y"
         assert "y" in free_vars(ex)
+
+    def test_rejects_an_argument_that_is_no_description(self):
+        with pytest.raises(ValueError, match="^paraphrase needs a description argument$"):
+            paraphrase(LambdaAtom("x", P(x), a))
 
 
 class TestRussellBridge:
@@ -417,3 +432,10 @@ class TestDerivedIotaR:
     def test_valid_semantically(self):
         proof, *_ = self.build()
         assert find_countermodel(proof.conclusion, max_size=2) is None
+
+    def test_rejects_an_eigenparameter_in_the_conclusion(self):
+        """The eigenparameter must not occur in the conclusion's context."""
+        _, dd, _, (p1, p2, p3) = self.build()
+        stale = weaken_to(p3, Sequent(p3.conclusion.ant + (P(a),), p3.conclusion.suc))
+        with pytest.raises(ValueError, match="^parameter a is not fresh for the conclusion$"):
+            derived_iotar(p1, p2, stale, dd, b, a)

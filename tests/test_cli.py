@@ -144,6 +144,29 @@ def test_too_deep_parentheses_are_one_line_and_exit_2(cmd, tmp_path):
     assert child.stdout == ""
 
 
+def test_reader_that_goes_away_is_exit_0(tmp_path):
+    """A reader that closes the pipe early (`ddproof parse ... | head -1`)
+    ends the run quietly. The read end is closed before the child starts,
+    and the output is far larger than any stdout buffer, so the first
+    write fails inside the command."""
+    path = tmp_path / "many.rlf"
+    path.write_text("P(#a) & Q(#a)\n" * 10_000)
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        child = subprocess.run(
+            [sys.executable, "-m", "ddproof", "parse", str(path)],
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+            stdout=write,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=120,
+        )
+    finally:
+        os.close(write)
+    assert (child.returncode, child.stderr) == (0, "")
+
+
 def _write_chain(path, height):
     """A cut-free wl/cl chain `height` nodes high, written one node per
     line without indentation."""
@@ -255,6 +278,16 @@ class TestCountermodel:
         code, out, _ = run(capsys, "countermodel", "P(#a) => P(#a)", "--max-size", "3")
         assert code == 0
         assert out == "no countermodel up to size 3\n"
+
+    def test_signature_past_the_cap_is_unknown(self, capsys):
+        """Seven binary predicates: size 1 has no countermodel, and size 2
+        has 2 * 16**7 interpretations, past the default cap."""
+        goal = ", ".join(f"R{i}(#a, #a)" for i in range(1, 8)) + " => R1(#a, #a)"
+        code, out, err = run(capsys, "countermodel", goal, "--max-size", "2")
+        assert (code, out) == (2, "")
+        assert err == (
+            "ddproof: unknown: signature-cap (gave up after enumerating 2000001 interpretations)\n"
+        )
 
 
 # each subcommand, and the module whose find_countermodel it calls

@@ -684,6 +684,15 @@ class TestLeftReduce:
             left_reduce(bad, andl_proof(), PHI_AND, 1)
 
 
+@pytest.mark.parametrize("reduce, side", [(left_reduce, "left"), (right_reduce, "right")])
+def test_reductions_name_the_premise_that_lacks_the_occurrences(reduce, side):
+    """left_reduce tracks k occurrences in the left premise's succedent,
+    right_reduce in the right premise's antecedent; each premise here has
+    one."""
+    with pytest.raises(ReductionError, match=f"^{side} premise lacks the tracked occurrences$"):
+        reduce(andr_proof(), andl_proof(), PHI_AND, 2)
+
+
 @pytest.mark.parametrize("reduce", [left_reduce, right_reduce])
 def test_reductions_reject_no_tracked_occurrence(reduce):
     """Both reductions track k >= 1 occurrences, so neither has a case for

@@ -31,12 +31,10 @@ from ddproof.search import (
     _premises,
     _State,
     _try_close,
-    decide_rlambda_suite,
     prove,
-    rlambda_goals,
 )
 from ddproof.semantics import EnumerationCapError, eval_sequent, find_countermodel
-from ddproof.surface import parse_formula, parse_sequent
+from ddproof.surface import format_formula, parse_formula, parse_sequent
 from ddproof.syntax import (
     And,
     Exists,
@@ -55,7 +53,7 @@ from ddproof.syntax import (
 )
 
 import genutil
-from genutil import FormulaGen, perfbench_gen
+from genutil import FormulaGen, perfbench_gen, rlambda_goals
 
 
 def skeleton(node):
@@ -406,6 +404,56 @@ def test_no_skipped_probe_could_have_hit(monkeypatch, item, probes):
         assert find_countermodel(g, max_size=2, cap=QUICK_REFUTE_CAP) is None, g
 
 
+def test_probe_past_its_cap_prunes_nothing(monkeypatch):
+    """Five binary predicates: the up-front pass hits PROVE_ENUM_CAP, so no
+    goal is known to be free of small countermodels, and the size-2 probe
+    of the root has 2 * 16**5 interpretations, past QUICK_REFUTE_CAP. The
+    probe then answers None, which prunes nothing, and the search proves
+    the goal."""
+    goal = parse_sequent(
+        "R1(#a, #a), R2(#a, #a), R3(#a, #a), R4(#a, #a) => R5(#a, #a) | R1(#a, #a)"
+    )
+    answers, real = [], search._quick_refuted
+
+    def probe(g, st, free):
+        answers.append((free, real(g, st, free)))
+        return answers[-1][1]
+
+    monkeypatch.setattr(search, "_quick_refuted", probe)
+    with pytest.raises(EnumerationCapError):
+        find_countermodel(goal, max_size=QUICK.model_cap, cap=search.PROVE_ENUM_CAP)
+    verdict = prove(goal, QUICK)
+    assert answers == [(False, None)]
+    assert isinstance(verdict, Proved)
+    rules = [n.rule for _, n in iter_nodes(verdict.proof.root)]
+    assert rules == ["orr", "wr", "wl", "wl", "wl", "ax"]
+
+
+def test_eqminus_spends_a_use_per_identity_and_atom(monkeypatch):
+    """An eqminus move spends a use of its (identity, atom) pair; a pair
+    with contraction_cap uses on the branch is not rewritten again. With no
+    countermodel probe (model_cap 0) the search of an invalid goal runs to
+    its depth, where a branch meets that cap, and ends unknown."""
+    goal = parse_sequent("#a = #b, P(#a) => Q(#b)")
+    budget = SearchBudget(max_depth=4, term_pool_cap=2, contraction_cap=1, model_cap=0)
+    st = _State(goal, budget)
+    fresh = list(search._eqminus_moves(goal, {}, st))
+    assert [format_formula(mv.actives[0][0][0]) for mv in fresh] == ["#b = #b", "P(#b)", "#a = #a"]
+    spent = {fresh[0].spent[0]: 1}  # the identity rewritten by itself
+    assert [mv.actives for mv in search._eqminus_moves(goal, spent, st)] == [fresh[1].actives]
+
+    capped, real = [], search._eqminus_moves
+
+    def moves(g, uses, st):
+        out = list(real(g, uses, st))
+        capped.append(len(out) < len(list(real(g, {}, st))))
+        return iter(out)
+
+    monkeypatch.setattr(search, "_eqminus_moves", moves)
+    assert prove(goal, budget) == Unknown("budget-exhausted")
+    assert any(capped)
+
+
 class TestRlambdaSuite:
     def test_goals_shape(self):
         psi = PredAtom("P", (Var("x"),))
@@ -436,12 +484,9 @@ class TestRlambdaSuite:
             ),
             (Not(PredAtom("P", (Var("x"),))), PredAtom("Q", (Var("y"),))),
         ]
-        results = decide_rlambda_suite(pairs)
-        assert len(results) == 2 * len(pairs)
-        directions = [r.direction for r in results]
-        assert directions == ["unfold", "fold"] * len(pairs)
-        for r in results:
-            assert isinstance(r.verdict, Proved), (r.direction, r.psi, r.phi)
+        for psi, phi in pairs:
+            for direction, goal in zip(("unfold", "fold"), rlambda_goals(psi, phi)):
+                assert isinstance(prove(goal), Proved), (direction, psi, phi)
 
 
 class TestSoundness:

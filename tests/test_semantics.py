@@ -281,6 +281,20 @@ def test_signature_of():
     assert sig.params == ("a",)
 
 
+def test_signature_of_rejects_a_predicate_with_two_arities():
+    """The arity clash may span items: each sequent is well formed alone."""
+    items = parse_sequent("P(#a) => G"), parse_sequent("P(#a, #a) => G")
+    with pytest.raises(IllFormed) as e:
+        signature_of(*items)
+    assert (e.value.path, e.value.reason) == ("signature", "predicate P used with two arities")
+
+
+def test_eval_formula_rejects_a_term():
+    model = Model((0,), {}, {})
+    with pytest.raises(TypeError, match=r"^not a formula: Param\(name='a'\)$"):
+        eval_formula(Param("a"), model, {Param("a"): 0})
+
+
 def _ref_depth(f, scope=frozenset()):
     """How deep f nests its binders, or KeyError on the first variable no
     binder binds: the recursive walk the countermodel pass made before it

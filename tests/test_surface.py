@@ -52,6 +52,21 @@ G = PredAtom("G", ())
 H = PredAtom("H", ())
 
 
+def test_printers_reject_what_they_do_not_print():
+    """format_term prints variables, parameters and constants; a
+    description prints only as an abstract's argument, through the formula
+    printer, which in turn prints no term."""
+    desc = IotaTerm("y", PredAtom("Q", (Var("y"),)))
+    with pytest.raises(TypeError, match=r"^not a term: IotaTerm\(bound='y', "):
+        format_term(desc)
+    with pytest.raises(TypeError, match=r"^not a formula: Param\(name='a'\)$"):
+        format_formula(Param("a"))
+    assert [format_term(t) for t in (Var("x"), Param("a"), Const("c"))] == ["x", "#a", "$c"]
+    lam = LambdaAtom("x", PredAtom("P", (Var("x"),)), desc)
+    assert format_formula(lam) == "(lam x. P(x)) (iota y. Q(y))"
+    assert format_formula(lam, unicode=True) == "(λx. P(x)) (ιy. Q(y))"
+
+
 def P(t):
     return PredAtom("P", (t,))
 

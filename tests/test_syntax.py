@@ -349,12 +349,32 @@ _DESC = IotaTerm("y", PredAtom("Q", (Var("y"),)))
          "root.arg.body.rhs", "description outside an abstract argument"),
         (LambdaAtom("x", PredAtom("G", ()), IotaTerm("y", PredAtom("G", (Var("y"),)))),
          "root.arg.body", "predicate G used with arity 1, previously 0"),
+        (Param("a"), "root", "not a formula: Param(name='a')"),
     ],
 )
 def test_validate_paths(bad, path, reason):
     with pytest.raises(IllFormed) as e:
         validate_formula(bad)
     assert (e.value.path, e.value.reason) == (path, reason)
+
+
+@pytest.mark.parametrize(
+    "bad, path, reason",
+    [
+        (Sequent((Param("a"),), ()), "root.ant0", "not a formula: Param(name='a')"),
+        (Sequent((PredAtom("G", ()),), (PredAtom("G", ()), And(_DESC, PredAtom("G", ())))),
+         "root.suc1.left", f"not a formula: {_DESC!r}"),
+        (Sequent((), (PredAtom("G", ()), PredAtom("P", (Var("x"),)))), "root.suc1",
+         "free variable(s) ['x'] in sequent"),
+    ],
+)
+def test_validate_sequent_paths(bad, path, reason):
+    """A sequent's formulas are named by side and index below the path
+    given, which the CLI starts with the input's line number."""
+    for given in ("root", "line 3: root"):
+        with pytest.raises(IllFormed) as e:
+            validate_sequent(bad, path=given)
+        assert (e.value.path, e.value.reason) == (given + path[4:], reason)
 
 
 # ---------------------------------------------------------------------------
@@ -739,7 +759,7 @@ _SLOTTED = {
 
 def test_record_classes_and_their_kinds():
     names = {name.removeprefix("ddproof.") for name in _records()}
-    assert len(names) == 28
+    assert len(names) == 27
     assert _MUTABLE | _IDENTITY | _SLOTTED <= names
     assert sum(name.startswith("syntax.") for name in names) == 15
 
