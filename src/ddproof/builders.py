@@ -45,6 +45,7 @@ from .syntax import (
     alpha_key,
     free_vars,
     is_atomic,
+    is_formula,
     params_in,
     replace,
     scan_fresh,
@@ -193,8 +194,10 @@ def build_leibniz(
     """Cut-free proof of  b1=b2, phi[x/b1] ==> phi[x/b2]  by recursion on
     phi. b1 and b2 are parameters or constants; phi may use x as its only
     free variable (all other variables bound)."""
+    if not is_formula(phi):
+        raise TypeError(f"not a formula: {phi!r}")
     if supply is None:
-        supply = ParamSupply(params_in(phi) | params_in((b1, b2)))
+        supply = ParamSupply(params_in((phi, b1, b2)))
     eq = Identity(b1, b2)
     phi1 = substitute(phi, x, b1)
     phi2 = substitute(phi, x, b2)
@@ -353,8 +356,6 @@ def build_leibniz(
             "iota1l", Sequent((eq, phi1, phi1), (phi2,)), (n_iotar,), eigen=a
         )
         return ProofNode("cl", goal, (n_unfold,))
-
-    raise TypeError(f"not a formula: {phi!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -529,13 +530,7 @@ def derived_iota2l(
     eq12 = Identity(b1, b2)
     gamma = without(prem3.conclusion.ant, (eq12,))
     delta = prem3.conclusion.suc
-    avoid = (
-        params_in(prem1.conclusion)
-        | params_in(prem2.conclusion)
-        | params_in(prem3.conclusion)
-        | params_in(dd)
-        | params_in((b1, b2))
-    )
+    avoid = params_in((prem1.conclusion, prem2.conclusion, prem3.conclusion, dd, b1, b2))
     w = Param(scan_fresh("w", avoid))
     psi_w = substitute(psi, x, w)
     uni_w = _uni_at(ex, w)
@@ -596,13 +591,7 @@ def derived_iotar(
     delta = without(prem3.conclusion.suc, (Identity(a, b),))
     if a.name in params_in(Sequent(gamma, delta + (dd,))) or a == b:
         raise ValueError(f"parameter {a.name} is not fresh for the conclusion")
-    avoid = (
-        params_in(prem1.conclusion)
-        | params_in(prem2.conclusion)
-        | params_in(prem3.conclusion)
-        | params_in(dd)
-        | params_in((a, b))
-    )
+    avoid = params_in((prem1.conclusion, prem2.conclusion, prem3.conclusion, dd, a, b))
     supply = ParamSupply(avoid)
 
     lei = flip_identity(

@@ -172,12 +172,12 @@ def _reducible(d1, d2, phi: Formula, k: int, on_left: int, on_right: int) -> str
     return key
 
 
-def _principal_formula(node: ProofNode, info) -> Optional[Formula]:
-    if info.principal is None:
-        return None
-    side, idx = info.principal
-    forms = node.conclusion.ant if side == "ant" else node.conclusion.suc
-    return forms[idx]
+def _principal_on(node: ProofNode, info, side: str, key: str) -> bool:
+    """The formula of alpha key `key` is principal on `side` ("ant" or
+    "suc") in node's last inference, whose `analyze_step` is `info`."""
+    if info.principal is None or info.principal[0] != side:
+        return False
+    return alpha_key(getattr(node.conclusion, side)[info.principal[1]]) == key
 
 
 def _corregularize(d1, d2, avoid):
@@ -221,14 +221,8 @@ def right_reduce(
     key = _reducible(d1, d2, phi, k, 1, k)
     if d1.rule != "ax":
         info1 = analyze_step(d1)
-        # d1 must end in a right rule: its principal formula is on the
-        # succedent, and it is neither wr nor cr
-        if (
-            info1.principal is None
-            or info1.principal[0] != "suc"
-            or d1.rule in ("wr", "cr")
-            or alpha_key(_principal_formula(d1, info1)) != key
-        ):
+        # d1 must end in a right rule, neither wr nor cr, with phi principal
+        if d1.rule in ("wr", "cr") or not _principal_on(d1, info1, "suc", key):
             raise ReductionError("cut formula is not principal in the left premise")
     d1, d2 = _corregularize(d1, d2, avoid)
     gamma = d1.conclusion.ant
@@ -254,9 +248,7 @@ def _rr(d1, gamma, delta, d2, phi, k, trace) -> ProofNode:
 
     info = analyze_step(d2)
     rule = d2.rule
-    principal = _principal_formula(d2, info)
-    on_ant = info.principal is not None and info.principal[0] == "ant"
-    hit = on_ant and alpha_key(principal) == phi_key
+    hit = _principal_on(d2, info, "ant", phi_key)
 
     goal = _mixed(gamma, delta, d2.conclusion, phi, k)
 
@@ -414,12 +406,7 @@ def _lr(d1, d2, pi, sigma, phi, k, trace) -> ProofNode:
 
     info = analyze_step(d1)
     rule = d1.rule
-    principal = _principal_formula(d1, info)
-    hit = (
-        info.principal is not None
-        and info.principal[0] == "suc"
-        and alpha_key(principal) == phi_key
-    )
+    hit = _principal_on(d1, info, "suc", phi_key)
 
     goal = _lr_mixed(pi, sigma, d1.conclusion, phi, k)
 

@@ -316,9 +316,9 @@ def _require_slot_term(t, what: str) -> None:
         raise RuleError(f"{what} must be a parameter or constant, got {t!r}")
 
 
-def _require_eigen(t, what: str = "eigenvariable") -> Param:
+def _require_eigen(t) -> Param:
     if not isinstance(t, Param):
-        raise RuleError(f"{what} must be a parameter, got {t!r}")
+        raise RuleError(f"eigenvariable must be a parameter, got {t!r}")
     return t
 
 
@@ -360,13 +360,6 @@ def _without(c: Sequent, side: str, f: Formula) -> tuple[str, ...]:
     return _moved(sequent_key(c)[_SIDE[side]], (alpha_key(f),))
 
 
-def _fresh_param_for(*xs) -> Param:
-    avoid = set()
-    for x in xs:
-        avoid |= params_in(x)
-    return Param(scan_fresh("a", avoid))
-
-
 def _eigen_check(a: Param, conclusion: Sequent, witness: Optional[Term] = None) -> None:
     if isinstance(witness, Param) and witness.name == a.name:
         raise RuleError(
@@ -401,11 +394,7 @@ def analyze_step(node: ProofNode) -> StepInfo:
     return _HANDLERS[rule](node)
 
 
-_TERMS_TAKEN = {
-    0: "no annotated term",
-    1: "one annotated term or none",
-    2: "two annotated terms or none",
-}
+_TERMS_TAKEN = ("no annotated term", "one annotated term or none", "two annotated terms or none")
 
 
 # --- the rule schemas ---
@@ -589,7 +578,7 @@ def _instances(node: ProofNode, f: Formula):
     for _ in given:
         xs.append(scan_fresh("_", free_vars(f) | set(xs)))
     kinds = [_INSTANCE_TERM] * schema.terms + [Param] * schema.eigen
-    fresh = _fresh_param_for(c, *prems)
+    fresh = Param(scan_fresh("a", params_in((c, *prems))))
     slots = [[fresh] if t is None else [t] for t in given]
     for p, actives in zip(prems, schema.actives(f, *map(Var, xs))):
         for side, pats in zip(("ant", "suc"), actives):
@@ -611,12 +600,20 @@ def _abstract_instance(node: ProofNode, f: LambdaAtom) -> list:
     return [()]
 
 
-def _h_schema(rule: str, what: str, instances=_instances):
-    """The handler of a RULES entry: the first principal candidate and the
-    first of its `instances(node, f)` whose premises match, under the
-    eigenparameter condition when the rule has one."""
+def _h_schema(rule: str):
+    """The handler of a RULES entry, read off its Schema alone: the first
+    principal candidate and the first of its instances whose premises match,
+    under the eigenparameter condition when the rule has one. An abstract
+    rule without slots (laml, lamr) has one empty instance, and a rejection
+    names the "abstract"; every other rule tries `_instances`, and a
+    rejection names the "instance" of a rule with slots, else the
+    "principal formula"."""
     schema = RULES[rule]
     side, principal, actives, eigen = schema.side, schema.principal, schema.actives, schema.eigen
+    slots = schema.terms or eigen
+    abstract = schema.kind is LambdaAtom and not slots
+    instances = _abstract_instance if abstract else _instances
+    what = "abstract" if abstract else "instance" if slots else "principal formula"
     noun = "premises" if schema.arity > 1 else "premise"
 
     def h(node: ProofNode) -> StepInfo:
@@ -705,19 +702,10 @@ _HANDLERS: dict[str, Callable[[ProofNode], StepInfo]] = {
     "wr": _h_structural("suc", False),
     "cl": _h_structural("ant", True),
     "cr": _h_structural("suc", True),
-    **{
-        rule: _h_schema(rule, "principal formula")
-        for rule in ("negl", "negr", "andl", "andr", "orl", "orr", "impl", "impr", "iffl", "iffr")
-    },
-    **{
-        rule: _h_schema(rule, "instance")
-        for rule in ("foralll", "forallr", "existsl", "existsr", "iota1l", "iota2l", "iotar")
-    },
-    "laml": _h_schema("laml", "abstract", _abstract_instance),
-    "lamr": _h_schema("lamr", "abstract", _abstract_instance),
     "eqminus": _h_eqminus,
     "eqplus": _h_eqplus,
 }
+_HANDLERS |= {rule: _h_schema(rule) for rule in RULES if rule not in _HANDLERS}
 
 
 # ---------------------------------------------------------------------------

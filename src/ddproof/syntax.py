@@ -451,11 +451,14 @@ def _names(x: _Node) -> tuple[frozenset[str], frozenset[str], tuple]:
 
 def _gather(x, i: int, kind: type) -> frozenset[str]:
     """Names of one sort (`_names` index i, terms of class `kind`) in a node,
-    term, None, or any nesting of those inside plain iterables."""
+    term, None, or any nesting of those inside plain iterables other than
+    strings."""
     if isinstance(x, _Node):
         return _names(x)[i]
     if isinstance(x, TERM_TYPES):
         return frozenset((x.name,)) if isinstance(x, kind) else _EMPTY
+    if isinstance(x, str):  # a string's items are strings: no end
+        raise TypeError(f"not a node, term or iterable of them: {x!r}")
     out = _EMPTY
     for item in x or ():
         out = out | _gather(item, i, kind)

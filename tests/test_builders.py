@@ -261,6 +261,14 @@ class TestLeibniz:
         with pytest.raises(TypeError, match=r"^not a formula: IotaTerm\(bound='y', "):
             build_leibniz(IotaTerm("y", P(x)), "x", b1, b2)
 
+    @pytest.mark.parametrize("phi, shown", [(Param("a"), "Param(name='a')"), ("junk", "'junk'")])
+    def test_rejects_a_non_formula_first(self, phi, shown):
+        """A term or a string is turned away by the first line, before a
+        substitution or a name gather reads it."""
+        with pytest.raises(TypeError) as e:
+            build_leibniz(phi, "x", b1, b2)
+        assert str(e.value) == f"not a formula: {shown}"
+
 
 # ---------------------------------------------------------------------------
 # description/quantifier bridge

@@ -1123,3 +1123,35 @@ def test_inference_stays_bounded(monkeypatch, rule, ant, suc, prems, slots):
     for matches in slots:
         bound *= 1 + len(matches)
     assert len(tried) <= bound and len(calls) <= bound * len(prems)
+
+
+@pytest.mark.parametrize("rule, message", [
+    ("negl", "no negl principal formula matches the premise"),
+    ("negr", "no negr principal formula matches the premise"),
+    ("andl", "no andl principal formula matches the premise"),
+    ("andr", "no andr principal formula matches the premises"),
+    ("orl", "no orl principal formula matches the premises"),
+    ("orr", "no orr principal formula matches the premise"),
+    ("impl", "no impl principal formula matches the premises"),
+    ("impr", "no impr principal formula matches the premise"),
+    ("iffl", "no iffl principal formula matches the premises"),
+    ("iffr", "no iffr principal formula matches the premises"),
+    ("foralll", "no foralll instance matches the premise"),
+    ("forallr", "no forallr instance matches the premise"),
+    ("existsl", "no existsl instance matches the premise"),
+    ("existsr", "no existsr instance matches the premise"),
+    ("laml", "no laml abstract matches the premise"),
+    ("lamr", "no lamr abstract matches the premise"),
+    ("iota1l", "no iota1l instance matches the premise"),
+    ("iota2l", "no iota2l instance matches the premises"),
+    ("iotar", "no iotar instance matches the premises"),
+])
+def test_every_table_rule_names_what_did_not_match(rule, message):
+    """Every RULES entry whose handler the table alone builds (all but
+    eqminus and eqplus): with no principal candidate in the conclusion and
+    the right number of premises, the rejection names the rule, what it
+    looked for, and its premise count."""
+    step = node(rule, [G], [G], [ax(G)] * RULES[rule].arity)
+    with pytest.raises(RuleError) as e:
+        analyze_step(step)
+    assert str(e.value) == message

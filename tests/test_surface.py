@@ -462,6 +462,18 @@ def test_proof_roundtrip_unicode():
     assert proofs_equal(parse_proof(text), proof)
 
 
+def test_readme_proof_example_checks_and_round_trips():
+    """README's `.rlp` example is a proof the kernel accepts, written as
+    `format_proof` prints it."""
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        text = fh.read()
+    block = re.search(r"`\.rlp` files hold a single proof.*?```\n(.*?)```", text, re.S).group(1)
+    proof = parse_proof(block)
+    assert check_proof(proof).height == 3
+    assert format_proof(proof) == block
+
+
 # ---------------------------------------------------------------------------
 # one parse shares repeated formulas
 

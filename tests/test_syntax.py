@@ -272,6 +272,18 @@ def test_free_vars_and_params():
     assert params_in([f, Param("b")]) == {"a", "b"}
 
 
+@pytest.mark.parametrize("gather", [params_in, consts_in])
+@pytest.mark.parametrize("x, text", [
+    ("ab", "'ab'"), (("x", Param("b")), "'x'"), ([Const("c"), ["d"]], "'d'"),
+])
+def test_name_gathers_reject_a_string(gather, x, text):
+    """A string's items are strings, so a gather over one would never end:
+    it is a TypeError naming the string, however deep it sits."""
+    with pytest.raises(TypeError) as e:
+        gather(x)
+    assert str(e.value) == f"not a node, term or iterable of them: {text}"
+
+
 def test_logical_constants():
     dd = LambdaAtom("x", PredAtom("P", (Var("x"),)), IotaTerm("y", PredAtom("Q", (Var("y"),))))
     assert logical_constants(dd) == 2
