@@ -13,20 +13,23 @@ keeping form: the principal formula is contracted first so the original
 copy survives, bounded by a per-formula contraction budget. Branches
 refuted by a small countermodel are pruned early.
 
-A move is data: its rule, principal formula, instance and active
-formulas. Its premises are built only when the search recurses into them
-or the move wins. The search returns the plan that won, its moves and
-their sub-plans, and the proof is built from it once; the kernel
-re-checks that proof before it is reported.
+A move is data: its rule, principal formula and instance, and its active
+formulas' key template. Its actives and premises are built only when the
+search recurses into them or the move wins; an eqminus, whose rewrite
+fills no slot, builds its active up front. The search returns the plan
+that won, its moves and their sub-plans, and the proof is built from it
+once; the kernel re-checks that proof before it is reported.
 
 At depth 1 a move's premises are leaves: the search would only key each
 one, check it against the branch and try to close it. So they are tested
-without being built. A leaf's key comes from the goal's stored key, and
-the leaf closes exactly when an active formula's key meets the other side
-or a succedent active is a reflexive identity. The test is exact because
-the goal did not close, and each side of a premise is the goal's side,
-less at most one formula, plus actives: any match, and any reflexive
-identity in the succedent, involves an active.
+without being built. A leaf's key comes from the goal's stored key and
+the actives' keys, filled in from a template that the rule and the
+principal formula's key share (locally nameless instantiation: a key is
+de Bruijn for bound variables). The leaf closes exactly when an active's
+key meets the other side or a succedent active is a reflexive identity.
+The test is exact because the goal did not close, and each side of a
+premise is the goal's side, less at most one formula, plus actives: any
+match, and any reflexive identity in the succedent, involves an active.
 
 A goal is probed for a small countermodel only if it may have one. The
 root may not when the up-front pass found none without hitting its cap,
@@ -55,9 +58,11 @@ from .syntax import (
     Term,
     alpha_key,
     consts_in,
+    key_template,
     params_in,
     record,
     sequent_key,
+    term_tokens,
 )
 from .kernel import RULES, Proof, ProofNode, check_proof, rewrite_variants
 from .builders import flip_identity, weaken_to
@@ -121,6 +126,7 @@ class _State:
         self.refute_memo: dict[tuple, Optional[bool]] = {}
         self.expansions = 0
         self.quick_size = min(2, budget.model_cap)
+        self.templates: dict[tuple, tuple] = {}  # see `_template`
 
 
 @record
@@ -128,12 +134,13 @@ class _Move:
     """One backward rule application to a goal g, as data: `rule` on the
     principal formula f at `inst` (its terms, then its eigenparameter),
     whose premises are g, less the formula at index `drop` of the rule's
-    side when set, plus each pair of the rule's `actives` there. A choice
-    move spends a use of each key in `spent`, after `prio` prior ones on
-    the branch, and is tried in keeping form (`kept`): its node concludes g
-    with a second copy of f, which a contraction merges, after eqminus's
-    identity is flipped back when `flip` is set. An "ax" move is the axiom
-    on f, weakened onto g."""
+    side when set, plus each pair of the rule's actives there: `actives`
+    if given, else built from f and inst, whose keys `template` holds when
+    set (see `_template`). A choice move spends a use of each key in
+    `spent`, after `prio` prior ones on the branch, and is tried in keeping
+    form (`kept`): its node concludes g with a second copy of f, which a
+    contraction merges, after eqminus's identity is flipped back when
+    `flip` is set. An "ax" move is the axiom on f, weakened onto g."""
 
     rule: str
     f: Formula
@@ -144,6 +151,7 @@ class _Move:
     prio: int = 0
     kept: bool = False
     flip: Optional[Identity] = None
+    template: Optional[list] = None
 
 
 # a plan is the move that won at a sequent and the plans of its premises;
@@ -184,22 +192,43 @@ def _premises(g: Sequent, mv: _Move) -> tuple[Sequent, ...]:
     """mv's premises on g: each pair of actives, the antecedent formulas in
     front of what g keeps, the succedent ones behind."""
     ant, suc = _less((g.ant, g.suc), RULES[mv.rule].side, mv.drop)
-    return tuple(Sequent(a + ant, suc + s) for a, s in mv.actives)
+    actives = mv.actives or RULES[mv.rule].actives(mv.f, *mv.inst)
+    return tuple(Sequent(a + ant, suc + s) for a, s in actives)
 
 
 def _leaves(g: Sequent, mv: _Move) -> Iterator[tuple[tuple, bool]]:
-    """The key of each premise of mv on g, from g's, and whether
-    `_try_close` closes it, neither built (see the module docstring)."""
+    """The key of each premise of mv on g, from g's and mv's template, and
+    whether `_try_close` closes it, neither built (see module docstring)."""
     side = RULES[mv.rule].side
     ant, suc = keys = sequent_key(g)
     if mv.drop is not None:
         lost = alpha_key(getattr(g, side)[mv.drop])
         ant, suc = _less(keys, side, keys[side == "suc"].index(lost))
-    for a, s in mv.actives:
-        ak, sk = [alpha_key(f) for f in a], [alpha_key(f) for f in s]
-        pa, ps = tuple(sorted([*ant, *ak])), tuple(sorted([*suc, *sk]))
+    tokens = term_tokens(mv.inst)
+    for a, s, eqs in mv.template or _cut(mv.actives):
+        ak, sk = [x.format(*tokens) for x in a], [x.format(*tokens) for x in s]
+        pa, ps = tuple(sorted([*ant, *ak])) if ak else ant, tuple(sorted([*suc, *sk])) if sk else suc
         meet = not set(ak).isdisjoint(ps) or not set(sk).isdisjoint(pa)
-        yield (pa, ps), meet or any(map(RULES["eqplus"].principal, s))
+        yield (pa, ps), meet or any([x.format(*tokens) == y.format(*tokens) for x, y in eqs])
+
+
+def _cut(actives, holes: tuple = ()) -> list:
+    """Per premise, the key templates of its actives at `holes` on each
+    side, and a pair for each succedent identity between instance terms:
+    its and its flip's, which fill alike when it fills reflexive."""
+    return [([key_template(x, holes) for x in a], [key_template(x, holes) for x in s],
+             [(key_template(x, holes), key_template(Identity(x.rhs, x.lhs), holes))
+              for x in s if RULES["eqminus"].principal(x)]) for a, s in actives]
+
+
+def _template(rule: str, f: Formula, st: _State) -> list:
+    """`_cut` of rule's actives on f at placeholder parameters, which no
+    parser or builder names: made once per rule and key of f in a search."""
+    key = (rule, alpha_key(f))
+    if key not in st.templates:
+        holes = tuple(Param(f"?{i}") for i in range(RULES[rule].terms + RULES[rule].eigen))
+        st.templates[key] = _cut(RULES[rule].actives(f, *holes), holes)
+    return st.templates[key]
 
 
 def _with(g: Sequent, side: str, f: Formula) -> Sequent:
@@ -292,7 +321,7 @@ def _invertible(g: Sequent, st: _State) -> Optional[_Move]:
             if rule is None or not RULES[rule].principal(f):
                 continue
             inst = (st.supply.fresh(),) if RULES[rule].eigen else ()
-            return _Move(rule, f, inst, RULES[rule].actives(f, *inst), drop=i)
+            return _Move(rule, f, inst, drop=i, template=_template(rule, f, st))
     return None
 
 
@@ -349,14 +378,14 @@ def _choice_moves(g: Sequent, uses: dict, st: _State) -> list[_Move]:
             key = (rule, alpha_key(f))
             if uses.get(key, 0) >= cap:
                 continue
+            template = _template(rule, f, st)
             # the terms are all different, so these are the tuples of
             # different terms, in the order of their product
             for ts in permutations(terms, schema.terms):
                 spent = (key, fresh_key) if minted in ts else (key,)
                 inst = ts + (st.supply.fresh(),) if schema.eigen else ts
-                moves.append(_Move(
-                    rule, f, inst, schema.actives(f, *inst), None, spent, uses.get(key, 0), True
-                ))
+                moves.append(_Move(rule, f, inst, (), None, spent, uses.get(key, 0), True,
+                                   None, template))
 
     # description in the antecedent: the no-witness rule first
     slot_moves("iota1l")
@@ -414,12 +443,12 @@ def _search(
     # leaves, tested unbuilt, each counted as the call at depth 0 would be
     committed = _invertible(g, st)
     for mv in [committed] if committed is not None else _choice_moves(g, uses, st):
-        premises = _premises(g, mv) if depth > 1 else None
-        subs = []
+        premises, subs = (), []
         for i, (key, closes) in enumerate(_leaves(g, mv)):
             if key in seen:
                 break
-            if premises is not None:
+            if depth > 1:
+                premises = premises or _premises(g, mv)
                 sub = _search(premises[i], depth - 1, seen | {key}, _spend(uses, mv.spent),
                               st, refuted is False and _keeps_countermodels(g, mv))
             else:

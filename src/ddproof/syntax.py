@@ -27,7 +27,8 @@ the calculus keeps asking for, each computed on first use: hashes, canonical
 keys (`alpha_key`, and `sequent_key`, the one multiset of each sequent
 side), free variables, and parameter, constant and predicate names. The
 key holds each name and connective as a token, so names, logical constants
-and the kernel's instance matcher `match_subst` read it, with no walk. Nodes
+and the kernel's instance matcher `match_subst` read it, with no walk, and
+`key_template` cuts it at chosen terms for search to fill in again. Nodes
 are frozen and `replace` builds a new node with nothing stored, so a stored
 fact cannot go stale. Pickling carries the fields only: string hashes are
 salted per process, so a stored hash must not reach another one.
@@ -435,7 +436,7 @@ def _names(x: _Node) -> tuple[frozenset[str], frozenset[str], tuple]:
         )
     else:  # the key's tokens, in walk order
         params, consts, preds = [], [], {}
-        tokens = _tokens(x)
+        tokens = _tokens(alpha_key(x))
         for tag, token in zip(tokens, tokens[1:]):
             if tag == "(P":
                 name, _, n = token.rpartition("/")
@@ -600,11 +601,30 @@ def alpha_equal(f: Formula, g: Formula) -> bool:
     return alpha_key(f) == alpha_key(g)
 
 
-def _tokens(f) -> list[str]:
-    """f's key split into "(" with a tag, a predicate's name/arity (always
+def _tokens(key: str) -> list[str]:
+    """A key split into "(" with a tag, a predicate's name/arity (always
     after "(P", as a name may spell a tag), terms (b0, v:x, p:a, c:c), ""
     and ")". Names hold no space or parenthesis, so the split is exact."""
-    return alpha_key(f).replace(")", " )").split(" ")
+    return key.replace(")", " )").split(" ")
+
+
+def key_template(f, holes: tuple = ()) -> str:
+    """f's key as a `str.format` template, braces doubled, with the field of
+    its index in place of each token of a term in `holes`: filled with
+    `term_tokens(terms)`, it is f's key with each hole renamed to its term,
+    as a key is de Bruijn for bound variables. The join undoes `_tokens`."""
+    key = alpha_key(f).replace("{", "{{").replace("}", "}}")
+    marks = {_term_key(h, ()): f"{{{i}}}" for i, h in enumerate(holes)}
+    if not marks:
+        return key
+    tokens = _tokens(key)
+    tokens = [u if tag == "(P" else marks.get(u, u) for tag, u in zip(["("] + tokens, tokens)]
+    return " ".join(tokens).replace(" )", ")")
+
+
+def term_tokens(terms: tuple) -> list[str]:
+    """The key tokens of parameters and constants, to fill `key_template`s."""
+    return [_term_key(t, ()) for t in terms]
 
 
 def match_subst(pattern: Formula, xs, chi: Formula) -> Optional[dict[str, Term]]:
@@ -616,7 +636,7 @@ def match_subst(pattern: Formula, xs, chi: Formula) -> Optional[dict[str, Term]]
     not free in pattern is left out of the map: any term fits it. In the
     aligned keys each `v:x` (x in xs) faces one and the same `p:` or `c:`
     token, and every other token faces its equal."""
-    us, vs = _tokens(pattern), _tokens(chi)
+    us, vs = _tokens(alpha_key(pattern)), _tokens(alpha_key(chi))
     if len(us) != len(vs):
         return None
     found: dict[str, str] = {}
