@@ -15,10 +15,11 @@ refuted by a small countermodel are pruned early.
 
 A move is data: its rule, principal formula and instance, and its active
 formulas' key template. Its actives and premises are built only when the
-search recurses into them or the move wins; an eqminus, whose rewrite
-fills no slot, builds its active up front. The search returns the plan
-that won, its moves and their sub-plans, and the proof is built from it
-once; the kernel re-checks that proof before it is reported.
+search recurses into them or the move wins. eqminus's rewritten atoms fill
+no slot: they are built with their keys once per identity, atom and
+direction in a search. The search returns the plan that won, its moves
+and their sub-plans, and the proof is built from it once; the kernel
+re-checks that proof before it is reported.
 
 At depth 1 a move's premises are leaves: the search would only key each
 one, check it against the branch and try to close it. So they are tested
@@ -126,7 +127,7 @@ class _State:
         self.refute_memo: dict[tuple, Optional[bool]] = {}
         self.expansions = 0
         self.quick_size = min(2, budget.model_cap)
-        self.templates: dict[tuple, tuple] = {}  # see `_template`
+        self.templates: dict[tuple, list] = {}  # see `_template`, `_eqminus_moves`
 
 
 @record
@@ -338,7 +339,8 @@ def _term_pool(g: Sequent) -> list[Term]:
 def _eqminus_moves(g: Sequent, uses: dict, st: _State) -> Iterator[_Move]:
     """eqminus on each identity, either way round, and each atom beside it:
     the identity the node consumes is oriented src=dst and flipped back to
-    g's orientation before the contraction."""
+    g's orientation before the contraction. The rewrites of an atom, as
+    actives with their templates, are made once per search."""
     cap = st.budget.contraction_cap
     schema = RULES["eqminus"]
     for i, eq in enumerate(g.ant):
@@ -353,11 +355,13 @@ def _eqminus_moves(g: Sequent, uses: dict, st: _State) -> Iterator[_Move]:
                 key = ("eqminus", alpha_key(eq), alpha_key(atom))
                 if uses.get(key, 0) >= cap:
                     continue
-                for new in rewrite_variants(atom, src, dst):
-                    yield _Move(
-                        "eqminus", used, (), schema.actives(used, new), j, (key,),
-                        uses.get(key, 0), True, used if flipped else None,
-                    )
+                rewrites = key + (flipped,)
+                if rewrites not in st.templates:
+                    made = [schema.actives(used, new) for new in rewrite_variants(atom, src, dst)]
+                    st.templates[rewrites] = [(actives, _cut(actives)) for actives in made]
+                for actives, template in st.templates[rewrites]:
+                    yield _Move("eqminus", used, (), actives, j, (key,), uses.get(key, 0), True,
+                                used if flipped else None, template)
 
 
 def _choice_moves(g: Sequent, uses: dict, st: _State) -> list[_Move]:

@@ -614,9 +614,9 @@ def key_template(f, holes: tuple = ()) -> str:
     `term_tokens(terms)`, it is f's key with each hole renamed to its term,
     as a key is de Bruijn for bound variables. The join undoes `_tokens`."""
     key = alpha_key(f).replace("{", "{{").replace("}", "}}")
-    marks = {_term_key(h, ()): f"{{{i}}}" for i, h in enumerate(holes)}
-    if not marks:
+    if not holes:
         return key
+    marks = {_term_key(h, ()): f"{{{i}}}" for i, h in enumerate(holes)}
     tokens = _tokens(key)
     tokens = [u if tag == "(P" else marks.get(u, u) for tag, u in zip(["("] + tokens, tokens)]
     return " ".join(tokens).replace(" )", ")")
