@@ -304,9 +304,9 @@ def test_search_effort_is_pinned(monkeypatch, budget, item, expansions, fresh):
 
 # (prove-sample item, kernel._inst calls at a term that is no placeholder)
 # at the gate budget, for the three heaviest items: the actives the search
-# builds, for the premises it recurses into and the proof it returns. A
-# search that built the actives of every move it offers made 88,966,
-# 17,369 and 8,201 such calls.
+# builds, for the premises it recurses into and the proof it returns.
+# Building the actives of every move offered takes 88,966, 17,369 and
+# 8,201 such calls.
 _BUILT = [(478, 2_499), (324, 1_769), (88, 592)]
 
 
