@@ -20,12 +20,11 @@ tests re-check every construction. The main entry points:
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Optional, Union
+from typing import Optional
 
 from .kernel import ProofNode
 from .syntax import (
     And,
-    Const,
     Exists,
     Forall,
     Formula,
@@ -38,7 +37,6 @@ from .syntax import (
     Or,
     Param,
     ParamSupply,
-    PredAtom,
     Sequent,
     Term,
     Var,

@@ -27,17 +27,17 @@ witness term: with the two identified, the uniqueness premise becomes
 vacuous and the rule could derive "the domain is a singleton" from nothing.
 
 Formulas are compared only through alpha keys, but for eqminus's atoms,
-which bind nothing and are compared as values. `check_proof` reads facts
-stored on syntax objects, each computed once from the object's own fields:
-a formula's alpha key and free variables, and a sequent's
-`syntax.sequent_key`, the one form of each side's multiset: its alpha keys
-in sorted order. A left-out instance is read off two keys aligned token by
-token (`syntax.match_subst`), and the premises it gives are then checked
-by their keys. Within one call it validates each distinct formula object
-once. Step results are never stored: every call runs `analyze_step` on
-every node, and nothing a check returns is read back by a later one. The
-check reads the one `preorder` walk and keeps only the open path, which
-it renders as a dotted path only when it rejects a node.
+which bind nothing and are compared as values, position by position.
+`check_proof` reads facts stored on syntax objects, each computed once from
+the object's own fields: a formula's alpha key and free variables, and a
+sequent's `syntax.sequent_key`, the one form of each side's multiset: its
+alpha keys in sorted order. A left-out instance is read off two keys
+aligned token by token (`syntax.match_subst`), and the premises it gives
+are then checked by their keys. Within one call it validates each distinct
+formula object once. Step results are never stored: every call runs
+`analyze_step` on every node, and nothing a check returns is read back by a
+later one. The check reads the one `preorder` walk and keeps only the open
+path, which it renders as a dotted path only when it rejects a node.
 """
 
 from __future__ import annotations
@@ -67,7 +67,6 @@ from .syntax import (
     Term,
     Var,
     _parts,
-    _rebuild,
     alpha_key,
     free_vars,
     is_atomic,
@@ -635,23 +634,13 @@ def _h_schema(rule: str):
     return h
 
 
-def rewrite_variants(atom: Formula, src: Term, dst: Term) -> Iterator[Formula]:
-    """Every result of replacing a nonempty subset of the src occurrences in
-    an atom by dst, the all-positions rewrite first: all distinct, and none
-    the atom itself, as src is not dst. None for a formula that is not
-    atomic. eqminus on src=dst consumes the atom and adds chi exactly when
-    chi is the atom or one of these."""
-    if src == dst or not is_atomic(atom):
-        return
-    parts = _parts(atom)
-    idxs = [i for i, t in enumerate(parts) if t == src]
-    full = (1 << len(idxs)) - 1
-    for mask in (full, *range(1, full)) if idxs else ():
-        xs = list(parts)
-        for b, i in enumerate(idxs):
-            if mask >> b & 1:
-                xs[i] = dst
-        yield _rebuild(atom, xs)
+def _rewrites(a0: Formula, chi: Formula, src: Term, dst: Term) -> bool:
+    """chi is the atom a0 with some occurrences of src, perhaps none, replaced
+    by dst: at each position chi's part is a0's, or a0's is src and chi's dst."""
+    if type(chi) is not type(a0) or getattr(chi, "pred", None) != getattr(a0, "pred", None):
+        return False
+    xs, ys = _parts(a0), _parts(chi)
+    return len(xs) == len(ys) and all(y == x or (x == src and y == dst) for x, y in zip(xs, ys))
 
 
 def _h_eqminus(node: ProofNode) -> StepInfo:
@@ -660,21 +649,16 @@ def _h_eqminus(node: ProofNode) -> StepInfo:
     (ca, cs), (pa, ps) = sequent_key(c), sequent_key(p)
     if cs != ps:
         raise RuleError("eqminus must leave the succedent alone")
-    schema = RULES["eqminus"]
-    for i, eq in _candidates(c.ant, schema.principal, node.at):
+    for i, eq in _candidates(c.ant, RULES["eqminus"].principal, node.at):
         if node.terms and (eq.lhs, eq.rhs) != tuple(node.terms):
             continue
         for j, a0 in enumerate(c.ant):
             if j == i or not is_atomic(a0):
                 continue
-            # the conclusion less both principal formulas
-            base = _moved(ca, (alpha_key(eq), alpha_key(a0)))
-            for chi in _diff_candidates(p, "ant", base):
-                if chi != a0 and chi not in rewrite_variants(a0, eq.lhs, eq.rhs):
-                    continue
-                ((ant, _),) = schema.actives(eq, chi)
-                if pa == _moved(base, add=ant):
-                    return StepInfo("eqminus", principal=("ant", i), terms=(eq.lhs, eq.rhs))
+            # the premise is the conclusion less both principal formulas, plus chi
+            k = _single_extra(pa, _moved(ca, (alpha_key(eq), alpha_key(a0))))
+            if k is not None and _rewrites(a0, p.ant[_first_index(p.ant, k)], eq.lhs, eq.rhs):
+                return StepInfo("eqminus", principal=("ant", i), terms=(eq.lhs, eq.rhs))
     raise RuleError("no identity/atom pair in the antecedent matches the premise")
 
 

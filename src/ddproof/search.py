@@ -16,10 +16,10 @@ refuted by a small countermodel are pruned early.
 A move is data: its rule, principal formula and instance, and its active
 formulas' key template. Its actives and premises are built only when the
 search recurses into them or the move wins. eqminus's rewritten atoms fill
-no slot: they are built with their keys once per identity, atom and
-direction in a search. The search returns the plan that won, its moves
-and their sub-plans, and the proof is built from it once; the kernel
-re-checks that proof before it is reported.
+no slot: the search's own `rewrite_variants` enumerates them, and they are
+built with their keys once per identity, atom and direction in a search.
+The search returns the winning plan, its moves and sub-plans, and the
+proof built from it once is re-checked by the kernel before it is reported.
 
 At depth 1 a move's premises are leaves: the search would only key each
 one, check it against the branch and try to close it. So they are tested
@@ -57,15 +57,18 @@ from .syntax import (
     ParamSupply,
     Sequent,
     Term,
+    _parts,
+    _rebuild,
     alpha_key,
     consts_in,
+    is_atomic,
     key_template,
     params_in,
     record,
     sequent_key,
     term_tokens,
 )
-from .kernel import RULES, Proof, ProofNode, check_proof, rewrite_variants
+from .kernel import RULES, Proof, ProofNode, check_proof
 from .builders import flip_identity, weaken_to
 from .semantics import (
     EnumerationCapError,
@@ -334,6 +337,20 @@ def _term_pool(g: Sequent) -> list[Term]:
     pool: list[Term] = [Param(n) for n in sorted(params_in(g))]
     pool += [Const(n) for n in sorted(consts_in(g))]
     return pool
+
+
+def rewrite_variants(atom: Formula, src: Term, dst: Term) -> Iterator[Formula]:
+    """The rewrites of an atom that replace a nonempty subset of its src
+    occurrences by dst, the whole set first; none if it is not atomic."""
+    parts = _parts(atom) if is_atomic(atom) else ()
+    idxs = [i for i, t in enumerate(parts) if t == src]
+    full = (1 << len(idxs)) - 1
+    for mask in (full, *range(1, full)) if idxs else ():
+        xs = list(parts)
+        for b, i in enumerate(idxs):
+            if mask >> b & 1:
+                xs[i] = dst
+        yield _rebuild(atom, xs)
 
 
 def _eqminus_moves(g: Sequent, uses: dict, st: _State) -> Iterator[_Move]:

@@ -96,7 +96,7 @@ def record(cls=None, *, frozen: bool = False, eq: bool = True, slots: bool = Fal
     else:
         for n in fresh:
             delattr(cls, n)
-    # the methods that run often are written out for the fields, in one exec
+    # the methods that run often are written out for the fields, in a file named for the class
     mine = "".join(f"self.{n}, " for n in names)
     src = [f"def __init__(self, {', '.join(names)}):"]
     for n in names:
@@ -113,7 +113,8 @@ def record(cls=None, *, frozen: bool = False, eq: bool = True, slots: bool = Fal
     made = {"__repr__": _repr, "__reduce__": _reduce, "__match_args__": names}
     if frozen:
         made.update(__setattr__=_frozen, __delattr__=_frozen)
-    exec("\n".join(src), {"_store": _store, "_NEW": _NEW}, made)
+    code = compile("\n".join(src), f"<record {cls.__module__}.{cls.__qualname__}>", "exec")
+    exec(code, {"_store": _store, "_NEW": _NEW}, made)
     made["__init__"].__defaults__ = tuple(_NEW if isinstance(v, dict) else v for v in given)
     for k, v in made.items():
         setattr(cls, k, v)

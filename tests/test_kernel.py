@@ -4,7 +4,9 @@ that would be unsound under a laxer reading), whole-proof checking with
 failure paths, validation once per formula object, a frozen table of
 rejections, and parameter substitution through proofs."""
 
+import functools
 import hashlib
+import itertools
 import json
 import os
 import random
@@ -19,6 +21,7 @@ from ddproof.kernel import (
     CheckError,
     ProofNode,
     RuleError,
+    _rewrites,
     analyze_step,
     check_proof,
     iter_nodes,
@@ -26,6 +29,7 @@ from ddproof.kernel import (
     proofs_equal,
     subst_param_proof,
 )
+from ddproof.search import rewrite_variants
 from ddproof.surface import format_proof, parse_formula, parse_proof
 from ddproof.syntax import (
     And,
@@ -270,6 +274,61 @@ def test_eqminus():
 def test_eqminus_no_rewrite_positions():
     concl = node("eqminus", [Identity(a, b), G], [G], [ax(G)])
     analyze_step(concl)
+
+
+def test_rewrites_is_membership_in_the_enumerated_rewrites():
+    """eqminus's atom relation, decided position by position, is the one
+    the search enumerates: `_rewrites(a0, chi, src, dst)` holds exactly when
+    chi is a0 or one of `rewrite_variants(a0, src, dst)`. a0 runs over every
+    P atom up to width 6 and every identity over #a, #b and $c, and src and
+    dst over every pair of those terms, src == dst among them. chi runs over
+    a0 and its rewrites, each of those with one part changed to each term,
+    and a0's parts under another predicate name, arity or class."""
+    terms = (a, b, Const("c"))
+
+    @functools.cache
+    def near(chi):
+        parts = syntax._parts(chi)
+        return {syntax._rebuild(chi, (*parts[:i], t, *parts[i + 1:]))
+                for i in range(len(parts)) for t in terms}
+
+    for width in range(7):
+        for args in itertools.product(terms, repeat=width):
+            others = [PredAtom("Q", args), PredAtom("P", args + (a,)), PredAtom("P", args[1:])]
+            atoms = [PredAtom("P", args), *([Identity(*args)] if width == 2 else [])]
+            for a0, (src, dst) in itertools.product(atoms, itertools.product(terms, repeat=2)):
+                want = {a0, *rewrite_variants(a0, src, dst)}
+                for chi in set(others + atoms).union(*map(near, want)):
+                    assert _rewrites(a0, chi, src, dst) == (chi in want), (a0, chi, src, dst)
+
+
+@pytest.mark.parametrize(
+    "premise, code, out, err",
+    [
+        ("#c, " * 39 + "#c", 1, "",
+         "ddproof: rejected: path=root: no identity/atom pair in the antecedent matches the premise\n"),
+        ("#a, " * 39 + "#b", 0, "OK height=2\n", ""),
+    ],
+    ids=["no-rewrite", "last-position"],
+)
+def test_wide_eqminus_checks_in_linear_time(tmp_path, premise, code, out, err):
+    """A one-step eqminus from `#a = #b, P(#a, ..., #a)` of width 40: its
+    atom has 2^40 - 1 rewrites, so only a positionwise test ends. `ddproof
+    check` runs in a child limited to 256 MiB of address space and 10 s."""
+    resource = pytest.importorskip("resource")
+    limit = 1 << 28
+    path = tmp_path / "wide.rlp"
+    atom = f"P({premise})"
+    path.write_text(f"(eqminus (seq (#a = #b, P({'#a, ' * 39}#a)) ({atom})) (ax (seq ({atom}) ({atom}))))\n")
+    child = subprocess.run(
+        [sys.executable, "-m", "ddproof", "check", str(path)],
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    assert (child.returncode, child.stdout, child.stderr) == (code, out, err)
 
 
 def test_eqplus():

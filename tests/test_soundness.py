@@ -9,19 +9,21 @@ value of the eigenparameter, the conclusion holds for every value too.
 
 Steps are built from the kernel's own table, each `RULES` entry's principal
 test and active formulas, and by hand for ax, cut, wl, wr, cl, cr, eqminus
-(whose chi comes from `rewrite_variants`) and eqplus, over nonempty
-contexts, with instance terms from #a, #b and $c, and eigenparameters that
-sometimes clash with the context. Each step is then perturbed: a formula
-dropped, duplicated or moved, premises swapped, terms or eigenparameter
-changed, the conclusion flipped, a formula added to every sequent or to one
-premise, a parameter renamed throughout, or the annotations left out.
+(whose chi comes from the search's enumerator `search.rewrite_variants`)
+and eqplus, over nonempty contexts, with instance terms from #a, #b and $c,
+and eigenparameters that sometimes clash with the context. Each step is
+then perturbed: a formula dropped, duplicated or moved, premises swapped,
+terms or eigenparameter changed, the conclusion flipped, a formula added to
+every sequent or to one premise, a parameter renamed throughout, or the
+annotations left out.
 Whatever the kernel accepts of either kind must be sound.
 """
 
 import random
 
 from genutil import FormulaGen
-from ddproof.kernel import RULES, ProofNode, RuleError, analyze_step, rewrite_variants
+from ddproof.kernel import RULES, ProofNode, RuleError, analyze_step
+from ddproof.search import rewrite_variants
 from ddproof.semantics import eval_sequent, iter_interpretations, signature_of
 from ddproof.syntax import (
     And,

@@ -823,6 +823,17 @@ def test_record_semantics(name):
             assert set(vars(z)) == set(fields)
 
 
+def test_record_methods_are_compiled_under_their_class_name():
+    """Profilers key functions by (file, line, name) and tracebacks show the
+    file, so each record class's written-out methods are compiled under a
+    file name of its own, outside the package path."""
+    records = _records()
+    names = {name: cls.__init__.__code__.co_filename for name, cls in records.items()}
+    assert names == {name: f"<record {name}>" for name in records}
+    assert names["ddproof.syntax.Param"] != names["ddproof.syntax.Const"]
+    assert syntax.Param.__eq__.__code__.co_filename == "<record ddproof.syntax.Param>"
+
+
 def test_record_defaults():
     from ddproof.kernel import StepInfo
     from ddproof.search import DEFAULT_BUDGET, SearchBudget
