@@ -333,9 +333,8 @@ def _candidates(side: tuple, want, at: Optional[int]):
 
 
 def _diff_candidates(p: Sequent, side: str, base: tuple[str, ...]) -> list[Formula]:
-    """Formulas of p's `side` that exceed the sorted keys `base`, else
-    (absorption case) one representative per distinct key; first
-    occurrences, in order."""
+    """Formulas of p's `side` whose keys exceed the sorted keys `base`;
+    first occurrences, in order."""
     # a merge of the two sorted tuples: a key of p's side left without an
     # occurrence in base to match is in excess
     extra, j = set(), 0
@@ -345,13 +344,11 @@ def _diff_candidates(p: Sequent, side: str, base: tuple[str, ...]) -> list[Formu
             j += 1
         else:
             extra.add(k)
-    out, seen = [], set()
+    first: dict[str, Formula] = {}
     for f in getattr(p, side):
-        k = alpha_key(f)
-        if k not in seen and (not extra or k in extra):
-            seen.add(k)
-            out.append(f)
-    return out
+        if alpha_key(f) in extra:
+            first.setdefault(alpha_key(f), f)
+    return list(first.values())
 
 
 def _without(c: Sequent, side: str, f: Formula) -> tuple[str, ...]:

@@ -13,20 +13,24 @@ keeping form: the principal formula is contracted first so the original
 copy survives, bounded by a per-formula contraction budget. Branches
 refuted by a small countermodel are pruned early.
 
-A move is data: its rule, principal formula and instance, and its active
-formulas' key template. Its actives and premises are built only when the
-search recurses into them or the move wins. eqminus's rewritten atoms fill
-no slot: the search's own `rewrite_variants` enumerates them, and they are
-built with their keys once per identity, atom and direction in a search.
-The search returns the winning plan, its moves and sub-plans, and the
-proof built from it once is re-checked by the kernel before it is reported.
+Moves are enumerated in groups, a plain tuple each: one rule on one
+principal formula, with its use key, prio and key template, and its
+instances as (terms, key tokens) pairs. A move, as data, is made from its
+group, and its actives and premises built, only when the search recurses
+into them or it wins. eqminus's rewritten atoms fill no slot: the search's
+own `rewrite_variants` enumerates them. They are built with their keys
+once per identity, atom and direction in a search, their moves once per
+index and prio, and each move is a group of one. The search returns the
+winning plan, its moves and sub-plans, and the proof built from it once is
+re-checked by the kernel before it is reported.
 
 At depth 1 a move's premises are leaves: the search would only key each
 one, check it against the branch and try to close it. So they are tested
 without being built. A leaf's key comes from the goal's stored key and
 the actives' keys, filled in from a template that the rule and the
 principal formula's key share (locally nameless instantiation: a key is
-de Bruijn for bound variables). The leaf closes exactly when an active's
+de Bruijn for bound variables), and it is sorted only if a key on the
+branch has its side lengths. The leaf closes exactly when an active's
 key meets the other side or a succedent active is a reflexive identity.
 The test is exact because the goal did not close, and each side of a
 premise is the goal's side, less at most one formula, plus actives: any
@@ -46,7 +50,7 @@ are possible: Proved, Refuted, or Unknown when the budget runs out.
 `prove` is the module's one entry point.
 """
 
-from itertools import permutations
+from itertools import chain, permutations
 from typing import Iterator, Optional, Sequence, Union
 
 from .syntax import (
@@ -57,10 +61,10 @@ from .syntax import (
     ParamSupply,
     Sequent,
     Term,
+    _names,
     _parts,
     _rebuild,
     alpha_key,
-    consts_in,
     is_atomic,
     key_template,
     params_in,
@@ -131,6 +135,7 @@ class _State:
         self.expansions = 0
         self.quick_size = min(2, budget.model_cap)
         self.templates: dict[tuple, list] = {}  # see `_template`, `_eqminus_moves`
+        self.pools: dict[tuple, tuple] = {}  # see `_choice_groups`
 
 
 @record
@@ -161,6 +166,16 @@ class _Move:
 # a plan is the move that won at a sequent and the plans of its premises;
 # the proof is built from it once, when the search has succeeded
 Plan = tuple[_Move, tuple]
+
+
+def _move(group: tuple, inst: tuple) -> _Move:
+    """The move of a group at one of its instances. A group is a tuple of
+    the `_Move` fields but `inst`, the minted parameter, whose moves spend
+    a fresh-params use as well, and the instances as (terms, key tokens)."""
+    rule, f, actives, drop, spent, prio, kept, flip, template, minted, _ = group
+    if minted is not None and minted in inst:
+        spent += (("fresh-params",),)
+    return _Move(rule, f, inst, actives, drop, spent, prio, kept, flip, template)
 
 
 def _node(g: Sequent, mv: _Move, subs) -> ProofNode:
@@ -200,20 +215,29 @@ def _premises(g: Sequent, mv: _Move) -> tuple[Sequent, ...]:
     return tuple(Sequent(a + ant, suc + s) for a, s in actives)
 
 
-def _leaves(g: Sequent, mv: _Move) -> Iterator[tuple[tuple, bool]]:
-    """The key of each premise of mv on g, from g's and mv's template, and
-    whether `_try_close` closes it, neither built (see module docstring)."""
-    side = RULES[mv.rule].side
-    ant, suc = keys = sequent_key(g)
-    if mv.drop is not None:
-        lost = alpha_key(getattr(g, side)[mv.drop])
-        ant, suc = _less(keys, side, keys[side == "suc"].index(lost))
-    tokens = term_tokens(mv.inst)
-    for a, s, eqs in mv.template or _cut(mv.actives):
-        ak, sk = [x.format(*tokens) for x in a], [x.format(*tokens) for x in s]
-        pa, ps = tuple(sorted([*ant, *ak])) if ak else ant, tuple(sorted([*suc, *sk])) if sk else suc
-        meet = not set(ak).isdisjoint(ps) or not set(sk).isdisjoint(pa)
-        yield (pa, ps), meet or any([x.format(*tokens) == y.format(*tokens) for x, y in eqs])
+def _kept(g: Sequent, rule: str, drop: Optional[int]) -> tuple:
+    """g's key sides, less the formula at index drop of rule's side if set."""
+    keys, side = sequent_key(g), RULES[rule].side
+    return keys if drop is None else _less(
+        keys, side, keys[side == "suc"].index(alpha_key(getattr(g, side)[drop])))
+
+
+def _leaf(sides: tuple, cut: tuple, tokens: Sequence[str]) -> tuple:
+    """A premise of a move on a goal that keeps the key sides `sides`,
+    from its entry `cut` of the move's template filled in with its
+    instance's tokens: its actives' keys on each side, and whether
+    `_try_close` closes it, unbuilt (see module docstring)."""
+    (ant, suc), (a, s, eqs) = sides, cut
+    ak, sk = a and [x.format(*tokens) for x in a], s and [x.format(*tokens) for x in s]
+    apart = {*ak}.isdisjoint(suc) and (not sk or {*sk}.isdisjoint([*ant, *ak]))
+    reflexive = bool(eqs) and any([x.format(*tokens) == y.format(*tokens) for x, y in eqs])
+    return ak, sk, not apart or reflexive
+
+
+def _key(sides: tuple, ak: list, sk: list) -> tuple:
+    """A premise's key: the kept key sides with its actives' keys, sorted."""
+    ant, suc = sides
+    return tuple(sorted([*ant, *ak])) if ak else ant, tuple(sorted([*suc, *sk])) if sk else suc
 
 
 def _cut(actives, holes: tuple = ()) -> list:
@@ -225,13 +249,13 @@ def _cut(actives, holes: tuple = ()) -> list:
               for x in s if RULES["eqminus"].principal(x)]) for a, s in actives]
 
 
-def _template(rule: str, f: Formula, st: _State) -> list:
-    """`_cut` of rule's actives on f at placeholder parameters, which no
-    parser or builder names: made once per rule and key of f in a search."""
-    key = (rule, alpha_key(f))
+def _template(key: tuple, f: Formula, st: _State) -> list:
+    """`_cut` of rule key[0]'s actives on f, of key key[1], at placeholder
+    parameters, which no parser or builder names: made once in a search."""
     if key not in st.templates:
-        holes = tuple(Param(f"?{i}") for i in range(RULES[rule].terms + RULES[rule].eigen))
-        st.templates[key] = _cut(RULES[rule].actives(f, *holes), holes)
+        schema = RULES[key[0]]
+        holes = tuple(Param(f"?{i}") for i in range(schema.terms + schema.eigen))
+        st.templates[key] = _cut(schema.actives(f, *holes), holes)
     return st.templates[key]
 
 
@@ -272,11 +296,6 @@ def _keeps_countermodels(g: Sequent, mv: _Move) -> bool:
 # closures
 
 
-def _eqplus(refl: Identity, spent: tuple = (), prio: int = 0) -> _Move:
-    """eqplus discharging the reflexive identity refl."""
-    return _Move("eqplus", refl, (), RULES["eqplus"].actives(refl), spent=spent, prio=prio)
-
-
 def _closing(f: Formula) -> Plan:
     """The axiom on f, weakened onto the sequent it closes."""
     return _Move("ax", f), ()
@@ -289,7 +308,7 @@ def _try_close(g: Sequent) -> Optional[Plan]:
             return _closing(f)
     for f in g.suc:
         if RULES["eqplus"].principal(f):
-            return _eqplus(f), (_closing(f),)
+            return _Move("eqplus", f), (_closing(f),)
     return None
 
 
@@ -298,7 +317,7 @@ def _try_close(g: Sequent) -> Optional[Plan]:
 
 
 def _by_class(*rules: str) -> tuple[str, dict]:
-    """A group of rules on one side: that side, and a map from principal
+    """A set of rules on one side: that side, and a map from principal
     class to rule."""
     (side,) = {RULES[rule].side for rule in rules}
     return side, {RULES[rule].kind: rule for rule in rules}
@@ -316,8 +335,8 @@ _INVERTIBLE = (
 )
 
 
-def _invertible(g: Sequent, st: _State) -> Optional[_Move]:
-    """The first group with a principal formula applies, to its leftmost;
+def _invertible(g: Sequent, st: _State) -> Optional[tuple]:
+    """The group of the first set with a principal formula, on its leftmost;
     an abstract of a description is left to the choice moves."""
     for side, rules in _INVERTIBLE:
         for i, f in enumerate(g.ant if side == "ant" else g.suc):
@@ -325,18 +344,13 @@ def _invertible(g: Sequent, st: _State) -> Optional[_Move]:
             if rule is None or not RULES[rule].principal(f):
                 continue
             inst = (st.supply.fresh(),) if RULES[rule].eigen else ()
-            return _Move(rule, f, inst, drop=i, template=_template(rule, f, st))
+            template = _template((rule, alpha_key(f)), f, st)
+            return rule, f, (), i, (), 0, False, None, template, None, [(inst, term_tokens(inst))]
     return None
 
 
 # ---------------------------------------------------------------------------
 # choice moves (tried as alternatives, in keeping form)
-
-
-def _term_pool(g: Sequent) -> list[Term]:
-    pool: list[Term] = [Param(n) for n in sorted(params_in(g))]
-    pool += [Const(n) for n in sorted(consts_in(g))]
-    return pool
 
 
 def rewrite_variants(atom: Formula, src: Term, dst: Term) -> Iterator[Formula]:
@@ -345,7 +359,7 @@ def rewrite_variants(atom: Formula, src: Term, dst: Term) -> Iterator[Formula]:
     parts = _parts(atom) if is_atomic(atom) else ()
     idxs = [i for i, t in enumerate(parts) if t == src]
     full = (1 << len(idxs)) - 1
-    for mask in (full, *range(1, full)) if idxs else ():
+    for mask in chain((full,), range(1, full)) if idxs else ():
         xs = list(parts)
         for b, i in enumerate(idxs):
             if mask >> b & 1:
@@ -357,86 +371,102 @@ def _eqminus_moves(g: Sequent, uses: dict, st: _State) -> Iterator[_Move]:
     """eqminus on each identity, either way round, and each atom beside it:
     the identity the node consumes is oriented src=dst and flipped back to
     g's orientation before the contraction. The rewrites of an atom, as
-    actives with their templates, are made once per search."""
+    actives with their templates, are made once per search, and so is
+    their move at each index of the atom and prio."""
     cap = st.budget.contraction_cap
     schema = RULES["eqminus"]
+    keys = [alpha_key(f) for f in g.ant]
+    atoms = [(j, atom) for j, atom in enumerate(g.ant) if is_atomic(atom)]
     for i, eq in enumerate(g.ant):
         if not schema.principal(eq) or eq.lhs == eq.rhs:
             continue
-        for src, dst, flipped in (
-            (eq.lhs, eq.rhs, False),
-            (eq.rhs, eq.lhs, True),
-        ):
-            used = Identity(src, dst) if flipped else eq
-            for j, atom in enumerate(g.ant):
-                key = ("eqminus", alpha_key(eq), alpha_key(atom))
-                if uses.get(key, 0) >= cap:
+        for src, dst, flipped in ((eq.lhs, eq.rhs, False), (eq.rhs, eq.lhs, True)):
+            for j, atom in atoms:
+                key = ("eqminus", keys[i], keys[j])
+                prio = uses.get(key, 0)
+                if prio >= cap:
                     continue
                 rewrites = key + (flipped,)
-                if rewrites not in st.templates:
-                    made = [schema.actives(used, new) for new in rewrite_variants(atom, src, dst)]
-                    st.templates[rewrites] = [(actives, _cut(actives)) for actives in made]
-                for actives, template in st.templates[rewrites]:
-                    yield _Move("eqminus", used, (), actives, j, (key,), uses.get(key, 0), True,
-                                used if flipped else None, template)
+                moves = st.templates.get(rewrites + (j, prio))
+                if moves is None:
+                    used = Identity(src, dst) if flipped else eq
+                    if rewrites not in st.templates:
+                        made = [schema.actives(used, x) for x in rewrite_variants(atom, src, dst)]
+                        st.templates[rewrites] = [(actives, _cut(actives)) for actives in made]
+                    moves = st.templates[rewrites + (j, prio)] = [
+                        _Move("eqminus", used, (), actives, j, (key,), prio, True,
+                              used if flipped else None, template)
+                        for actives, template in st.templates[rewrites]]
+                yield from moves
 
 
-def _choice_moves(g: Sequent, uses: dict, st: _State) -> list[_Move]:
+def _choice_groups(g: Sequent, uses: dict, st: _State) -> list[tuple]:
     cap = st.budget.contraction_cap
-    moves: list[_Move] = []
-    fresh_key = ("fresh-params",)
+    groups: list[tuple] = []
+    names = [_names(f) for f in g.ant + g.suc]
+    names = frozenset().union(*[n[0] for n in names]), frozenset().union(*[n[1] for n in names])
+    if names not in st.pools:
+        pool = [Param(n) for n in sorted(names[0])] + [Const(n) for n in sorted(names[1])]
+        st.pools[names] = pool, term_tokens(pool)
+    pool, tokens = st.pools[names]
 
-    def slot_moves(rule: str, pool: Sequence[Term] = (), minted: Optional[Param] = None) -> None:
+    def slot_groups(rule: str, terms: list, marks: list, minted: Optional[Param] = None) -> None:
         """`rule` in keeping form on each principal formula of g under its
-        contraction cap, at each tuple of different terms from the pool and
-        the minted parameter (which spends a fresh-params use), then a fresh
-        eigenparameter if the rule takes one."""
+        contraction cap, at each tuple of different terms, whose key tokens
+        are `marks`, then a fresh eigenparameter if the rule takes one,
+        drawn now. The minted parameter spends a fresh-params use."""
         schema = RULES[rule]
-        terms = pool if minted is None else [*pool, minted]
         for f in g.ant if schema.side == "ant" else g.suc:
             if not schema.principal(f):
                 continue
             key = (rule, alpha_key(f))
             if uses.get(key, 0) >= cap:
                 continue
-            template = _template(rule, f, st)
             # the terms are all different, so these are the tuples of
             # different terms, in the order of their product
-            for ts in permutations(terms, schema.terms):
-                spent = (key, fresh_key) if minted in ts else (key,)
-                inst = ts + (st.supply.fresh(),) if schema.eigen else ts
-                moves.append(_Move(rule, f, inst, (), None, spent, uses.get(key, 0), True,
-                                   None, template))
+            instances = zip(permutations(terms, schema.terms), permutations(marks, schema.terms))
+            if schema.eigen:
+                instances = [(ts + (a,), tk + ("p:" + a.name,))
+                             for ts, tk in instances for a in [st.supply.fresh()]]
+            groups.append((rule, f, (), None, (key,), uses.get(key, 0), True, None,
+                           _template(key, f, st), minted, instances))
 
     # description in the antecedent: the no-witness rule first
-    slot_moves("iota1l")
+    slot_groups("iota1l", pool, tokens)
 
-    # the equality rewrites
-    moves.extend(_eqminus_moves(g, uses, st))
+    # the equality rewrites, each a group of one
+    for mv in _eqminus_moves(g, uses, st):
+        groups.append((mv.rule, mv.f, mv.actives, mv.drop, mv.spent, mv.prio, mv.kept, mv.flip,
+                       mv.template, None, [(mv.inst, ())]))
 
     # universal instantiation on the left, existential witness on the right,
     # then description on the right and the uniqueness rule: most premises
     # last
-    pool = _term_pool(g)
-    minted = None
-    if uses.get(fresh_key, 0) < st.budget.term_pool_cap:
+    terms, marks, minted = pool, tokens, None
+    if uses.get(("fresh-params",), 0) < st.budget.term_pool_cap:
         minted = st.supply.fresh()
+        terms, marks = [*pool, minted], [*tokens, "p:" + minted.name]
     for rule in ("foralll", "existsr", "iotar", "iota2l"):
-        slot_moves(rule, pool, minted)
+        slot_groups(rule, terms, marks, minted)
 
     # introduce a reflexive identity as rewrite fodder, the most
-    # speculative move, and only worthwhile next to a real equation
+    # speculative move, and only worthwhile next to a real equation; made
+    # with its key and template once per term in a search
     if any(isinstance(f, Identity) and f.lhs != f.rhs for f in g.ant):
-        for t in pool:
-            refl = Identity(t, t)
-            key = ("eqplus", alpha_key(refl))
+        for t, token in zip(pool, tokens):
+            if ("eqplus", token) not in st.templates:
+                refl = Identity(t, t)
+                template = _cut(RULES["eqplus"].actives(refl))
+                st.templates["eqplus", token] = refl, ("eqplus", alpha_key(refl)), template
+            refl, key, template = st.templates["eqplus", token]
             if uses.get(key, 0) < cap:
-                moves.append(_eqplus(refl, (key,), uses.get(key, 0)))
+                groups.append(("eqplus", refl, (), None, (key,), uses.get(key, 0), False, None,
+                               template, None, [((), ())]))
 
     # fresh families before repeat applications; the sort is stable, so
     # ties keep the rule order above
-    moves.sort(key=lambda m: m.prio)
-    return moves
+    groups.sort(key=lambda group: group[5])
+    return groups
 
 
 # ---------------------------------------------------------------------------
@@ -459,29 +489,42 @@ def _search(
         return None
 
     # an invertible move is committed to, and spends no uses; else each
-    # choice move is tried in turn. A move's premises are built when the
-    # search recurses into them or the move wins; at depth 1 they are
-    # leaves, tested unbuilt, each counted as the call at depth 0 would be
+    # choice move is tried in turn. A move is made, and its premises built,
+    # when the search recurses into them or the move wins; at depth 1 they
+    # are leaves, tested unbuilt, each counted as the call at depth 0 would
+    # be, and a leaf's key is built only if a branch key has its lengths
     committed = _invertible(g, st)
-    for mv in [committed] if committed is not None else _choice_moves(g, uses, st):
-        premises, subs = (), []
-        for i, (key, closes) in enumerate(_leaves(g, mv)):
-            if key in seen:
-                break
-            if depth > 1:
-                premises = premises or _premises(g, mv)
-                sub = _search(premises[i], depth - 1, seen | {key}, _spend(uses, mv.spent),
-                              st, refuted is False and _keeps_countermodels(g, mv))
+    lengths = {(len(a), len(s)) for a, s in seen}
+    for group in [committed] if committed is not None else _choice_groups(g, uses, st):
+        rule, _, _, drop, _, _, _, _, template, _, instances = group
+        sides = _kept(g, rule, drop)
+        na, ns = len(sides[0]), len(sides[1])
+        for inst, tokens in instances:
+            mv, subs = None, []
+            for cut in template:
+                ak, sk, closes = _leaf(sides, cut, tokens)
+                if depth > 1 or (na + len(ak), ns + len(sk)) in lengths:
+                    key = _key(sides, ak, sk)
+                    if key in seen:
+                        break
+                if depth > 1:
+                    if mv is None:
+                        mv = _move(group, inst)
+                        premises = _premises(g, mv)
+                    sub = _search(premises[len(subs)], depth - 1, seen | {key},
+                                  _spend(uses, mv.spent), st,
+                                  refuted is False and _keeps_countermodels(g, mv))
+                else:
+                    st.expansions += 1
+                    sub = closes and st.expansions <= NODE_CAP
+                if not sub:
+                    break
+                subs.append(sub)
             else:
-                st.expansions += 1
-                sub = closes and st.expansions <= NODE_CAP
-            if not sub:
-                break
-            subs.append(sub)
-        else:
-            if depth == 1:
-                subs = [_try_close(p) for p in _premises(g, mv)]
-            return mv, tuple(subs)
+                mv = mv or _move(group, inst)
+                if depth == 1:
+                    subs = [_try_close(p) for p in _premises(g, mv)]
+                return mv, tuple(subs)
     return None
 
 

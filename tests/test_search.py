@@ -2,6 +2,8 @@
 
 import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -23,10 +25,14 @@ from ddproof.search import (
     Refuted,
     SearchBudget,
     Unknown,
-    _choice_moves,
+    _choice_groups,
     _invertible,
     _keeps_countermodels,
-    _leaves,
+    _kept,
+    _key,
+    _leaf,
+    _Move,
+    _move,
     _node,
     _premises,
     _State,
@@ -63,6 +69,19 @@ def skeleton(node):
 
 
 QUICK = SearchBudget(max_depth=8, term_pool_cap=2, contraction_cap=2, model_cap=2)
+
+
+def _offered(g, groups):
+    """Each move of the groups on g, made as the search makes it, with the
+    key of each of its premises and whether the leaf test closes it."""
+    for group in groups:
+        rule, _, _, drop, _, _, _, _, template, _, instances = group
+        sides = _kept(g, rule, drop)
+        for inst, tokens in instances:
+            leaves = [_leaf(sides, cut, tokens) for cut in template]
+            leaves = [(_key(sides, ak, sk), closes) for ak, sk, closes in leaves]
+            yield _move(group, inst), leaves
+
 
 # the first sequents of the prove-sample, drawn as perfbench/gen.py draws them
 SAMPLE_SLICE = 100
@@ -204,9 +223,9 @@ def test_search_premises_satisfy_the_kernel(rule):
     g = Sequent(mine, other) if side == "ant" else Sequent(other, mine)
     st = _State(g, QUICK)
     # a loss-free rule is committed; the others are choices, in keeping form
-    mv = _invertible(g, st)
-    moves = [mv] if mv is not None else _choice_moves(g, {}, st)
-    moves = [mv for mv in moves if mv.rule == rule]
+    committed = _invertible(g, st)
+    groups = [committed] if committed is not None else _choice_groups(g, {}, st)
+    moves = [mv for mv, _ in _offered(g, groups) if mv.rule == rule]
     assert moves
     for mv in moves:
         leaves = [ProofNode("ax", c) for c in _premises(g, mv)]
@@ -254,12 +273,14 @@ def test_bulk_generators_are_the_benchmarks():
 
 
 # (budget, prove-sample item, expansions, fresh() draws): the three
-# heaviest items at the gate budget, and the four that end budget-exhausted
-# at the default one
+# heaviest items at the gate budget, item 203, which has depth-1 leaves
+# whose keys are on the branch, as 478 and 88 have, and the four that end
+# budget-exhausted at the default one
 _EFFORT = [
     ("gate", 478, 50_046, 8_874),
     ("gate", 324, 11_610, 1_800),
     ("gate", 88, 10_995, 986),
+    ("gate", 203, 1_031, 78),
     ("default", 17, 50_035, 3_615),
     ("default", 383, 50_044, 2_506),
     ("default", 457, 50_052, 6_183),
@@ -327,6 +348,30 @@ def test_search_builds_actives_only_where_it_recurses(monkeypatch, item, built):
     assert calls == built
 
 
+# (prove-sample item, `_Move` records made) at the gate budget, for the
+# three heaviest items. Making a record of every candidate move took
+# 52,291, 16,608 and 10,222.
+_MADE = [(478, 3_405), (324, 2_268), (88, 1_156)]
+
+
+@pytest.mark.parametrize("item, made", _MADE, ids=[f"{i}-{m}" for i, m in _MADE])
+def test_search_makes_moves_only_where_it_recurses(monkeypatch, item, made):
+    """Heavy prove-sample items make a pinned number of `_Move` records: a
+    choice move is a record only when the search enters its premises or it
+    wins, besides the closures found and eqminus's moves, which are made
+    once per search."""
+    records, real = 0, _Move.__init__
+
+    def counting(self, *args):
+        nonlocal records
+        records += 1
+        real(self, *args)
+
+    monkeypatch.setattr(_Move, "__init__", counting)
+    prove(perfbench_gen.prove_sample()[item], perfbench_gen.PROVE_BUDGET)
+    assert records == made
+
+
 def test_template_keys_match_built_actives():
     """On the leaf test's seeded sequents, on premises of theirs, and on
     written ones whose names spell key tags (P, iff, ex) and tokens (b0, v,
@@ -343,8 +388,8 @@ def test_template_keys_match_built_actives():
     rules, marked = set(), set()
     for g in goals:
         st = _State(g, QUICK)
-        moves = [mv for mv in [_invertible(g, st)] if mv is not None]
-        for mv in moves + _choice_moves(g, {}, st):
+        groups = [group for group in [_invertible(g, st)] if group is not None]
+        for mv, _ in _offered(g, groups + _choice_groups(g, {}, st)):
             if mv.template is None:
                 continue
             tokens = term_tokens(mv.inst)
@@ -379,10 +424,9 @@ def test_leaf_test_agrees_with_try_close():
         if _try_close(g) is not None:
             continue
         st = _State(g, QUICK)
-        moves = [mv for mv in [_invertible(g, st)] if mv is not None]
-        for mv in moves + _choice_moves(g, {}, st):
+        groups = [group for group in [_invertible(g, st)] if group is not None]
+        for mv, leaves in _offered(g, groups + _choice_groups(g, {}, st)):
             premises = _premises(g, mv)
-            leaves = list(_leaves(g, mv))
             assert len(leaves) == len(premises)
             for p, (key, closes) in zip(premises, leaves):
                 assert key == sequent_key(p)
@@ -421,8 +465,8 @@ def test_moves_that_pass_the_fact_on_keep_countermodels():
             continue
         st = _State(g, QUICK)
         goal_refuted = None
-        moves = [mv for mv in [_invertible(g, st)] if mv is not None]
-        for mv in moves + _choice_moves(g, {}, st):
+        groups = [group for group in [_invertible(g, st)] if group is not None]
+        for mv, _ in _offered(g, groups + _choice_groups(g, {}, st)):
             keeps = _keeps_countermodels(g, mv)
             for p in _premises(g, mv):
                 if not _has_countermodel(p):
@@ -518,6 +562,32 @@ def test_eqminus_spends_a_use_per_identity_and_atom(monkeypatch):
     monkeypatch.setattr(search, "_eqminus_moves", moves)
     assert prove(goal, budget) == Unknown("budget-exhausted")
     assert any(capped)
+
+
+def test_first_rewrite_needs_no_other_mask():
+    """`rewrite_variants` yields the rewrite of all 40 places of a 40-place
+    atom first, without making the other 2^40 - 2 masks. It runs in a child
+    limited to 256 MiB of address space, so an enumerator that built them
+    first fails with MemoryError instead of exhausting the host."""
+    resource = pytest.importorskip("resource")
+    limit = 256 << 20
+    code = (
+        "from ddproof.search import rewrite_variants\n"
+        "from ddproof.surface import format_formula, parse_formula\n"
+        "from ddproof.syntax import Param\n"
+        "atom = parse_formula('P(' + ', '.join(['#a'] * 40) + ')')\n"
+        "print(format_formula(next(rewrite_variants(atom, Param('a'), Param('b')))))\n"
+    )
+    child = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert child.returncode == 0, child.stderr
+    assert child.stdout == "P(" + ", ".join(["#b"] * 40) + ")\n"
 
 
 class TestRlambdaSuite:
