@@ -30,25 +30,28 @@ printers when asked, so pretty output re-parses. The notation is stated
 once, in the table `_NOTATION`; the scanner's glyph map, the reserved
 words, the precedence-climbing parser and both print styles read it.
 
-The scanner is one regular expression, `_TOKEN`, whose `findall` gives the
-token strings in one pass. Names keep their `#`, `$` or `:` prefix, so a
-token's kind follows from its first character; glyphs are mapped to ASCII.
-No positions are kept: a `ParseError` finds its line and column by
-re-running the same expression with `finditer` up to the failing token. A
-scanner error is found before parsing, so it wins over any parse error.
+The scanner is one regular expression, `_TOKEN`. A printed proof repeats
+its text, so `_scan` splits it at the separators around formulas and gives
+each distinct piece to `findall` once, for the tokens of one whole-text
+scan. Names keep their `#`, `$` or `:` prefix, so a token's kind follows
+from its first character; glyphs are mapped to ASCII. No positions are
+kept: a `ParseError` finds its line and column by re-running `_TOKEN` with
+`finditer` up to the failing token. A scanner error is found before
+parsing, so it wins over any parse error.
 
 A printed proof spells out each context formula again at every node above
-it, so one parse memoizes formulas by their exact token sequence: each
-distinct formula text is parsed once and its occurrences share one
-`Formula`, with the facts `syntax` stores on it. The key is the text, not
-the alpha-equivalence class, because each occurrence must print back with
-its own bound-variable names. The memo lives and dies with one parse call.
+it, so one parse memoizes each formula it read up to a list delimiter, by
+its first token and then its token list: each distinct formula text is
+parsed once and its occurrences share one `Formula`, with the facts
+`syntax` stores on it. The key is the text, not the alpha-equivalence
+class, because each occurrence must print back with its own bound-variable
+names. The memo lives and dies with one parse call.
 """
 
 from __future__ import annotations
 
 import re
-from itertools import compress, islice
+from itertools import islice
 from typing import Iterator, Optional, Union
 
 from .kernel import ProofNode, preorder
@@ -114,13 +117,24 @@ _TOKENS = r"[#$:]?[A-Za-z][A-Za-z0-9_]*|[0-9]+|<?->|=>|[=~&|(),.%s]" % "".join(_
 # character that starts no token. The skip is a plain greedy `*`: the last
 # two choices always match, so the engine never backtracks into it.
 _TOKEN = re.compile(r"(?:[ \t\r\n]+|#(?![A-Za-z])[^\n]*)*(" + _TOKENS + r"|\Z|(?s:.+))")
+# one token, told from the rest of the text after a stray character
+_WHOLE_TOKEN = re.compile(_TOKENS)
+
+# Where `_scan` splits a text, with each separator's tokens: the tokens a
+# printed proof repeats around its formulas, a newline with its indentation,
+# or a comment, which is split at so that no split falls inside one.
+_SEPARATOR = re.compile(r"(, |\) \(|\(seq \(|\n *|#(?![A-Za-z])[^\n]*)")
+_SEPARATOR_TOKENS = {", ": [","], ") (": [")", "("], "(seq (": ["(", "seq", "("]}
+
+# the tokens that end an item of a formula list
+_LIST_ENDS = {",", ")", "=>", ""}
 
 
 def _scan_error(tok: str) -> Optional[str]:
     """The error for the scanner's last token before the end, None when it
     is a token and not the rest of the text from a stray character, which
     begins with a character no token accepts and so never is one."""
-    if re.fullmatch(_TOKENS, tok):
+    if _WHOLE_TOKEN.fullmatch(tok):
         return None
     c = tok[0]
     if c == "$":
@@ -130,27 +144,31 @@ def _scan_error(tok: str) -> Optional[str]:
     return f"unexpected character {c!r}"
 
 
-def _span_ends(toks: list[str]) -> dict[int, int]:
-    """For each index where a list item can start (the first token, or one
-    after "(", "," or "=>"), the index of the next ",", ")", "=>" or end of
-    input at the same parenthesis depth."""
-    ends: dict[int, int] = {}
-    starts = [0]
-    marks = {"(", ")", ",", "=>"}.__contains__
-    for i in compress(range(len(toks)), map(marks, toks)):
-        t = toks[i]
-        if t == "(":
-            starts.append(i + 1)
-        elif t == ")":
-            ends[starts.pop()] = i
-            if not starts:
-                starts.append(i + 1)
-        else:
-            ends[starts[-1]] = i
-            starts[-1] = i + 1
-    for s in starts:
-        ends[s] = len(toks) - 1
-    return ends
+def _findall(text: str) -> list[str]:
+    """The token strings of `text`, ending in one ""."""
+    toks = _TOKEN.findall(text)
+    if len(toks) > 1 and not toks[-2]:
+        toks.pop()  # after trailing whitespace the end matched twice
+    return toks
+
+
+def _scan(text: str) -> list[str]:
+    """`_findall(text)`, scanning each distinct piece between separators
+    once. A piece that ends in a stray character sends the whole text
+    through `_findall`, whose error token runs on to the end of the text."""
+    parts = _SEPARATOR.split(text) + [""]
+    scanned: dict[str, list[str]] = {}
+    toks: list[str] = []
+    for piece, sep in zip(parts[::2], parts[1::2]):
+        piece_toks = scanned.get(piece)
+        if piece_toks is None:
+            piece_toks = scanned[piece] = _findall(piece)[:-1]
+            if piece_toks and _scan_error(piece_toks[-1]):
+                return _findall(text)
+        toks += piece_toks
+        toks += _SEPARATOR_TOKENS.get(sep, ())
+    toks.append("")
+    return toks
 
 
 class _Parser:
@@ -158,15 +176,12 @@ class _Parser:
         """Scan `text`, whose first line is line `line` of its source."""
         self.text = text
         self.line = line
-        toks = _TOKEN.findall(text)
-        if len(toks) > 1 and not toks[-2]:
-            toks.pop()  # after trailing whitespace the end matched twice
+        toks = _scan(text)
         if not text.isascii():
             toks = [_GLYPHS.get(t, t) for t in toks]
         self.toks = toks
         self.pos = 0
-        self.ends = _span_ends(toks)
-        self.memo: dict[tuple[str, ...], Formula] = {}
+        self.memo: dict[str, list[tuple[list[str], Formula]]] = {}
         if len(toks) > 1:
             msg = _scan_error(toks[-2])
             if msg:
@@ -318,22 +333,24 @@ class _Parser:
     # --- sequents ---
 
     def formula_list(self) -> tuple[Formula, ...]:
-        toks = self.toks
+        toks, memo = self.toks, self.memo
         if toks[self.pos] in ("=>", ")", ""):
             return ()
         forms = []
         while True:
             start = self.pos
-            end = self.ends[start]
-            key = tuple(toks[start:end])
-            f = self.memo.get(key)
-            if f is None:
-                f = self.formula()
-                # a parse that stopped early is not the whole span's meaning
-                if self.pos == end:
-                    self.memo[key] = f
+            # a parsed formula's tokens are balanced and hold no delimiter,
+            # so at most one memo entry is followed by one here
+            for span, f in memo.get(toks[start], ()):
+                end = start + len(span)
+                if toks[start:end] == span and toks[end] in _LIST_ENDS:
+                    self.pos = end
+                    break
             else:
-                self.pos = end
+                f = self.formula()
+                # a parse that stopped early is not the whole item's meaning
+                if toks[self.pos] in _LIST_ENDS:
+                    memo.setdefault(toks[start], []).append((toks[start:self.pos], f))
             forms.append(f)
             if toks[self.pos] != ",":
                 return tuple(forms)

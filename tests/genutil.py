@@ -13,7 +13,8 @@ import os
 
 from hypothesis import strategies as st
 
-from ddproof.builders import paraphrase
+from ddproof.builders import mk_cut, paraphrase
+from ddproof.cli import fixture_proofs
 from ddproof.syntax import (
     And,
     Const,
@@ -51,6 +52,19 @@ def rlambda_goals(psi, phi):
     dd = LambdaAtom("x", psi, IotaTerm("y", phi))
     ex = paraphrase(dd)
     return Sequent((dd,), (ex,)), Sequent((ex,), (dd,))
+
+
+def cut_chain(n: int):
+    """n lemma cuts composed. L (dd => ex) and R (ex => dd) are the
+    paraphrase bridges: the chain starts with cut(L, R) on ex, then cuts in
+    L on dd and R on ex in turn."""
+    golden = dict(fixture_proofs())
+    left, right = golden["rlambda_left"], golden["rlambda_right"]
+    (dd,), (ex,) = left.conclusion.ant, left.conclusion.suc
+    p = mk_cut(left, right, ex)
+    for i in range(2, n + 1):
+        p = mk_cut(p, left, dd) if i % 2 == 0 else mk_cut(p, right, ex)
+    return p
 
 
 def term_strategy():

@@ -14,7 +14,7 @@ import subprocess
 import sys
 
 import pytest
-from genutil import ProofGen, perfbench_gen, ref_degree, ref_occurrences
+from genutil import ProofGen, cut_chain, perfbench_gen, ref_degree, ref_occurrences
 
 from ddproof import cutelim, syntax
 from ddproof.syntax import (
@@ -1120,22 +1120,10 @@ def test_unchanged_conclusions_keep_at():
 
 
 # ---------------------------------------------------------------------------
-# the cut chain: lemma cuts composed, pinned at n = 1..5
+# the cut chain (genutil.cut_chain): lemma cuts composed, pinned at n = 1..5
 #
-# L (dd => ex) and R (ex => dd) are the paraphrase bridges. The chain of n
-# cuts starts with cut(L, R) on ex, then cuts in L on dd and R on ex in
-# turn. At n = 5 one proof takes 386 steps and its sequents reach 85
-# formulas, where the gates' proofs stay small.
-
-
-def cut_chain(n: int) -> ProofNode:
-    golden = dict(fixture_proofs())
-    left, right = golden["rlambda_left"], golden["rlambda_right"]
-    (dd,), (ex,) = left.conclusion.ant, left.conclusion.suc
-    p = mk_cut(left, right, ex)
-    for i in range(2, n + 1):
-        p = mk_cut(p, left, dd) if i % 2 == 0 else mk_cut(p, right, ex)
-    return p
+# At n = 5 one proof takes 386 steps and its sequents reach 85 formulas,
+# where the gates' proofs stay small.
 
 
 @pytest.mark.parametrize(

@@ -3,20 +3,27 @@ positions, comments, unicode output, proof s-expressions, and the sharing
 of repeated formulas within one parse."""
 
 import concurrent.futures as cf
+import importlib.util
 import multiprocessing
 import os
 import pickle
+import random
 import re
 import sys
 
 import pytest
 from hypothesis import given, settings
 
-from genutil import formula_strategy, sequent_strategy
+from genutil import cut_chain, formula_strategy, perfbench_gen, sequent_strategy
+from ddproof import surface
 from ddproof.builders import build_leibniz
+from ddproof.cli import fixture_proofs
+from ddproof.cutelim import eliminate_cuts
 from ddproof.kernel import ProofNode, check_proof, iter_nodes, proofs_equal
 from ddproof.surface import (
+    _SEPARATOR,
     _TOKEN,
+    _scan,
     ParseError,
     format_formula,
     format_proof,
@@ -188,7 +195,65 @@ def test_parse_errors():
 def test_scanner_pattern_compiles_before_python_311():
     # possessive quantifiers and atomic groups are new in Python 3.11, and
     # the package supports 3.10
-    assert not re.search(r"(?<!\\)[*+?}]\+|\(\?>", _TOKEN.pattern), _TOKEN.pattern
+    for pattern in (_TOKEN.pattern, _SEPARATOR.pattern):
+        assert not re.search(r"(?<!\\)[*+?}]\+|\(\?>", pattern), pattern
+
+
+def _findall(text):
+    toks = _TOKEN.findall(text)
+    if len(toks) > 1 and not toks[-2]:
+        toks.pop()
+    return toks
+
+
+# inserted into printed proofs: comments that hold separators, line ends,
+# tabs, a parameter name, and stray characters right after a separator
+SCAN_INSERTS = ("# a, b) (c", "#(seq (", "#, ", "#", "# x\n", "\r\n", "\t", "#x",
+                ", @", ") ($", "(seq (:", "\n  @")
+
+
+def test_scan_equals_one_whole_text_findall(monkeypatch):
+    """Scanning each distinct piece between separators once gives the tokens
+    of one scan of the whole text, scanner errors included."""
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "tools", "output_gates.py")
+    spec = importlib.util.spec_from_file_location("output_gates", path)
+    gates = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gates)
+    monkeypatch.setitem(sys.modules, "gen", perfbench_gen)
+    rng = random.Random(41)
+    proofs = [p for _, p in fixture_proofs()]
+    proofs += [build_leibniz(phi, "x", Param("b1"), Param("b2"))
+               for phi in perfbench_gen.desk_formulas(rng, 60)]
+    printed = [format_proof(p, unicode=u) for p in proofs for u in (False, True)]
+    texts = printed + [text for _, text in gates._parse_corpus()]
+    for text in printed:
+        for _ in range(5):
+            i = rng.randrange(len(text) + 1)
+            texts.append(text[:i] + rng.choice(SCAN_INSERTS) + text[i:])
+    texts += ["", "   ", "P(#a) # at the end", "P(#a) #", "P(#a), @", "G) (@", "(seq ($c"]
+    wrong = [text for text in texts if _scan(text) != _findall(text)]
+    assert not wrong, wrong[:3]
+
+
+def test_a_printed_proof_is_scanned_by_its_distinct_pieces(monkeypatch):
+    """A work pin: the characters handed to the scanner's `findall` while
+    parsing the printed cut-free n = 5 cut chain. One whole-text scan hands
+    it all 1,376,650; each distinct piece between separators is 1,400."""
+    text = format_proof(eliminate_cuts(cut_chain(5)))
+    scanned = []
+
+    class Counting:
+        def findall(self, text):
+            scanned.append(len(text))
+            return _TOKEN.findall(text)
+
+        def finditer(self, text):
+            return _TOKEN.finditer(text)
+
+    monkeypatch.setattr(surface, "_TOKEN", Counting())
+    parse_proof(text)
+    assert (len(text), sum(scanned)) == (1_376_650, 1_400)
 
 
 def test_parse_error_position():
