@@ -200,6 +200,7 @@ def test_scanner_pattern_compiles_before_python_311():
 
 
 def _findall(text):
+    """The reference: one scan of the whole text, ending in one ""."""
     toks = _TOKEN.findall(text)
     if len(toks) > 1 and not toks[-2]:
         toks.pop()
@@ -247,9 +248,6 @@ def test_a_printed_proof_is_scanned_by_its_distinct_pieces(monkeypatch):
         def findall(self, text):
             scanned.append(len(text))
             return _TOKEN.findall(text)
-
-        def finditer(self, text):
-            return _TOKEN.finditer(text)
 
     monkeypatch.setattr(surface, "_TOKEN", Counting())
     parse_proof(text)
