@@ -18,11 +18,11 @@ principal formula, with its use key, prio and key template, and its
 instances as (terms, key tokens) pairs. A move, as data, is made from its
 group, and its actives and premises built, only when the search recurses
 into them or it wins. eqminus's rewritten atoms fill no slot: the search's
-own `rewrite_variants` enumerates them. They are built with their keys
-once per identity, atom and direction in a search, their moves once per
-index and prio, and each move is a group of one. The search returns the
-winning plan, its moves and sub-plans, and the proof built from it once is
-re-checked by the kernel before it is reported.
+own `rewrite_variants` enumerates them, and they are the instances of a
+group per identity, atom and direction, made with their keys once per
+search. The search returns the winning plan, its moves and sub-plans, and
+the proof built from it once is re-checked by the kernel before it is
+reported.
 
 At depth 1 a move's premises are leaves: the search would only key each
 one, check it against the branch and try to close it. So they are tested
@@ -134,17 +134,17 @@ class _State:
         self.refute_memo: dict[tuple, Optional[bool]] = {}
         self.expansions = 0
         self.quick_size = min(2, budget.model_cap)
-        self.templates: dict[tuple, list] = {}  # see `_template`, `_eqminus_moves`
+        self.templates: dict = {}  # see `_template`, `_eqminus_groups`, `_choice_groups`
         self.pools: dict[tuple, tuple] = {}  # see `_choice_groups`
 
 
 @record
 class _Move:
     """One backward rule application to a goal g, as data: `rule` on the
-    principal formula f at `inst` (its terms, then its eigenparameter),
-    whose premises are g, less the formula at index `drop` of the rule's
-    side when set, plus each pair of the rule's actives there: `actives`
-    if given, else built from f and inst, whose keys `template` holds when
+    principal formula f at `inst` (its terms, then its eigenparameter, or
+    eqminus's rewritten atom), whose premises are g, less the formula at
+    index `drop` of the rule's side when set, plus each pair of the rule's
+    actives there, built from f and inst, whose keys `template` holds when
     set (see `_template`). A choice move spends a use of each key in
     `spent`, after `prio` prior ones on the branch, and is tried in keeping
     form (`kept`): its node concludes g with a second copy of f, which a
@@ -154,7 +154,6 @@ class _Move:
     rule: str
     f: Formula
     inst: tuple = ()
-    actives: Sequence = ()
     drop: Optional[int] = None
     spent: tuple = ()
     prio: int = 0
@@ -172,10 +171,10 @@ def _move(group: tuple, inst: tuple) -> _Move:
     """The move of a group at one of its instances. A group is a tuple of
     the `_Move` fields but `inst`, the minted parameter, whose moves spend
     a fresh-params use as well, and the instances as (terms, key tokens)."""
-    rule, f, actives, drop, spent, prio, kept, flip, template, minted, _ = group
+    rule, f, drop, spent, prio, kept, flip, template, minted, _ = group
     if minted is not None and minted in inst:
         spent += (("fresh-params",),)
-    return _Move(rule, f, inst, actives, drop, spent, prio, kept, flip, template)
+    return _Move(rule, f, inst, drop, spent, prio, kept, flip, template)
 
 
 def _node(g: Sequent, mv: _Move, subs) -> ProofNode:
@@ -184,6 +183,8 @@ def _node(g: Sequent, mv: _Move, subs) -> ProofNode:
         return weaken_to(ProofNode("ax", Sequent((mv.f,), (mv.f,))), g)
     schema = RULES[mv.rule]
     terms, eigen = (mv.inst[:-1], mv.inst[-1]) if schema.eigen else (mv.inst, None)
+    if mv.rule == "eqminus":
+        terms = ()  # its instance is the rewritten atom, which no annotation names
     conclusion = _with(g, schema.side, mv.f) if mv.kept else g
     node = ProofNode(mv.rule, conclusion, tuple(subs), terms, eigen)
     if mv.flip is not None:
@@ -211,8 +212,7 @@ def _premises(g: Sequent, mv: _Move) -> tuple[Sequent, ...]:
     """mv's premises on g: each pair of actives, the antecedent formulas in
     front of what g keeps, the succedent ones behind."""
     ant, suc = _less((g.ant, g.suc), RULES[mv.rule].side, mv.drop)
-    actives = mv.actives or RULES[mv.rule].actives(mv.f, *mv.inst)
-    return tuple(Sequent(a + ant, suc + s) for a, s in actives)
+    return tuple(Sequent(a + ant, suc + s) for a, s in RULES[mv.rule].actives(mv.f, *mv.inst))
 
 
 def _kept(g: Sequent, rule: str, drop: Optional[int]) -> tuple:
@@ -240,23 +240,26 @@ def _key(sides: tuple, ak: list, sk: list) -> tuple:
     return tuple(sorted([*ant, *ak])) if ak else ant, tuple(sorted([*suc, *sk])) if sk else suc
 
 
-def _cut(actives, holes: tuple = ()) -> list:
-    """Per premise, the key templates of its actives at `holes` on each
-    side, and a pair for each succedent identity between instance terms:
-    its and its flip's, which fill alike when it fills reflexive."""
-    return [([key_template(x, holes) for x in a], [key_template(x, holes) for x in s],
-             [(key_template(x, holes), key_template(Identity(x.rhs, x.lhs), holes))
-              for x in s if RULES["eqminus"].principal(x)]) for a, s in actives]
-
-
 def _template(key: tuple, f: Formula, st: _State) -> list:
-    """`_cut` of rule key[0]'s actives on f, of key key[1], at placeholder
-    parameters, which no parser or builder names: made once in a search."""
+    """Per premise of rule key[0] on f, of key key[1], the key templates of
+    its actives on each side at placeholder parameters, which no parser or
+    builder names, and a pair for each succedent identity between instance
+    terms: its and its flip's, which fill alike when it fills reflexive.
+    Made once in a search."""
     if key not in st.templates:
         schema = RULES[key[0]]
         holes = tuple(Param(f"?{i}") for i in range(schema.terms + schema.eigen))
-        st.templates[key] = _cut(schema.actives(f, *holes), holes)
+        st.templates[key] = [
+            ([key_template(x, holes) for x in a], [key_template(x, holes) for x in s],
+             [(key_template(x, holes), key_template(Identity(x.rhs, x.lhs), holes))
+              for x in s if RULES["eqminus"].principal(x)])
+            for a, s in schema.actives(f, *holes)]
     return st.templates[key]
+
+
+# the template of a premise that adds one antecedent formula, the
+# instance's one token being that formula's key
+_ONE = [(["{0}"], [], [])]
 
 
 def _with(g: Sequent, side: str, f: Formula) -> Sequent:
@@ -345,7 +348,7 @@ def _invertible(g: Sequent, st: _State) -> Optional[tuple]:
                 continue
             inst = (st.supply.fresh(),) if RULES[rule].eigen else ()
             template = _template((rule, alpha_key(f)), f, st)
-            return rule, f, (), i, (), 0, False, None, template, None, [(inst, term_tokens(inst))]
+            return rule, f, i, (), 0, False, None, template, None, [(inst, term_tokens(inst))]
     return None
 
 
@@ -367,12 +370,12 @@ def rewrite_variants(atom: Formula, src: Term, dst: Term) -> Iterator[Formula]:
         yield _rebuild(atom, xs)
 
 
-def _eqminus_moves(g: Sequent, uses: dict, st: _State) -> Iterator[_Move]:
-    """eqminus on each identity, either way round, and each atom beside it:
-    the identity the node consumes is oriented src=dst and flipped back to
-    g's orientation before the contraction. The rewrites of an atom, as
-    actives with their templates, are made once per search, and so is
-    their move at each index of the atom and prio."""
+def _eqminus_groups(g: Sequent, uses: dict, st: _State) -> Iterator[tuple]:
+    """eqminus on each identity, either way round, and each atom beside it
+    that has a rewrite, at each of its rewrites: the identity the node
+    consumes is oriented src=dst and flipped back to g's orientation before
+    the contraction. The identity and the rewrites with their keys are made
+    once per search."""
     cap = st.budget.contraction_cap
     schema = RULES["eqminus"]
     keys = [alpha_key(f) for f in g.ant]
@@ -387,17 +390,13 @@ def _eqminus_moves(g: Sequent, uses: dict, st: _State) -> Iterator[_Move]:
                 if prio >= cap:
                     continue
                 rewrites = key + (flipped,)
-                moves = st.templates.get(rewrites + (j, prio))
-                if moves is None:
-                    used = Identity(src, dst) if flipped else eq
-                    if rewrites not in st.templates:
-                        made = [schema.actives(used, x) for x in rewrite_variants(atom, src, dst)]
-                        st.templates[rewrites] = [(actives, _cut(actives)) for actives in made]
-                    moves = st.templates[rewrites + (j, prio)] = [
-                        _Move("eqminus", used, (), actives, j, (key,), prio, True,
-                              used if flipped else None, template)
-                        for actives, template in st.templates[rewrites]]
-                yield from moves
+                if rewrites not in st.templates:
+                    st.templates[rewrites] = Identity(src, dst) if flipped else eq, [
+                        ((chi,), (alpha_key(chi),)) for chi in rewrite_variants(atom, src, dst)]
+                used, instances = st.templates[rewrites]
+                if instances:
+                    yield ("eqminus", used, j, (key,), prio, True, used if flipped else None,
+                           _ONE, None, instances)
 
 
 def _choice_groups(g: Sequent, uses: dict, st: _State) -> list[tuple]:
@@ -428,16 +427,14 @@ def _choice_groups(g: Sequent, uses: dict, st: _State) -> list[tuple]:
             if schema.eigen:
                 instances = [(ts + (a,), tk + ("p:" + a.name,))
                              for ts, tk in instances for a in [st.supply.fresh()]]
-            groups.append((rule, f, (), None, (key,), uses.get(key, 0), True, None,
+            groups.append((rule, f, None, (key,), uses.get(key, 0), True, None,
                            _template(key, f, st), minted, instances))
 
     # description in the antecedent: the no-witness rule first
     slot_groups("iota1l", pool, tokens)
 
-    # the equality rewrites, each a group of one
-    for mv in _eqminus_moves(g, uses, st):
-        groups.append((mv.rule, mv.f, mv.actives, mv.drop, mv.spent, mv.prio, mv.kept, mv.flip,
-                       mv.template, None, [(mv.inst, ())]))
+    # the equality rewrites
+    groups += _eqminus_groups(g, uses, st)
 
     # universal instantiation on the left, existential witness on the right,
     # then description on the right and the uniqueness rule: most premises
@@ -451,21 +448,21 @@ def _choice_groups(g: Sequent, uses: dict, st: _State) -> list[tuple]:
 
     # introduce a reflexive identity as rewrite fodder, the most
     # speculative move, and only worthwhile next to a real equation; made
-    # with its key and template once per term in a search
+    # with its key and instance once per term in a search
     if any(isinstance(f, Identity) and f.lhs != f.rhs for f in g.ant):
         for t, token in zip(pool, tokens):
             if ("eqplus", token) not in st.templates:
                 refl = Identity(t, t)
-                template = _cut(RULES["eqplus"].actives(refl))
-                st.templates["eqplus", token] = refl, ("eqplus", alpha_key(refl)), template
-            refl, key, template = st.templates["eqplus", token]
+                key = ("eqplus", alpha_key(refl))
+                st.templates["eqplus", token] = refl, key, [((), key[1:])]
+            refl, key, instances = st.templates["eqplus", token]
             if uses.get(key, 0) < cap:
-                groups.append(("eqplus", refl, (), None, (key,), uses.get(key, 0), False, None,
-                               template, None, [((), ())]))
+                groups.append(("eqplus", refl, None, (key,), uses.get(key, 0), False, None,
+                               _ONE, None, instances))
 
     # fresh families before repeat applications; the sort is stable, so
     # ties keep the rule order above
-    groups.sort(key=lambda group: group[5])
+    groups.sort(key=lambda group: group[4])
     return groups
 
 
@@ -496,7 +493,7 @@ def _search(
     committed = _invertible(g, st)
     lengths = {(len(a), len(s)) for a, s in seen}
     for group in [committed] if committed is not None else _choice_groups(g, uses, st):
-        rule, _, _, drop, _, _, _, _, template, _, instances = group
+        rule, _, drop, _, _, _, _, template, _, instances = group
         sides = _kept(g, rule, drop)
         na, ns = len(sides[0]), len(sides[1])
         for inst, tokens in instances:

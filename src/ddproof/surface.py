@@ -34,10 +34,10 @@ The scanner is one regular expression, `_TOKEN`. A printed proof repeats
 its text, so `_scan` splits it at the separators around formulas and gives
 each distinct piece to `findall` once, for the tokens of one whole-text
 scan. Names keep their `#`, `$` or `:` prefix, so a token's kind follows
-from its first character; glyphs are mapped to ASCII. No positions are
-kept: a `ParseError` finds its line and column by re-running `_TOKEN` with
-`finditer` up to the failing token. A scanner error is found before
-parsing, so it wins over any parse error.
+from its first character; glyphs are mapped to ASCII once per distinct
+piece. No positions are kept: a `ParseError` finds its line and column by
+re-running `_TOKEN` with `finditer` up to the failing token. A scanner
+error is found before parsing, so it wins over any parse error.
 
 A printed proof spells out each context formula again at every node above
 it, so one parse memoizes each formula it read up to a list delimiter, by
@@ -145,11 +145,11 @@ def _scan_error(tok: str) -> Optional[str]:
 
 
 def _findall(text: str) -> list[str]:
-    """The token strings of `text`, ending in one ""."""
+    """The token strings of `text`, glyphs mapped to ASCII, ending in one ""."""
     toks = _TOKEN.findall(text)
     if len(toks) > 1 and not toks[-2]:
         toks.pop()  # after trailing whitespace the end matched twice
-    return toks
+    return toks if text.isascii() else [_GLYPHS.get(t, t) for t in toks]
 
 
 def _scan(text: str) -> list[str]:
@@ -176,10 +176,7 @@ class _Parser:
         """Scan `text`, whose first line is line `line` of its source."""
         self.text = text
         self.line = line
-        toks = _scan(text)
-        if not text.isascii():
-            toks = [_GLYPHS.get(t, t) for t in toks]
-        self.toks = toks
+        self.toks = toks = _scan(text)
         self.pos = 0
         self.memo: dict[str, list[tuple[list[str], Formula]]] = {}
         if len(toks) > 1:

@@ -57,7 +57,6 @@ from ddproof.syntax import (
     Var,
     alpha_key,
     sequent_key,
-    term_tokens,
 )
 
 import genutil
@@ -72,15 +71,16 @@ QUICK = SearchBudget(max_depth=8, term_pool_cap=2, contraction_cap=2, model_cap=
 
 
 def _offered(g, groups):
-    """Each move of the groups on g, made as the search makes it, with the
-    key of each of its premises and whether the leaf test closes it."""
+    """Each move of the groups on g, made as the search makes it, with its
+    instance's key tokens, and the key of each of its premises and whether
+    the leaf test closes it."""
     for group in groups:
-        rule, _, _, drop, _, _, _, _, template, _, instances = group
+        rule, _, drop, _, _, _, _, template, _, instances = group
         sides = _kept(g, rule, drop)
         for inst, tokens in instances:
             leaves = [_leaf(sides, cut, tokens) for cut in template]
             leaves = [(_key(sides, ak, sk), closes) for ak, sk, closes in leaves]
-            yield _move(group, inst), leaves
+            yield _move(group, inst), tokens, leaves
 
 
 # the first sequents of the prove-sample, drawn as perfbench/gen.py draws them
@@ -225,7 +225,7 @@ def test_search_premises_satisfy_the_kernel(rule):
     # a loss-free rule is committed; the others are choices, in keeping form
     committed = _invertible(g, st)
     groups = [committed] if committed is not None else _choice_groups(g, {}, st)
-    moves = [mv for mv, _ in _offered(g, groups) if mv.rule == rule]
+    moves = [mv for mv, _, _ in _offered(g, groups) if mv.rule == rule]
     assert moves
     for mv in moves:
         leaves = [ProofNode("ax", c) for c in _premises(g, mv)]
@@ -350,16 +350,16 @@ def test_search_builds_actives_only_where_it_recurses(monkeypatch, item, built):
 
 # (prove-sample item, `_Move` records made) at the gate budget, for the
 # three heaviest items. Making a record of every candidate move took
-# 52,291, 16,608 and 10,222.
-_MADE = [(478, 3_405), (324, 2_268), (88, 1_156)]
+# 52,291, 16,608 and 10,222; making eqminus's moves once per search, each
+# at its index and prio, took 3,405, 2,268 and 1,156.
+_MADE = [(478, 2_569), (324, 1_551), (88, 888)]
 
 
 @pytest.mark.parametrize("item, made", _MADE, ids=[f"{i}-{m}" for i, m in _MADE])
 def test_search_makes_moves_only_where_it_recurses(monkeypatch, item, made):
     """Heavy prove-sample items make a pinned number of `_Move` records: a
-    choice move is a record only when the search enters its premises or it
-    wins, besides the closures found and eqminus's moves, which are made
-    once per search."""
+    move is a record only when the search enters its premises or it wins,
+    besides the closures found."""
     records, real = 0, _Move.__init__
 
     def counting(self, *args):
@@ -389,11 +389,8 @@ def test_template_keys_match_built_actives():
     for g in goals:
         st = _State(g, QUICK)
         groups = [group for group in [_invertible(g, st)] if group is not None]
-        for mv, _ in _offered(g, groups + _choice_groups(g, {}, st)):
-            if mv.template is None:
-                continue
-            tokens = term_tokens(mv.inst)
-            built = mv.actives or RULES[mv.rule].actives(mv.f, *mv.inst)
+        for mv, tokens, _ in _offered(g, groups + _choice_groups(g, {}, st)):
+            built = RULES[mv.rule].actives(mv.f, *mv.inst)
             assert len(built) == len(mv.template)
             for (a, s), (ta, ts, eqs) in zip(built, mv.template):
                 assert [x.format(*tokens) for x in ta] == [alpha_key(x) for x in a]
@@ -407,7 +404,7 @@ def test_template_keys_match_built_actives():
                     goals.append(p)
             rules.add(mv.rule)
     slots = {"iota1l", "foralll", "existsr", "iotar", "iota2l", "forallr", "existsl"}
-    assert rules >= slots | {"eqminus"}
+    assert rules >= slots | {"eqminus", "eqplus"}
     assert marked == {True, False}
 
 
@@ -425,7 +422,9 @@ def test_leaf_test_agrees_with_try_close():
             continue
         st = _State(g, QUICK)
         groups = [group for group in [_invertible(g, st)] if group is not None]
-        for mv, leaves in _offered(g, groups + _choice_groups(g, {}, st)):
+        groups += _choice_groups(g, {}, st)
+        assert all(instances for *_, instances in groups if isinstance(instances, list))
+        for mv, _, leaves in _offered(g, groups):
             premises = _premises(g, mv)
             assert len(leaves) == len(premises)
             for p, (key, closes) in zip(premises, leaves):
@@ -466,7 +465,7 @@ def test_moves_that_pass_the_fact_on_keep_countermodels():
         st = _State(g, QUICK)
         goal_refuted = None
         groups = [group for group in [_invertible(g, st)] if group is not None]
-        for mv, _ in _offered(g, groups + _choice_groups(g, {}, st)):
+        for mv, _, _ in _offered(g, groups + _choice_groups(g, {}, st)):
             keeps = _keeps_countermodels(g, mv)
             for p in _premises(g, mv):
                 if not _has_countermodel(p):
@@ -547,19 +546,22 @@ def test_eqminus_spends_a_use_per_identity_and_atom(monkeypatch):
     goal = parse_sequent("#a = #b, P(#a) => Q(#b)")
     budget = SearchBudget(max_depth=4, term_pool_cap=2, contraction_cap=1, model_cap=0)
     st = _State(goal, budget)
-    fresh = list(search._eqminus_moves(goal, {}, st))
-    assert [format_formula(mv.actives[0][0][0]) for mv in fresh] == ["#b = #b", "P(#b)", "#a = #a"]
-    spent = {fresh[0].spent[0]: 1}  # the identity rewritten by itself
-    assert [mv.actives for mv in search._eqminus_moves(goal, spent, st)] == [fresh[1].actives]
+    # the flipped identity does not rewrite P(#a), so it makes no group there
+    fresh = list(search._eqminus_groups(goal, {}, st))
+    rewrites = [[format_formula(chi) for (chi,), _ in instances] for *_, instances in fresh]
+    assert rewrites == [["#b = #b"], ["P(#b)"], ["#a = #a"]]
+    _, _, _, (pair,), *_ = fresh[0]  # the use the identity rewritten by itself spends
+    left = search._eqminus_groups(goal, {pair: 1}, st)
+    assert [instances for *_, instances in left] == [fresh[1][-1]]
 
-    capped, real = [], search._eqminus_moves
+    capped, real = [], search._eqminus_groups
 
-    def moves(g, uses, st):
+    def groups(g, uses, st):
         out = list(real(g, uses, st))
         capped.append(len(out) < len(list(real(g, {}, st))))
         return iter(out)
 
-    monkeypatch.setattr(search, "_eqminus_moves", moves)
+    monkeypatch.setattr(search, "_eqminus_groups", groups)
     assert prove(goal, budget) == Unknown("budget-exhausted")
     assert any(capped)
 
