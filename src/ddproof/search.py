@@ -13,15 +13,15 @@ keeping form: the principal formula is contracted first so the original
 copy survives, bounded by a per-formula contraction budget. Branches
 refuted by a small countermodel are pruned early.
 
-Moves are enumerated in groups, a plain tuple each: one rule on one
-principal formula, with its use key, prio and key template, and its
-instances as (terms, key tokens) pairs. A move, as data, is made from its
-group, and its actives and premises built, only when the search recurses
-into them or it wins. eqminus's rewritten atoms fill no slot: the search's
-own `rewrite_variants` enumerates them, and they are the instances of a
-group per identity, atom and direction, made with their keys once per
-search. The search returns the winning plan, its moves and sub-plans, and
-the proof built from it once is re-checked by the kernel before it is
+Moves are enumerated in groups, a `_Group` record each: one rule on one
+principal formula, with its use key and key template, and its instances
+as (terms, key tokens) pairs. A move is a group at one instance; its
+actives and premises are built only when the search recurses into them or
+it wins. eqminus's rewritten atoms fill no slot: the search's own
+`rewrite_variants` enumerates them, and they are the instances of a group
+per identity, atom and direction, made with their keys once per search.
+The search returns the winning plan, its groups, instances and sub-plans,
+and the proof built from it once is re-checked by the kernel before it is
 reported.
 
 At depth 1 a move's premises are leaves: the search would only key each
@@ -51,7 +51,7 @@ are possible: Proved, Refuted, or Unknown when the budget runs out.
 """
 
 from itertools import chain, permutations
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .syntax import (
     Const,
@@ -134,70 +134,64 @@ class _State:
         self.refute_memo: dict[tuple, Optional[bool]] = {}
         self.expansions = 0
         self.quick_size = min(2, budget.model_cap)
-        self.templates: dict = {}  # see `_template`, `_eqminus_groups`, `_choice_groups`
+        # made once per search: key templates at (rule, key) (`_template`),
+        # eqminus's oriented identity and rewrites at ("eqminus", identity
+        # key, atom key, flipped), eqplus's group at ("eqplus", term token)
+        self.made: dict = {}
         self.pools: dict[tuple, tuple] = {}  # see `_choice_groups`
 
 
 @record
-class _Move:
-    """One backward rule application to a goal g, as data: `rule` on the
-    principal formula f at `inst` (its terms, then its eigenparameter, or
-    eqminus's rewritten atom), whose premises are g, less the formula at
-    index `drop` of the rule's side when set, plus each pair of the rule's
-    actives there, built from f and inst, whose keys `template` holds when
-    set (see `_template`). A choice move spends a use of each key in
-    `spent`, after `prio` prior ones on the branch, and is tried in keeping
-    form (`kept`): its node concludes g with a second copy of f, which a
-    contraction merges, after eqminus's identity is flipped back when
-    `flip` is set. An "ax" move is the axiom on f, weakened onto g."""
+class _Group:
+    """One rule on one principal formula f of a goal g, at each of its
+    `instances` as (inst, key tokens) pairs: inst is its terms, then its
+    eigenparameter, or eqminus's rewritten atom. A move, the group at one
+    instance, has as premises g, less the formula at index `drop` of the
+    rule's side when set, plus each pair of the rule's actives there, built
+    from f and inst, whose keys `template` holds when set (see `_template`).
+    A choice move spends a use of each key in `spent`, and of fresh
+    parameters when its instance holds the `minted` one, and is tried in
+    keeping form (`kept`): its node concludes g with a second copy of f,
+    which a contraction merges, after eqminus's identity is flipped back
+    when `flip` is set. An "ax" move is the axiom on f, weakened onto g."""
 
     rule: str
     f: Formula
-    inst: tuple = ()
     drop: Optional[int] = None
     spent: tuple = ()
-    prio: int = 0
     kept: bool = False
     flip: Optional[Identity] = None
     template: Optional[list] = None
+    minted: Optional[Param] = None
+    instances: Iterable = ()
 
 
-# a plan is the move that won at a sequent and the plans of its premises;
-# the proof is built from it once, when the search has succeeded
-Plan = tuple[_Move, tuple]
+# a plan is the group and instance that won at a sequent and the plans of its
+# premises; the proof is built from it once, when the search has succeeded
+Plan = tuple[_Group, tuple, tuple]
 
 
-def _move(group: tuple, inst: tuple) -> _Move:
-    """The move of a group at one of its instances. A group is a tuple of
-    the `_Move` fields but `inst`, the minted parameter, whose moves spend
-    a fresh-params use as well, and the instances as (terms, key tokens)."""
-    rule, f, drop, spent, prio, kept, flip, template, minted, _ = group
-    if minted is not None and minted in inst:
-        spent += (("fresh-params",),)
-    return _Move(rule, f, inst, drop, spent, prio, kept, flip, template)
-
-
-def _node(g: Sequent, mv: _Move, subs) -> ProofNode:
-    """The proof of mv on g from its premises' proofs."""
-    if mv.rule == "ax":
-        return weaken_to(ProofNode("ax", Sequent((mv.f,), (mv.f,))), g)
-    schema = RULES[mv.rule]
-    terms, eigen = (mv.inst[:-1], mv.inst[-1]) if schema.eigen else (mv.inst, None)
-    if mv.rule == "eqminus":
+def _node(g: Sequent, group: _Group, inst: tuple, subs) -> ProofNode:
+    """The proof of the group's move at inst on g from its premises' proofs."""
+    if group.rule == "ax":
+        return weaken_to(ProofNode("ax", Sequent((group.f,), (group.f,))), g)
+    schema = RULES[group.rule]
+    terms, eigen = (inst[:-1], inst[-1]) if schema.eigen else (inst, None)
+    if group.rule == "eqminus":
         terms = ()  # its instance is the rewritten atom, which no annotation names
-    conclusion = _with(g, schema.side, mv.f) if mv.kept else g
-    node = ProofNode(mv.rule, conclusion, tuple(subs), terms, eigen)
-    if mv.flip is not None:
-        node = flip_identity(node, mv.flip)
-    if mv.kept:
+    conclusion = _with(g, schema.side, group.f) if group.kept else g
+    node = ProofNode(group.rule, conclusion, tuple(subs), terms, eigen)
+    if group.flip is not None:
+        node = flip_identity(node, group.flip)
+    if group.kept:
         return ProofNode("cl" if schema.side == "ant" else "cr", g, (node,))
     return node
 
 
 def _build(g: Sequent, plan: Plan) -> ProofNode:
-    mv, subs = plan
-    premises = _premises(g, mv) if subs else ()
-    return _node(g, mv, [_build(p, sub) for p, sub in zip(premises, subs)])
+    group, inst, subs = plan
+    premises = _premises(g, group, inst) if subs else ()
+    return _node(g, group, inst, [_build(p, sub) for p, sub in zip(premises, subs)])
 
 
 def _less(sides: tuple, side: str, i: Optional[int]) -> tuple:
@@ -208,11 +202,12 @@ def _less(sides: tuple, side: str, i: Optional[int]) -> tuple:
     return (ant[:i] + ant[i + 1 :], suc) if side == "ant" else (ant, suc[:i] + suc[i + 1 :])
 
 
-def _premises(g: Sequent, mv: _Move) -> tuple[Sequent, ...]:
-    """mv's premises on g: each pair of actives, the antecedent formulas in
-    front of what g keeps, the succedent ones behind."""
-    ant, suc = _less((g.ant, g.suc), RULES[mv.rule].side, mv.drop)
-    return tuple(Sequent(a + ant, suc + s) for a, s in RULES[mv.rule].actives(mv.f, *mv.inst))
+def _premises(g: Sequent, group: _Group, inst: tuple) -> tuple[Sequent, ...]:
+    """The group's premises on g at inst: each pair of actives, the
+    antecedent formulas in front of what g keeps, the succedent ones behind."""
+    schema = RULES[group.rule]
+    ant, suc = _less((g.ant, g.suc), schema.side, group.drop)
+    return tuple(Sequent(a + ant, suc + s) for a, s in schema.actives(group.f, *inst))
 
 
 def _kept(g: Sequent, rule: str, drop: Optional[int]) -> tuple:
@@ -246,15 +241,15 @@ def _template(key: tuple, f: Formula, st: _State) -> list:
     builder names, and a pair for each succedent identity between instance
     terms: its and its flip's, which fill alike when it fills reflexive.
     Made once in a search."""
-    if key not in st.templates:
+    if key not in st.made:
         schema = RULES[key[0]]
         holes = tuple(Param(f"?{i}") for i in range(schema.terms + schema.eigen))
-        st.templates[key] = [
+        st.made[key] = [
             ([key_template(x, holes) for x in a], [key_template(x, holes) for x in s],
              [(key_template(x, holes), key_template(Identity(x.rhs, x.lhs), holes))
               for x in s if RULES["eqminus"].principal(x)])
             for a, s in schema.actives(f, *holes)]
-    return st.templates[key]
+    return st.made[key]
 
 
 # the template of a premise that adds one antecedent formula, the
@@ -267,9 +262,10 @@ def _with(g: Sequent, side: str, f: Formula) -> Sequent:
     return Sequent((f,) + g.ant, g.suc) if side == "ant" else Sequent(g.ant, g.suc + (f,))
 
 
-def _spend(uses: dict, keys: tuple) -> dict:
+def _spend(uses: dict, group: _Group, inst: tuple) -> dict:
     out = dict(uses)
-    for key in keys:
+    minted = group.minted is not None and group.minted in inst
+    for key in group.spent + ((("fresh-params",),) if minted else ()):
         out[key] = out.get(key, 0) + 1
     return out
 
@@ -289,10 +285,11 @@ def _quick_refuted(g: Sequent, st: _State, free: bool) -> Optional[bool]:
     return st.refute_memo[key]
 
 
-def _keeps_countermodels(g: Sequent, mv: _Move) -> bool:
-    """Whether every countermodel of a premise of mv is one of g: true
-    but for an eqminus that consumes its own identity, either way round."""
-    return mv.rule != "eqminus" or g.ant[mv.drop] not in (mv.f, Identity(mv.f.rhs, mv.f.lhs))
+def _keeps_countermodels(g: Sequent, group: _Group) -> bool:
+    """Whether every countermodel of a premise of the group's moves is one of
+    g: true but for an eqminus that consumes its own identity, either way."""
+    f = group.f
+    return group.rule != "eqminus" or g.ant[group.drop] not in (f, Identity(f.rhs, f.lhs))
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +298,7 @@ def _keeps_countermodels(g: Sequent, mv: _Move) -> bool:
 
 def _closing(f: Formula) -> Plan:
     """The axiom on f, weakened onto the sequent it closes."""
-    return _Move("ax", f), ()
+    return _Group("ax", f), (), ()
 
 
 def _try_close(g: Sequent) -> Optional[Plan]:
@@ -311,7 +308,7 @@ def _try_close(g: Sequent) -> Optional[Plan]:
             return _closing(f)
     for f in g.suc:
         if RULES["eqplus"].principal(f):
-            return _Move("eqplus", f), (_closing(f),)
+            return _Group("eqplus", f), (), (_closing(f),)
     return None
 
 
@@ -338,7 +335,7 @@ _INVERTIBLE = (
 )
 
 
-def _invertible(g: Sequent, st: _State) -> Optional[tuple]:
+def _invertible(g: Sequent, st: _State) -> Optional[_Group]:
     """The group of the first set with a principal formula, on its leftmost;
     an abstract of a description is left to the choice moves."""
     for side, rules in _INVERTIBLE:
@@ -348,7 +345,7 @@ def _invertible(g: Sequent, st: _State) -> Optional[tuple]:
                 continue
             inst = (st.supply.fresh(),) if RULES[rule].eigen else ()
             template = _template((rule, alpha_key(f)), f, st)
-            return rule, f, i, (), 0, False, None, template, None, [(inst, term_tokens(inst))]
+            return _Group(rule, f, i, template=template, instances=[(inst, term_tokens(inst))])
     return None
 
 
@@ -370,7 +367,7 @@ def rewrite_variants(atom: Formula, src: Term, dst: Term) -> Iterator[Formula]:
         yield _rebuild(atom, xs)
 
 
-def _eqminus_groups(g: Sequent, uses: dict, st: _State) -> Iterator[tuple]:
+def _eqminus_groups(g: Sequent, uses: dict, st: _State) -> Iterator[_Group]:
     """eqminus on each identity, either way round, and each atom beside it
     that has a rewrite, at each of its rewrites: the identity the node
     consumes is oriented src=dst and flipped back to g's orientation before
@@ -386,22 +383,21 @@ def _eqminus_groups(g: Sequent, uses: dict, st: _State) -> Iterator[tuple]:
         for src, dst, flipped in ((eq.lhs, eq.rhs, False), (eq.rhs, eq.lhs, True)):
             for j, atom in atoms:
                 key = ("eqminus", keys[i], keys[j])
-                prio = uses.get(key, 0)
-                if prio >= cap:
+                if uses.get(key, 0) >= cap:
                     continue
                 rewrites = key + (flipped,)
-                if rewrites not in st.templates:
-                    st.templates[rewrites] = Identity(src, dst) if flipped else eq, [
+                if rewrites not in st.made:
+                    st.made[rewrites] = Identity(src, dst) if flipped else eq, [
                         ((chi,), (alpha_key(chi),)) for chi in rewrite_variants(atom, src, dst)]
-                used, instances = st.templates[rewrites]
+                used, instances = st.made[rewrites]
                 if instances:
-                    yield ("eqminus", used, j, (key,), prio, True, used if flipped else None,
-                           _ONE, None, instances)
+                    yield _Group("eqminus", used, j, (key,), True, used if flipped else None,
+                                 _ONE, None, instances)
 
 
-def _choice_groups(g: Sequent, uses: dict, st: _State) -> list[tuple]:
+def _choice_groups(g: Sequent, uses: dict, st: _State) -> list[_Group]:
     cap = st.budget.contraction_cap
-    groups: list[tuple] = []
+    groups: list[_Group] = []
     names = [_names(f) for f in g.ant + g.suc]
     names = frozenset().union(*[n[0] for n in names]), frozenset().union(*[n[1] for n in names])
     if names not in st.pools:
@@ -427,8 +423,8 @@ def _choice_groups(g: Sequent, uses: dict, st: _State) -> list[tuple]:
             if schema.eigen:
                 instances = [(ts + (a,), tk + ("p:" + a.name,))
                              for ts, tk in instances for a in [st.supply.fresh()]]
-            groups.append((rule, f, None, (key,), uses.get(key, 0), True, None,
-                           _template(key, f, st), minted, instances))
+            groups.append(_Group(rule, f, None, (key,), True, None,
+                                 _template(key, f, st), minted, instances))
 
     # description in the antecedent: the no-witness rule first
     slot_groups("iota1l", pool, tokens)
@@ -447,22 +443,24 @@ def _choice_groups(g: Sequent, uses: dict, st: _State) -> list[tuple]:
         slot_groups(rule, terms, marks, minted)
 
     # introduce a reflexive identity as rewrite fodder, the most
-    # speculative move, and only worthwhile next to a real equation; made
-    # with its key and instance once per term in a search
+    # speculative move, and only worthwhile next to a real equation; its
+    # group is the same at every goal, so it is made once per term in a
+    # search
     if any(isinstance(f, Identity) and f.lhs != f.rhs for f in g.ant):
         for t, token in zip(pool, tokens):
-            if ("eqplus", token) not in st.templates:
+            if ("eqplus", token) not in st.made:
                 refl = Identity(t, t)
                 key = ("eqplus", alpha_key(refl))
-                st.templates["eqplus", token] = refl, key, [((), key[1:])]
-            refl, key, instances = st.templates["eqplus", token]
-            if uses.get(key, 0) < cap:
-                groups.append(("eqplus", refl, None, (key,), uses.get(key, 0), False, None,
-                               _ONE, None, instances))
+                st.made["eqplus", token] = _Group("eqplus", refl, spent=(key,), template=_ONE,
+                                                  instances=[((), key[1:])])
+            group = st.made["eqplus", token]
+            if uses.get(group.spent[0], 0) < cap:
+                groups.append(group)
 
-    # fresh families before repeat applications; the sort is stable, so
-    # ties keep the rule order above
-    groups.sort(key=lambda group: group[4])
+    # fresh families before repeat applications, by the uses of the key
+    # each group spends; the sort is stable, so ties keep the rule order
+    # above
+    groups.sort(key=lambda group: uses.get(group.spent[0], 0))
     return groups
 
 
@@ -486,31 +484,28 @@ def _search(
         return None
 
     # an invertible move is committed to, and spends no uses; else each
-    # choice move is tried in turn. A move is made, and its premises built,
-    # when the search recurses into them or the move wins; at depth 1 they
+    # choice move is tried in turn. A move's premises are built when the
+    # search recurses into them or the move wins; at depth 1 they
     # are leaves, tested unbuilt, each counted as the call at depth 0 would
     # be, and a leaf's key is built only if a branch key has its lengths
     committed = _invertible(g, st)
     lengths = {(len(a), len(s)) for a, s in seen}
     for group in [committed] if committed is not None else _choice_groups(g, uses, st):
-        rule, _, drop, _, _, _, _, template, _, instances = group
-        sides = _kept(g, rule, drop)
+        sides = _kept(g, group.rule, group.drop)
         na, ns = len(sides[0]), len(sides[1])
-        for inst, tokens in instances:
-            mv, subs = None, []
-            for cut in template:
+        for inst, tokens in group.instances:
+            premises, subs = None, []
+            for cut in group.template:
                 ak, sk, closes = _leaf(sides, cut, tokens)
                 if depth > 1 or (na + len(ak), ns + len(sk)) in lengths:
                     key = _key(sides, ak, sk)
                     if key in seen:
                         break
                 if depth > 1:
-                    if mv is None:
-                        mv = _move(group, inst)
-                        premises = _premises(g, mv)
-                    sub = _search(premises[len(subs)], depth - 1, seen | {key},
-                                  _spend(uses, mv.spent), st,
-                                  refuted is False and _keeps_countermodels(g, mv))
+                    if premises is None:
+                        premises, below = _premises(g, group, inst), _spend(uses, group, inst)
+                    sub = _search(premises[len(subs)], depth - 1, seen | {key}, below, st,
+                                  refuted is False and _keeps_countermodels(g, group))
                 else:
                     st.expansions += 1
                     sub = closes and st.expansions <= NODE_CAP
@@ -518,10 +513,9 @@ def _search(
                     break
                 subs.append(sub)
             else:
-                mv = mv or _move(group, inst)
                 if depth == 1:
-                    subs = [_try_close(p) for p in _premises(g, mv)]
-                return mv, tuple(subs)
+                    subs = [_try_close(p) for p in _premises(g, group, inst)]
+                return group, inst, tuple(subs)
     return None
 
 

@@ -30,9 +30,8 @@ from ddproof.search import (
     _keeps_countermodels,
     _kept,
     _key,
+    _Group,
     _leaf,
-    _Move,
-    _move,
     _node,
     _premises,
     _State,
@@ -71,16 +70,15 @@ QUICK = SearchBudget(max_depth=8, term_pool_cap=2, contraction_cap=2, model_cap=
 
 
 def _offered(g, groups):
-    """Each move of the groups on g, made as the search makes it, with its
-    instance's key tokens, and the key of each of its premises and whether
-    the leaf test closes it."""
+    """Each move of the groups on g, as (group, inst), with its instance's
+    key tokens, and the key of each of its premises and whether the leaf
+    test closes it."""
     for group in groups:
-        rule, _, drop, _, _, _, _, template, _, instances = group
-        sides = _kept(g, rule, drop)
-        for inst, tokens in instances:
-            leaves = [_leaf(sides, cut, tokens) for cut in template]
+        sides = _kept(g, group.rule, group.drop)
+        for inst, tokens in group.instances:
+            leaves = [_leaf(sides, cut, tokens) for cut in group.template]
             leaves = [(_key(sides, ak, sk), closes) for ak, sk, closes in leaves]
-            yield _move(group, inst), tokens, leaves
+            yield (group, inst), tokens, leaves
 
 
 # the first sequents of the prove-sample, drawn as perfbench/gen.py draws them
@@ -225,11 +223,11 @@ def test_search_premises_satisfy_the_kernel(rule):
     # a loss-free rule is committed; the others are choices, in keeping form
     committed = _invertible(g, st)
     groups = [committed] if committed is not None else _choice_groups(g, {}, st)
-    moves = [mv for mv, _, _ in _offered(g, groups) if mv.rule == rule]
+    moves = [(group, inst) for (group, inst), _, _ in _offered(g, groups) if group.rule == rule]
     assert moves
-    for mv in moves:
-        leaves = [ProofNode("ax", c) for c in _premises(g, mv)]
-        root = _node(g, mv, leaves)
+    for group, inst in moves:
+        leaves = [ProofNode("ax", c) for c in _premises(g, group, inst)]
+        root = _node(g, group, inst, leaves)
         for _, n in iter_nodes(root):
             if n.rule != "ax":
                 info = analyze_step(n)
@@ -239,7 +237,7 @@ def test_search_premises_satisfy_the_kernel(rule):
         if rule != "eqplus":
             # a kept conclusion holds f twice, and eqminus may use it
             # flipped; the kernel names the first
-            where = getattr(node.conclusion, side).index(mv.flip or f)
+            where = getattr(node.conclusion, side).index(group.flip or f)
             assert principal == (side, where)
 
 
@@ -348,26 +346,24 @@ def test_search_builds_actives_only_where_it_recurses(monkeypatch, item, built):
     assert calls == built
 
 
-# (prove-sample item, `_Move` records made) at the gate budget, for the
-# three heaviest items. Making a record of every candidate move took
-# 52,291, 16,608 and 10,222; making eqminus's moves once per search, each
-# at its index and prio, took 3,405, 2,268 and 1,156.
-_MADE = [(478, 2_569), (324, 1_551), (88, 888)]
+# (prove-sample item, `_Group` records made) at the gate budget, for the
+# three heaviest items
+_GROUPS = [(478, 12_276), (324, 5_272), (88, 4_843)]
 
 
-@pytest.mark.parametrize("item, made", _MADE, ids=[f"{i}-{m}" for i, m in _MADE])
-def test_search_makes_moves_only_where_it_recurses(monkeypatch, item, made):
-    """Heavy prove-sample items make a pinned number of `_Move` records: a
-    move is a record only when the search enters its premises or it wins,
-    besides the closures found."""
-    records, real = 0, _Move.__init__
+@pytest.mark.parametrize("item, made", _GROUPS, ids=[f"{i}-{m}" for i, m in _GROUPS])
+def test_search_makes_a_pinned_number_of_groups(monkeypatch, item, made):
+    """Heavy prove-sample items make a pinned number of `_Group` records:
+    one per group offered at each goal expanded and per closure found, but
+    eqplus's, made once per term in a search."""
+    records, real = 0, _Group.__init__
 
-    def counting(self, *args):
+    def counting(self, *args, **kwargs):
         nonlocal records
         records += 1
-        real(self, *args)
+        real(self, *args, **kwargs)
 
-    monkeypatch.setattr(_Move, "__init__", counting)
+    monkeypatch.setattr(_Group, "__init__", counting)
     prove(perfbench_gen.prove_sample()[item], perfbench_gen.PROVE_BUDGET)
     assert records == made
 
@@ -389,20 +385,20 @@ def test_template_keys_match_built_actives():
     for g in goals:
         st = _State(g, QUICK)
         groups = [group for group in [_invertible(g, st)] if group is not None]
-        for mv, tokens, _ in _offered(g, groups + _choice_groups(g, {}, st)):
-            built = RULES[mv.rule].actives(mv.f, *mv.inst)
-            assert len(built) == len(mv.template)
-            for (a, s), (ta, ts, eqs) in zip(built, mv.template):
+        for (group, inst), tokens, _ in _offered(g, groups + _choice_groups(g, {}, st)):
+            built = RULES[group.rule].actives(group.f, *inst)
+            assert len(built) == len(group.template)
+            for (a, s), (ta, ts, eqs) in zip(built, group.template):
                 assert [x.format(*tokens) for x in ta] == [alpha_key(x) for x in a]
                 assert [x.format(*tokens) for x in ts] == [alpha_key(x) for x in s]
                 reflexive = [x.format(*tokens) == y.format(*tokens) for x, y in eqs]
                 identities = [x for x in s if RULES["eqminus"].principal(x)]
                 assert reflexive == [RULES["eqplus"].principal(x) for x in identities]
                 marked.update(reflexive)
-            for p in _premises(g, mv):
+            for p in _premises(g, group, inst):
                 if len(goals) < 400:
                     goals.append(p)
-            rules.add(mv.rule)
+            rules.add(group.rule)
     slots = {"iota1l", "foralll", "existsr", "iotar", "iota2l", "forallr", "existsl"}
     assert rules >= slots | {"eqminus", "eqplus"}
     assert marked == {True, False}
@@ -423,19 +419,19 @@ def test_leaf_test_agrees_with_try_close():
         st = _State(g, QUICK)
         groups = [group for group in [_invertible(g, st)] if group is not None]
         groups += _choice_groups(g, {}, st)
-        assert all(instances for *_, instances in groups if isinstance(instances, list))
-        for mv, _, leaves in _offered(g, groups):
-            premises = _premises(g, mv)
+        assert all(group.instances for group in groups if isinstance(group.instances, list))
+        for (group, inst), _, leaves in _offered(g, groups):
+            premises = _premises(g, group, inst)
             assert len(leaves) == len(premises)
             for p, (key, closes) in zip(premises, leaves):
                 assert key == sequent_key(p)
                 plan = _try_close(p)
-                assert closes == (plan is not None), (g, mv.rule, p)
+                assert closes == (plan is not None), (g, group.rule, p)
                 if closes:
                     closed_by.add(plan[0].rule)
                 elif len(goals) < 600:
                     goals.append(p)
-            rules.add(mv.rule)
+            rules.add(group.rule)
     assert closed_by == {"ax", "eqplus"}
     assert rules == set(RULES)
 
@@ -465,16 +461,16 @@ def test_moves_that_pass_the_fact_on_keep_countermodels():
         st = _State(g, QUICK)
         goal_refuted = None
         groups = [group for group in [_invertible(g, st)] if group is not None]
-        for mv, _, _ in _offered(g, groups + _choice_groups(g, {}, st)):
-            keeps = _keeps_countermodels(g, mv)
-            for p in _premises(g, mv):
+        for (group, inst), _, _ in _offered(g, groups + _choice_groups(g, {}, st)):
+            keeps = _keeps_countermodels(g, group)
+            for p in _premises(g, group, inst):
                 if not _has_countermodel(p):
                     continue
                 if goal_refuted is None:
                     goal_refuted = _has_countermodel(g)
                 if keeps:
-                    assert goal_refuted, (g, mv.rule, p)
-                    rules.add(mv.rule)
+                    assert goal_refuted, (g, group.rule, p)
+                    rules.add(group.rule)
                 elif not goal_refuted:
                     withheld.add((sequent_key(g), sequent_key(p)))
                 if len(goals) < 400:
@@ -548,11 +544,11 @@ def test_eqminus_spends_a_use_per_identity_and_atom(monkeypatch):
     st = _State(goal, budget)
     # the flipped identity does not rewrite P(#a), so it makes no group there
     fresh = list(search._eqminus_groups(goal, {}, st))
-    rewrites = [[format_formula(chi) for (chi,), _ in instances] for *_, instances in fresh]
+    rewrites = [[format_formula(chi) for (chi,), _ in group.instances] for group in fresh]
     assert rewrites == [["#b = #b"], ["P(#b)"], ["#a = #a"]]
-    _, _, _, (pair,), *_ = fresh[0]  # the use the identity rewritten by itself spends
+    (pair,) = fresh[0].spent  # the use the identity rewritten by itself spends
     left = search._eqminus_groups(goal, {pair: 1}, st)
-    assert [instances for *_, instances in left] == [fresh[1][-1]]
+    assert [group.instances for group in left] == [fresh[1].instances]
 
     capped, real = [], search._eqminus_groups
 
@@ -564,6 +560,25 @@ def test_eqminus_spends_a_use_per_identity_and_atom(monkeypatch):
     monkeypatch.setattr(search, "_eqminus_groups", groups)
     assert prove(goal, budget) == Unknown("budget-exhausted")
     assert any(capped)
+
+
+def test_choice_groups_put_fewer_spent_uses_first():
+    """`_choice_groups` orders its groups by the uses on the branch of the
+    key each spends, fewest first, and the sort is stable: ties keep the
+    rule order iota1l, eqminus, foralll, existsr, iotar, iota2l, eqplus."""
+    g = parse_sequent("#a = #b, forall x. P(x), P(#a) => exists x. Q(x)")
+    eq, forall, atom = (alpha_key(f) for f in g.ant)
+    st = _State(g, DEFAULT_BUDGET)
+    assert [group.rule for group in _choice_groups(g, {}, st)] == [
+        "eqminus", "eqminus", "eqminus", "foralll", "existsr", "eqplus", "eqplus"]
+    uses = {("foralll", forall): 1}
+    assert [group.rule for group in _choice_groups(g, uses, st)] == [
+        "eqminus", "eqminus", "eqminus", "existsr", "eqplus", "eqplus", "foralll"]
+    uses[("eqminus", eq, atom)] = 1
+    ordered = [(group.rule, group.f) for group in _choice_groups(g, uses, st)]
+    assert [rule for rule, _ in ordered] == [
+        "eqminus", "eqminus", "existsr", "eqplus", "eqplus", "eqminus", "foralll"]
+    assert ordered[-2] == ("eqminus", g.ant[0])
 
 
 def test_first_rewrite_needs_no_other_mask():

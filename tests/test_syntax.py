@@ -759,7 +759,7 @@ def _records() -> dict:
 
 # the record classes that are mutable, that compare by identity, and that
 # have slots; the others are frozen, compare fields and keep a `__dict__`
-_MUTABLE = {"kernel.StepInfo", "search._Move", "semantics.Model", "semantics.Countermodel"}
+_MUTABLE = {"kernel.StepInfo", "search._Group", "semantics.Model", "semantics.Countermodel"}
 _IDENTITY = {"kernel.ProofNode", "kernel.Proof"}
 _SLOTTED = {
     f"syntax.{c}" for c in (
