@@ -16,24 +16,24 @@ refuted by a small countermodel are pruned early.
 Moves are enumerated in groups, a `_Group` record each: one rule on one
 principal formula, with its use key and key template, and its instances
 as (terms, key tokens) pairs. A move is a group at one instance; its
-actives and premises are built only when the search recurses into them or
-it wins. eqminus's rewritten atoms fill no slot: the search's own
-`rewrite_variants` enumerates them, and they are the instances of a group
-per identity, atom and direction, made with their keys once per search.
-The search returns the winning plan, its groups, instances and sub-plans,
-and the proof built from it once is re-checked by the kernel before it is
-reported.
+actives and premises are built only where the search enters a premise,
+or for the plan it returns. eqminus's rewritten atoms fill no slot: the
+search's own `rewrite_variants` enumerates them, and they are the
+instances of a group per identity, atom and direction, made with their
+keys once per search. The proof built once from the winning plan is
+re-checked by the kernel before it is reported.
 
-At depth 1 a move's premises are leaves: the search would only key each
-one, check it against the branch and try to close it. So they are tested
-without being built. A leaf's key comes from the goal's stored key and
-the actives' keys, filled in from a template that the rule and the
-principal formula's key share (locally nameless instantiation: a key is
-de Bruijn for bound variables), and it is sorted only if a key on the
-branch has its side lengths. The leaf closes exactly when an active's
-key meets the other side or a succedent active is a reflexive identity.
-The test is exact because the goal did not close, and each side of a
-premise is the goal's side, less at most one formula, plus actives: any
+Whether a premise closes is decided once, unbuilt, by the leaf test: a
+premise that closes is a leaf at any depth, as is every premise at depth
+1, and a closed leaf's proof is made only for the returned plan. A
+premise's key comes from the goal's stored key and the actives' keys,
+filled in from a template that the rule and the principal formula's key
+share (locally nameless instantiation: a key is de Bruijn for bound
+variables); a leaf's is sorted only if a key on the branch has its side
+lengths. The premise closes exactly when an active's key meets the other
+side or a succedent active is a reflexive identity. That is exact, as no
+goal that closes is expanded (the root is tested once), and each side of
+a premise is the goal's, less at most one formula, plus actives: any
 match, and any reflexive identity in the succedent, involves an active.
 
 A goal is probed for a small countermodel only if it may have one. The
@@ -51,7 +51,7 @@ are possible: Proved, Refuted, or Unknown when the budget runs out.
 """
 
 from itertools import chain, permutations
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, Literal, Optional, Sequence, Union
 
 from .syntax import (
     Const,
@@ -73,7 +73,7 @@ from .syntax import (
     term_tokens,
 )
 from .kernel import RULES, Proof, ProofNode, check_proof
-from .builders import flip_identity, weaken_to
+from .builders import ax, flip_identity, weaken_to
 from .semantics import (
     EnumerationCapError,
     Model,
@@ -153,7 +153,7 @@ class _Group:
     parameters when its instance holds the `minted` one, and is tried in
     keeping form (`kept`): its node concludes g with a second copy of f,
     which a contraction merges, after eqminus's identity is flipped back
-    when `flip` is set. An "ax" move is the axiom on f, weakened onto g."""
+    when `flip` is set."""
 
     rule: str
     f: Formula
@@ -166,15 +166,13 @@ class _Group:
     instances: Iterable = ()
 
 
-# a plan is the group and instance that won at a sequent and the plans of its
-# premises; the proof is built from it once, when the search has succeeded
-Plan = tuple[_Group, tuple, tuple]
+# a plan is True at a sequent that closes, else the group and instance that
+# won there and its premises' plans; the proof is built from it once
+Plan = Union[Literal[True], tuple[_Group, tuple, tuple]]
 
 
 def _node(g: Sequent, group: _Group, inst: tuple, subs) -> ProofNode:
     """The proof of the group's move at inst on g from its premises' proofs."""
-    if group.rule == "ax":
-        return weaken_to(ProofNode("ax", Sequent((group.f,), (group.f,))), g)
     schema = RULES[group.rule]
     terms, eigen = (inst[:-1], inst[-1]) if schema.eigen else (inst, None)
     if group.rule == "eqminus":
@@ -189,9 +187,10 @@ def _node(g: Sequent, group: _Group, inst: tuple, subs) -> ProofNode:
 
 
 def _build(g: Sequent, plan: Plan) -> ProofNode:
+    if plan is True:
+        return _closed(g)
     group, inst, subs = plan
-    premises = _premises(g, group, inst) if subs else ()
-    return _node(g, group, inst, [_build(p, sub) for p, sub in zip(premises, subs)])
+    return _node(g, group, inst, [*map(_build, _premises(g, group, inst), subs)])
 
 
 def _less(sides: tuple, side: str, i: Optional[int]) -> tuple:
@@ -220,8 +219,8 @@ def _kept(g: Sequent, rule: str, drop: Optional[int]) -> tuple:
 def _leaf(sides: tuple, cut: tuple, tokens: Sequence[str]) -> tuple:
     """A premise of a move on a goal that keeps the key sides `sides`,
     from its entry `cut` of the move's template filled in with its
-    instance's tokens: its actives' keys on each side, and whether
-    `_try_close` closes it, unbuilt (see module docstring)."""
+    instance's tokens: its actives' keys on each side, and whether it
+    closes, unbuilt: the search's one closure test (see module docstring)."""
     (ant, suc), (a, s, eqs) = sides, cut
     ak, sk = a and [x.format(*tokens) for x in a], s and [x.format(*tokens) for x in s]
     apart = {*ak}.isdisjoint(suc) and (not sk or {*sk}.isdisjoint([*ant, *ak]))
@@ -296,19 +295,16 @@ def _keeps_countermodels(g: Sequent, group: _Group) -> bool:
 # closures
 
 
-def _closing(f: Formula) -> Plan:
-    """The axiom on f, weakened onto the sequent it closes."""
-    return _Group("ax", f), (), ()
-
-
-def _try_close(g: Sequent) -> Optional[Plan]:
+def _closed(g: Sequent) -> Optional[ProofNode]:
+    """g's proof if it closes, by an axiom, or by eqplus on a reflexive
+    identity of its succedent over one, weakened onto g; else None."""
     suc_keys = {alpha_key(f) for f in g.suc}
     for f in g.ant:
         if alpha_key(f) in suc_keys:
-            return _closing(f)
+            return weaken_to(ax(f), g)
     for f in g.suc:
         if RULES["eqplus"].principal(f):
-            return _Group("eqplus", f), (), (_closing(f),)
+            return ProofNode("eqplus", g, (weaken_to(ax(f), _with(g, "ant", f)),))
     return None
 
 
@@ -421,8 +417,10 @@ def _choice_groups(g: Sequent, uses: dict, st: _State) -> list[_Group]:
             # different terms, in the order of their product
             instances = zip(permutations(terms, schema.terms), permutations(marks, schema.terms))
             if schema.eigen:
-                instances = [(ts + (a,), tk + ("p:" + a.name,))
-                             for ts, tk in instances for a in [st.supply.fresh()]]
+                instances = [*instances]
+                eigen = [st.supply.fresh() for _ in instances]
+                instances = [(ts + (a,), tk + (m,))
+                             for (ts, tk), a, m in zip(instances, eigen, term_tokens(eigen))]
             groups.append(_Group(rule, f, None, (key,), True, None,
                                  _template(key, f, st), minted, instances))
 
@@ -438,7 +436,7 @@ def _choice_groups(g: Sequent, uses: dict, st: _State) -> list[_Group]:
     terms, marks, minted = pool, tokens, None
     if uses.get(("fresh-params",), 0) < st.budget.term_pool_cap:
         minted = st.supply.fresh()
-        terms, marks = [*pool, minted], [*tokens, "p:" + minted.name]
+        terms, marks = [*pool, minted], tokens + term_tokens((minted,))
     for rule in ("foralll", "existsr", "iotar", "iota2l"):
         slot_groups(rule, terms, marks, minted)
 
@@ -471,23 +469,19 @@ def _choice_groups(g: Sequent, uses: dict, st: _State) -> list[_Group]:
 def _search(
     g: Sequent, depth: int, seen: frozenset, uses: dict, st: _State, free: bool
 ) -> Optional[Plan]:
+    """A plan for g, which does not close, within depth moves."""
     st.expansions += 1
-    if st.expansions > NODE_CAP:
-        return None
-    closed = _try_close(g)
-    if closed is not None:
-        return closed
-    if depth <= 0:
+    if st.expansions > NODE_CAP or depth <= 0:
         return None
     refuted = _quick_refuted(g, st, free)
     if refuted:
         return None
 
     # an invertible move is committed to, and spends no uses; else each
-    # choice move is tried in turn. A move's premises are built when the
-    # search recurses into them or the move wins; at depth 1 they
-    # are leaves, tested unbuilt, each counted as the call at depth 0 would
-    # be, and a leaf's key is built only if a branch key has its lengths
+    # choice move is tried in turn. A premise is entered, and built, if it
+    # does not close and depth is left below it; else it is a leaf, tested
+    # unbuilt, counted as the call it replaces, and keyed only if a branch
+    # key has its lengths
     committed = _invertible(g, st)
     lengths = {(len(a), len(s)) for a, s in seen}
     for group in [committed] if committed is not None else _choice_groups(g, uses, st):
@@ -497,11 +491,12 @@ def _search(
             premises, subs = None, []
             for cut in group.template:
                 ak, sk, closes = _leaf(sides, cut, tokens)
-                if depth > 1 or (na + len(ak), ns + len(sk)) in lengths:
+                enter = depth > 1 and not closes
+                if enter or (na + len(ak), ns + len(sk)) in lengths:
                     key = _key(sides, ak, sk)
                     if key in seen:
                         break
-                if depth > 1:
+                if enter:
                     if premises is None:
                         premises, below = _premises(g, group, inst), _spend(uses, group, inst)
                     sub = _search(premises[len(subs)], depth - 1, seen | {key}, below, st,
@@ -513,13 +508,13 @@ def _search(
                     break
                 subs.append(sub)
             else:
-                if depth == 1:
-                    subs = [_try_close(p) for p in _premises(g, group, inst)]
                 return group, inst, tuple(subs)
     return None
 
 
 def _run_search(goal: Sequent, budget: SearchBudget, free: bool):
+    if _closed(goal) is not None:
+        return True
     # iterative deepening: blind alleys stay shallow on early passes, and
     # the refutation memo carries over, so re-searching cheap levels is
     # a small fraction of the final pass

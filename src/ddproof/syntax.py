@@ -563,6 +563,9 @@ def rename_param_seq(s: Sequent, old: str, new: Term, memo: dict) -> Sequent:
 # ---------------------------------------------------------------------------
 # alpha-equality via canonical keys
 
+# a parameter's or a constant's key token: its tag, then its name
+_TAGS = {Param: "p:", Const: "c:"}
+
 
 def _term_key(t: Term, env: tuple[str, ...]) -> str:
     if isinstance(t, Var):
@@ -570,9 +573,7 @@ def _term_key(t: Term, env: tuple[str, ...]) -> str:
             if env[i] == t.name:
                 return f"b{len(env) - 1 - i}"
         return f"v:{t.name}"
-    if isinstance(t, Param):
-        return f"p:{t.name}"
-    return f"c:{t.name}"
+    return _TAGS[type(t)] + t.name
 
 
 def _key(f: Formula, env: tuple[str, ...]) -> str:
@@ -625,7 +626,7 @@ def key_template(f, holes: tuple = ()) -> str:
 
 def term_tokens(terms: tuple) -> list[str]:
     """The key tokens of parameters and constants, to fill `key_template`s."""
-    return [_term_key(t, ()) for t in terms]
+    return [_TAGS[type(t)] + t.name for t in terms]
 
 
 def match_subst(pattern: Formula, xs, chi: Formula) -> Optional[dict[str, Term]]:

@@ -26,6 +26,7 @@ from ddproof.search import (
     SearchBudget,
     Unknown,
     _choice_groups,
+    _closed,
     _invertible,
     _keeps_countermodels,
     _kept,
@@ -35,7 +36,6 @@ from ddproof.search import (
     _node,
     _premises,
     _State,
-    _try_close,
     prove,
 )
 from ddproof.semantics import EnumerationCapError, eval_sequent, find_countermodel
@@ -326,7 +326,7 @@ def test_search_effort_is_pinned(monkeypatch, budget, item, expansions, fresh):
 # builds, for the premises it recurses into and the proof it returns.
 # Building the actives of every move offered takes 88,966, 17,369 and
 # 8,201 such calls.
-_BUILT = [(478, 2_499), (324, 1_769), (88, 592)]
+_BUILT = [(478, 1_429), (324, 713), (88, 592)]
 
 
 @pytest.mark.parametrize("item, built", _BUILT, ids=[f"{i}-{b}" for i, b in _BUILT])
@@ -348,14 +348,14 @@ def test_search_builds_actives_only_where_it_recurses(monkeypatch, item, built):
 
 # (prove-sample item, `_Group` records made) at the gate budget, for the
 # three heaviest items
-_GROUPS = [(478, 12_276), (324, 5_272), (88, 4_843)]
+_GROUPS = [(478, 11_013), (324, 4_709), (88, 4_544)]
 
 
 @pytest.mark.parametrize("item, made", _GROUPS, ids=[f"{i}-{m}" for i, m in _GROUPS])
 def test_search_makes_a_pinned_number_of_groups(monkeypatch, item, made):
     """Heavy prove-sample items make a pinned number of `_Group` records:
-    one per group offered at each goal expanded and per closure found, but
-    eqplus's, made once per term in a search."""
+    one per group offered at each goal expanded, but eqplus's, made once
+    per term in a search."""
     records, real = 0, _Group.__init__
 
     def counting(self, *args, **kwargs):
@@ -404,17 +404,17 @@ def test_template_keys_match_built_actives():
     assert marked == {True, False}
 
 
-def test_leaf_test_agrees_with_try_close():
+def test_leaf_test_agrees_with_closed():
     """On seeded sequents that do not close, and on such premises of
     theirs, every premise of every move offered gets from the leaf test
-    the key and the verdict that building it and calling `_try_close`
-    give. A few written sequents make sure premises close both ways."""
+    the key and the verdict that building it and calling `_closed` give.
+    A few written sequents make sure premises close both ways."""
     fgen = FormulaGen(random.Random(20250919), max_conn=4, max_dd_depth=1)
     written = ["~#a = #a =>", "=> exists x. x = #b", "#a = #b, P(#a) => P(#b)"]
     goals = [parse_sequent(text) for text in written] + [fgen.sequent() for _ in range(150)]
     rules, closed_by = set(), set()
     for g in goals:
-        if _try_close(g) is not None:
+        if _closed(g) is not None:
             continue
         st = _State(g, QUICK)
         groups = [group for group in [_invertible(g, st)] if group is not None]
@@ -425,15 +425,36 @@ def test_leaf_test_agrees_with_try_close():
             assert len(leaves) == len(premises)
             for p, (key, closes) in zip(premises, leaves):
                 assert key == sequent_key(p)
-                plan = _try_close(p)
-                assert closes == (plan is not None), (g, group.rule, p)
+                proof = _closed(p)
+                assert closes == (proof is not None), (g, group.rule, p)
                 if closes:
-                    closed_by.add(plan[0].rule)
+                    assert proof.conclusion == p
+                    closed_by.add("eqplus" if proof.rule == "eqplus" else "ax")
                 elif len(goals) < 600:
                     goals.append(p)
             rules.add(group.rule)
     assert closed_by == {"ax", "eqplus"}
     assert rules == set(RULES)
+
+
+def test_search_expands_no_goal_that_closes(monkeypatch):
+    """The leaf test is the search's one closure test: on the first
+    prove-sample items and the three heaviest at the gate budget, no goal
+    that `_search` is called on closes, the root included."""
+    calls, closing, real = 0, [], search._search
+
+    def watched(g, *args):
+        nonlocal calls
+        calls += 1
+        if _closed(g) is not None:
+            closing.append(g)
+        return real(g, *args)
+
+    monkeypatch.setattr(search, "_search", watched)
+    sample = perfbench_gen.prove_sample()
+    for goal in sample[:SAMPLE_SLICE] + [sample[i] for i in (478, 324, 88)]:
+        prove(goal, perfbench_gen.PROVE_BUDGET)
+    assert calls > 0 and closing == []
 
 
 def _has_countermodel(s: Sequent) -> bool:
@@ -456,7 +477,7 @@ def test_moves_that_pass_the_fact_on_keep_countermodels():
     goals = [parse_sequent(text) for text in written] + [fgen.sequent() for _ in range(100)]
     rules, withheld = set(), set()
     for g in goals:
-        if _try_close(g) is not None:
+        if _closed(g) is not None:
             continue
         st = _State(g, QUICK)
         goal_refuted = None
